@@ -36,6 +36,7 @@ from .skeleton import (
     SkeletonPath,
     crossings_bruteforce,
     sample_skeleton,
+    sample_terminal,
     signed_crossings_closed_form,
     terminal_y,
 )
@@ -55,6 +56,7 @@ from .variations import (
     v_tilde_3_reduced,
     v_tilde_pq,
     w3,
+    w_grad,
     w_pq,
 )
 

@@ -29,8 +29,14 @@ class ConfigurationError(ValueError):
 _CONFIG_KEYS = {
     "experiment", "H", "levels", "t", "n", "function", "replications",
     "master_seed", "mesh", "workers", "ks_replications",
-    "modulus_levels", "modulus_replications", "fbmbt_replications",
-    "p", "q", "csv", "json",
+    "mixture_replications", "modulus_levels", "modulus_replications",
+    "fbmbt_replications", "p", "q", "csv", "json",
+}
+
+# Keys that count draws or instances: each must be a positive integer.
+_COUNT_KEYS = {
+    "replications", "ks_replications", "mixture_replications",
+    "fbmbt_replications", "modulus_replications",
 }
 
 # config key -> runner keyword
@@ -46,6 +52,12 @@ def _validate(config: dict) -> None:
         raise ConfigurationError(
             f"key 'experiment' must be one of {sorted(RUNNERS)}, got {exp!r}"
         )
+    for key in sorted(_COUNT_KEYS & config.keys()):
+        value = config[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigurationError(
+                f"key {key!r} must be a positive integer, got {value!r}"
+            )
     levels = config.get("levels")
     if levels is not None:
         if list(levels) != sorted(set(int(n) for n in levels)):

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .calculus import get_test_function, midpoint_taylor_table, test_function_names
-from .fgn import rho, sample_fbm_2d, sum_rho_cubed
+from .fgn import H_SPECIAL, grid_spacing, rho, sample_fbm_2d, sum_rho_cubed
 from .limitlaw import (
     default_kappas,
     kappa_constants,
@@ -32,25 +32,25 @@ from .rng import derive_seed
 from .skeleton import (
     crossings_bruteforce,
     sample_skeleton,
+    sample_terminal,
     signed_crossings_closed_form,
     terminal_y,
 )
 from .stats import fit_rate, ks_two_sample, mc_run
 from .variations import (
+    _grid_count,
+    _step_count,
     k_components,
     kl_reduce,
-    o_tilde_reduced,
     p_n,
     v3,
     v_pq,
     v_pq_hermite,
-    v_tilde_3_reduced,
     v_tilde_pq,
     w3,
+    w_grad,
     w_pq,
 )
-
-H_SPECIAL = 1.0 / 6.0
 
 # Every numeric pass/fail threshold used by the experiments.
 THRESHOLDS = {
@@ -118,14 +118,6 @@ class ExperimentResult:
             self.raw.append((i, int(s), statistic, float(v)))
 
 
-def _grid_count(level: int, t: float) -> int:
-    return int(math.floor(2.0 ** (level / 2.0) * t))
-
-
-def _step_count(level: int, t: float) -> int:
-    return int(math.floor(2.0**level * t))
-
-
 def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
@@ -149,36 +141,42 @@ def draw_v3(seed, *, H, n, t, fname):
     return v3(get_test_function(fname), path, t).value
 
 
-def _walk_and_grid(seed, H, n, t):
-    m = _step_count(n, t)
-    walk = sample_skeleton(n, m, seed)
-    j_star = int(walk.positions[m])
+# Brownian-clock estimators.  For odd-order sums the up- and downcrossings
+# of each edge cancel, so a skeleton sum depends on the walk only through its
+# terminal position j*: it equals the one-sided sum out to y = j* 2^{-n/2} on
+# the fBm segment between 0 and j*.  Only j* is drawn, never the walk.  The
+# one-sided forms recover the edge count as floor(2^{n/2} |y|), which gives
+# back |j*| exactly for y = j* * grid_spacing(n) (checked for n <= 60 and
+# |j*| < 2^22).
+
+
+def _terminal_segment(seed, H, n, t):
+    """Terminal walk position j*, its height y, and the fBm between 0 and j*."""
+    j_star = sample_terminal(n, _step_count(n, t), seed)
     fbm = sample_fbm_2d(H, n, min(0, j_star), max(0, j_star), seed)
-    return walk, fbm, j_star, m
+    return j_star, j_star * grid_spacing(n), fbm
 
 
 def draw_o_tilde(seed, *, H, n, t, fname):
-    walk, fbm, _, _ = _walk_and_grid(seed, H, n, t)
-    return o_tilde_reduced(get_test_function(fname), fbm, walk, t).value
+    _, y, fbm = _terminal_segment(seed, H, n, t)
+    return w_grad(get_test_function(fname), fbm, y).value
 
 
 def draw_skeleton_residual(seed, *, H, n, t, fname):
     f = get_test_function(fname)
-    walk, fbm, j_star, _ = _walk_and_grid(seed, H, n, t)
+    j_star, y, fbm = _terminal_segment(seed, H, n, t)
     z1, z2 = fbm.value(1, j_star), fbm.value(2, j_star)
-    o = o_tilde_reduced(f, fbm, walk, t).value
+    o = w_grad(f, fbm, y).value
     return float(f(z1, z2)) - float(f(0.0, 0.0)) - o
 
 
 def draw_v_tilde_3(seed, *, H, n, t, fname):
-    walk, fbm, _, _ = _walk_and_grid(seed, H, n, t)
-    return v_tilde_3_reduced(get_test_function(fname), fbm, walk, t).value
+    _, y, fbm = _terminal_segment(seed, H, n, t)
+    return w3(get_test_function(fname), fbm, y).value
 
 
 def draw_terminal_y(seed, *, n, t):
-    m = _step_count(n, t)
-    walk = sample_skeleton(n, m, seed)
-    return terminal_y(walk, m)
+    return sample_terminal(n, _step_count(n, t), seed) * grid_spacing(n)
 
 
 def draw_correction_fbm(seed, *, fname, t, mesh):
@@ -310,10 +308,9 @@ def _identity_instance(seed: int, fnames: list[str]) -> dict[str, float]:
 
 def run_identity_suite(replications=1000, master_seed=0, workers=1) -> ExperimentResult:
     res = ExperimentResult(name="identity-suite")
-    count = replications or 1000
     fnames = test_function_names()
     worst: dict[str, float] = {}
-    for i in range(count):
+    for i in range(replications):
         seed = derive_seed(master_seed, i)
         devs = _identity_instance(seed, fnames)
         for name, d in devs.items():

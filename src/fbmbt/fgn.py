@@ -34,6 +34,9 @@ MAX_CHOLESKY = 4096
 # at this lag (the direct form loses ~|k|^{2H} * eps absolute accuracy).
 _RHO_DIRECT_CUTOFF = 8
 
+# The critical Hurst index at which the third-order correction has a limit law.
+H_SPECIAL = 1.0 / 6.0
+
 
 class CapacityError(RuntimeError):
     """Requested grid too large for exact sampling."""
@@ -43,6 +46,12 @@ def check_hurst(H: float) -> float:
     if not 0.0 < H < 1.0:
         raise ValueError(f"Hurst exponent must lie in (0,1), got {H}")
     return float(H)
+
+
+def check_special_hurst(H: float, what: str) -> None:
+    """Reject any H other than 1/6 (up to 1e-12) for ``what``."""
+    if abs(H - H_SPECIAL) > 1e-12:
+        raise ValueError(f"{what} is defined at H = 1/6 only, got H = {H}")
 
 
 def check_level(n: int) -> int:

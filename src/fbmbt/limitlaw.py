@@ -30,7 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import TestFunction2D
-from .fgn import RhoSeriesResult, sample_increments, sum_rho_cubed
+from .fgn import (
+    H_SPECIAL,
+    RhoSeriesResult,
+    check_special_hurst,
+    sample_increments,
+    sum_rho_cubed,
+)
 from .rng import (
     STREAM_B1,
     STREAM_B2,
@@ -41,9 +47,6 @@ from .rng import (
     STREAM_Y,
     generator,
 )
-
-_H_SPECIAL = 1.0 / 6.0
-_H_TOL = 1e-12
 
 DEFAULT_SERIES_TRUNCATION = 10**6
 
@@ -64,10 +67,7 @@ class KappaConstants:
 
 
 def kappa_constants(series: RhoSeriesResult) -> KappaConstants:
-    if abs(series.H - _H_SPECIAL) > _H_TOL:
-        raise ValueError(
-            f"kappa constants are defined at H = 1/6 only, series has H = {series.H}"
-        )
+    check_special_hurst(series.H, "kappa constants")
     s = series.value
     k12 = math.sqrt(s / 96.0)
     k34 = math.sqrt(s / 32.0)
@@ -76,7 +76,7 @@ def kappa_constants(series: RhoSeriesResult) -> KappaConstants:
 
 @functools.lru_cache(maxsize=1)
 def default_kappas() -> KappaConstants:
-    return kappa_constants(sum_rho_cubed(_H_SPECIAL, DEFAULT_SERIES_TRUNCATION))
+    return kappa_constants(sum_rho_cubed(H_SPECIAL, DEFAULT_SERIES_TRUNCATION))
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def _euler_sum(
     h = length / steps
 
     def component(stream: int) -> np.ndarray:
-        incs = sample_increments(_H_SPECIAL, h, steps, generator(seed, stream))
+        incs = sample_increments(H_SPECIAL, h, steps, generator(seed, stream))
         return np.concatenate([[0.0], np.cumsum(incs)])
 
     x1 = component(STREAM_X1)

@@ -4,8 +4,9 @@ Every random object in the toolkit draws from a numpy Philox (counter-based)
 generator whose key is derived from a user-supplied 64-bit master seed through
 the SplitMix64 mixing function.  Replication i of an experiment uses
 ``derive_seed(master_seed, i)``; within one replication, each stochastic
-component (fBm component 1/2, skeleton walk, the four correction Brownian
-motions, the Brownian time draw) gets its own stream via a fixed offset.
+component (fBm component 1/2, the skeleton walk or its terminal position, the
+four correction Brownian motions, the Brownian time draw) gets its own stream
+via a fixed offset.
 The scheme is stateless, so results are independent of execution order.
 """
 

@@ -4,7 +4,8 @@ At level n the Brownian motion Y is watched at the successive hitting times of
 the spatial grid ``2**(-n/2) * Z``; the recorded positions form a simple
 symmetric random walk.  Everything downstream (crossing counts, the signed
 closed form, the terminal value of Y) is a deterministic function of that
-walk, so hitting-time durations are never simulated.
+walk, so hitting-time durations are never simulated.  Consumers that read
+only the terminal position draw it directly with ``sample_terminal``.
 """
 
 from __future__ import annotations
@@ -75,6 +76,20 @@ def sample_skeleton(level: int, steps: int, seed: int) -> SkeletonPath:
     jumps = 2 * rng.integers(0, 2, size=steps, dtype=np.int64) - 1
     positions = np.concatenate([[0], np.cumsum(jumps)])
     return SkeletonPath(level=level, steps=int(steps), positions=positions, seed=int(seed))
+
+
+def sample_terminal(level: int, steps: int, seed: int) -> int:
+    """Terminal position s_steps of a ``steps``-step simple symmetric walk.
+
+    One binomial draw, 2 * Binomial(steps, 1/2) - steps, from the walk's
+    stream: the same law as ``sample_skeleton(level, steps, seed)``'s last
+    position, without drawing the steps.
+    """
+    check_level(level)
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    rng = generator(seed, STREAM_WALK)
+    return 2 * int(rng.binomial(steps, 0.5)) - int(steps)
 
 
 def _check_horizon(path: SkeletonPath, horizon: int) -> int:

@@ -8,13 +8,16 @@ evaluated at the coordinate-wise midpoint of the increment, accumulation with
   ``m = floor(2**(n/2) * t)``;
 * skeleton statistics over the first ``floor(2**n * t)`` walk steps, each
   step contributing the fBm increment over the spatial edge it traverses;
-* one-sided edge statistics ``w_pq`` / ``w3`` indexed by a signed spatial
-  horizon ``y``, the negative side read through the mirrored path
-  ``t -> X_{-t}``.
+* one-sided edge statistics ``w_pq`` / ``w3`` / ``w_grad`` indexed by a
+  signed spatial horizon ``y``, the negative side read through the mirrored
+  path ``t -> X_{-t}``.
 
 ``kl_reduce`` rewrites a skeleton sum as a signed one-sided sum using the
 closed form for the net number of traversals of each edge, which only
-depends on the walk through its terminal position.
+depends on the walk through its terminal position j*.  The one-sided forms
+at ``y = j* 2**(-n/2)`` are therefore the skeleton sums themselves, and need
+no walk: the Brownian-clock estimators evaluate them on a drawn j*, while
+the walk-based forms remain as oracles.
 """
 
 from __future__ import annotations
@@ -25,11 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import TestFunction2D, hermite_eval, hermite_expand
-from .fgn import FbmGridPath2D
+from .fgn import FbmGridPath2D, check_special_hurst
 from .skeleton import SkeletonPath
-
-_H_SPECIAL = 1.0 / 6.0
-_H_TOL = 1e-12
 
 # Midpoint Taylor coefficients attached to each third-order term: exponent
 # pair -> (coefficient, derivative multi-index).
@@ -168,11 +168,6 @@ def v3(f: TestFunction2D, path: FbmGridPath2D, t: float) -> VariationStatistic:
     )
 
 
-def _require_special_hurst(path: FbmGridPath2D, what: str) -> None:
-    if abs(path.H - _H_SPECIAL) > _H_TOL:
-        raise ValueError(f"{what} is defined at H = 1/6 only, path has H = {path.H}")
-
-
 def k_components(
     f: TestFunction2D, path: FbmGridPath2D, t: float
 ) -> tuple[VariationStatistic, ...]:
@@ -182,7 +177,7 @@ def k_components(
     ``I_q(delta^{tensor q}) = sd^q * H_q(increment / sd)`` with
     ``sd = 2**(-n H / 2)`` the increment standard deviation.
     """
-    _require_special_hurst(path, "k_components")
+    check_special_hurst(path.H, "k_components")
     m = _grid_count(path.level, t)
     v1, v2 = _grid_values(path, m)
     n, H = path.level, path.H
@@ -220,7 +215,7 @@ def p_n(f: TestFunction2D, path: FbmGridPath2D, t: float) -> VariationStatistic:
     """Trace remainder of the chaos projection at H = 1/6: the lower-chaos
     part left over when the increment cubes and squares in the third-order
     sum are projected onto their top chaos."""
-    _require_special_hurst(path, "p_n")
+    check_special_hurst(path.H, "p_n")
     m = _grid_count(path.level, t)
     v1, v2 = _grid_values(path, m)
     n, H = path.level, path.H
@@ -339,6 +334,15 @@ def w3(f: TestFunction2D, fbm: FbmGridPath2D, y: float) -> VariationStatistic:
     v1, v2 = _one_sided_values(fbm, y)
     return VariationStatistic(
         kind="W3", value=_third_order_series(f, v1, v2), function=f.name,
+        level=fbm.level, horizon=float(y),
+    )
+
+
+def w_grad(f: TestFunction2D, fbm: FbmGridPath2D, y: float) -> VariationStatistic:
+    """One-sided midpoint gradient sum out to horizon y."""
+    v1, v2 = _one_sided_values(fbm, y)
+    return VariationStatistic(
+        kind="W_grad", value=_gradient_series(f, v1, v2), function=f.name,
         level=fbm.level, horizon=float(y),
     )
 

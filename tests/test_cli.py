@@ -96,3 +96,31 @@ def test_unknown_key_rejected(tmp_path):
 
 def test_missing_config_exit_2(tmp_path):
     assert main(["--config", str(tmp_path / "none.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"experiment": "skeleton-suite", "replications": "5"},
+        {"experiment": "skeleton-suite", "replications": 2.0},
+        {"experiment": "skeleton-suite", "replications": True},
+        {"experiment": "identity-suite", "replications": 0},
+        {"experiment": "diverge-h-lt", "fbmbt_replications": -3},
+        {"experiment": "law-h-eq", "ks_replications": None},
+        {"experiment": "law-h-eq", "modulus_replications": "many"},
+        {"experiment": "law-h-eq", "mixture_replications": 0},
+    ],
+)
+def test_bad_count_exit_2(tmp_path, config):
+    cfg = _write_config(tmp_path, config)
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_law_h_eq_mixture_replications(tmp_path):
+    cfg = {"experiment": "law-h-eq", "n": 6, "replications": 10,
+           "ks_replications": 10, "mixture_replications": 25,
+           "modulus_levels": [4], "modulus_replications": 2, "mesh": 0.125}
+    run_experiment(cfg, tmp_path)
+    rows = (tmp_path / "law-h-eq.csv").read_text().splitlines()[1:]
+    assert sum(row.split(",")[2] == "v_tilde3_x3" for row in rows) == 25

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fbmbt.skeleton import (
     SkeletonPath,
     crossings_bruteforce,
     sample_skeleton,
+    sample_terminal,
     signed_crossings_closed_form,
     terminal_y,
 )
+from fbmbt.stats import ks_two_sample
 
 
 def _manual_path(level, positions, seed=0):
@@ -85,3 +89,41 @@ def test_terminal_variance_matches_step_count():
     n, steps = 8, 256  # horizon time 1: variance 256 * 2^-8 = 1
     vals = [terminal_y(sample_skeleton(n, steps, s), steps) for s in range(3000)]
     assert np.var(vals, ddof=1) == pytest.approx(1.0, abs=0.1)
+
+
+def test_sample_terminal_reproducible():
+    assert sample_terminal(8, 500, 7) == sample_terminal(8, 500, 7)
+    draws = {sample_terminal(8, 500, seed) for seed in range(20)}
+    assert len(draws) > 1
+
+
+def test_sample_terminal_zero_and_negative_steps():
+    assert sample_terminal(8, 0, 3) == 0
+    with pytest.raises(ValueError):
+        sample_terminal(8, -1, 3)
+    with pytest.raises(ValueError):
+        sample_terminal(-1, 10, 3)
+
+
+@given(
+    steps=st.integers(min_value=0, max_value=1 << 24),
+    seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+)
+def test_sample_terminal_parity_and_range(steps, seed):
+    j_star = sample_terminal(6, steps, seed)
+    assert isinstance(j_star, int)
+    assert (j_star - steps) % 2 == 0
+    assert abs(j_star) <= steps
+
+
+def test_sample_terminal_law_matches_walk():
+    # Two-sample KS at alpha = 1e-6 between the binomial draw and the last
+    # position of whole walks, on disjoint seeds so the samples are independent.
+    steps, draws = 256, 3000
+    binomial = [sample_terminal(8, steps, seed) for seed in range(draws)]
+    walks = [
+        int(sample_skeleton(8, steps, seed).positions[-1])
+        for seed in range(draws, 2 * draws)
+    ]
+    ks = ks_two_sample(binomial, walks)
+    assert ks.p_value > 1e-6, ks

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from fbmbt.calculus import get_test_function
-from fbmbt.fgn import sample_fbm_2d
+from fbmbt.fgn import grid_spacing, sample_fbm_2d
 from fbmbt.skeleton import sample_skeleton, terminal_y
 from fbmbt.variations import (
     k_components,
@@ -20,6 +21,7 @@ from fbmbt.variations import (
     v_tilde_3_reduced,
     v_tilde_pq,
     w3,
+    w_grad,
     w_pq,
 )
 
@@ -113,9 +115,10 @@ def test_hermite_route_matches_direct():
 
 
 def test_skeleton_statistics_and_reductions():
-    n, t = 8, 1.0
-    m = 256
-    for seed in range(20):
+    t = 1.0
+    signs = set()
+    for n, seed in itertools.product((7, 8), range(60)):
+        m = int(math.floor(2.0**n * t))
         walk = sample_skeleton(n, m, seed)
         visited = walk.positions[: m + 1]
         fbm = sample_fbm_2d(0.3, n, int(visited.min()), int(visited.max()), seed)
@@ -126,14 +129,18 @@ def test_skeleton_statistics_and_reductions():
             assert _rel(vt, red) < 1e-12
             wv = w_pq(f, fbm, terminal_y(walk, m), p, q).value
             assert _rel(vt, wv) < 1e-12
-        assert _rel(
-            o_tilde_n(f, fbm, walk, t).value,
-            o_tilde_reduced(f, fbm, walk, t).value,
-        ) < 1e-12
-        assert _rel(
-            v_tilde_3(f, fbm, walk, t).value,
-            v_tilde_3_reduced(f, fbm, walk, t).value,
-        ) < 1e-12
+        o_red = o_tilde_reduced(f, fbm, walk, t).value
+        v3_red = v_tilde_3_reduced(f, fbm, walk, t).value
+        assert _rel(o_tilde_n(f, fbm, walk, t).value, o_red) < 1e-12
+        assert _rel(v_tilde_3(f, fbm, walk, t).value, v3_red) < 1e-12
+        # The one-sided forms the Brownian-clock draws use, at y = j* 2^{-n/2}
+        # (equal up to the last bit: the j* < 0 side sums the mirrored path).
+        j_star = int(walk.positions[m])
+        y = j_star * grid_spacing(n)
+        assert w_grad(f, fbm, y).value == pytest.approx(o_red, rel=1e-12, abs=0.0)
+        assert w3(f, fbm, y).value == pytest.approx(v3_red, rel=1e-12, abs=0.0)
+        signs.add((n, int(np.sign(j_star))))
+    assert signs == {(n, sign) for n in (7, 8) for sign in (-1, 0, 1)}
 
 
 def test_w3_at_zero_horizon():
