@@ -40,7 +40,7 @@ from .skeleton import (
     signed_crossings_closed_form,
     terminal_y,
 )
-from .stats import RateFit, TwoSampleResult, ecf_distance, fit_rate, ks_two_sample, mc_run
+from .stats import RateFit, TwoSampleResult, fit_rate, ks_two_sample, mc_run
 from .variations import (
     VariationStatistic,
     k_components,

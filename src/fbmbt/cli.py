@@ -2,7 +2,9 @@
 
 Usage:  fbmbt --config experiment.json [--out DIR] [--workers N] [--verbose]
 
-The JSON config selects one experiment and overrides its defaults.  Outputs
+The JSON config selects one experiment and overrides its defaults; a key the
+experiment does not take, or a value of the wrong type or range, is a
+configuration error raised before any work starts.  Outputs
 are a CSV of raw replication values and a JSON summary; both land in the
 output directory.  Exit code 0 when every verdict passes, 1 when any fails,
 2 on a configuration error.
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 import time
 from importlib.metadata import PackageNotFoundError, version
@@ -20,48 +23,91 @@ from pathlib import Path
 
 from .calculus import test_function_names
 from .experiments import RUNNERS, ExperimentResult
+from .stats import MIN_FIT_LEVELS
 
 
 class ConfigurationError(ValueError):
     pass
 
 
-_CONFIG_KEYS = {
-    "experiment", "H", "levels", "t", "n", "function", "replications",
-    "master_seed", "mesh", "workers", "ks_replications",
-    "mixture_replications", "modulus_levels", "modulus_replications",
-    "fbmbt_replications", "p", "q", "csv", "json",
-}
-
-# Keys that count draws or instances: each must be a positive integer.
-_COUNT_KEYS = {
-    "replications", "ks_replications", "mixture_replications",
-    "fbmbt_replications", "modulus_replications",
-}
+# Keys every experiment takes; the rest are the selected runner's keywords.
+_RUN_KEYS = {"experiment", "csv", "json", "workers"}
 
 # config key -> runner keyword
 _KEY_ALIASES = {"function": "fname"}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+_POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_NONNEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "a nonnegative integer")
+_POSITIVE_REAL = (lambda v: _is_real(v) and v > 0, "a positive real number")
+_LEVEL_LIST = (
+    lambda v: isinstance(v, list) and len(v) > 0 and all(_is_int(n) and n >= 0 for n in v),
+    "a nonempty list of nonnegative integers",
+)
+_FILE_NAME = (lambda v: isinstance(v, str) and v != "", "a nonempty file name")
+
+# config key -> (check of its value, what the value must be)
+_VALUE_CHECKS = {
+    "H": (lambda v: _is_real(v) and 0 < v < 1, "a real number in (0, 1)"),
+    "t": _POSITIVE_REAL,
+    "mesh": _POSITIVE_REAL,
+    "n": _NONNEGATIVE_INT,
+    "p": _NONNEGATIVE_INT,
+    "q": _NONNEGATIVE_INT,
+    "master_seed": _NONNEGATIVE_INT,
+    "csv": _FILE_NAME,
+    "json": _FILE_NAME,
+    "levels": _LEVEL_LIST,
+    "modulus_levels": _LEVEL_LIST,
+    # Keys that count draws or instances.
+    "replications": _POSITIVE_INT,
+    "ks_replications": _POSITIVE_INT,
+    "mixture_replications": _POSITIVE_INT,
+    "fbmbt_replications": _POSITIVE_INT,
+    "modulus_replications": _POSITIVE_INT,
+}
+
+
+def _accepted_keys(runner) -> set[str]:
+    """Config keys the runner takes: its keywords, under their config names."""
+    names = set(inspect.signature(runner).parameters)
+    config_name = {name: key for key, name in _KEY_ALIASES.items()}
+    return _RUN_KEYS | {config_name.get(name, name) for name in names}
+
+
 def _validate(config: dict) -> None:
-    unknown = set(config) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     exp = config.get("experiment")
     if exp not in RUNNERS:
         raise ConfigurationError(
             f"key 'experiment' must be one of {sorted(RUNNERS)}, got {exp!r}"
         )
-    for key in sorted(_COUNT_KEYS & config.keys()):
-        value = config[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigurationError(
-                f"key {key!r} must be a positive integer, got {value!r}"
-            )
+    unknown = set(config) - _accepted_keys(RUNNERS[exp])
+    if unknown:
+        raise ConfigurationError(
+            f"keys not taken by experiment {exp!r}: {sorted(unknown)}"
+        )
+    for key in sorted(_VALUE_CHECKS.keys() & config.keys()):
+        check, what = _VALUE_CHECKS[key]
+        if not check(config[key]):
+            raise ConfigurationError(f"key {key!r} must be {what}, got {config[key]!r}")
     levels = config.get("levels")
     if levels is not None:
-        if list(levels) != sorted(set(int(n) for n in levels)):
+        if levels != sorted(set(levels)):
             raise ConfigurationError("key 'levels' must be strictly increasing")
+        if len(levels) < MIN_FIT_LEVELS:
+            raise ConfigurationError(
+                f"key 'levels' needs at least {MIN_FIT_LEVELS} levels for the "
+                f"rate fit, got {len(levels)}"
+            )
     fn = config.get("function")
     if fn is not None and fn not in test_function_names():
         raise ConfigurationError(
@@ -72,13 +118,10 @@ def _validate(config: dict) -> None:
 
 def _runner_kwargs(config: dict, workers: int) -> tuple:
     runner = RUNNERS[config["experiment"]]
-    accepted = set(inspect.signature(runner).parameters)
     kwargs = {"workers": workers}
     for key, value in config.items():
-        if key in ("experiment", "csv", "json", "workers"):
-            continue
-        name = _KEY_ALIASES.get(key, key)
-        if name in accepted:
+        if key not in _RUN_KEYS:
+            name = _KEY_ALIASES.get(key, key)
             kwargs[name] = tuple(value) if isinstance(value, list) else value
     return runner, kwargs
 

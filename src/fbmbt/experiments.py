@@ -265,10 +265,12 @@ def _identity_instance(seed: int, fnames: list[str]) -> dict[str, float]:
     rng = np.random.default_rng(seed)
     devs: dict[str, float] = {}
 
-    # (a) crossing counts: brute force vs closed form, integer exact.
+    # (a) crossing counts: brute force vs closed form, integer exact.  Only
+    # the first ``horizon`` steps are read, and a shorter walk is a prefix of
+    # a longer one on the same stream, so the walk is drawn up to the horizon.
     steps = 1 << int(rng.integers(4, 21))
-    walk_a = sample_skeleton(8, steps, seed)
     horizon = int(rng.integers(0, steps + 1))
+    walk_a = sample_skeleton(8, horizon, seed)
     brute = crossings_bruteforce(walk_a, horizon).signed()
     closed = signed_crossings_closed_form(walk_a, horizon)
     devs["crossings"] = 0.0 if brute == closed else 1.0

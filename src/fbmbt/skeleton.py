@@ -62,9 +62,8 @@ class CrossingTable:
     def signed(self) -> dict[int, int]:
         """Map j -> U_j - D_j, zeros omitted."""
         diff = self.up - self.down
-        return {
-            int(j + self.j_lo): int(d) for j, d in enumerate(diff) if d != 0
-        }
+        nonzero = np.flatnonzero(diff)
+        return dict(zip((nonzero + self.j_lo).tolist(), diff[nonzero].tolist()))
 
 
 def sample_skeleton(level: int, steps: int, seed: int) -> SkeletonPath:
@@ -73,8 +72,17 @@ def sample_skeleton(level: int, steps: int, seed: int) -> SkeletonPath:
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     rng = generator(seed, STREAM_WALK)
-    jumps = 2 * rng.integers(0, 2, size=steps, dtype=np.int64) - 1
-    positions = np.concatenate([[0], np.cumsum(jumps)])
+    # The top bit of each 32-bit word is exactly what integers(0, 2) draws
+    # from the same word, so the stream is unchanged and shorter walks are
+    # prefixes of longer ones.
+    bits = rng.integers(0, 1 << 32, size=steps, dtype=np.uint32)
+    bits >>= 31
+    jumps = bits.view(np.int32)
+    jumps *= 2
+    jumps -= 1
+    positions = np.empty(steps + 1, dtype=np.int64)
+    positions[0] = 0
+    np.cumsum(jumps, out=positions[1:])
     return SkeletonPath(level=level, steps=int(steps), positions=positions, seed=int(seed))
 
 
@@ -105,13 +113,15 @@ def crossings_bruteforce(path: SkeletonPath, horizon: int) -> CrossingTable:
         return CrossingTable(j_lo=0, up=np.zeros(0, np.int64), down=np.zeros(0, np.int64), horizon=0)
     a = path.positions[:horizon]
     b = path.positions[1 : horizon + 1]
-    edges = np.minimum(a, b)  # step over edge [j, j+1] has min(a,b) = j
-    j_lo = int(edges.min())
-    width = int(edges.max()) - j_lo + 1
-    up_mask = b > a
-    up = np.bincount(edges[up_mask] - j_lo, minlength=width)
-    down = np.bincount(edges[~up_mask] - j_lo, minlength=width)
-    return CrossingTable(j_lo=j_lo, up=up, down=down, horizon=horizon)
+    slot = np.minimum(a, b)  # step over edge [j, j+1] has min(a,b) = j
+    j_lo = int(slot.min())
+    width = int(slot.max()) - j_lo + 1
+    # One count per (edge, direction): slot 2*(j - j_lo) is down, +1 is up.
+    slot -= j_lo
+    slot *= 2
+    slot += b > a
+    counts = np.bincount(slot, minlength=2 * width)
+    return CrossingTable(j_lo=j_lo, up=counts[1::2], down=counts[::2], horizon=horizon)
 
 
 def signed_crossings_closed_form(path: SkeletonPath, horizon: int) -> dict[int, int]:

@@ -43,17 +43,8 @@ def ks_two_sample(a, b) -> TwoSampleResult:
     )
 
 
-def ecf_distance(a, b, grid) -> float:
-    """Max over the grid of |ECF_a(u) - ECF_b(u)| (empirical characteristic
-    functions); a bounded alternative to KS for heavy-tailed draws."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    grid = np.asarray(grid, dtype=np.float64)
-    if len(a) == 0 or len(b) == 0 or len(grid) == 0:
-        raise ValueError("samples and grid must be nonempty")
-    ecf_a = np.exp(1j * np.outer(grid, a)).mean(axis=1)
-    ecf_b = np.exp(1j * np.outer(grid, b)).mean(axis=1)
-    return float(np.max(np.abs(ecf_a - ecf_b)))
+# A rate fit of fewer levels has no residual to judge the straight line by.
+MIN_FIT_LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -67,11 +58,14 @@ class RateFit:
 
 
 def fit_rate(levels, values) -> RateFit:
-    """OLS of log2(values) on levels; values must be positive, >= 3 points."""
+    """OLS of log2(values) on levels; values must be positive, at least
+    ``MIN_FIT_LEVELS`` points."""
     levels_arr = np.asarray(levels, dtype=np.float64)
     values_arr = np.asarray(values, dtype=np.float64)
-    if len(levels_arr) < 3:
-        raise ValueError(f"rate fit needs >= 3 levels, got {len(levels_arr)}")
+    if len(levels_arr) < MIN_FIT_LEVELS:
+        raise ValueError(
+            f"rate fit needs >= {MIN_FIT_LEVELS} levels, got {len(levels_arr)}"
+        )
     if len(levels_arr) != len(values_arr):
         raise ValueError("levels and values must have equal length")
     if np.any(values_arr <= 0):

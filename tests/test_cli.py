@@ -124,3 +124,39 @@ def test_law_h_eq_mixture_replications(tmp_path):
     run_experiment(cfg, tmp_path)
     rows = (tmp_path / "law-h-eq.csv").read_text().splitlines()[1:]
     assert sum(row.split(",")[2] == "v_tilde3_x3" for row in rows) == 25
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"experiment": "converge-h-gt", "H": "0.3"},
+        {"experiment": "converge-h-gt", "H": 1.0},
+        {"experiment": "converge-h-gt", "t": 0},
+        {"experiment": "converge-h-gt", "p": -1},
+        {"experiment": "law-h-eq", "mesh": "fine"},
+        {"experiment": "law-h-eq", "n": 12.5},
+        {"experiment": "law-h-eq", "modulus_levels": [10, -14]},
+        {"experiment": "identity-suite", "master_seed": -1},
+        {"experiment": "diverge-h-lt", "levels": ["a"]},
+        {"experiment": "diverge-h-lt", "levels": [8, 10]},
+        {"experiment": "converge-h-gt", "levels": [8, 10]},
+        {"experiment": "constants", "H": 0.3, "levels": [1, 2, 3]},
+        {"experiment": "converge-h-gt", "fname": "x^3"},
+        {"experiment": "taylor-table", "csv": 3},
+    ],
+)
+def test_bad_config_exit_2(tmp_path, capsys, config):
+    cfg = _write_config(tmp_path, config)
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_every_runner_key_is_checked():
+    from fbmbt.cli import _RUN_KEYS, _VALUE_CHECKS, _accepted_keys
+    from fbmbt.experiments import RUNNERS
+
+    for runner in RUNNERS.values():
+        keys = _accepted_keys(runner) - _RUN_KEYS - {"function"}
+        assert keys <= _VALUE_CHECKS.keys(), (runner.__name__, keys - _VALUE_CHECKS.keys())

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -33,6 +35,76 @@ def test_sample_skeleton_reproducible():
     a = sample_skeleton(8, 500, 7)
     b = sample_skeleton(8, 500, 7)
     assert np.array_equal(a.positions, b.positions)
+
+
+# Steps of sample_skeleton(8, 64, 20260823), recorded from the sampler that
+# drew integers(0, 2, dtype=int64) per step: the walk's random stream.
+_GOLDEN_STEPS = "+-++-++-+++--+++-+-+-+++----+-+++-+-----+----+------++-+-++--++-"
+
+
+def test_sample_skeleton_golden_stream():
+    jumps = [1 if c == "+" else -1 for c in _GOLDEN_STEPS]
+    expected = np.concatenate([[0], np.cumsum(jumps)])
+    walk = sample_skeleton(8, 64, 20260823)
+    assert walk.positions.dtype == np.int64
+    assert np.array_equal(walk.positions, expected)
+
+
+@given(
+    k=st.integers(min_value=0, max_value=3000),
+    extra=st.integers(min_value=0, max_value=3000),
+    seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+)
+def test_sample_skeleton_shorter_walk_is_prefix(k, extra, seed):
+    short = sample_skeleton(7, k, seed).positions
+    long = sample_skeleton(7, k + extra, seed).positions
+    assert np.array_equal(short, long[: k + 1])
+
+
+def _loop_crossings(positions, horizon):
+    """Reference counter: one Python step at a time."""
+    up, down = Counter(), Counter()
+    for a, b in zip(positions[:horizon].tolist(), positions[1 : horizon + 1].tolist()):
+        if b > a:
+            up[a] += 1
+        else:
+            down[b] += 1
+    return up, down
+
+
+def _below_zero_walk(seed, steps):
+    """0, then -1 - |s_k|: a simple walk that stays below 0."""
+    s = sample_skeleton(6, steps - 1, seed).positions
+    return _manual_path(6, np.concatenate([[0], -1 - np.abs(s)]), seed)
+
+
+def test_crossings_bruteforce_matches_loop_counter():
+    walks = [sample_skeleton(6, 400, seed) for seed in range(20)]
+    walks += [_below_zero_walk(seed, 300) for seed in range(5)]
+    for walk in walks:
+        for horizon in {0, 1, walk.steps // 3, walk.steps - 1, walk.steps}:
+            table = crossings_bruteforce(walk, horizon)
+            up, down = _loop_crossings(walk.positions, horizon)
+            assert table.horizon == horizon
+            assert int(table.up.sum()) == sum(up.values())
+            assert int(table.down.sum()) == sum(down.values())
+            lo = int(walk.positions.min()) - 1
+            hi = int(walk.positions.max()) + 1
+            for j in range(lo, hi + 1):
+                assert table.upcrossings(j) == up[j]
+                assert table.downcrossings(j) == down[j]
+            net = {j: up[j] - down[j] for j in up.keys() | down.keys()}
+            assert table.signed() == {j: d for j, d in net.items() if d != 0}
+    assert all(_below_zero_walk(0, 300).positions[1:] < 0)
+
+
+def test_signed_omits_zero_edges():
+    # Edge -1 is crossed down and back up; edges 0 and 1 have net +1.
+    table = crossings_bruteforce(_manual_path(4, [0, 1, 0, -1, 0, 1, 2]), 6)
+    assert table.upcrossings(-1) == table.downcrossings(-1) == 1
+    signed = table.signed()
+    assert signed == {0: 1, 1: 1}
+    assert all(type(j) is int and type(d) is int for j, d in signed.items())
 
 
 def test_crossings_on_known_path():

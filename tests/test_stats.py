@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fbmbt.rng import derive_seed, splitmix64
-from fbmbt.stats import ecf_distance, fit_rate, ks_two_sample, mc_run
+from fbmbt.stats import fit_rate, ks_two_sample, mc_run
 
 
 def test_ks_identical_samples():
@@ -41,23 +41,6 @@ def test_ks_same_law_large_p():
 def test_ks_empty_rejected():
     with pytest.raises(ValueError):
         ks_two_sample([], [1.0])
-
-
-def test_ecf_identical():
-    a = np.arange(10.0)
-    assert ecf_distance(a, a, [0.5, 1.0]) == 0.0
-
-
-def test_ecf_point_masses():
-    assert ecf_distance([0.0], [np.pi], [1.0]) == pytest.approx(2.0)
-
-
-def test_ecf_same_law_small():
-    rng = np.random.default_rng(2)
-    d = ecf_distance(
-        rng.normal(size=10**4), rng.normal(size=10**4), np.linspace(-3, 3, 13)
-    )
-    assert d < 0.05
 
 
 def test_fit_rate_exact_log_linear():
