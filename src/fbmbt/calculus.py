@@ -124,6 +124,11 @@ def midpoint_taylor_table(max_order: int) -> MidpointTaylorTable:
     return MidpointTaylorTable(max_order=max_order, entries=entries)
 
 
+def _zero_partial(x, y):
+    """The one partial that vanishes identically, shared by every function."""
+    return np.zeros(np.broadcast(x, y).shape)
+
+
 @dataclass(frozen=True)
 class TestFunction2D:
     """Smooth f(x, y) together with all partials up to total order 3."""
@@ -143,6 +148,10 @@ class TestFunction2D:
                 f"test function {self.name!r} carries partials up to total order 3, "
                 f"requested ({a1},{a2})"
             ) from None
+
+    def vanishes(self, a1: int, a2: int) -> bool:
+        """True when the (a1, a2) partial is identically zero."""
+        return self.partial(a1, a2) is _zero_partial
 
 
 def _sympy_function(name: str, expr_str: str, bounded: bool) -> TestFunction2D:
@@ -188,7 +197,7 @@ def _monomial_function(a: int, b: int) -> TestFunction2D:
 
     def make(a1: int, a2: int) -> Callable:
         if a1 > a or a2 > b:
-            return lambda x, y: np.zeros(np.broadcast(x, y).shape)
+            return _zero_partial
         coef = float(
             math.factorial(a) // math.factorial(a - a1)
             * (math.factorial(b) // math.factorial(b - a2))

@@ -21,17 +21,22 @@ import time
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
+import numpy as np
+
 from .calculus import test_function_names
 from .experiments import RUNNERS, ExperimentResult
+from .fgn import MAX_INCREMENTS
 from .stats import MIN_FIT_LEVELS
+from .variations import _grid_count, _step_count
 
 
 class ConfigurationError(ValueError):
     pass
 
 
-# Keys every experiment takes; the rest are the selected runner's keywords.
-_RUN_KEYS = {"experiment", "csv", "json", "workers"}
+# Keys every experiment takes; the rest are the selected runner's keywords,
+# apart from ``workers``, which only the --workers flag sets.
+_RUN_KEYS = {"experiment", "csv", "json"}
 
 # config key -> runner keyword
 _KEY_ALIASES = {"function": "fname"}
@@ -79,7 +84,7 @@ _VALUE_CHECKS = {
 
 def _accepted_keys(runner) -> set[str]:
     """Config keys the runner takes: its keywords, under their config names."""
-    names = set(inspect.signature(runner).parameters)
+    names = set(inspect.signature(runner).parameters) - {"workers"}
     config_name = {name: key for key, name in _KEY_ALIASES.items()}
     return _RUN_KEYS | {config_name.get(name, name) for name in names}
 
@@ -90,6 +95,8 @@ def _validate(config: dict) -> None:
         raise ConfigurationError(
             f"key 'experiment' must be one of {sorted(RUNNERS)}, got {exp!r}"
         )
+    if "workers" in config:
+        raise ConfigurationError("key 'workers' is not a config key; use the --workers flag")
     unknown = set(config) - _accepted_keys(RUNNERS[exp])
     if unknown:
         raise ConfigurationError(
@@ -114,6 +121,39 @@ def _validate(config: dict) -> None:
             f"key 'function' does not resolve: {fn!r}; "
             f"available: {', '.join(test_function_names())}"
         )
+    _check_capacity(exp, config)
+
+
+def _check_size(what: str, count, cap: int) -> None:
+    """Refuse ``what`` when ``count()`` exceeds ``cap`` or overflows a float."""
+    try:
+        size = count()
+    except OverflowError:
+        size = math.inf
+    if size > cap:
+        raise ConfigurationError(f"{what} exceeds the sampler's cap {cap}")
+
+
+def _check_capacity(exp: str, config: dict) -> None:
+    """Refuse a size that is fixed before the run and that no sampler can
+    draw.  Sizes drawn at random (|j*| on the Brownian clock, |Y_t| / mesh
+    in the Euler sampler) are checked by the samplers."""
+    params = inspect.signature(RUNNERS[exp]).parameters
+    arg = {key: config.get(key, param.default) for key, param in params.items()}
+    t = arg.get("t")
+    for n in arg.get("levels") or ([arg["n"]] if "n" in arg else []):
+        # The walk's terminal point is one binomial draw of a 64-bit count.
+        _check_size(f"the walk of floor(2^{n} t) steps", lambda: _step_count(n, t),
+                    np.iinfo(np.int64).max)
+        if exp != "skeleton-suite":  # the only one without a fixed-clock grid
+            _check_size(f"the level-{n} grid of floor(2^({n}/2) t) increments",
+                        lambda: _grid_count(n, t), MAX_INCREMENTS)
+    for lev in arg.get("modulus_levels", ()):
+        _check_size(f"the modulus grid of 2 floor(2^({lev}/2)) increments",
+                    lambda: 2 * _grid_count(lev, 1.0), MAX_INCREMENTS)
+    if "mesh" in arg:
+        _check_size("the Euler grid of round(t / mesh) steps",
+                    lambda: round(t / arg["mesh"]), MAX_INCREMENTS)
 
 
 def _runner_kwargs(config: dict, workers: int) -> tuple:

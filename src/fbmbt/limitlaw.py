@@ -122,6 +122,10 @@ def _euler_sum(
     for kappa, (a1, a2), stream in zip(
         kappas.as_tuple, _INTEGRAND_TERMS, _B_STREAMS
     ):
+        # A vanishing integrand adds exactly 0; its B^i has its own stream,
+        # so skipping that draw moves no other.
+        if f.vanishes(a1, a2):
+            continue
         db = generator(seed, stream).standard_normal(steps) * sqrt_h
         weight = np.asarray(
             f.partial(a1, a2)(x1[:-1], x2[:-1]), dtype=np.float64

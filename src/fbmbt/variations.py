@@ -1,8 +1,14 @@
 """Discrete variation functionals along the fBm grid and the walk skeleton.
 
-All sums follow one convention: a term per increment, the smooth weight
-evaluated at the coordinate-wise midpoint of the increment, accumulation with
-``math.fsum``.  Three families live here:
+Every functional here is one midpoint sum: a term per increment, partials of
+the smooth weight evaluated at the coordinate-wise midpoint of the
+increment, times factors of the increment, accumulated with ``math.fsum``.
+One kernel, ``_midpoint_sums``, computes the midpoints and increments of a
+path once and evaluates a table of (partials, increment exponents) terms on
+them; a term whose partials vanish identically (known for monomials when
+they are built) is 0.0 without being evaluated.  The gradient and
+third-order sums take their terms and coefficients from
+``midpoint_taylor_table``.  Three families live here:
 
 * grid statistics over consecutive dyadic indices ``j = 0 .. m-1`` with
   ``m = floor(2**(n/2) * t)``;
@@ -27,18 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import TestFunction2D, hermite_eval, hermite_expand
+from .calculus import TestFunction2D, hermite_eval, hermite_expand, midpoint_taylor_table
 from .fgn import FbmGridPath2D, check_special_hurst
 from .skeleton import SkeletonPath
 
-# Midpoint Taylor coefficients attached to each third-order term: exponent
-# pair -> (coefficient, derivative multi-index).
-_THIRD_ORDER_TERMS = (
-    ((3, 0), 1.0 / 24.0),
-    ((0, 3), 1.0 / 24.0),
-    ((1, 2), 1.0 / 8.0),
-    ((2, 1), 1.0 / 8.0),
-)
+# Midpoint Taylor coefficients C(a1, a2) up to order three.
+_TAYLOR = midpoint_taylor_table(3).entries
+# The partials of a power sum's weight: f itself.
+_VALUE = ((0, 0),)
 
 
 @dataclass(frozen=True)
@@ -68,64 +70,72 @@ def _grid_count(level: int, t: float) -> int:
 
 
 def _step_count(level: int, t: float) -> int:
-    if t < 0:
-        raise ValueError(f"horizon must be nonnegative, got {t}")
-    return int(math.floor(2.0**level * t))
+    return _grid_count(2 * level, t)
 
 
-def _series(weight, v1: np.ndarray, v2: np.ndarray, p: int, q: int) -> float:
-    """fsum of weight(midpoints) * d1^p * d2^q along paired value arrays."""
-    if len(v1) < 2:
-        return 0.0
-    mid1 = 0.5 * (v1[:-1] + v1[1:])
-    mid2 = 0.5 * (v2[:-1] + v2[1:])
-    terms = np.asarray(weight(mid1, mid2), dtype=np.float64)
+def _powers(w, d1: np.ndarray, d2: np.ndarray, p: int, q: int):
+    """w * d1^p * d2^q, multiplied in that order."""
     if p:
-        terms = terms * np.diff(v1) ** p
+        w = w * d1**p
     if q:
-        terms = terms * np.diff(v2) ** q
-    return math.fsum(np.broadcast_to(terms, mid1.shape))
+        w = w * d2**q
+    return w
 
 
-def _gradient_series(f: TestFunction2D, v1: np.ndarray, v2: np.ndarray) -> float:
-    """fsum of grad f(midpoint) . (d1, d2) along paired value arrays."""
-    return _series(f.partial(1, 0), v1, v2, 1, 0) + _series(f.partial(0, 1), v1, v2, 0, 1)
+def _midpoint_sums(
+    f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, terms, factor=_powers
+) -> list[float]:
+    """One fsum per (partials, (p, q)) term along paired value arrays: the
+    term's partials of f summed at the increment midpoints, times
+    ``factor(weight, d1, d2, p, q)``.
+
+    Midpoints and increments are computed once for all terms.  A term whose
+    partials all vanish identically is left at 0.0, the exact value of its
+    sum, without being evaluated.
+    """
+    sums = [0.0] * len(terms)
+    if len(v1) < 2:
+        return sums
+    mid1, mid2 = 0.5 * (v1[:-1] + v1[1:]), 0.5 * (v2[:-1] + v2[1:])
+    d1, d2 = np.diff(v1), np.diff(v2)
+    for i, (partials, (p, q)) in enumerate(terms):
+        weights = [np.asarray(f.partial(*a)(mid1, mid2), dtype=np.float64)
+                   for a in partials if not f.vanishes(*a)]
+        if weights:
+            w = factor(sum(weights[1:], weights[0]), d1, d2, p, q)
+            sums[i] = math.fsum(np.broadcast_to(w, mid1.shape))
+    return sums
 
 
-def _third_order_series(f: TestFunction2D, v1: np.ndarray, v2: np.ndarray) -> float:
-    """Midpoint-weighted third-order sum: sum of C(p,q) terms with the
-    matching third partial as weight."""
-    return math.fsum(
-        coef * _series(f.partial(p, q), v1, v2, p, q)
-        for (p, q), coef in _THIRD_ORDER_TERMS
-    )
+def _taylor_sum(f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, order: int) -> float:
+    """Order-``order`` part of the midpoint expansion of f along the path:
+    fsum of C(a) * d^a f(midpoint) * d1^a1 * d2^a2 over |a| = order."""
+    index = [a for a in _TAYLOR if sum(a) == order]
+    sums = _midpoint_sums(f, v1, v2, [((a,), a) for a in index])
+    return math.fsum(float(_TAYLOR[a]) * s for a, s in zip(index, sums))
 
 
-def _grid_values(path: FbmGridPath2D, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _power_sum(f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, p: int, q: int) -> float:
+    """fsum of f(midpoint) * d1^p * d2^q along the path."""
+    return _midpoint_sums(f, v1, v2, [(_VALUE, (p, q))])[0]
+
+
+def _grid_values(path: FbmGridPath2D, t: float) -> tuple[np.ndarray, np.ndarray]:
+    m = _grid_count(path.level, t)
     return path.segment(1, 0, m), path.segment(2, 0, m)
 
 
 def o_n(f: TestFunction2D, path: FbmGridPath2D, t: float) -> VariationStatistic:
     """Midpoint gradient Riemann sum of f along the grid path up to time t."""
-    m = _grid_count(path.level, t)
-    v1, v2 = _grid_values(path, m)
-    return VariationStatistic(
-        kind="O", value=_gradient_series(f, v1, v2), function=f.name,
-        level=path.level, horizon=float(t),
-    )
+    value = _taylor_sum(f, *_grid_values(path, t), 1)
+    return VariationStatistic("O", value, f.name, path.level, float(t))
 
 
-def v_pq(
-    f: TestFunction2D, path: FbmGridPath2D, t: float, p: int, q: int
-) -> VariationStatistic:
+def v_pq(f: TestFunction2D, path: FbmGridPath2D, t: float, p: int, q: int) -> VariationStatistic:
     """Weighted (p,q)-power variation, p + q odd."""
     p, q = _check_exponents(p, q)
-    m = _grid_count(path.level, t)
-    v1, v2 = _grid_values(path, m)
-    return VariationStatistic(
-        kind="V", value=_series(f, v1, v2, p, q), function=f.name,
-        level=path.level, horizon=float(t), exponents=(p, q),
-    )
+    value = _power_sum(f, *_grid_values(path, t), p, q)
+    return VariationStatistic("V", value, f.name, path.level, float(t), (p, q))
 
 
 def v_pq_hermite(
@@ -134,38 +144,23 @@ def v_pq_hermite(
     """Same statistic as ``v_pq`` with each increment power rebuilt from its
     exact Hermite-basis expansion; equal up to roundoff by construction."""
     p, q = _check_exponents(p, q)
-    m = _grid_count(path.level, t)
-    v1, v2 = _grid_values(path, m)
-    if m == 0:
-        value = 0.0
-    else:
-        scale = 2.0 ** (path.level * path.H / 2.0)
-        mid1 = 0.5 * (v1[:-1] + v1[1:])
-        mid2 = 0.5 * (v2[:-1] + v2[1:])
-        terms = np.broadcast_to(
-            np.asarray(f(mid1, mid2), dtype=np.float64), mid1.shape
-        ).copy()
-        for power, v in ((p, v1), (q, v2)):
+    scale = 2.0 ** (path.level * path.H / 2.0)
+
+    def rebuilt(w, d1, d2, p, q):
+        for d, power in ((d1, p), (d2, q)):
             if power:
-                terms = terms * hermite_expand(power).evaluate(
-                    np.diff(v) * scale
-                ) * scale**-power
-        value = math.fsum(terms)
-    return VariationStatistic(
-        kind="V_hermite", value=value, function=f.name,
-        level=path.level, horizon=float(t), exponents=(p, q),
-    )
+                w = w * hermite_expand(power).evaluate(d * scale) * scale**-power
+        return w
+
+    (value,) = _midpoint_sums(f, *_grid_values(path, t), [(_VALUE, (p, q))], rebuilt)
+    return VariationStatistic("V_hermite", value, f.name, path.level, float(t), (p, q))
 
 
 def v3(f: TestFunction2D, path: FbmGridPath2D, t: float) -> VariationStatistic:
     """Third-order midpoint correction sum: the order-3 part of the midpoint
     expansion of f(path end) - f(path start) along the grid."""
-    m = _grid_count(path.level, t)
-    v1, v2 = _grid_values(path, m)
-    return VariationStatistic(
-        kind="V3", value=_third_order_series(f, v1, v2), function=f.name,
-        level=path.level, horizon=float(t),
-    )
+    value = _taylor_sum(f, *_grid_values(path, t), 3)
+    return VariationStatistic("V3", value, f.name, path.level, float(t))
 
 
 def k_components(
@@ -178,36 +173,21 @@ def k_components(
     ``sd = 2**(-n H / 2)`` the increment standard deviation.
     """
     check_special_hurst(path.H, "k_components")
-    m = _grid_count(path.level, t)
-    v1, v2 = _grid_values(path, m)
-    n, H = path.level, path.H
-    inv_sd = 2.0 ** (n * H / 2.0)
+    inv_sd = 2.0 ** (path.level * path.H / 2.0)
 
-    def chaos(v: np.ndarray, order: int) -> np.ndarray:
-        return hermite_eval(order, np.diff(v) * inv_sd) * inv_sd**-order
+    def top_chaos(d: np.ndarray, order: int):
+        if order < 2:
+            return d if order else 1.0
+        return hermite_eval(order, d * inv_sd) * inv_sd**-order
 
-    if m == 0:
-        k_vals = (0.0, 0.0, 0.0, 0.0)
-    else:
-        mid1 = 0.5 * (v1[:-1] + v1[1:])
-        mid2 = 0.5 * (v2[:-1] + v2[1:])
-
-        def weighted(a1: int, a2: int, factor: np.ndarray) -> float:
-            w = np.asarray(f.partial(a1, a2)(mid1, mid2), dtype=np.float64)
-            return math.fsum(np.broadcast_to(w * factor, mid1.shape))
-
-        k_vals = (
-            weighted(3, 0, chaos(v1, 3)) / 24.0,
-            weighted(0, 3, chaos(v2, 3)) / 24.0,
-            weighted(1, 2, np.diff(v1) * chaos(v2, 2)) / 8.0,
-            weighted(2, 1, chaos(v1, 2) * np.diff(v2)) / 8.0,
-        )
+    index = ((3, 0), (0, 3), (1, 2), (2, 1))
+    sums = _midpoint_sums(
+        f, *_grid_values(path, t), [((a,), a) for a in index],
+        lambda w, d1, d2, p, q: w * (top_chaos(d1, p) * top_chaos(d2, q)),
+    )
     return tuple(
-        VariationStatistic(
-            kind=f"K{i + 1}", value=val, function=f.name,
-            level=n, horizon=float(t),
-        )
-        for i, val in enumerate(k_vals)
+        VariationStatistic(f"K{i + 1}", s / float(1 / _TAYLOR[a]), f.name, path.level, float(t))
+        for i, (a, s) in enumerate(zip(index, sums))
     )
 
 
@@ -216,40 +196,31 @@ def p_n(f: TestFunction2D, path: FbmGridPath2D, t: float) -> VariationStatistic:
     part left over when the increment cubes and squares in the third-order
     sum are projected onto their top chaos."""
     check_special_hurst(path.H, "p_n")
-    m = _grid_count(path.level, t)
-    v1, v2 = _grid_values(path, m)
-    n, H = path.level, path.H
-    var = 2.0 ** (-n * H)
-
-    def combined(a_pair, b_pair):
-        fa, fb = f.partial(*a_pair), f.partial(*b_pair)
-        return lambda x, y: np.asarray(fa(x, y), dtype=np.float64) + np.asarray(
-            fb(x, y), dtype=np.float64
-        )
-
-    value = 0.125 * var * (
-        _series(combined((3, 0), (1, 2)), v1, v2, 1, 0)
-        + _series(combined((0, 3), (2, 1)), v1, v2, 0, 1)
+    s1, s2 = _midpoint_sums(
+        f, *_grid_values(path, t), ((((3, 0), (1, 2)), (1, 0)), (((0, 3), (2, 1)), (0, 1)))
     )
-    return VariationStatistic(
-        kind="P", value=value, function=f.name, level=n, horizon=float(t)
-    )
+    value = 0.125 * 2.0 ** (-path.level * path.H) * (s1 + s2)
+    return VariationStatistic("P", value, f.name, path.level, float(t))
 
 
 # ---------------------------------------------------------------------------
 # Skeleton statistics
 
 
-def _skeleton_values(
-    fbm: FbmGridPath2D, walk: SkeletonPath, m: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _walk_horizon(fbm: FbmGridPath2D, walk: SkeletonPath, t: float) -> int:
+    """Walk steps up to time t, checked against the walk and the grid level."""
     if fbm.level != walk.level:
-        raise ValueError(
-            f"fBm grid level {fbm.level} != walk level {walk.level}"
-        )
+        raise ValueError(f"fBm grid level {fbm.level} != walk level {walk.level}")
+    m = _step_count(walk.level, t)
     if m > walk.steps:
         raise ValueError(f"horizon needs {m} walk steps, walk has {walk.steps}")
-    idx = walk.positions[: m + 1]
+    return m
+
+
+def _skeleton_values(
+    fbm: FbmGridPath2D, walk: SkeletonPath, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    idx = walk.positions[: _walk_horizon(fbm, walk, t) + 1]
     lo, hi = int(idx.min()), int(idx.max())
     if lo < fbm.j_min or hi > fbm.j_max:
         raise ValueError(
@@ -265,51 +236,32 @@ def o_tilde_n(
 ) -> VariationStatistic:
     """Midpoint gradient sum of f along the time-changed path: one term per
     walk step, weighted at the midpoint of the fBm increment it traverses."""
-    m = _step_count(walk.level, t)
-    v1, v2 = _skeleton_values(fbm, walk, m)
-    return VariationStatistic(
-        kind="O_tilde", value=_gradient_series(f, v1, v2), function=f.name,
-        level=walk.level, horizon=float(t),
-    )
+    value = _taylor_sum(f, *_skeleton_values(fbm, walk, t), 1)
+    return VariationStatistic("O_tilde", value, f.name, walk.level, float(t))
 
 
 def v_tilde_pq(
-    f: TestFunction2D,
-    fbm: FbmGridPath2D,
-    walk: SkeletonPath,
-    t: float,
-    p: int,
-    q: int,
+    f: TestFunction2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float, p: int, q: int
 ) -> VariationStatistic:
     """Weighted (p,q)-variation along the time-changed path, p + q odd."""
     p, q = _check_exponents(p, q)
-    m = _step_count(walk.level, t)
-    v1, v2 = _skeleton_values(fbm, walk, m)
-    return VariationStatistic(
-        kind="V_tilde", value=_series(f, v1, v2, p, q), function=f.name,
-        level=walk.level, horizon=float(t), exponents=(p, q),
-    )
+    value = _power_sum(f, *_skeleton_values(fbm, walk, t), p, q)
+    return VariationStatistic("V_tilde", value, f.name, walk.level, float(t), (p, q))
 
 
 def v_tilde_3(
     f: TestFunction2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float
 ) -> VariationStatistic:
     """Third-order midpoint correction sum along the time-changed path."""
-    m = _step_count(walk.level, t)
-    v1, v2 = _skeleton_values(fbm, walk, m)
-    return VariationStatistic(
-        kind="V_tilde3", value=_third_order_series(f, v1, v2), function=f.name,
-        level=walk.level, horizon=float(t),
-    )
+    value = _taylor_sum(f, *_skeleton_values(fbm, walk, t), 3)
+    return VariationStatistic("V_tilde3", value, f.name, walk.level, float(t))
 
 
 # ---------------------------------------------------------------------------
 # One-sided edge statistics and the crossing reduction
 
 
-def _one_sided_values(
-    fbm: FbmGridPath2D, y: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _one_sided_values(fbm: FbmGridPath2D, y: float) -> tuple[np.ndarray, np.ndarray]:
     """Path values from index 0 outward toward ``y`` (mirrored when y < 0)."""
     m = _grid_count(fbm.level, abs(y))
     if y >= 0:
@@ -317,34 +269,23 @@ def _one_sided_values(
     return fbm.segment(1, -m, 0)[::-1], fbm.segment(2, -m, 0)[::-1]
 
 
-def w_pq(
-    f: TestFunction2D, fbm: FbmGridPath2D, y: float, p: int, q: int
-) -> VariationStatistic:
+def w_pq(f: TestFunction2D, fbm: FbmGridPath2D, y: float, p: int, q: int) -> VariationStatistic:
     """One-sided weighted (p,q)-variation out to signed spatial horizon y."""
     p, q = _check_exponents(p, q)
-    v1, v2 = _one_sided_values(fbm, y)
-    return VariationStatistic(
-        kind="W", value=_series(f, v1, v2, p, q), function=f.name,
-        level=fbm.level, horizon=float(y), exponents=(p, q),
-    )
+    value = _power_sum(f, *_one_sided_values(fbm, y), p, q)
+    return VariationStatistic("W", value, f.name, fbm.level, float(y), (p, q))
 
 
 def w3(f: TestFunction2D, fbm: FbmGridPath2D, y: float) -> VariationStatistic:
     """One-sided third-order midpoint correction sum out to horizon y."""
-    v1, v2 = _one_sided_values(fbm, y)
-    return VariationStatistic(
-        kind="W3", value=_third_order_series(f, v1, v2), function=f.name,
-        level=fbm.level, horizon=float(y),
-    )
+    value = _taylor_sum(f, *_one_sided_values(fbm, y), 3)
+    return VariationStatistic("W3", value, f.name, fbm.level, float(y))
 
 
 def w_grad(f: TestFunction2D, fbm: FbmGridPath2D, y: float) -> VariationStatistic:
     """One-sided midpoint gradient sum out to horizon y."""
-    v1, v2 = _one_sided_values(fbm, y)
-    return VariationStatistic(
-        kind="W_grad", value=_gradient_series(f, v1, v2), function=f.name,
-        level=fbm.level, horizon=float(y),
-    )
+    value = _taylor_sum(f, *_one_sided_values(fbm, y), 1)
+    return VariationStatistic("W_grad", value, f.name, fbm.level, float(y))
 
 
 def _reduced_segment(
@@ -352,27 +293,13 @@ def _reduced_segment(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Grid values spanning [min(0, j*), max(0, j*)] and the sign of j*,
     where j* is the walk position at the horizon."""
-    if fbm.level != walk.level:
-        raise ValueError(
-            f"fBm grid level {fbm.level} != walk level {walk.level}"
-        )
-    m = _step_count(walk.level, t)
-    if m > walk.steps:
-        raise ValueError(f"horizon needs {m} walk steps, walk has {walk.steps}")
-    j_star = int(walk.positions[m])
+    j_star = int(walk.positions[_walk_horizon(fbm, walk, t)])
     lo, hi = min(0, j_star), max(0, j_star)
-    return fbm.segment(1, lo, hi), fbm.segment(2, lo, hi), (
-        1 if j_star > 0 else -1 if j_star < 0 else 0
-    )
+    return fbm.segment(1, lo, hi), fbm.segment(2, lo, hi), (j_star > 0) - (j_star < 0)
 
 
 def kl_reduce(
-    f: TestFunction2D,
-    fbm: FbmGridPath2D,
-    walk: SkeletonPath,
-    t: float,
-    p: int,
-    q: int,
+    f: TestFunction2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float, p: int, q: int
 ) -> VariationStatistic:
     """Skeleton (p,q)-variation via the net-crossing closed form.
 
@@ -383,11 +310,8 @@ def kl_reduce(
     """
     p, q = _check_exponents(p, q)
     v1, v2, sign = _reduced_segment(fbm, walk, t)
-    value = sign * _series(f, v1, v2, p, q) if sign else 0.0
-    return VariationStatistic(
-        kind="V_tilde_reduced", value=value, function=f.name,
-        level=walk.level, horizon=float(t), exponents=(p, q),
-    )
+    value = sign * _power_sum(f, v1, v2, p, q) if sign else 0.0
+    return VariationStatistic("V_tilde_reduced", value, f.name, walk.level, float(t), (p, q))
 
 
 def o_tilde_reduced(
@@ -395,11 +319,8 @@ def o_tilde_reduced(
 ) -> VariationStatistic:
     """``o_tilde_n`` via the same net-crossing collapse (gradient weights)."""
     v1, v2, sign = _reduced_segment(fbm, walk, t)
-    value = sign * _gradient_series(f, v1, v2) if sign else 0.0
-    return VariationStatistic(
-        kind="O_tilde_reduced", value=value, function=f.name,
-        level=walk.level, horizon=float(t),
-    )
+    value = sign * _taylor_sum(f, v1, v2, 1) if sign else 0.0
+    return VariationStatistic("O_tilde_reduced", value, f.name, walk.level, float(t))
 
 
 def v_tilde_3_reduced(
@@ -407,8 +328,5 @@ def v_tilde_3_reduced(
 ) -> VariationStatistic:
     """``v_tilde_3`` via the net-crossing collapse (third-order weights)."""
     v1, v2, sign = _reduced_segment(fbm, walk, t)
-    value = sign * _third_order_series(f, v1, v2) if sign else 0.0
-    return VariationStatistic(
-        kind="V_tilde3_reduced", value=value, function=f.name,
-        level=walk.level, horizon=float(t),
-    )
+    value = sign * _taylor_sum(f, v1, v2, 3) if sign else 0.0
+    return VariationStatistic("V_tilde3_reduced", value, f.name, walk.level, float(t))

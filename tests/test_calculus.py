@@ -166,3 +166,19 @@ def test_monomial_partials_exact():
     np.testing.assert_allclose(f.partial(3, 0)(x, x), 6.0 * np.ones_like(x))
     np.testing.assert_allclose(f.partial(2, 0)(x, x), 6.0 * x)
     np.testing.assert_allclose(f.partial(0, 1)(x, x), np.zeros_like(x))
+
+
+def test_vanishes_exactly_when_partial_is_identically_zero():
+    rng = np.random.default_rng(0)
+    # Inside the bump's support, off the axes where monomials have zeros.
+    x, y = rng.uniform(-1.0, 1.0, (2, 50))
+    for name in function_names():
+        f = get_test_function(name)
+        for a1 in range(4):
+            for a2 in range(4 - a1):
+                zero = not np.any(np.asarray(f.partial(a1, a2)(x, y)))
+                assert f.vanishes(a1, a2) == zero, (name, a1, a2)
+                if name in ("sin_x_cos_y", "bump"):
+                    assert not f.vanishes(a1, a2)
+    with pytest.raises(ValueError):
+        get_test_function("x^3").vanishes(4, 0)

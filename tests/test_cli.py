@@ -143,6 +143,12 @@ def test_law_h_eq_mixture_replications(tmp_path):
         {"experiment": "constants", "H": 0.3, "levels": [1, 2, 3]},
         {"experiment": "converge-h-gt", "fname": "x^3"},
         {"experiment": "taylor-table", "csv": 3},
+        {"experiment": "skeleton-suite", "workers": "lots"},
+        {"experiment": "skeleton-suite", "n": 70, "replications": 5},
+        {"experiment": "law-h-eq", "n": 60},
+        {"experiment": "law-h-eq", "mesh": 1e-9},
+        {"experiment": "law-h-eq", "modulus_levels": [50]},
+        {"experiment": "converge-h-gt", "levels": [8, 10, 3000]},
     ],
 )
 def test_bad_config_exit_2(tmp_path, capsys, config):
@@ -160,3 +166,26 @@ def test_every_runner_key_is_checked():
     for runner in RUNNERS.values():
         keys = _accepted_keys(runner) - _RUN_KEYS - {"function"}
         assert keys <= _VALUE_CHECKS.keys(), (runner.__name__, keys - _VALUE_CHECKS.keys())
+
+
+def test_workers_key_names_the_flag(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"experiment": "skeleton-suite", "workers": 2})
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_capacity_preflight_bounds():
+    from fbmbt.cli import _validate
+
+    # The fixed-clock grid of floor(2^(n/2)) increments meets the cap at n = 44.
+    _validate({"experiment": "law-h-eq", "n": 44})
+    with pytest.raises(ConfigurationError):
+        _validate({"experiment": "law-h-eq", "n": 45})
+    # skeleton-suite draws no grid, only a walk of 2^n steps (a 64-bit count).
+    _validate({"experiment": "skeleton-suite", "n": 62})
+    with pytest.raises(ConfigurationError):
+        _validate({"experiment": "skeleton-suite", "n": 63})
+    # 2^22 Euler steps fit; one more mesh refinement does not.
+    _validate({"experiment": "law-h-eq", "mesh": 2.0**-22})
+    with pytest.raises(ConfigurationError):
+        _validate({"experiment": "law-h-eq", "mesh": 2.0**-23})

@@ -125,3 +125,23 @@ def test_zero_time_horizon():
     s = sample_correction_fbm(f, 0.0, 0.01, 1)
     assert s.value == 0.0
     assert s.t_effective == 0.0
+
+
+def test_euler_sum_draws_only_live_brownian_streams(monkeypatch):
+    from fbmbt import limitlaw, rng
+
+    requested = []
+
+    def recording(seed, stream):
+        requested.append(stream)
+        return rng.generator(seed, stream)
+
+    monkeypatch.setattr(limitlaw, "generator", recording)
+    before = sample_correction_fbm(get_test_function("x^3"), 1.0, 2.0**-6, 3).value
+    assert requested == [rng.STREAM_X1, rng.STREAM_X2, rng.STREAM_B1]
+    requested.clear()
+    sample_correction_fbm(get_test_function("x*y^2"), 1.0, 2.0**-6, 3)
+    assert requested == [rng.STREAM_X1, rng.STREAM_X2, rng.STREAM_B4]
+    # f_xxx = 6 is the only live integrand: kappa1 * sum 6 dB^1 on 64 steps.
+    db = rng.generator(3, rng.STREAM_B1).standard_normal(64) * 2.0**-3
+    assert before == default_kappas().kappa1 * math.fsum(6.0 * db)

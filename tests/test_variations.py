@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from fbmbt.calculus import get_test_function
+from fbmbt import calculus
+from fbmbt.calculus import get_test_function, hermite_eval, hermite_expand
 from fbmbt.fgn import grid_spacing, sample_fbm_2d
 from fbmbt.skeleton import sample_skeleton, terminal_y
 from fbmbt.variations import (
@@ -192,3 +193,163 @@ def test_statistic_metadata():
     assert stat.function == "x^3"
     assert stat.level == 8
     assert stat.exponents == (3, 0)
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracle: the midpoint kernel against the formulas it replaced, each
+# of which recomputed midpoints and increments for itself.
+
+
+def _ref_series(weight, v1, v2, p, q):
+    if len(v1) < 2:
+        return 0.0
+    mid1 = 0.5 * (v1[:-1] + v1[1:])
+    mid2 = 0.5 * (v2[:-1] + v2[1:])
+    terms = np.asarray(weight(mid1, mid2), dtype=np.float64)
+    if p:
+        terms = terms * np.diff(v1) ** p
+    if q:
+        terms = terms * np.diff(v2) ** q
+    return math.fsum(np.broadcast_to(terms, mid1.shape))
+
+
+def _ref_gradient(f, v1, v2):
+    return _ref_series(f.partial(1, 0), v1, v2, 1, 0) + _ref_series(f.partial(0, 1), v1, v2, 0, 1)
+
+
+def _ref_third_order(f, v1, v2):
+    coefs = {(3, 0): 1.0 / 24.0, (0, 3): 1.0 / 24.0, (1, 2): 1.0 / 8.0, (2, 1): 1.0 / 8.0}
+    return math.fsum(c * _ref_series(f.partial(*a), v1, v2, *a) for a, c in coefs.items())
+
+
+def _ref_hermite(f, path, v1, v2, p, q):
+    if len(v1) < 2:
+        return 0.0
+    scale = 2.0 ** (path.level * path.H / 2.0)
+    mid1, mid2 = 0.5 * (v1[:-1] + v1[1:]), 0.5 * (v2[:-1] + v2[1:])
+    terms = np.broadcast_to(np.asarray(f(mid1, mid2), dtype=np.float64), mid1.shape).copy()
+    for power, v in ((p, v1), (q, v2)):
+        if power:
+            terms = terms * hermite_expand(power).evaluate(np.diff(v) * scale) * scale**-power
+    return math.fsum(terms)
+
+
+def _ref_k_components(f, path, v1, v2):
+    if len(v1) < 2:
+        return [0.0] * 4
+    inv_sd = 2.0 ** (path.level * path.H / 2.0)
+    mid1, mid2 = 0.5 * (v1[:-1] + v1[1:]), 0.5 * (v2[:-1] + v2[1:])
+
+    def chaos(v, order):
+        return hermite_eval(order, np.diff(v) * inv_sd) * inv_sd**-order
+
+    def weighted(a1, a2, factor):
+        w = np.asarray(f.partial(a1, a2)(mid1, mid2), dtype=np.float64)
+        return math.fsum(np.broadcast_to(w * factor, mid1.shape))
+
+    return [
+        weighted(3, 0, chaos(v1, 3)) / 24.0,
+        weighted(0, 3, chaos(v2, 3)) / 24.0,
+        weighted(1, 2, np.diff(v1) * chaos(v2, 2)) / 8.0,
+        weighted(2, 1, chaos(v1, 2) * np.diff(v2)) / 8.0,
+    ]
+
+
+def _ref_p_n(f, path, v1, v2):
+    def combined(a, b):
+        return lambda x, y: np.asarray(f.partial(*a)(x, y), dtype=np.float64) + np.asarray(
+            f.partial(*b)(x, y), dtype=np.float64
+        )
+
+    return 0.125 * 2.0 ** (-path.level * path.H) * (
+        _ref_series(combined((3, 0), (1, 2)), v1, v2, 1, 0)
+        + _ref_series(combined((0, 3), (2, 1)), v1, v2, 0, 1)
+    )
+
+
+ORACLE_FUNCTIONS = ("x^3", "x*y^2", "1", "sin_x_cos_y", "bump")
+ORACLE_EXPONENTS = ((1, 0), (0, 1), (3, 0), (1, 2), (2, 1), (2, 3))
+
+
+@pytest.mark.parametrize("name", ORACLE_FUNCTIONS)
+def test_grid_statistics_bitwise_equal_reference(name):
+    f = get_test_function(name)
+    path = sample_fbm_2d(H6, 8, 0, 16, 5)
+    for t in (1.0, 0.4, 0.01):  # 16, 6 and 0 increments
+        v1, v2 = path.segment(1, 0, int(16 * t)), path.segment(2, 0, int(16 * t))
+        assert o_n(f, path, t).value == _ref_gradient(f, v1, v2)
+        assert v3(f, path, t).value == _ref_third_order(f, v1, v2)
+        for p, q in ORACLE_EXPONENTS:
+            assert v_pq(f, path, t, p, q).value == _ref_series(f, v1, v2, p, q)
+            assert v_pq_hermite(f, path, t, p, q).value == _ref_hermite(f, path, v1, v2, p, q)
+        ks = [k.value for k in k_components(f, path, t)]
+        assert ks == _ref_k_components(f, path, v1, v2)
+        assert p_n(f, path, t).value == _ref_p_n(f, path, v1, v2)
+
+
+@pytest.mark.parametrize("name", ORACLE_FUNCTIONS)
+def test_one_sided_statistics_bitwise_equal_reference(name):
+    f = get_test_function(name)
+    fbm = sample_fbm_2d(0.3, 8, -16, 16, 6)
+    for y in (1.0, -0.7, 0.0):
+        m = int(16 * abs(y))
+        if y >= 0:
+            v1, v2 = fbm.segment(1, 0, m), fbm.segment(2, 0, m)
+        else:
+            v1, v2 = fbm.segment(1, -m, 0)[::-1], fbm.segment(2, -m, 0)[::-1]
+        assert w_grad(f, fbm, y).value == _ref_gradient(f, v1, v2)
+        assert w3(f, fbm, y).value == _ref_third_order(f, v1, v2)
+        for p, q in ORACLE_EXPONENTS:
+            assert w_pq(f, fbm, y, p, q).value == _ref_series(f, v1, v2, p, q)
+
+
+@pytest.mark.parametrize("name", ORACLE_FUNCTIONS)
+def test_skeleton_statistics_bitwise_equal_reference(name):
+    f = get_test_function(name)
+    n, t, m = 6, 1.0, 64
+    signs = set()
+    for seed in range(40):
+        walk = sample_skeleton(n, m, seed)
+        idx = walk.positions
+        fbm = sample_fbm_2d(0.3, n, int(idx.min()), int(idx.max()), seed)
+        v1, v2 = fbm.values1[idx - fbm.j_min], fbm.values2[idx - fbm.j_min]
+        assert o_tilde_n(f, fbm, walk, t).value == _ref_gradient(f, v1, v2)
+        assert v_tilde_3(f, fbm, walk, t).value == _ref_third_order(f, v1, v2)
+        j_star = int(idx[m])
+        sign = int(np.sign(j_star))
+        signs.add(sign)
+        lo, hi = min(0, j_star), max(0, j_star)
+        r1, r2 = fbm.segment(1, lo, hi), fbm.segment(2, lo, hi)
+        assert o_tilde_reduced(f, fbm, walk, t).value == (
+            sign * _ref_gradient(f, r1, r2) if sign else 0.0
+        )
+        assert v_tilde_3_reduced(f, fbm, walk, t).value == (
+            sign * _ref_third_order(f, r1, r2) if sign else 0.0
+        )
+        for p, q in ORACLE_EXPONENTS:
+            assert v_tilde_pq(f, fbm, walk, t, p, q).value == _ref_series(f, v1, v2, p, q)
+            assert kl_reduce(f, fbm, walk, t, p, q).value == (
+                sign * _ref_series(f, r1, r2, p, q) if sign else 0.0
+            )
+    assert signs == {-1, 0, 1}
+
+
+def test_v3_of_cube_evaluates_only_its_live_partial(monkeypatch):
+    evaluated = []
+
+    def counted_zero(x, y):
+        evaluated.append("zero")
+        return np.zeros(np.broadcast(x, y).shape)
+
+    monkeypatch.setattr(calculus, "_zero_partial", counted_zero)
+    f = calculus._monomial_function(3, 0)
+    for key, fn in list(f._partials.items()):
+        if fn is not counted_zero:
+            f._partials[key] = lambda x, y, key=key, fn=fn: (evaluated.append(key), fn(x, y))[1]
+    path = sample_fbm_2d(H6, 8, 0, 16, 1)
+    assert v3(f, path, 1.0).value == v3(get_test_function("x^3"), path, 1.0).value
+    assert evaluated == [(3, 0)]
+    evaluated.clear()
+    k_components(f, path, 1.0)
+    p_n(f, path, 1.0)
+    assert evaluated == [(3, 0), (3, 0)]
