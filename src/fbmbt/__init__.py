@@ -16,7 +16,6 @@ from .fgn import (
     CapacityError,
     FbmGridPath2D,
     cov_fbm,
-    increment_cov_matrix,
     rho,
     sample_fbm_2d,
     sample_increments,

@@ -154,41 +154,59 @@ class TestFunction2D:
         return self.partial(a1, a2) is _zero_partial
 
 
-def _sympy_function(name: str, expr_str: str, bounded: bool) -> TestFunction2D:
-    import sympy as sp
+def _sin_x_cos_y_function() -> TestFunction2D:
+    """sin(x) cos(y): each partial is +-(sin or cos of x) * (sin or cos of y).
 
-    x, y = sp.symbols("x y")
-    expr = sp.sympify(expr_str, locals={"x": x, "y": y})
-    partials = {}
-    for a1 in range(4):
-        for a2 in range(4 - a1):
-            der = sp.diff(expr, x, a1, y, a2)
-            partials[(a1, a2)] = sp.lambdify((x, y), der, modules="numpy")
-    return TestFunction2D(name=name, bounded=bounded, _partials=partials)
+    d/dx cycles sin -> cos -> -sin -> -cos and d/dy cycles cos -> -sin ->
+    -cos -> sin.  Products commute and negation is exact, so the order of
+    the factors and the sign changes no bit.
+    """
+
+    def make(a1: int, a2: int) -> Callable:
+        fx = np.sin if a1 % 2 == 0 else np.cos
+        fy = np.cos if a2 % 2 == 0 else np.sin
+        sign = -1.0 if (a1 >= 2) != (a2 in (1, 2)) else 1.0
+        return lambda x, y: sign * (fx(x) * fy(y))
+
+    partials = {(a1, a2): make(a1, a2) for a1 in range(4) for a2 in range(4 - a1)}
+    return TestFunction2D(name="sin_x_cos_y", bounded=True, _partials=partials)
 
 
 def _bump_function() -> TestFunction2D:
-    """Compactly supported bump exp(-1/(1 - r^2/4)) on r < 2, zero outside."""
-    import sympy as sp
+    """Compactly supported bump h(s) = exp(-1/(1 - s)), s = (x^2 + y^2)/4, on
+    r < 2, zero outside.
 
-    x, y = sp.symbols("x y")
-    inner = sp.exp(-1 / (1 - (x**2 + y**2) / 4))
-    partials = {}
-    for a1 in range(4):
-        for a2 in range(4 - a1):
-            der = sp.lambdify((x, y), sp.diff(inner, x, a1, y, a2), modules="numpy")
+    With w = 1/(1 - s): h' = -w^2 h, h'' = (w^4 - 2w^3) h and
+    h^(3) = (-w^6 + 6w^5 - 6w^4) h.  Since s is quadratic,
+    d^a/dx^a h(s) = sum_i c(a, i) x^(a-2i) h^(a-i)(s) with
+    c(a, i) = a! / (i! (a-2i)!) 2^-a, and likewise in y.
+    """
+    chain = (lambda w: 1.0, lambda w: -(w**2), lambda w: w**4 - 2.0 * w**3,
+             lambda w: -(w**6) + 6.0 * w**5 - 6.0 * w**4)
+    c = {(a, i): math.factorial(a) / (math.factorial(i) * math.factorial(a - 2 * i) * 2**a)
+         for a in range(4) for i in range(a // 2 + 1)}
 
-            def deriv(xv, yv, der=der):
-                xb, yb = np.broadcast_arrays(
-                    np.asarray(xv, dtype=np.float64), np.asarray(yv, dtype=np.float64)
+    def make(a1: int, a2: int) -> Callable:
+        terms = [(c[a1, i] * c[a2, j], a1 - 2 * i, a2 - 2 * j, chain[a1 + a2 - i - j])
+                 for i in range(a1 // 2 + 1) for j in range(a2 // 2 + 1)]
+
+        def deriv(xv, yv):
+            xb, yb = np.broadcast_arrays(
+                np.asarray(xv, dtype=np.float64), np.asarray(yv, dtype=np.float64)
+            )
+            out = np.zeros(xb.shape)
+            mask = xb**2 + yb**2 < 4.0 - 1e-12
+            if mask.any():
+                x, y = xb[mask], yb[mask]
+                w = 4.0 / (4.0 - (x**2 + y**2))
+                out[mask] = np.exp(-w) * sum(
+                    coef * x**px * y**py * h(w) for coef, px, py, h in terms
                 )
-                out = np.zeros(xb.shape)
-                mask = xb**2 + yb**2 < 4.0 - 1e-12
-                if mask.any():
-                    out[mask] = der(xb[mask], yb[mask])
-                return out if out.ndim else float(out)
+            return out if out.ndim else float(out)
 
-            partials[(a1, a2)] = deriv
+        return deriv
+
+    partials = {(a1, a2): make(a1, a2) for a1 in range(4) for a2 in range(4 - a1)}
     return TestFunction2D(name="bump", bounded=True, _partials=partials)
 
 
@@ -233,7 +251,7 @@ def _catalog() -> dict[str, TestFunction2D]:
         for b in range(6 - a):
             fn = _monomial_function(a, b)
             cat[fn.name] = fn
-    cat["sin_x_cos_y"] = _sympy_function("sin_x_cos_y", "sin(x)*cos(y)", bounded=True)
+    cat["sin_x_cos_y"] = _sin_x_cos_y_function()
     cat["bump"] = _bump_function()
     return cat
 

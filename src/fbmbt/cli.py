@@ -7,7 +7,8 @@ experiment does not take, or a value of the wrong type or range, is a
 configuration error raised before any work starts.  Outputs
 are a CSV of raw replication values and a JSON summary; both land in the
 output directory.  Exit code 0 when every verdict passes, 1 when any fails,
-2 on a configuration error.
+2 on a configuration error, 3 when a size drawn during the run exceeds a
+sampler's cap (no output is written).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .calculus import test_function_names
 from .experiments import RUNNERS, ExperimentResult
-from .fgn import MAX_INCREMENTS
+from .fgn import MAX_INCREMENTS, CapacityError
 from .stats import MIN_FIT_LEVELS
 from .variations import _grid_count, _step_count
 
@@ -242,6 +243,9 @@ def main(argv=None) -> int:
     except (ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except CapacityError as exc:
+        print(f"capacity error: {exc}", file=sys.stderr)
+        return 3
 
     failed = [t["name"] for t in result.tests if not t["verdict"]]
     if failed:

@@ -260,10 +260,14 @@ def run_taylor_table(replications=None, master_seed=0, workers=1) -> ExperimentR
     return res
 
 
-def _identity_instance(seed: int, fnames: list[str]) -> dict[str, float]:
-    """Max relative deviation of each exact identity on one random instance."""
+# The exact identities, in the order ``_identity_instance`` returns them.
+_IDENTITIES = ("crossings", "kl_reduce", "one_sided", "chaos_split", "hermite")
+
+
+def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
+    """Max relative deviation of each exact identity on one random instance,
+    in ``_IDENTITIES`` order."""
     rng = np.random.default_rng(seed)
-    devs: dict[str, float] = {}
 
     # (a) crossing counts: brute force vs closed form, integer exact.  Only
     # the first ``horizon`` steps are read, and a shorter walk is a prefix of
@@ -273,7 +277,7 @@ def _identity_instance(seed: int, fnames: list[str]) -> dict[str, float]:
     walk_a = sample_skeleton(8, horizon, seed)
     brute = crossings_bruteforce(walk_a, horizon).signed()
     closed = signed_crossings_closed_form(walk_a, horizon)
-    devs["crossings"] = 0.0 if brute == closed else 1.0
+    crossings = 0.0 if brute == closed else 1.0
 
     H = float(rng.uniform(0.05, 0.48))
     n = int(rng.integers(4, 13))
@@ -290,36 +294,32 @@ def _identity_instance(seed: int, fnames: list[str]) -> dict[str, float]:
     fbm = sample_fbm_2d(H, n, int(visited.min()), int(visited.max()), seed)
     vt = v_tilde_pq(f, fbm, walk, t, p, q).value
     red = kl_reduce(f, fbm, walk, t, p, q).value
-    devs["kl_reduce"] = _rel_err(vt, red)
     wv = w_pq(f, fbm, terminal_y(walk, m), p, q).value
-    devs["one_sided"] = _rel_err(vt, wv)
 
     # (d): third-order sum = chaos components + trace remainder at H = 1/6.
     path6 = sample_fbm_2d(H_SPECIAL, n, 0, _grid_count(n, t), seed)
     lhs = v3(f, path6, t).value
     rhs = math.fsum(k.value for k in k_components(f, path6, t)) + p_n(f, path6, t).value
-    devs["chaos_split"] = _rel_err(lhs, rhs)
 
     # (e): direct powers vs Hermite-rebuilt powers.
     path = sample_fbm_2d(H, n, 0, _grid_count(n, t), seed)
     direct = v_pq(f, path, t, p, q).value
     herm = v_pq_hermite(f, path, t, p, q).value
-    devs["hermite"] = _rel_err(direct, herm)
-    return devs
+    return (crossings, _rel_err(vt, red), _rel_err(vt, wv), _rel_err(lhs, rhs),
+            _rel_err(direct, herm))
 
 
 def run_identity_suite(replications=1000, master_seed=0, workers=1) -> ExperimentResult:
     res = ExperimentResult(name="identity-suite")
-    fnames = test_function_names()
-    worst: dict[str, float] = {}
-    for i in range(replications):
-        seed = derive_seed(master_seed, i)
-        devs = _identity_instance(seed, fnames)
-        for name, d in devs.items():
-            worst[name] = max(worst.get(name, 0.0), d)
-            res.raw.append((i, seed, f"identity_{name}", d))
+    devs, seeds = mc_run(
+        partial(_identity_instance, fnames=test_function_names()),
+        replications, master_seed, workers,
+    )
+    for i, seed in enumerate(seeds):
+        for name, d in zip(_IDENTITIES, devs[i]):
+            res.raw.append((i, seed, f"identity_{name}", float(d)))
     tol = THRESHOLDS["identity_rel"]
-    for name, d in sorted(worst.items()):
+    for name, d in sorted(zip(_IDENTITIES, devs.max(axis=0))):
         limit = 0.5 if name == "crossings" else tol  # crossings are integer exact
         res.add_test(f"identity_{name}", d, d <= limit)
     return res

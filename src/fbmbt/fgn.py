@@ -18,17 +18,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .rng import STREAM_X1, STREAM_X2, generator
 
 # Hard cap on the number of increments sampled exactly; beyond this we refuse
 # rather than silently approximate.
 MAX_INCREMENTS = 1 << 22
-
-# Cholesky is the fallback when the circulant embedding is not nonnegative
-# definite; it is only practical up to this size.
-MAX_CHOLESKY = 4096
 
 # Switch from the direct second-difference formula to the expm1 form of rho
 # at this lag (the direct form loses ~|k|^{2H} * eps absolute accuracy).
@@ -97,17 +92,6 @@ def rho(k, H: float):
         v = np.expm1(h2 * np.log1p(-1.0 / af))
         out[~near] = 0.5 * af**h2 * (u + v)
     return out if k_arr.ndim else float(out)
-
-
-def increment_cov_matrix(H: float, n: int, count: int) -> np.ndarray:
-    """Covariance matrix of ``count`` consecutive level-n grid increments."""
-    H = check_hurst(H)
-    n = check_level(n)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    scale = 2.0 ** (-n * H)
-    col = scale * rho(np.arange(count), H)
-    return toeplitz(col)
 
 
 @dataclass(frozen=True)
@@ -186,41 +170,29 @@ class FbmGridPath2D:
 
 
 @functools.lru_cache(maxsize=16)
-def _embedding_sqrt_eig(H: float, spacing: float, size: int):
+def _embedding_sqrt_eig(H: float, spacing: float, size: int) -> np.ndarray:
     """sqrt of circulant-embedding eigenvalues for ``size`` increments.
 
-    Returns None when the embedding has a significantly negative eigenvalue.
+    The fGn embedding is nonnegative definite for every H in (0, 1)
+    (Dietrich-Newsam 1997), so only rounding-level negatives are clipped; a
+    larger one means the covariance is wrong, and it is an error.
     """
     c = spacing ** (2.0 * H) * rho(np.arange(size + 1), H)
     emb = np.concatenate([c, c[-2:0:-1]])
     eig = np.fft.fft(emb).real
     if eig.min() < -1e-9 * max(eig.max(), 1.0):
-        return None
+        raise np.linalg.LinAlgError(
+            f"circulant embedding not nonnegative definite at H={H}, "
+            f"spacing={spacing}, size={size}: eigenvalue {eig.min():.3g}"
+        )
     return np.sqrt(np.clip(eig, 0.0, None))
-
-
-@functools.lru_cache(maxsize=8)
-def _cholesky_factor(H: float, spacing: float, size: int) -> np.ndarray:
-    cov = spacing ** (2.0 * H) * toeplitz(rho(np.arange(size), H))
-    jitter = 0.0
-    for _ in range(3):
-        try:
-            return np.linalg.cholesky(cov + jitter * np.eye(size))
-        except np.linalg.LinAlgError:
-            jitter = 1e-12 if jitter == 0.0 else jitter * 100.0
-    raise CapacityError(
-        f"increment covariance not factorizable at H={H}, spacing={spacing}, size={size}"
-    )
 
 
 def sample_increments(
     H: float, spacing: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Exact draw of ``size`` stationary fBm increments at the given spacing.
-
-    Circulant embedding when its eigenvalues are nonnegative (they are for
-    every H < 1/2 grid we touch), symmetric factorization as fallback.
-    """
+    """Exact draw of ``size`` stationary fBm increments at the given spacing,
+    by circulant embedding (Davies-Harte 1987)."""
     if size > MAX_INCREMENTS:
         raise CapacityError(
             f"grid of {size} increments exceeds exact-sampling cap {MAX_INCREMENTS}"
@@ -228,22 +200,14 @@ def sample_increments(
     if size == 0:
         return np.zeros(0)
     sq = _embedding_sqrt_eig(H, spacing, size)
-    if sq is not None:
-        m = 2 * size
-        v = rng.standard_normal((2, m))
-        w = np.empty(m, dtype=complex)
-        w[0] = sq[0] * v[0, 0] * math.sqrt(2.0)
-        w[size] = sq[size] * v[0, size] * math.sqrt(2.0)
-        w[1:size] = sq[1:size] * (v[0, 1:size] + 1j * v[1, 1:size])
-        w[size + 1 :] = np.conj(w[size - 1 : 0 : -1])
-        return np.fft.fft(w).real[:size] / math.sqrt(2.0 * m)
-    if size > MAX_CHOLESKY:
-        raise CapacityError(
-            f"circulant embedding failed and {size} increments exceed the "
-            f"Cholesky fallback cap {MAX_CHOLESKY}"
-        )
-    chol = _cholesky_factor(H, spacing, size)
-    return chol @ rng.standard_normal(size)
+    m = 2 * size
+    v = rng.standard_normal((2, m))
+    w = np.empty(m, dtype=complex)
+    w[0] = sq[0] * v[0, 0] * math.sqrt(2.0)
+    w[size] = sq[size] * v[0, size] * math.sqrt(2.0)
+    w[1:size] = sq[1:size] * (v[0, 1:size] + 1j * v[1, 1:size])
+    w[size + 1 :] = np.conj(w[size - 1 : 0 : -1])
+    return np.fft.fft(w).real[:size] / math.sqrt(2.0 * m)
 
 
 def sample_fbm_2d(

@@ -7,9 +7,21 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov
 
 from .rng import derive_seed
+
+
+def kolmogorov_tail(x: float) -> float:
+    """P(K > x) for the Kolmogorov distribution, from its two theta series:
+    1 - sqrt(2 pi)/x sum_k exp(-(2k-1)^2 pi^2 / (8 x^2)) for x < 1, and
+    2 sum_k (-1)^(k-1) exp(-2 k^2 x^2) for x >= 1."""
+    if x < 0.1:  # the tail rounds to 1.0 (first term < 1e-51), and x^2 may underflow
+        return 1.0
+    k = np.arange(1, 9)  # the ninth term of either series is below 1e-70
+    if x < 1.0:
+        terms = np.exp(-(((2 * k - 1) * math.pi) ** 2) / (8.0 * x * x))
+        return float(1.0 - math.sqrt(2.0 * math.pi) / x * np.sum(terms))
+    return float(2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * (k * x) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -36,7 +48,7 @@ def ks_two_sample(a, b) -> TwoSampleResult:
     cdf2 = np.searchsorted(b, pooled, side="right") / n2
     stat = float(np.max(np.abs(cdf1 - cdf2)))
     en = math.sqrt(n1 * n2 / (n1 + n2))
-    p = float(kolmogorov(en * stat))
+    p = kolmogorov_tail(en * stat)
     return TwoSampleResult(
         statistic=stat, p_value=p, n1=n1, n2=n2,
         small_sample=min(n1, n2) < 50,

@@ -182,3 +182,41 @@ def test_vanishes_exactly_when_partial_is_identically_zero():
                     assert not f.vanishes(a1, a2)
     with pytest.raises(ValueError):
         get_test_function("x^3").vanishes(4, 0)
+
+
+def _sympy_partials(expr_of):
+    """(a1, a2) -> numpy function of the sympy partial of ``expr_of(x, y)``."""
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y")
+    expr = expr_of(sp, x, y)
+    return {
+        (a1, a2): sp.lambdify((x, y), sp.diff(expr, x, a1, y, a2), modules="numpy")
+        for a1 in range(4)
+        for a2 in range(4 - a1)
+    }
+
+
+def test_sin_x_cos_y_partials_equal_sympy_bitwise():
+    oracle = _sympy_partials(lambda sp, x, y: sp.sin(x) * sp.cos(y))
+    f = get_test_function("sin_x_cos_y")
+    x, y = np.random.default_rng(1).uniform(-7.0, 7.0, (2, 10**4))
+    for (a1, a2), ref in oracle.items():
+        assert np.array_equal(f.partial(a1, a2)(x, y), ref(x, y)), (a1, a2)
+        assert f.partial(a1, a2)(0.3, -1.2) == ref(0.3, -1.2), (a1, a2)
+
+
+def test_bump_partials_match_sympy():
+    oracle = _sympy_partials(lambda sp, x, y: sp.exp(-1 / (1 - (x**2 + y**2) / 4)))
+    f = get_test_function("bump")
+    rng = np.random.default_rng(2)
+    # Uniform on the disc of radius 2, the bump's support.
+    r = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, 2 * 10**4))
+    theta = rng.uniform(0.0, 2.0 * np.pi, r.size)
+    x, y = r * np.cos(theta), r * np.sin(theta)
+    inside = x**2 + y**2 < 4.0 - 1e-12
+    assert inside.sum() >= 10**4
+    for (a1, a2), ref in oracle.items():
+        want = ref(x[inside], y[inside])
+        got = f.partial(a1, a2)(x[inside], y[inside])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (a1, a2)
+        assert isinstance(f.partial(a1, a2)(0.3, 0.2), float)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +193,43 @@ def test_capacity_preflight_bounds():
     _validate({"experiment": "law-h-eq", "mesh": 2.0**-22})
     with pytest.raises(ConfigurationError):
         _validate({"experiment": "law-h-eq", "mesh": 2.0**-23})
+
+
+def test_capacity_error_during_run_exit_3(tmp_path, capsys, monkeypatch):
+    from fbmbt import cli
+    from fbmbt.fgn import CapacityError
+
+    def runner(replications=None, master_seed=0, workers=1):
+        raise CapacityError("grid of 10122008 increments exceeds exact-sampling cap 4194304")
+
+    monkeypatch.setitem(cli.RUNNERS, "constants", runner)
+    cfg = _write_config(tmp_path, {"experiment": "constants"})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["capacity error: grid of 10122008 increments exceeds "
+                   "exact-sampling cap 4194304"]
+    assert not out.exists()
+
+
+def test_identity_suite_workers_do_not_change_results(tmp_path):
+    cfg = {"experiment": "identity-suite", "replications": 30, "master_seed": 9}
+    run_experiment(cfg, tmp_path / "w1", workers=1)
+    run_experiment(cfg, tmp_path / "w2", workers=2)
+    assert (tmp_path / "w1" / "identity-suite.csv").read_bytes() == (
+        tmp_path / "w2" / "identity-suite.csv"
+    ).read_bytes()
+
+
+def test_runtime_needs_numpy_only():
+    code = (
+        "import sys, fbmbt\n"
+        "fbmbt.get_test_function('bump')(0.3, 0.2)\n"
+        "fbmbt.ks_two_sample([0, 1], [2, 3])\n"
+        "print(sorted({'scipy', 'sympy'} & {m.split('.')[0] for m in sys.modules}))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -5,8 +5,8 @@ import pytest
 
 from fbmbt.fgn import (
     CapacityError,
+    _embedding_sqrt_eig,
     cov_fbm,
-    increment_cov_matrix,
     rho,
     sample_fbm_2d,
     sample_increments,
@@ -62,7 +62,8 @@ def test_cov_fbm_values():
 def test_increment_cov_matrix_matches_cov_differences():
     H, n, count = 0.3, 4, 6
     spacing = 2.0 ** (-n / 2)
-    mat = increment_cov_matrix(H, n, count)
+    lags = np.subtract.outer(np.arange(count), np.arange(count))
+    mat = spacing ** (2 * H) * rho(lags, H)
     for a in range(count):
         for b in range(count):
             want = (
@@ -147,20 +148,27 @@ def test_sample_fbm_nested_ranges_consistent():
     np.testing.assert_allclose(small.values1, big.values1[:6], rtol=0, atol=1e-12)
 
 
-def test_sample_increments_circulant_vs_cholesky_covariance():
-    # both samplers must produce the target increment covariance
-    from fbmbt.fgn import _cholesky_factor
-
+def test_sample_increments_empirical_covariance():
     H, spacing, size = 1 / 6, 0.125, 16
     target = spacing ** (2 * H) * np.array([float(rho(k, H)) for k in range(size)])
-    chol = _cholesky_factor(H, spacing, size)
-    cov_c = chol @ chol.T
-    np.testing.assert_allclose(cov_c[0], target, atol=1e-12)
     draws = np.array(
         [sample_increments(H, spacing, size, generator(s, 1)) for s in range(3000)]
     )
     emp = draws.T @ draws / len(draws)
     assert np.max(np.abs(emp[0] - target)) < 0.05
+
+
+def test_non_psd_embedding_raises(monkeypatch):
+    # rho(1) = 2 makes the embedding's eigenvalues 1 + 4 cos(2 pi j / m), some < 0.
+    def bad_rho(k, H):
+        k = np.abs(np.asarray(k))
+        return np.where(k == 0, 1.0, np.where(k == 1, 2.0, 0.0))
+
+    monkeypatch.setattr("fbmbt.fgn.rho", bad_rho)
+    _embedding_sqrt_eig.cache_clear()
+    with pytest.raises(np.linalg.LinAlgError, match=r"H=0\.3, spacing=0\.5, size=8"):
+        sample_increments(0.3, 0.5, 8, generator(1, 1))
+    assert _embedding_sqrt_eig.cache_info().currsize == 0
 
 
 def test_grid_must_contain_origin():

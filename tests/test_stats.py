@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fbmbt.rng import derive_seed, splitmix64
-from fbmbt.stats import fit_rate, ks_two_sample, mc_run
+from fbmbt.stats import fit_rate, kolmogorov_tail, ks_two_sample, mc_run
 
 
 def test_ks_identical_samples():
@@ -95,3 +95,15 @@ def test_mc_run_parallel_matches_serial():
 def test_mc_run_validation():
     with pytest.raises(ValueError):
         mc_run(_estimator, 0, 1)
+
+
+def test_kolmogorov_tail_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    xs = np.concatenate([np.geomspace(1e-300, 1e-3, 200), np.linspace(1e-3, 6.0, 20001),
+                         [0.1, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 10.0, 27.0]])
+    for x in xs:
+        want = float(special.kolmogorov(x))
+        if want > 1e-300:
+            assert kolmogorov_tail(float(x)) == pytest.approx(want, rel=1e-12, abs=0.0), x
+    assert kolmogorov_tail(0.0) == 1.0
+    assert kolmogorov_tail(-2.0) == 1.0

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbmbt import calculus
 from fbmbt.calculus import get_test_function, hermite_eval, hermite_expand
+from fbmbt.calculus import test_function_names as function_names
+from fbmbt.experiments import THRESHOLDS
 from fbmbt.fgn import grid_spacing, sample_fbm_2d
 from fbmbt.skeleton import sample_skeleton, terminal_y
 from fbmbt.variations import (
@@ -142,6 +146,27 @@ def test_skeleton_statistics_and_reductions():
         assert w3(f, fbm, y).value == pytest.approx(v3_red, rel=1e-12, abs=0.0)
         signs.add((n, int(np.sign(j_star))))
     assert signs == {(n, sign) for n in (7, 8) for sign in (-1, 0, 1)}
+
+
+@settings(deadline=None)
+@given(
+    H=st.floats(min_value=0.05, max_value=0.48),
+    n=st.integers(min_value=2, max_value=10),
+    t=st.floats(min_value=0.05, max_value=1.5),
+    seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+    name=st.sampled_from(function_names()),
+    pq=st.sampled_from([(1, 0), (0, 1), (3, 0), (0, 3), (1, 2), (2, 1), (5, 0), (2, 3)]),
+)
+def test_reductions_equal_skeleton_sum(H, n, t, seed, name, pq):
+    f = get_test_function(name)
+    m = int(math.floor(2.0**n * t))
+    walk = sample_skeleton(n, m, seed)
+    visited = walk.positions[: m + 1]
+    fbm = sample_fbm_2d(H, n, int(visited.min()), int(visited.max()), seed)
+    vt = v_tilde_pq(f, fbm, walk, t, *pq).value
+    tol = THRESHOLDS["identity_rel"]
+    assert _rel(vt, kl_reduce(f, fbm, walk, t, *pq).value) <= tol
+    assert _rel(vt, w_pq(f, fbm, terminal_y(walk, m), *pq).value) <= tol
 
 
 def test_w3_at_zero_horizon():
