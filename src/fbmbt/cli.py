@@ -8,7 +8,9 @@ configuration error raised before any work starts.  Outputs
 are a CSV of raw replication values and a JSON summary; both land in the
 output directory.  Exit code 0 when every verdict passes, 1 when any fails,
 2 on a configuration error, 3 when a size drawn during the run exceeds a
-sampler's cap (no output is written).
+sampler's cap, 4 on any other error, which is a bug rather than a verdict
+(the traceback, then one ``internal error:`` line on stderr).  No output is
+written on codes 2-4.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
@@ -246,6 +249,10 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
     failed = [t["name"] for t in result.tests if not t["verdict"]]
     if failed:

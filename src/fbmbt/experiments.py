@@ -179,6 +179,15 @@ def draw_terminal_y(seed, *, n, t):
     return sample_terminal(n, _step_count(n, t), seed) * grid_spacing(n)
 
 
+def draw_w3_horizons(seed, *, H, n, ys, fname):
+    """The one-sided third-order sum out to each y in ``ys``, all on one
+    two-sided fBm path."""
+    m = _grid_count(n, max(abs(y) for y in ys))
+    fbm = sample_fbm_2d(H, n, -m, m, seed)
+    f = get_test_function(fname)
+    return tuple(w3(f, fbm, float(y)).value for y in ys)
+
+
 def draw_correction_fbm(seed, *, fname, t, mesh):
     return sample_correction_fbm(get_test_function(fname), t, mesh, seed).value
 
@@ -472,17 +481,15 @@ def run_law_h_eq(
 
     # Modulus bound: mean-square increment of the one-sided third-order sum
     # over a signed-horizon grid, against max(|s|,|t|)^{1/3} (2^{-n/2}+|t-s|).
-    f = get_test_function("sin_x_cos_y")
-    ts = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    ts = (-1.0, -0.5, 0.0, 0.5, 1.0)
     worst = 0.0
     for lev in modulus_levels:
-        m = _grid_count(lev, 1.0)
+        rows, _ = mc_run(
+            partial(draw_w3_horizons, H=H_SPECIAL, n=lev, ys=ts, fname="sin_x_cos_y"),
+            modulus_replications, _level_master(master_seed, 17 * 100 + lev), workers,
+        )
         acc = np.zeros((len(ts), len(ts)))
-        master = _level_master(master_seed, 17 * 100 + lev)
-        for i in range(modulus_replications):
-            seed = derive_seed(master, i)
-            fbm = sample_fbm_2d(H_SPECIAL, lev, -m, m, seed)
-            vals = np.array([w3(f, fbm, float(u)).value for u in ts])
+        for vals in rows:
             acc += (vals[:, None] - vals[None, :]) ** 2
         acc /= modulus_replications
         for a in range(len(ts)):

@@ -12,8 +12,17 @@ with (g_1, ..., g_4) = (f_xxx, f_yyy, f_xxy, f_xyy) evaluated along the
 2-component fBm X and four independent standard Brownian motions B^i,
 independent of X.  ``sample_correction_fbm`` draws one left-point Euler
 realization of that integral.  ``sample_correction_fbmbt`` first draws the
-Brownian time Y_t ~ N(0, t) and integrates out to Y_t, with orientation
-carried by the sign of Y_t.
+Brownian time Y_t ~ N(0, t) and integrates out to |Y_t|.
+
+Given X, the Euler sum sum_i kappa_i sum_k g_i(X_k) (B^i_{k+1} - B^i_k) is a
+sum of independent centred normals, so it is exactly
+
+    sqrt(h sum_k sum_i kappa_i^2 g_i(X_k)^2) * N,   N ~ N(0, 1) independent
+    of X,
+
+and it is drawn that way.  Being a centred normal given X and Y, the
+correction has the same joint law with either orientation, so the side of 0
+that Y_t falls on does not change its sign.
 
 Euler grids use K = max(1, round(|horizon| / mesh)) uniform steps of exact
 size |horizon| / K, so the grid always lands exactly on the endpoint; the fBm
@@ -38,10 +47,7 @@ from .fgn import (
     sum_rho_cubed,
 )
 from .rng import (
-    STREAM_B1,
-    STREAM_B2,
-    STREAM_B3,
-    STREAM_B4,
+    STREAM_B,
     STREAM_X1,
     STREAM_X2,
     STREAM_Y,
@@ -83,27 +89,23 @@ def default_kappas() -> KappaConstants:
 class CorrectionSample:
     """One Monte Carlo draw from a correction-term sampler."""
 
-    kind: str
     value: float
     t_effective: float
-    mesh: float
-    seed: int
 
 
-# Derivative multi-indices paired with (kappa_i, B^i stream), in order.
+# Derivative multi-indices of the integrands g_i, in kappa order.
 _INTEGRAND_TERMS = ((3, 0), (0, 3), (2, 1), (1, 2))
-_B_STREAMS = (STREAM_B1, STREAM_B2, STREAM_B3, STREAM_B4)
 
 
 def _euler_sum(
     f: TestFunction2D,
-    kappas: KappaConstants,
     length: float,
     mesh: float,
     seed: int,
 ) -> tuple[float, float, float]:
     """Left-point Euler value of the correction integral over [0, length],
-    along with the exact endpoint values of the two fBm components.
+    drawn as one normal given X, along with the exact endpoint values of the
+    two fBm components.
 
     Returns (integral, x1_end, x2_end)."""
     if length == 0.0:
@@ -117,21 +119,14 @@ def _euler_sum(
 
     x1 = component(STREAM_X1)
     x2 = component(STREAM_X2)
-    sqrt_h = math.sqrt(h)
-    total = 0.0
-    for kappa, (a1, a2), stream in zip(
-        kappas.as_tuple, _INTEGRAND_TERMS, _B_STREAMS
-    ):
-        # A vanishing integrand adds exactly 0; its B^i has its own stream,
-        # so skipping that draw moves no other.
-        if f.vanishes(a1, a2):
-            continue
-        db = generator(seed, stream).standard_normal(steps) * sqrt_h
-        weight = np.asarray(
-            f.partial(a1, a2)(x1[:-1], x2[:-1]), dtype=np.float64
-        )
-        total += kappa * math.fsum(np.broadcast_to(weight * db, db.shape))
-    return total, float(x1[-1]), float(x2[-1])
+    weight = sum(
+        kappa**2 * np.asarray(f.partial(a1, a2)(x1[:-1], x2[:-1]), dtype=np.float64) ** 2
+        for kappa, (a1, a2) in zip(default_kappas().as_tuple, _INTEGRAND_TERMS)
+    )
+    variance = h * math.fsum(np.broadcast_to(weight, (steps,)))
+    z = float(generator(seed, STREAM_B).standard_normal())
+    # sqrt(0) * z is -0.0 for z < 0; adding 0.0 makes it +0.0.
+    return math.sqrt(variance) * z + 0.0, float(x1[-1]), float(x2[-1])
 
 
 def _check_args(t: float, mesh: float) -> None:
@@ -146,29 +141,22 @@ def sample_correction_fbm(
     t: float,
     mesh: float,
     seed: int,
-    kappas: KappaConstants | None = None,
 ) -> CorrectionSample:
     """One draw of the limiting correction for the fBm clock run to time t."""
     _check_args(t, mesh)
-    kappas = kappas or default_kappas()
-    value, _, _ = _euler_sum(f, kappas, t, mesh, seed)
-    return CorrectionSample(
-        kind="correction_fbm", value=value, t_effective=float(t),
-        mesh=float(mesh), seed=int(seed),
-    )
+    value, _, _ = _euler_sum(f, t, mesh, seed)
+    return CorrectionSample(value=value, t_effective=float(t))
 
 
 def _fbmbt_parts(
-    f: TestFunction2D, t: float, mesh: float, seed: int, kappas: KappaConstants
+    f: TestFunction2D, t: float, mesh: float, seed: int
 ) -> tuple[float, float, float, float]:
-    """(signed correction, Y_t, X1 at Y_t, X2 at Y_t) for the Brownian-time
+    """(correction, Y_t, X1 at Y_t, X2 at Y_t) for the Brownian-time
     version.  X is sampled outward from 0 toward Y_t, so by the reflection
     symmetry of fBm the draw has the law of the two-sided path restricted to
-    the traversed side; the integral orientation is the sign of Y_t."""
+    the traversed side."""
     y = math.sqrt(t) * float(generator(seed, STREAM_Y).standard_normal()) if t else 0.0
-    value, x1_end, x2_end = _euler_sum(f, kappas, abs(y), mesh, seed)
-    if y < 0:
-        value = -value
+    value, x1_end, x2_end = _euler_sum(f, abs(y), mesh, seed)
     return value, y, x1_end, x2_end
 
 
@@ -177,16 +165,11 @@ def sample_correction_fbmbt(
     t: float,
     mesh: float,
     seed: int,
-    kappas: KappaConstants | None = None,
 ) -> CorrectionSample:
     """One draw of the limiting correction for the Brownian-time clock."""
     _check_args(t, mesh)
-    kappas = kappas or default_kappas()
-    value, y, _, _ = _fbmbt_parts(f, t, mesh, seed, kappas)
-    return CorrectionSample(
-        kind="correction_fbmbt", value=value, t_effective=y,
-        mesh=float(mesh), seed=int(seed),
-    )
+    value, y, _, _ = _fbmbt_parts(f, t, mesh, seed)
+    return CorrectionSample(value=value, t_effective=y)
 
 
 def sample_change_of_variable_rhs(
@@ -194,15 +177,10 @@ def sample_change_of_variable_rhs(
     t: float,
     mesh: float,
     seed: int,
-    kappas: KappaConstants | None = None,
 ) -> CorrectionSample:
     """One draw of f(X_{Y_t}) - f(X_0) - correction, sharing the X, Y and B
     draws with ``sample_correction_fbmbt`` at the same seed."""
     _check_args(t, mesh)
-    kappas = kappas or default_kappas()
-    corr, y, x1_end, x2_end = _fbmbt_parts(f, t, mesh, seed, kappas)
+    corr, y, x1_end, x2_end = _fbmbt_parts(f, t, mesh, seed)
     value = float(f(x1_end, x2_end)) - float(f(0.0, 0.0)) - corr
-    return CorrectionSample(
-        kind="change_of_variable_rhs", value=value, t_effective=y,
-        mesh=float(mesh), seed=int(seed),
-    )
+    return CorrectionSample(value=value, t_effective=y)

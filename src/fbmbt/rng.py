@@ -5,7 +5,7 @@ generator whose key is derived from a user-supplied 64-bit master seed through
 the SplitMix64 mixing function.  Replication i of an experiment uses
 ``derive_seed(master_seed, i)``; within one replication, each stochastic
 component (fBm component 1/2, the skeleton walk or its terminal position, the
-four correction Brownian motions, the Brownian time draw) gets its own stream
+normal of the H = 1/6 correction, the Brownian time draw) gets its own stream
 via a fixed offset.
 The scheme is stateless, so results are independent of execution order.
 """
@@ -21,10 +21,7 @@ GOLDEN = 0x9E3779B97F4A7C15
 STREAM_X1 = 0x1
 STREAM_X2 = 0x2
 STREAM_WALK = 0x3
-STREAM_B1 = 0x4
-STREAM_B2 = 0x5
-STREAM_B3 = 0x6
-STREAM_B4 = 0x7
+STREAM_B = 0x4
 STREAM_Y = 0x8
 
 

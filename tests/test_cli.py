@@ -212,6 +212,56 @@ def test_capacity_error_during_run_exit_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    from fbmbt import cli
+
+    def runner(replications=None, master_seed=0, workers=1):
+        raise np.linalg.LinAlgError("circulant embedding has a negative eigenvalue")
+
+    monkeypatch.setitem(cli.RUNNERS, "constants", runner)
+    cfg = _write_config(tmp_path, {"experiment": "constants"})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "Traceback (most recent call last):"
+    assert err[-1] == ("internal error: LinAlgError: circulant embedding has a "
+                       "negative eigenvalue")
+    assert not out.exists()
+
+
+_SMALL_LAW_H_EQ = {"experiment": "law-h-eq", "n": 6, "replications": 12,
+                   "ks_replications": 12, "mixture_replications": 12,
+                   "modulus_levels": [4, 6], "modulus_replications": 20,
+                   "mesh": 0.125, "master_seed": 8}
+
+
+def test_law_h_eq_workers_do_not_change_results(tmp_path):
+    run_experiment(_SMALL_LAW_H_EQ, tmp_path / "w1", workers=1)
+    run_experiment(_SMALL_LAW_H_EQ, tmp_path / "w2", workers=2)
+    w1, w2 = tmp_path / "w1", tmp_path / "w2"
+    assert (w1 / "law-h-eq.csv").read_bytes() == (w2 / "law-h-eq.csv").read_bytes()
+    assert (json.loads((w1 / "law-h-eq.json").read_text())["tests"]
+            == json.loads((w2 / "law-h-eq.json").read_text())["tests"])
+
+
+def test_modulus_check_runs_through_mc_run(tmp_path, monkeypatch):
+    # One mc_run per modulus level, so --workers reaches the modulus draws.
+    from fbmbt import experiments
+
+    estimators = []
+    mc_run = experiments.mc_run
+
+    def counting(estimator, *args):
+        estimators.append(estimator.func)
+        return mc_run(estimator, *args)
+
+    monkeypatch.setattr(experiments, "mc_run", counting)
+    run_experiment(_SMALL_LAW_H_EQ, tmp_path)
+    assert estimators.count(experiments.draw_w3_horizons) == 2
+
+
 def test_identity_suite_workers_do_not_change_results(tmp_path):
     cfg = {"experiment": "identity-suite", "replications": 30, "master_seed": 9}
     run_experiment(cfg, tmp_path / "w1", workers=1)

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats as sps
 
+from fbmbt import limitlaw, rng
 from fbmbt.calculus import get_test_function
-from fbmbt.fgn import sum_rho_cubed
+from fbmbt.fgn import H_SPECIAL, sample_increments, sum_rho_cubed
 from fbmbt.limitlaw import (
     default_kappas,
     kappa_constants,
@@ -13,7 +13,41 @@ from fbmbt.limitlaw import (
     sample_correction_fbm,
     sample_correction_fbmbt,
 )
-from fbmbt.rng import derive_seed
+from fbmbt.rng import derive_seed, generator
+from fbmbt.stats import ks_two_sample
+
+# Reference: the four-Brownian-motion Euler sum the samplers drew before
+# they drew it as one conditional normal, kept to check that the law is
+# unchanged.  B^1..B^4 had streams 0x4..0x7; the Brownian-time correction
+# carried the sign of Y_t.
+_REFERENCE_B_STREAMS = (0x4, 0x5, 0x6, 0x7)
+
+
+def _reference_euler_sum(f, length, mesh, seed):
+    if length == 0.0:
+        return 0.0, 0.0, 0.0
+    steps = max(1, round(length / mesh))
+    h = length / steps
+    x1, x2 = (
+        np.concatenate([[0.0], np.cumsum(
+            sample_increments(H_SPECIAL, h, steps, generator(seed, stream)))])
+        for stream in (rng.STREAM_X1, rng.STREAM_X2)
+    )
+    total = 0.0
+    for kappa, (a1, a2), stream in zip(
+        default_kappas().as_tuple, ((3, 0), (0, 3), (2, 1), (1, 2)), _REFERENCE_B_STREAMS
+    ):
+        db = generator(seed, stream).standard_normal(steps) * math.sqrt(h)
+        weight = np.asarray(f.partial(a1, a2)(x1[:-1], x2[:-1]), dtype=np.float64)
+        total += kappa * math.fsum(np.broadcast_to(weight * db, db.shape))
+    return total, float(x1[-1]), float(x2[-1])
+
+
+def _reference_rhs_fbmbt(f, t, mesh, seed):
+    y = math.sqrt(t) * float(generator(seed, rng.STREAM_Y).standard_normal())
+    corr, x1_end, x2_end = _reference_euler_sum(f, abs(y), mesh, seed)
+    corr = -corr if y < 0 else corr
+    return float(f(x1_end, x2_end)) - float(f(0.0, 0.0)) - corr
 
 
 def test_kappa_values():
@@ -33,10 +67,15 @@ def test_kappa_requires_special_hurst():
 
 
 def test_quadratic_integrand_gives_exact_zero():
+    # Every third partial of x^2 vanishes, so the conditional variance is 0
+    # and the value is +0.0 even where the normal drawn is negative.
     f = get_test_function("x^2")
-    for seed in range(5):
-        assert sample_correction_fbm(f, 1.0, 2.0**-6, seed).value == 0.0
-        assert sample_correction_fbmbt(f, 1.0, 2.0**-6, seed).value == 0.0
+    seeds = range(5)
+    assert any(generator(s, rng.STREAM_B).standard_normal() < 0 for s in seeds)
+    for seed in seeds:
+        for sampler in (sample_correction_fbm, sample_correction_fbmbt):
+            value = sampler(f, 1.0, 2.0**-6, seed).value
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_argument_validation():
@@ -56,7 +95,7 @@ def test_determinism():
 
 
 def test_fbm_correction_variance_cubic():
-    # f = x^3: value = 6 kappa1 B(t), so Var = 36 kappa1^2 t at any mesh
+    # f = x^3: value = 6 kappa1 sqrt(t) N, so Var = 36 kappa1^2 t at any mesh
     f = get_test_function("x^3")
     kap = default_kappas()
     t = 0.7
@@ -67,6 +106,7 @@ def test_fbm_correction_variance_cubic():
     target = 36.0 * kap.kappa1**2 * t
     assert np.var(vals, ddof=1) == pytest.approx(target, rel=0.12)
     # and the value is exactly Gaussian here: normaltest should not reject
+    sps = pytest.importorskip("scipy.stats")
     assert sps.normaltest(vals).pvalue > 1e-3
 
 
@@ -83,7 +123,9 @@ def test_fbmbt_correction_variance_and_kurtosis():
     )
     target = 36.0 * kap.kappa1**2 * math.sqrt(2.0 / math.pi)
     assert np.var(vals, ddof=1) == pytest.approx(target, rel=0.12)
-    assert sps.kurtosis(vals) > 0.3
+    centred = vals - vals.mean()
+    excess_kurtosis = np.mean(centred**4) / np.mean(centred**2) ** 2 - 3.0
+    assert excess_kurtosis > 0.3
 
 
 def test_mesh_robustness():
@@ -127,21 +169,47 @@ def test_zero_time_horizon():
     assert s.t_effective == 0.0
 
 
-def test_euler_sum_draws_only_live_brownian_streams(monkeypatch):
-    from fbmbt import limitlaw, rng
-
+@pytest.mark.parametrize("fname", ["x^3", "x*y^2", "sin_x_cos_y"])
+def test_euler_sum_is_one_conditional_normal(monkeypatch, fname):
     requested = []
 
     def recording(seed, stream):
         requested.append(stream)
-        return rng.generator(seed, stream)
+        return generator(seed, stream)
 
     monkeypatch.setattr(limitlaw, "generator", recording)
-    before = sample_correction_fbm(get_test_function("x^3"), 1.0, 2.0**-6, 3).value
-    assert requested == [rng.STREAM_X1, rng.STREAM_X2, rng.STREAM_B1]
-    requested.clear()
-    sample_correction_fbm(get_test_function("x*y^2"), 1.0, 2.0**-6, 3)
-    assert requested == [rng.STREAM_X1, rng.STREAM_X2, rng.STREAM_B4]
-    # f_xxx = 6 is the only live integrand: kappa1 * sum 6 dB^1 on 64 steps.
-    db = rng.generator(3, rng.STREAM_B1).standard_normal(64) * 2.0**-3
-    assert before == default_kappas().kappa1 * math.fsum(6.0 * db)
+    f = get_test_function(fname)
+    value = sample_correction_fbm(f, 1.0, 2.0**-6, 3).value
+    assert requested == [rng.STREAM_X1, rng.STREAM_X2, rng.STREAM_B]
+    # sqrt(h sum_k sum_i kappa_i^2 g_i(X_k)^2) N on 64 steps of h = 2^-6.
+    h = 2.0**-6
+    x1, x2 = (
+        np.concatenate([[0.0], np.cumsum(
+            sample_increments(H_SPECIAL, h, 64, generator(3, stream)))])[:-1]
+        for stream in (rng.STREAM_X1, rng.STREAM_X2)
+    )
+    weight = sum(
+        kappa**2 * np.broadcast_to(f.partial(a1, a2)(x1, x2), (64,)) ** 2
+        for kappa, (a1, a2) in zip(default_kappas().as_tuple,
+                                   ((3, 0), (0, 3), (2, 1), (1, 2)))
+    )
+    normal = float(generator(3, rng.STREAM_B).standard_normal())
+    assert value == math.sqrt(h * math.fsum(weight)) * normal
+
+
+def test_conditional_normal_matches_four_brownian_reference():
+    # Same law as the four-stream sum, on 3000 independent draws each.
+    f = get_test_function("sin_x_cos_y")
+    draws = 3000
+    pairs = [
+        ([sample_correction_fbm(f, 1.0, 2.0**-6, derive_seed(41, i)).value
+          for i in range(draws)],
+         [_reference_euler_sum(f, 1.0, 2.0**-6, derive_seed(42, i))[0]
+          for i in range(draws)]),
+        ([sample_change_of_variable_rhs(f, 1.0, 2.0**-6, derive_seed(43, i)).value
+          for i in range(draws)],
+         [_reference_rhs_fbmbt(f, 1.0, 2.0**-6, derive_seed(44, i))
+          for i in range(draws)]),
+    ]
+    for new, reference in pairs:
+        assert ks_two_sample(new, reference).p_value > 1e-6
