@@ -6,9 +6,9 @@ command-line runner serializes these; the acceptance test suite asserts on
 the verdicts directly.  All thresholds live in the ``THRESHOLDS`` table so
 they are pinned in exactly one place.
 
-Estimator functions take a single replication seed plus keyword
-configuration and are defined at module top level so they can be shipped to
-worker processes.
+Estimator functions take a list of replication seeds plus keyword
+configuration, return one value per seed, and are defined at module top
+level so they can be shipped to worker processes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .calculus import get_test_function, midpoint_taylor_table, test_function_names
-from .fgn import H_SPECIAL, grid_spacing, rho, sample_fbm_2d, sum_rho_cubed
+from .fgn import BLOCK_VALUES, H_SPECIAL, grid_spacing, rho, sample_fbm_2d, sum_rho_cubed
 from .limitlaw import (
     default_kappas,
     kappa_constants,
@@ -128,17 +128,31 @@ def _level_master(master_seed: int, tag: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Estimators (top-level and picklable)
+# Estimators (top-level and picklable).  Each takes a list of replication
+# seeds and returns one value per seed, in seed order, equal to the value its
+# seed gives alone.  Draws on a shared grid are made as blocks of rows (one
+# fGn FFT and one midpoint-kernel pass per block); draws whose grids differ
+# per seed loop over their seeds.
 
 
-def draw_v_pq(seed, *, H, n, t, fname, p, q):
-    path = sample_fbm_2d(H, n, 0, _grid_count(n, t), seed)
-    return v_pq(get_test_function(fname), path, t, p, q).value
+def _blocks(items: list, count: int) -> list[list]:
+    """Consecutive runs of ``items`` whose paths of ``count`` increments, two
+    components each, pass at most about ``BLOCK_VALUES`` complex values
+    through one fGn draw; this bounds a block's working set."""
+    step = max(1, BLOCK_VALUES // (4 * max(count, 1)))
+    return [items[i : i + step] for i in range(0, len(items), step)]
 
 
-def draw_v3(seed, *, H, n, t, fname):
-    path = sample_fbm_2d(H, n, 0, _grid_count(n, t), seed)
-    return v3(get_test_function(fname), path, t).value
+def draw_v_pq(seeds, *, H, n, t, fname, p, q):
+    f, m = get_test_function(fname), _grid_count(n, t)
+    return np.concatenate([v_pq(f, sample_fbm_2d(H, n, 0, m, block), t, p, q).value
+                           for block in _blocks(seeds, m)])
+
+
+def draw_v3(seeds, *, H, n, t, fname):
+    f, m = get_test_function(fname), _grid_count(n, t)
+    return np.concatenate([v3(f, sample_fbm_2d(H, n, 0, m, block), t).value
+                           for block in _blocks(seeds, m)])
 
 
 # Brownian-clock estimators.  For odd-order sums the up- and downcrossings
@@ -157,43 +171,66 @@ def _terminal_segment(seed, H, n, t):
     return j_star, j_star * grid_spacing(n), fbm
 
 
-def draw_o_tilde(seed, *, H, n, t, fname):
-    _, y, fbm = _terminal_segment(seed, H, n, t)
-    return w_grad(get_test_function(fname), fbm, y).value
+def _one_sided_draws(statistic, seeds, H, n, t, fname) -> np.ndarray:
+    """``statistic(f, fbm, y)`` on the fBm segment between 0 and each seed's
+    terminal position j*, out to y = j* 2^{-n/2}.  Every j* is drawn first;
+    seeds that share j* share a segment, so they are drawn as one block."""
+    f, steps = get_test_function(fname), _step_count(n, t)
+    rows: dict[int, list[int]] = {}
+    for i, seed in enumerate(seeds):
+        rows.setdefault(sample_terminal(n, steps, seed), []).append(i)
+    out = np.empty(len(seeds))
+    for j_star, idx in rows.items():
+        for block in _blocks(idx, abs(j_star)):
+            fbm = sample_fbm_2d(H, n, min(0, j_star), max(0, j_star), [seeds[i] for i in block])
+            out[block] = statistic(f, fbm, j_star * grid_spacing(n)).value
+    return out
 
 
-def draw_skeleton_residual(seed, *, H, n, t, fname):
+def draw_o_tilde(seeds, *, H, n, t, fname):
+    return _one_sided_draws(w_grad, seeds, H, n, t, fname)
+
+
+def draw_v_tilde_3(seeds, *, H, n, t, fname):
+    return _one_sided_draws(w3, seeds, H, n, t, fname)
+
+
+def draw_skeleton_residual(seeds, *, H, n, t, fname):
     f = get_test_function(fname)
-    j_star, y, fbm = _terminal_segment(seed, H, n, t)
-    z1, z2 = fbm.value(1, j_star), fbm.value(2, j_star)
-    o = w_grad(f, fbm, y).value
-    return float(f(z1, z2)) - float(f(0.0, 0.0)) - o
+    values = []
+    for seed in seeds:
+        j_star, y, fbm = _terminal_segment(seed, H, n, t)
+        z1, z2 = fbm.value(1, j_star), fbm.value(2, j_star)
+        values.append(float(f(z1, z2)) - float(f(0.0, 0.0)) - w_grad(f, fbm, y).value)
+    return values
 
 
-def draw_v_tilde_3(seed, *, H, n, t, fname):
-    _, y, fbm = _terminal_segment(seed, H, n, t)
-    return w3(get_test_function(fname), fbm, y).value
+def draw_terminal_y(seeds, *, n, t):
+    return [sample_terminal(n, _step_count(n, t), seed) * grid_spacing(n) for seed in seeds]
 
 
-def draw_terminal_y(seed, *, n, t):
-    return sample_terminal(n, _step_count(n, t), seed) * grid_spacing(n)
-
-
-def draw_w3_horizons(seed, *, H, n, ys, fname):
+def draw_w3_horizons(seeds, *, H, n, ys, fname):
     """The one-sided third-order sum out to each y in ``ys``, all on one
-    two-sided fBm path."""
+    two-sided fBm path per seed: one tuple per seed."""
     m = _grid_count(n, max(abs(y) for y in ys))
-    fbm = sample_fbm_2d(H, n, -m, m, seed)
     f = get_test_function(fname)
-    return tuple(w3(f, fbm, float(y)).value for y in ys)
+    rows = []
+    for block in _blocks(seeds, 2 * m):
+        fbm = sample_fbm_2d(H, n, -m, m, block)
+        rows.extend(zip(*(w3(f, fbm, float(y)).value for y in ys)))
+    return rows
 
 
-def draw_correction_fbm(seed, *, fname, t, mesh):
-    return sample_correction_fbm(get_test_function(fname), t, mesh, seed).value
+def draw_correction_fbm(seeds, *, fname, t, mesh):
+    f = get_test_function(fname)
+    return np.concatenate([sample_correction_fbm(f, t, mesh, block).value
+                           for block in _blocks(seeds, round(t / mesh))])
 
 
-def draw_rhs_fbmbt(seed, *, fname, t, mesh):
-    return sample_change_of_variable_rhs(get_test_function(fname), t, mesh, seed).value
+def draw_rhs_fbmbt(seeds, *, fname, t, mesh):
+    """Loops over its seeds: each Brownian time gives its own Euler grid."""
+    f = get_test_function(fname)
+    return [sample_change_of_variable_rhs(f, t, mesh, seed).value for seed in seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +310,11 @@ def run_taylor_table(replications=None, master_seed=0, workers=1) -> ExperimentR
 _IDENTITIES = ("crossings", "kl_reduce", "one_sided", "chaos_split", "hermite")
 
 
+def _identity_instances(seeds: list[int], fnames: list[str]) -> list[tuple[float, ...]]:
+    """``_identity_instance`` on each seed."""
+    return [_identity_instance(seed, fnames) for seed in seeds]
+
+
 def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
     """Max relative deviation of each exact identity on one random instance,
     in ``_IDENTITIES`` order."""
@@ -321,7 +363,7 @@ def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
 def run_identity_suite(replications=1000, master_seed=0, workers=1) -> ExperimentResult:
     res = ExperimentResult(name="identity-suite")
     devs, seeds = mc_run(
-        partial(_identity_instance, fnames=test_function_names()),
+        partial(_identity_instances, fnames=test_function_names()),
         replications, master_seed, workers,
     )
     for i, seed in enumerate(seeds):

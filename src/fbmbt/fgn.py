@@ -9,6 +9,10 @@ for all real t, s.  Note that this makes the negative and positive halves
 correlated; the increment sequence over the whole two-sided grid is the
 stationary fractional Gaussian noise with autocovariance
 ``2**(-n*H) * rho(k)``, which is what the sampler draws.
+
+The samplers draw blocks of seeds as well as single seeds: row r of a block
+takes its normals from seed r's own streams, and the circulant-embedding FFT
+runs row-wise, so every row is bit for bit the draw of its seed alone.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ from .rng import STREAM_X1, STREAM_X2, generator
 # Hard cap on the number of increments sampled exactly; beyond this we refuse
 # rather than silently approximate.
 MAX_INCREMENTS = 1 << 22
+
+# A Davies-Harte block runs its FFT on chunks of rows holding at most this
+# many complex values, which bounds its working set (4 MiB).
+BLOCK_VALUES = 1 << 18
 
 # Switch from the direct second-difference formula to the expm1 form of rho
 # at this lag (the direct form loses ~|k|^{2H} * eps absolute accuracy).
@@ -132,7 +140,9 @@ class FbmGridPath2D:
     """Two independent two-sided fBm components on a level-n dyadic grid.
 
     ``values1[j - j_min]`` holds X^1 at time ``j * 2**(-n/2)``; both
-    components vanish at j = 0.
+    components vanish at j = 0.  A block of paths, one per seed in the
+    tuple ``seed``, holds one row per seed, and grid indices run along the
+    last axis.
     """
 
     H: float
@@ -141,7 +151,7 @@ class FbmGridPath2D:
     j_max: int
     values1: np.ndarray = field(repr=False)
     values2: np.ndarray = field(repr=False)
-    seed: int
+    seed: int | tuple[int, ...]
 
     @property
     def spacing(self) -> float:
@@ -166,7 +176,7 @@ class FbmGridPath2D:
                 f"requested segment [{j_lo}, {j_hi}] outside grid "
                 f"[{self.j_min}, {self.j_max}]"
             )
-        return self.component(i)[j_lo - self.j_min : j_hi - self.j_min + 1]
+        return self.component(i)[..., j_lo - self.j_min : j_hi - self.j_min + 1]
 
 
 @functools.lru_cache(maxsize=16)
@@ -188,36 +198,49 @@ def _embedding_sqrt_eig(H: float, spacing: float, size: int) -> np.ndarray:
     return np.sqrt(np.clip(eig, 0.0, None))
 
 
-def sample_increments(
-    H: float, spacing: float, size: int, rng: np.random.Generator
-) -> np.ndarray:
+def sample_increments(H: float, spacing: float, size: int, rng) -> np.ndarray:
     """Exact draw of ``size`` stationary fBm increments at the given spacing,
-    by circulant embedding (Davies-Harte 1987)."""
+    by circulant embedding (Davies-Harte 1987).
+
+    ``rng`` is one generator, giving a ``(size,)`` array, or a sequence of
+    generators, giving a ``(len(rng), size)`` block whose row r is exactly
+    what ``rng[r]`` alone gives: each row takes its normals from its own
+    generator, and the FFT runs row-wise, in chunks of at most
+    ``BLOCK_VALUES`` complex values.
+    """
     if size > MAX_INCREMENTS:
         raise CapacityError(
             f"grid of {size} increments exceeds exact-sampling cap {MAX_INCREMENTS}"
         )
-    if size == 0:
-        return np.zeros(0)
-    sq = _embedding_sqrt_eig(H, spacing, size)
-    m = 2 * size
-    v = rng.standard_normal((2, m))
-    w = np.empty(m, dtype=complex)
-    w[0] = sq[0] * v[0, 0] * math.sqrt(2.0)
-    w[size] = sq[size] * v[0, size] * math.sqrt(2.0)
-    w[1:size] = sq[1:size] * (v[0, 1:size] + 1j * v[1, 1:size])
-    w[size + 1 :] = np.conj(w[size - 1 : 0 : -1])
-    return np.fft.fft(w).real[:size] / math.sqrt(2.0 * m)
+    one = isinstance(rng, np.random.Generator)
+    rngs = [rng] if one else list(rng)
+    out = np.empty((len(rngs), size))
+    if size:
+        sq = _embedding_sqrt_eig(H, spacing, size)
+        m = 2 * size
+        rows = max(1, BLOCK_VALUES // m)
+        for lo in range(0, len(rngs), rows):
+            chunk = rngs[lo : lo + rows]
+            v = np.empty((len(chunk), 2, m))
+            for normals, g in zip(v, chunk):
+                g.standard_normal(out=normals)
+            w = np.empty((len(chunk), m), dtype=complex)
+            w[:, 0] = sq[0] * v[:, 0, 0] * math.sqrt(2.0)
+            w[:, size] = sq[size] * v[:, 0, size] * math.sqrt(2.0)
+            w[:, 1:size] = sq[1:size] * (v[:, 0, 1:size] + 1j * v[:, 1, 1:size])
+            w[:, size + 1 :] = np.conj(w[:, size - 1 : 0 : -1])
+            out[lo : lo + len(chunk)] = np.fft.fft(w).real[:, :size] / math.sqrt(2.0 * m)
+    return out[0] if one else out
 
 
-def sample_fbm_2d(
-    H: float, n: int, j_min: int, j_max: int, seed: int
-) -> FbmGridPath2D:
+def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed) -> FbmGridPath2D:
     """Exact 2-component fBm sample on grid indices ``j_min..j_max``.
 
     Each component is drawn from its own RNG stream (so they are independent),
     as the cumulative sum of one stationary increment sequence over the whole
-    two-sided range, anchored so that X_0 = 0.
+    two-sided range, anchored so that X_0 = 0.  ``seed`` is one seed, giving
+    values of shape ``(j_max - j_min + 1,)``, or a sequence of seeds, giving
+    a block of paths whose value rows are exactly the one-seed values.
     """
     H = check_hurst(H)
     n = check_level(n)
@@ -228,23 +251,25 @@ def sample_fbm_2d(
         raise CapacityError(
             f"grid of {count} increments exceeds exact-sampling cap {MAX_INCREMENTS}"
         )
+    one = np.ndim(seed) == 0
+    seeds = [int(seed)] if one else [int(s) for s in seed]
     # Pad to the next power of two so the factorization caches are shared
     # across replications with slightly different realized ranges.
     padded = 1 << max(0, (count - 1).bit_length()) if count else 0
-
-    def one_component(stream: int) -> np.ndarray:
-        if count == 0:
-            return np.zeros(1)
-        incs = sample_increments(H, grid_spacing(n), padded, generator(seed, stream))[:count]
-        vals = np.concatenate([[0.0], np.cumsum(incs)])
-        return vals - vals[-j_min]
-
+    # Both components of every seed are rows of one draw.
+    rngs = [generator(s, stream) for stream in (STREAM_X1, STREAM_X2) for s in seeds]
+    values = np.zeros((len(rngs), count + 1))
+    if count:
+        incs = sample_increments(H, grid_spacing(n), padded, rngs)
+        np.cumsum(incs[:, :count], axis=1, out=values[:, 1:])
+        values = values - values[:, -j_min, None]
+    values1, values2 = values[: len(seeds)], values[len(seeds) :]
     return FbmGridPath2D(
         H=H,
         level=n,
         j_min=int(j_min),
         j_max=int(j_max),
-        values1=one_component(STREAM_X1),
-        values2=one_component(STREAM_X2),
-        seed=int(seed),
+        values1=values1[0] if one else values1,
+        values2=values2[0] if one else values2,
+        seed=seeds[0] if one else tuple(seeds),
     )

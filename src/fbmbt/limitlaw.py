@@ -27,7 +27,8 @@ that Y_t falls on does not change its sign.
 Euler grids use K = max(1, round(|horizon| / mesh)) uniform steps of exact
 size |horizon| / K, so the grid always lands exactly on the endpoint; the fBm
 marginals on the grid are exact (stationary-increment sampling), only the
-integrand's intra-step variation is approximated.
+integrand's intra-step variation is approximated.  Seeds that share a grid
+(every seed of the fixed clock) are drawn as one block of fGn rows.
 """
 
 from __future__ import annotations
@@ -87,9 +88,10 @@ def default_kappas() -> KappaConstants:
 
 @dataclass(frozen=True)
 class CorrectionSample:
-    """One Monte Carlo draw from a correction-term sampler."""
+    """One Monte Carlo draw from a correction-term sampler; a block of
+    seeds gives one value per seed."""
 
-    value: float
+    value: float | np.ndarray
     t_effective: float
 
 
@@ -101,32 +103,32 @@ def _euler_sum(
     f: TestFunction2D,
     length: float,
     mesh: float,
-    seed: int,
-) -> tuple[float, float, float]:
-    """Left-point Euler value of the correction integral over [0, length],
-    drawn as one normal given X, along with the exact endpoint values of the
-    two fBm components.
+    seeds: list[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left-point Euler value of the correction integral over [0, length]
+    for each seed, drawn as one normal given X, along with the exact
+    endpoint values of the two fBm components.
 
-    Returns (integral, x1_end, x2_end)."""
+    The X^1 and X^2 paths of every seed are rows of one fGn draw, so each
+    value is the one its seed gives alone.  Returns (integral, x1_end,
+    x2_end), one entry per seed."""
     if length == 0.0:
-        return 0.0, 0.0, 0.0
+        return (np.zeros(len(seeds)),) * 3
     steps = max(1, round(length / mesh))
     h = length / steps
-
-    def component(stream: int) -> np.ndarray:
-        incs = sample_increments(H_SPECIAL, h, steps, generator(seed, stream))
-        return np.concatenate([[0.0], np.cumsum(incs)])
-
-    x1 = component(STREAM_X1)
-    x2 = component(STREAM_X2)
+    rngs = [generator(s, stream) for stream in (STREAM_X1, STREAM_X2) for s in seeds]
+    x = np.zeros((len(rngs), steps + 1))
+    np.cumsum(sample_increments(H_SPECIAL, h, steps, rngs), axis=1, out=x[:, 1:])
+    x1, x2 = x[: len(seeds)], x[len(seeds) :]
     weight = sum(
-        kappa**2 * np.asarray(f.partial(a1, a2)(x1[:-1], x2[:-1]), dtype=np.float64) ** 2
+        kappa**2 * np.asarray(f.partial(a1, a2)(x1[:, :-1], x2[:, :-1]), dtype=np.float64) ** 2
         for kappa, (a1, a2) in zip(default_kappas().as_tuple, _INTEGRAND_TERMS)
     )
-    variance = h * math.fsum(np.broadcast_to(weight, (steps,)))
-    z = float(generator(seed, STREAM_B).standard_normal())
+    weight = np.broadcast_to(weight, (len(seeds), steps)).tolist()
+    z = [float(generator(s, STREAM_B).standard_normal()) for s in seeds]
     # sqrt(0) * z is -0.0 for z < 0; adding 0.0 makes it +0.0.
-    return math.sqrt(variance) * z + 0.0, float(x1[-1]), float(x2[-1])
+    value = [math.sqrt(h * math.fsum(row)) * zr + 0.0 for row, zr in zip(weight, z)]
+    return np.array(value), x1[:, -1], x2[:, -1]
 
 
 def _check_args(t: float, mesh: float) -> None:
@@ -140,12 +142,14 @@ def sample_correction_fbm(
     f: TestFunction2D,
     t: float,
     mesh: float,
-    seed: int,
+    seed: int | list[int],
 ) -> CorrectionSample:
-    """One draw of the limiting correction for the fBm clock run to time t."""
+    """One draw of the limiting correction for the fBm clock run to time t.
+    A sequence of seeds gives a block: ``value`` holds one draw per seed."""
     _check_args(t, mesh)
-    value, _, _ = _euler_sum(f, t, mesh, seed)
-    return CorrectionSample(value=value, t_effective=float(t))
+    one = np.ndim(seed) == 0
+    value, _, _ = _euler_sum(f, t, mesh, [seed] if one else list(seed))
+    return CorrectionSample(value=float(value[0]) if one else value, t_effective=float(t))
 
 
 def _fbmbt_parts(
@@ -156,7 +160,7 @@ def _fbmbt_parts(
     symmetry of fBm the draw has the law of the two-sided path restricted to
     the traversed side."""
     y = math.sqrt(t) * float(generator(seed, STREAM_Y).standard_normal()) if t else 0.0
-    value, x1_end, x2_end = _euler_sum(f, abs(y), mesh, seed)
+    value, x1_end, x2_end = (float(a[0]) for a in _euler_sum(f, abs(y), mesh, [seed]))
     return value, y, x1_end, x2_end
 
 

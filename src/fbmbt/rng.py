@@ -8,9 +8,13 @@ component (fBm component 1/2, the skeleton walk or its terminal position, the
 normal of the H = 1/6 correction, the Brownian time draw) gets its own stream
 via a fixed offset.
 The scheme is stateless, so results are independent of execution order.
+A generator is Philox keyed directly, without the OS-entropy seed sequence
+``Philox(key=...)`` builds and discards.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -43,6 +47,28 @@ def stream_seed(seed: int, stream: int) -> int:
     return splitmix64((seed ^ ((stream * GOLDEN) & _MASK) ^ GOLDEN) & _MASK)
 
 
+@functools.cache
+def _philox_key() -> type:
+    """A seed sequence that hands Philox the key words ``[key, 0]`` that
+    ``Philox(key=key)`` sets, so that Philox draws no entropy from the OS.
+
+    Built on first use: numpy loads ``numpy.random`` lazily, and loading it
+    at import would add ~6 MB to the memory peak of the set-up."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key: int):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.array([self.key, 0], dtype=np.uint64)
+
+    return PhiloxKey
+
+
 def generator(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator for the given (seed, stream) pair."""
-    return np.random.Generator(np.random.Philox(key=stream_seed(seed, stream)))
+    """Counter-based generator for the given (seed, stream) pair: Philox with
+    key ``stream_seed(seed, stream)`` and counter 0."""
+    return np.random.Generator(np.random.Philox(_philox_key()(stream_seed(seed, stream))))

@@ -100,18 +100,26 @@ def replication_seeds(replications: int, master_seed: int) -> list[int]:
 
 
 def mc_run(estimator, replications: int, master_seed: int, workers: int = 1):
-    """Run ``estimator(seed)`` for each derived replication seed.
+    """Run ``estimator(seeds)`` on the derived replication seeds.
 
-    Returns (values, seeds) with values in replication order regardless of
-    ``workers``, so parallel and serial runs are bit-identical.
+    An estimator takes a list of seeds and returns one value per seed, in
+    order, each equal to the value its seed gives alone.  Serially it gets
+    every seed in one call; a pool hands each task a chunk of consecutive
+    seeds.  Returns (values, seeds) with values in replication order
+    regardless of ``workers``, so parallel and serial runs are bit-identical.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     seeds = replication_seeds(replications, master_seed)
     if workers <= 1:
-        values = [estimator(s) for s in seeds]
+        values = list(estimator(seeds))
     else:
         chunk = max(1, replications // (8 * workers))
+        blocks = [seeds[i : i + chunk] for i in range(0, replications, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(estimator, seeds, chunksize=chunk))
+            values = [v for block in pool.map(estimator, blocks) for v in block]
+    if len(values) != replications:
+        raise RuntimeError(
+            f"estimator returned {len(values)} values for {replications} seeds"
+        )
     return np.asarray(values, dtype=np.float64), seeds

@@ -6,9 +6,11 @@ increment, times factors of the increment, accumulated with ``math.fsum``.
 One kernel, ``_midpoint_sums``, computes the midpoints and increments of a
 path once and evaluates a table of (partials, increment exponents) terms on
 them; a term whose partials vanish identically (known for monomials when
-they are built) is 0.0 without being evaluated.  The gradient and
-third-order sums take their terms and coefficients from
-``midpoint_taylor_table``.  Three families live here:
+they are built) is 0.0 without being evaluated.  Paths run along the last
+axis: on a block of fBm paths (one row per seed) the grid and one-sided
+functionals return one value per row, each the row's own correctly rounded
+fsum.  The gradient and third-order sums take their terms and coefficients
+from ``midpoint_taylor_table``.  Three families live here:
 
 * grid statistics over consecutive dyadic indices ``j = 0 .. m-1`` with
   ``m = floor(2**(n/2) * t)``;
@@ -45,10 +47,11 @@ _VALUE = ((0, 0),)
 
 @dataclass(frozen=True)
 class VariationStatistic:
-    """One evaluated functional: what it is, on what data, and its value."""
+    """One evaluated functional: what it is, on what data, and its value;
+    on a block of paths, ``value`` holds one value per row."""
 
     kind: str
-    value: float
+    value: float | np.ndarray
     function: str
     level: int
     horizon: float
@@ -82,28 +85,39 @@ def _powers(w, d1: np.ndarray, d2: np.ndarray, p: int, q: int):
     return w
 
 
+def _fsum_rows(a: np.ndarray):
+    """``math.fsum`` along the last axis: a float for one row, an array of
+    one sum per row for a 2-D block.  fsum is correctly rounded, so a row's
+    sum does not depend on the other rows."""
+    if a.ndim == 1:
+        return math.fsum(a.tolist())
+    return np.array([math.fsum(row) for row in a.tolist()])
+
+
 def _midpoint_sums(
     f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, terms, factor=_powers
-) -> list[float]:
+) -> list:
     """One fsum per (partials, (p, q)) term along paired value arrays: the
     term's partials of f summed at the increment midpoints, times
     ``factor(weight, d1, d2, p, q)``.
 
-    Midpoints and increments are computed once for all terms.  A term whose
-    partials all vanish identically is left at 0.0, the exact value of its
-    sum, without being evaluated.
+    Paths run along the last axis; a 2-D block of paths gives each term an
+    array of one sum per row.  Midpoints and increments are computed once
+    for all terms.  A term whose partials all vanish identically is left at
+    0.0, the exact value of its sum, without being evaluated.
     """
-    sums = [0.0] * len(terms)
-    if len(v1) < 2:
+    sums = [np.zeros(v1.shape[:-1]) if v1.ndim > 1 else 0.0] * len(terms)
+    if v1.shape[-1] < 2:
         return sums
-    mid1, mid2 = 0.5 * (v1[:-1] + v1[1:]), 0.5 * (v2[:-1] + v2[1:])
+    mid1 = 0.5 * (v1[..., :-1] + v1[..., 1:])
+    mid2 = 0.5 * (v2[..., :-1] + v2[..., 1:])
     d1, d2 = np.diff(v1), np.diff(v2)
     for i, (partials, (p, q)) in enumerate(terms):
         weights = [np.asarray(f.partial(*a)(mid1, mid2), dtype=np.float64)
                    for a in partials if not f.vanishes(*a)]
         if weights:
             w = factor(sum(weights[1:], weights[0]), d1, d2, p, q)
-            sums[i] = math.fsum(np.broadcast_to(w, mid1.shape))
+            sums[i] = _fsum_rows(np.broadcast_to(w, mid1.shape))
     return sums
 
 
@@ -112,7 +126,7 @@ def _taylor_sum(f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, order: int) -
     fsum of C(a) * d^a f(midpoint) * d1^a1 * d2^a2 over |a| = order."""
     index = [a for a in _TAYLOR if sum(a) == order]
     sums = _midpoint_sums(f, v1, v2, [((a,), a) for a in index])
-    return math.fsum(float(_TAYLOR[a]) * s for a, s in zip(index, sums))
+    return _fsum_rows(np.stack([float(_TAYLOR[a]) * s for a, s in zip(index, sums)], axis=-1))
 
 
 def _power_sum(f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, p: int, q: int) -> float:
@@ -228,7 +242,7 @@ def _skeleton_values(
             f"[{fbm.j_min}, {fbm.j_max}]"
         )
     pos = idx - fbm.j_min
-    return fbm.values1[pos], fbm.values2[pos]
+    return fbm.values1[..., pos], fbm.values2[..., pos]
 
 
 def o_tilde_n(
@@ -266,7 +280,7 @@ def _one_sided_values(fbm: FbmGridPath2D, y: float) -> tuple[np.ndarray, np.ndar
     m = _grid_count(fbm.level, abs(y))
     if y >= 0:
         return fbm.segment(1, 0, m), fbm.segment(2, 0, m)
-    return fbm.segment(1, -m, 0)[::-1], fbm.segment(2, -m, 0)[::-1]
+    return fbm.segment(1, -m, 0)[..., ::-1], fbm.segment(2, -m, 0)[..., ::-1]
 
 
 def w_pq(f: TestFunction2D, fbm: FbmGridPath2D, y: float, p: int, q: int) -> VariationStatistic:

@@ -1,0 +1,190 @@
+"""Blocks of seeds: every row of a block draw equals, bit for bit, what its
+seed gives alone, for the fGn sampler, the midpoint kernel and every batched
+estimator; and the key-only Philox generator is the one ``Philox(key=...)``
+builds."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fbmbt import rng
+from fbmbt.calculus import get_test_function
+from fbmbt.calculus import test_function_names as function_names
+from fbmbt.experiments import (
+    _terminal_segment,
+    draw_correction_fbm,
+    draw_o_tilde,
+    draw_v3,
+    draw_v_pq,
+    draw_v_tilde_3,
+    draw_w3_horizons,
+)
+from fbmbt.fgn import (
+    BLOCK_VALUES,
+    H_SPECIAL,
+    _embedding_sqrt_eig,
+    sample_fbm_2d,
+    sample_increments,
+)
+from fbmbt.limitlaw import sample_correction_fbm
+from fbmbt.rng import derive_seed, generator, stream_seed
+from fbmbt.skeleton import sample_terminal
+from fbmbt.variations import _TAYLOR, _VALUE, _grid_count, _midpoint_sums, v3, v_pq, w3, w_grad
+
+SEED = st.integers(min_value=0, max_value=(1 << 64) - 1)
+SEEDS = st.lists(SEED, min_size=1, max_size=40)
+STREAMS = [getattr(rng, name) for name in dir(rng) if name.startswith("STREAM_")]
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x, dtype=np.float64).tobytes()
+
+
+def _reference_increments(H, spacing, size, g):
+    """The one-row Davies-Harte draw as written before blocks existed."""
+    sq = _embedding_sqrt_eig(H, spacing, size)
+    m = 2 * size
+    v = g.standard_normal((2, m))
+    w = np.empty(m, dtype=complex)
+    w[0] = sq[0] * v[0, 0] * math.sqrt(2.0)
+    w[size] = sq[size] * v[0, size] * math.sqrt(2.0)
+    w[1:size] = sq[1:size] * (v[0, 1:size] + 1j * v[1, 1:size])
+    w[size + 1 :] = np.conj(w[size - 1 : 0 : -1])
+    return np.fft.fft(w).real[:size] / math.sqrt(2.0 * m)
+
+
+def _same_state(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b)
+
+
+@settings(deadline=None)
+@given(seed=SEED)
+def test_generator_is_philox_with_the_stream_key(seed):
+    assert len(STREAMS) == 5
+    for stream in STREAMS:
+        got = generator(seed, stream).bit_generator.state
+        want = np.random.Philox(key=stream_seed(seed, stream)).state
+        assert _same_state(got, want)
+
+
+@settings(deadline=None, max_examples=40)
+@given(H=st.floats(min_value=0.05, max_value=0.95), size=st.integers(0, 300), seeds=SEEDS)
+def test_increment_block_rows_equal_one_row_draws(H, size, seeds):
+    block = sample_increments(H, 0.5, size, [generator(s, rng.STREAM_X1) for s in seeds])
+    assert block.shape == (len(seeds), size)
+    for row, seed in zip(block, seeds):
+        one = sample_increments(H, 0.5, size, generator(seed, rng.STREAM_X1))
+        assert _bits(row) == _bits(one)
+        if size:
+            ref = _reference_increments(H, 0.5, size, generator(seed, rng.STREAM_X1))
+            assert _bits(one) == _bits(ref)
+
+
+def test_increment_block_straddles_the_chunk_cap():
+    size = 1 << 12
+    rows = BLOCK_VALUES // (2 * size) + 3  # one full chunk of rows and three more
+    seeds = [derive_seed(11, i) for i in range(rows)]
+    block = sample_increments(H_SPECIAL, 0.25, size, [generator(s, rng.STREAM_X2) for s in seeds])
+    for row, seed in zip(block, seeds):
+        one = _reference_increments(H_SPECIAL, 0.25, size, generator(seed, rng.STREAM_X2))
+        assert _bits(row) == _bits(one)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    H=st.floats(min_value=0.05, max_value=0.95),
+    n=st.integers(min_value=0, max_value=12),
+    lo=st.integers(min_value=-70, max_value=0),
+    hi=st.integers(min_value=0, max_value=70),
+    seeds=SEEDS,
+)
+def test_fbm_block_rows_equal_one_seed_paths(H, n, lo, hi, seeds):
+    block = sample_fbm_2d(H, n, lo, hi, seeds)
+    assert block.seed == tuple(seeds)
+    for r, seed in enumerate(seeds):
+        one = sample_fbm_2d(H, n, lo, hi, seed)
+        assert _bits(block.values1[r]) == _bits(one.values1)
+        assert _bits(block.values2[r]) == _bits(one.values2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    name=st.sampled_from(function_names()),
+    rows=st.integers(min_value=1, max_value=40),
+    length=st.integers(min_value=0, max_value=60),
+    seed=SEED,
+    mirrored=st.booleans(),
+)
+def test_midpoint_sums_rows_equal_one_path_sums(name, rows, length, seed, mirrored):
+    f = get_test_function(name)
+    v1, v2 = np.random.default_rng(seed).normal(0.0, 0.3, (2, rows, length)).cumsum(axis=-1)
+    if mirrored:  # the one-sided sums read the negative side reversed
+        v1, v2 = v1[..., ::-1], v2[..., ::-1]
+    terms = [((a,), a) for a in _TAYLOR] + [(_VALUE, (2, 3)), (((3, 0), (1, 2)), (1, 0))]
+    block = _midpoint_sums(f, v1, v2, terms)
+    for r in range(rows):
+        one = _midpoint_sums(f, v1[r], v2[r], terms)
+        assert [_bits(s[r]) for s in block] == [_bits(s) for s in one]
+
+
+def _one_sided(statistic, fname, H, n, t):
+    def one(seed):
+        _, y, fbm = _terminal_segment(seed, H, n, t)
+        return statistic(get_test_function(fname), fbm, y).value
+    return one
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    H=st.sampled_from([0.1, H_SPECIAL, 0.3]),
+    n=st.integers(min_value=2, max_value=10),
+    fname=st.sampled_from(["x^3", "x*y^2", "sin_x_cos_y", "bump"]),
+    seeds=SEEDS,
+)
+def test_batched_estimators_equal_one_seed_draws(H, n, fname, seeds):
+    t, f = 1.0, get_test_function(fname)
+    m = _grid_count(n, t)
+    ys = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    mesh = 2.0**-6
+
+    def horizons(seed):
+        fbm = sample_fbm_2d(H, n, -m, m, seed)
+        return [w3(f, fbm, y).value for y in ys]
+
+    cases = [
+        (draw_v3, dict(H=H, n=n, t=t), lambda s: v3(f, sample_fbm_2d(H, n, 0, m, s), t).value),
+        (draw_v_pq, dict(H=H, n=n, t=t, p=1, q=2),
+         lambda s: v_pq(f, sample_fbm_2d(H, n, 0, m, s), t, 1, 2).value),
+        (draw_v_tilde_3, dict(H=H, n=n, t=t), _one_sided(w3, fname, H, n, t)),
+        (draw_o_tilde, dict(H=H, n=n, t=t), _one_sided(w_grad, fname, H, n, t)),
+        (draw_w3_horizons, dict(H=H, n=n, ys=ys), horizons),
+        (draw_correction_fbm, dict(t=t, mesh=mesh),
+         lambda s: sample_correction_fbm(f, t, mesh, s).value),
+    ]
+    for draw, kwargs, one in cases:
+        block = draw(seeds, fname=fname, **kwargs)
+        assert len(block) == len(seeds)
+        for value, seed in zip(block, seeds):
+            assert _bits(value) == _bits(one(seed)), draw.__name__
+            assert _bits(value) == _bits(draw([seed], fname=fname, **kwargs)[0]), draw.__name__
+
+
+@pytest.mark.parametrize("fname", ["x^3", "sin_x_cos_y"])
+def test_brownian_clock_block_with_each_sign_of_j_star(fname):
+    # Four walk steps: j* is one of -4, -2, 0, 2, 4, and 0 in 3 draws of 8.
+    n, t = 2, 1.0
+    seeds = [derive_seed(5, i) for i in range(40)]
+    signs = [np.sign(sample_terminal(n, 4, s)) for s in seeds]
+    assert set(signs) == {-1, 0, 1}
+    for draw, statistic in ((draw_v_tilde_3, w3), (draw_o_tilde, w_grad)):
+        one = _one_sided(statistic, fname, H_SPECIAL, n, t)
+        values = draw(seeds, H=H_SPECIAL, n=n, t=t, fname=fname)
+        for value, seed, sign in zip(values, seeds, signs):
+            assert _bits(value) == _bits(one(seed))
+            if sign == 0:
+                assert _bits(value) == _bits(0.0)  # +0.0, not -0.0

@@ -70,8 +70,9 @@ def test_fit_rate_validation():
         fit_rate([1, 2, 3], [1.0, -2.0, 3.0])
 
 
-def _estimator(seed):
-    return float(splitmix64(seed) % 1000)
+def _estimator(seeds):
+    # A block estimator: one value per seed, each its seed's value alone.
+    return [float(splitmix64(seed) % 1000) for seed in seeds]
 
 
 def test_mc_run_deterministic():
@@ -83,7 +84,7 @@ def test_mc_run_deterministic():
 
 def test_mc_run_single_matches_direct():
     v, s = mc_run(_estimator, 1, 123)
-    assert v[0] == _estimator(derive_seed(123, 0))
+    assert v[0] == _estimator([derive_seed(123, 0)])[0]
 
 
 def test_mc_run_parallel_matches_serial():
@@ -107,3 +108,8 @@ def test_kolmogorov_tail_matches_scipy():
             assert kolmogorov_tail(float(x)) == pytest.approx(want, rel=1e-12, abs=0.0), x
     assert kolmogorov_tail(0.0) == 1.0
     assert kolmogorov_tail(-2.0) == 1.0
+
+
+def test_mc_run_rejects_a_value_count_other_than_the_seed_count():
+    with pytest.raises(RuntimeError, match="returned 4 values for 5 seeds"):
+        mc_run(lambda seeds: _estimator(seeds)[1:], 5, 1)
