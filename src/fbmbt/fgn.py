@@ -180,20 +180,23 @@ class FbmGridPath2D:
 
 
 @functools.lru_cache(maxsize=16)
-def _embedding_sqrt_eig(H: float, spacing: float, size: int) -> np.ndarray:
-    """sqrt of circulant-embedding eigenvalues for ``size`` increments.
+def _embedding_sqrt_eig(H: float, size: int) -> np.ndarray:
+    """sqrt of the first size + 1 circulant-embedding eigenvalues for
+    ``size`` unit-spacing increments; the other size - 1 mirror them.
 
-    The fGn embedding is nonnegative definite for every H in (0, 1)
-    (Dietrich-Newsam 1997), so only rounding-level negatives are clipped; a
-    larger one means the covariance is wrong, and it is an error.
+    The embedding's first row is rho(0), ..., rho(size), rho(size - 1), ...,
+    rho(1), a Hermitian-symmetric sequence, so its eigenvalues are the real
+    ``hfft`` of rho(0..size).  The fGn embedding is nonnegative definite for
+    every H in (0, 1) (Dietrich-Newsam 1997), so only rounding-level
+    negatives are clipped; a larger one means the covariance is wrong, and
+    it is an error.  Another spacing scales the draw by spacing**H
+    (self-similarity), so one entry serves every spacing.
     """
-    c = spacing ** (2.0 * H) * rho(np.arange(size + 1), H)
-    emb = np.concatenate([c, c[-2:0:-1]])
-    eig = np.fft.fft(emb).real
+    eig = np.fft.hfft(rho(np.arange(size + 1), H))[: size + 1]
     if eig.min() < -1e-9 * max(eig.max(), 1.0):
         raise np.linalg.LinAlgError(
             f"circulant embedding not nonnegative definite at H={H}, "
-            f"spacing={spacing}, size={size}: eigenvalue {eig.min():.3g}"
+            f"size={size}: eigenvalue {eig.min():.3g}"
         )
     return np.sqrt(np.clip(eig, 0.0, None))
 
@@ -201,6 +204,12 @@ def _embedding_sqrt_eig(H: float, spacing: float, size: int) -> np.ndarray:
 def sample_increments(H: float, spacing: float, size: int, rng) -> np.ndarray:
     """Exact draw of ``size`` stationary fBm increments at the given spacing,
     by circulant embedding (Davies-Harte 1987).
+
+    Each row draws 2 * size normals: the first size + 1 are the real parts
+    of the half-spectrum w_0..w_size (w_0 and w_size are real and carry a
+    factor sqrt(2)), the next size - 1 the imaginary parts of
+    w_1..w_{size-1}.  The Hermitian FFT of sqrt(eig) * w, scaled by
+    spacing**H / sqrt(4 * size), gives the increments.
 
     ``rng`` is one generator, giving a ``(size,)`` array, or a sequence of
     generators, giving a ``(len(rng), size)`` block whose row r is exactly
@@ -216,20 +225,22 @@ def sample_increments(H: float, spacing: float, size: int, rng) -> np.ndarray:
     rngs = [rng] if one else list(rng)
     out = np.empty((len(rngs), size))
     if size:
-        sq = _embedding_sqrt_eig(H, spacing, size)
+        sq = _embedding_sqrt_eig(H, size)
         m = 2 * size
+        scale = spacing**H / math.sqrt(2.0 * m)
         rows = max(1, BLOCK_VALUES // m)
         for lo in range(0, len(rngs), rows):
             chunk = rngs[lo : lo + rows]
-            v = np.empty((len(chunk), 2, m))
+            v = np.empty((len(chunk), m))
             for normals, g in zip(v, chunk):
                 g.standard_normal(out=normals)
-            w = np.empty((len(chunk), m), dtype=complex)
-            w[:, 0] = sq[0] * v[:, 0, 0] * math.sqrt(2.0)
-            w[:, size] = sq[size] * v[:, 0, size] * math.sqrt(2.0)
-            w[:, 1:size] = sq[1:size] * (v[:, 0, 1:size] + 1j * v[:, 1, 1:size])
-            w[:, size + 1 :] = np.conj(w[:, size - 1 : 0 : -1])
-            out[lo : lo + len(chunk)] = np.fft.fft(w).real[:, :size] / math.sqrt(2.0 * m)
+            w = np.zeros((len(chunk), size + 1), dtype=complex)
+            w.real = v[:, : size + 1]
+            w.imag[:, 1:size] = v[:, size + 1 :]
+            w[:, 0] *= math.sqrt(2.0)
+            w[:, size] *= math.sqrt(2.0)
+            w *= sq
+            out[lo : lo + len(chunk)] = np.fft.hfft(w, n=m)[:, :size] * scale
     return out[0] if one else out
 
 

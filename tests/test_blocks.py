@@ -26,6 +26,7 @@ from fbmbt.fgn import (
     BLOCK_VALUES,
     H_SPECIAL,
     _embedding_sqrt_eig,
+    rho,
     sample_fbm_2d,
     sample_increments,
 )
@@ -43,9 +44,13 @@ def _bits(x) -> bytes:
     return np.ascontiguousarray(x, dtype=np.float64).tobytes()
 
 
-def _reference_increments(H, spacing, size, g):
-    """The one-row Davies-Harte draw as written before blocks existed."""
-    sq = _embedding_sqrt_eig(H, spacing, size)
+def _full_fft_increments(H, spacing, size, g):
+    """The Davies-Harte draw as written before the Hermitian FFT: a full
+    complex FFT of the mirrored spectrum, fed by a ``(2, 2 * size)`` draw of
+    which it reads ``v[0, 0..size]`` and ``v[1, 1..size-1]``.  Returns the
+    increments and the normals it read, in the order the sampler reads them."""
+    c = spacing ** (2.0 * H) * rho(np.arange(size + 1), H)
+    sq = np.sqrt(np.clip(np.fft.fft(np.concatenate([c, c[-2:0:-1]])).real, 0.0, None))
     m = 2 * size
     v = g.standard_normal((2, m))
     w = np.empty(m, dtype=complex)
@@ -53,7 +58,25 @@ def _reference_increments(H, spacing, size, g):
     w[size] = sq[size] * v[0, size] * math.sqrt(2.0)
     w[1:size] = sq[1:size] * (v[0, 1:size] + 1j * v[1, 1:size])
     w[size + 1 :] = np.conj(w[size - 1 : 0 : -1])
-    return np.fft.fft(w).real[:size] / math.sqrt(2.0 * m)
+    read = np.concatenate([v[0, : size + 1], v[1, 1:size]])
+    return np.fft.fft(w).real[:size] / math.sqrt(2.0 * m), read
+
+
+class _Replay:
+    """A stand-in generator whose one draw is a given array of normals."""
+
+    def __init__(self, normals):
+        self.normals = normals
+
+    def standard_normal(self, out):
+        out[...] = self.normals
+
+
+def _assert_same_law_map(H, spacing, size, seed):
+    """The sampler fed the normals the full-FFT map reads gives its output."""
+    want, read = _full_fft_increments(H, spacing, size, generator(seed, rng.STREAM_X1))
+    got = sample_increments(H, spacing, size, [_Replay(read)])[0]
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _same_state(a, b) -> bool:
@@ -80,9 +103,25 @@ def test_increment_block_rows_equal_one_row_draws(H, size, seeds):
     for row, seed in zip(block, seeds):
         one = sample_increments(H, 0.5, size, generator(seed, rng.STREAM_X1))
         assert _bits(row) == _bits(one)
-        if size:
-            ref = _reference_increments(H, 0.5, size, generator(seed, rng.STREAM_X1))
-            assert _bits(one) == _bits(ref)
+    if size:
+        _assert_same_law_map(H, 0.5, size, seeds[0])
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 255, 1000, 4095, 4096])
+def test_increments_are_the_full_fft_map_of_the_normals_read(size):
+    for H in (0.1, H_SPECIAL, 0.3, 0.7):
+        _assert_same_law_map(H, 0.37, size, size)
+
+
+def test_spacing_scales_the_unit_draw_and_shares_its_eigenvalues():
+    size, seeds = 300, [derive_seed(3, i) for i in range(4)]
+    _embedding_sqrt_eig.cache_clear()
+    unit = sample_increments(H_SPECIAL, 1.0, size, [generator(s, rng.STREAM_X1) for s in seeds])
+    for spacing in (0.125, 3.7):
+        scaled = sample_increments(
+            H_SPECIAL, spacing, size, [generator(s, rng.STREAM_X1) for s in seeds])
+        np.testing.assert_allclose(scaled, spacing**H_SPECIAL * unit, rtol=1e-15, atol=0)
+    assert _embedding_sqrt_eig.cache_info().misses == 1
 
 
 def test_increment_block_straddles_the_chunk_cap():
@@ -91,7 +130,7 @@ def test_increment_block_straddles_the_chunk_cap():
     seeds = [derive_seed(11, i) for i in range(rows)]
     block = sample_increments(H_SPECIAL, 0.25, size, [generator(s, rng.STREAM_X2) for s in seeds])
     for row, seed in zip(block, seeds):
-        one = _reference_increments(H_SPECIAL, 0.25, size, generator(seed, rng.STREAM_X2))
+        one = sample_increments(H_SPECIAL, 0.25, size, generator(seed, rng.STREAM_X2))
         assert _bits(row) == _bits(one)
 
 

@@ -166,8 +166,9 @@ def test_non_psd_embedding_raises(monkeypatch):
 
     monkeypatch.setattr("fbmbt.fgn.rho", bad_rho)
     _embedding_sqrt_eig.cache_clear()
-    with pytest.raises(np.linalg.LinAlgError, match=r"H=0\.3, spacing=0\.5, size=8"):
+    with pytest.raises(np.linalg.LinAlgError, match=r"H=0\.3, size=8:") as err:
         sample_increments(0.3, 0.5, 8, generator(1, 1))
+    assert "spacing" not in str(err.value)  # the eigenvalues are spacing-free
     assert _embedding_sqrt_eig.cache_info().currsize == 0
 
 
