@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .calculus import get_test_function, midpoint_taylor_table, test_function_names
-from .fgn import BLOCK_VALUES, H_SPECIAL, grid_spacing, rho, sample_fbm_2d, sum_rho_cubed
+from .fgn import H_SPECIAL, _blocks, grid_spacing, rho, sample_fbm_2d, sum_rho_cubed
 from .limitlaw import (
     default_kappas,
     kappa_constants,
@@ -130,17 +130,8 @@ def _level_master(master_seed: int, tag: int) -> int:
 # ---------------------------------------------------------------------------
 # Estimators (top-level and picklable).  Each takes a list of replication
 # seeds and returns one value per seed, in seed order, equal to the value its
-# seed gives alone.  Draws on a shared grid are made as blocks of rows (one
-# fGn FFT and one midpoint-kernel pass per block); draws whose grids differ
-# per seed loop over their seeds.
-
-
-def _blocks(items: list, count: int) -> list[list]:
-    """Consecutive runs of ``items`` whose paths of ``count`` increments, two
-    components each, pass at most about ``BLOCK_VALUES`` complex values
-    through one fGn draw; this bounds a block's working set."""
-    step = max(1, BLOCK_VALUES // (4 * max(count, 1)))
-    return [items[i : i + step] for i in range(0, len(items), step)]
+# seed gives alone.  Seeds that draw the same grid are made as blocks of rows
+# (one fGn FFT and one midpoint-kernel pass per block).
 
 
 def draw_v_pq(seeds, *, H, n, t, fname, p, q):
@@ -222,15 +213,13 @@ def draw_w3_horizons(seeds, *, H, n, ys, fname):
 
 
 def draw_correction_fbm(seeds, *, fname, t, mesh):
-    f = get_test_function(fname)
-    return np.concatenate([sample_correction_fbm(f, t, mesh, block).value
-                           for block in _blocks(seeds, round(t / mesh))])
+    return sample_correction_fbm(get_test_function(fname), t, mesh, seeds).value
 
 
 def draw_rhs_fbmbt(seeds, *, fname, t, mesh):
-    """Loops over its seeds: each Brownian time gives its own Euler grid."""
-    f = get_test_function(fname)
-    return [sample_change_of_variable_rhs(f, t, mesh, seed).value for seed in seeds]
+    """The Euler grids of Brownian times that pad to one power of two are
+    drawn as one block."""
+    return sample_change_of_variable_rhs(get_test_function(fname), t, mesh, seeds).value
 
 
 # ---------------------------------------------------------------------------

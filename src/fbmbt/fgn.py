@@ -179,6 +179,14 @@ class FbmGridPath2D:
         return self.component(i)[..., j_lo - self.j_min : j_hi - self.j_min + 1]
 
 
+def _blocks(items: list, count: int) -> list[list]:
+    """Consecutive runs of ``items`` whose paths of ``count`` increments, two
+    components each, pass at most about ``BLOCK_VALUES`` complex values
+    through one fGn draw; this bounds a block's working set."""
+    step = max(1, BLOCK_VALUES // (4 * max(count, 1)))
+    return [items[i : i + step] for i in range(0, len(items), step)]
+
+
 @functools.lru_cache(maxsize=16)
 def _embedding_sqrt_eig(H: float, size: int) -> np.ndarray:
     """sqrt of the first size + 1 circulant-embedding eigenvalues for

@@ -25,10 +25,13 @@ correction has the same joint law with either orientation, so the side of 0
 that Y_t falls on does not change its sign.
 
 Euler grids use K = max(1, round(|horizon| / mesh)) uniform steps of exact
-size |horizon| / K, so the grid always lands exactly on the endpoint; the fBm
-marginals on the grid are exact (stationary-increment sampling), only the
-integrand's intra-step variation is approximated.  Seeds that share a grid
-(every seed of the fixed clock) are drawn as one block of fGn rows.
+size h = |horizon| / K, so the grid always lands exactly on the endpoint; the
+fBm marginals on the grid are exact (stationary-increment sampling), only the
+integrand's intra-step variation is approximated.  X on the grid is the first
+K increments of a unit-spacing fGn draw padded to the next power of two,
+scaled by h^H (self-similarity), so seeds whose grids pad to the same size
+(every seed of the fixed clock, and Brownian times of one power-of-two range
+of K) are drawn as one block of fGn rows.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .calculus import TestFunction2D
 from .fgn import (
     H_SPECIAL,
     RhoSeriesResult,
+    _blocks,
     check_special_hurst,
     sample_increments,
     sum_rho_cubed,
@@ -101,34 +105,49 @@ _INTEGRAND_TERMS = ((3, 0), (0, 3), (2, 1), (1, 2))
 
 def _euler_sum(
     f: TestFunction2D,
-    length: float,
+    lengths: list[float],
     mesh: float,
     seeds: list[int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left-point Euler value of the correction integral over [0, length]
-    for each seed, drawn as one normal given X, along with the exact
-    endpoint values of the two fBm components.
+    for each seed and its length, drawn as one normal given X, along with
+    the exact endpoint values of the two fBm components.
 
-    The X^1 and X^2 paths of every seed are rows of one fGn draw, so each
-    value is the one its seed gives alone.  Returns (integral, x1_end,
-    x2_end), one entry per seed."""
-    if length == 0.0:
-        return (np.zeros(len(seeds)),) * 3
-    steps = max(1, round(length / mesh))
-    h = length / steps
-    rngs = [generator(s, stream) for stream in (STREAM_X1, STREAM_X2) for s in seeds]
-    x = np.zeros((len(rngs), steps + 1))
-    np.cumsum(sample_increments(H_SPECIAL, h, steps, rngs), axis=1, out=x[:, 1:])
-    x1, x2 = x[: len(seeds)], x[len(seeds) :]
-    weight = sum(
-        kappa**2 * np.asarray(f.partial(a1, a2)(x1[:, :-1], x2[:, :-1]), dtype=np.float64) ** 2
-        for kappa, (a1, a2) in zip(default_kappas().as_tuple, _INTEGRAND_TERMS)
-    )
-    weight = np.broadcast_to(weight, (len(seeds), steps)).tolist()
-    z = [float(generator(s, STREAM_B).standard_normal()) for s in seeds]
-    # sqrt(0) * z is -0.0 for z < 0; adding 0.0 makes it +0.0.
-    value = [math.sqrt(h * math.fsum(row)) * zr + 0.0 for row, zr in zip(weight, z)]
-    return np.array(value), x1[:, -1], x2[:, -1]
+    A length L has K = max(1, round(L / mesh)) steps of size h = L / K.  X
+    is the first K increments of a unit-spacing draw of K padded to a power
+    of two, each row scaled by h^H.  The X^1 and X^2 paths of the seeds
+    whose K pad alike are rows of one fGn draw, in chunks of ``_blocks``,
+    and each value is the one its seed gives alone.  Returns (integral,
+    x1_end, x2_end), one entry per seed; a zero length gives zeros."""
+    out = np.zeros((3, len(seeds)))
+    steps = [max(1, round(length / mesh)) for length in lengths]
+    padded: dict[int, list[int]] = {}
+    for i, length in enumerate(lengths):
+        if length:
+            padded.setdefault(1 << (steps[i] - 1).bit_length(), []).append(i)
+    for size, idx in padded.items():
+        for block in _blocks(idx, size):
+            rngs = [generator(seeds[i], stream) for stream in (STREAM_X1, STREAM_X2)
+                    for i in block]
+            h = [lengths[i] / steps[i] for i in block]
+            incs = sample_increments(H_SPECIAL, 1.0, size, rngs)
+            incs *= np.array([hr**H_SPECIAL for hr in h] * 2)[:, None]
+            x = np.zeros((len(rngs), size + 1))
+            np.cumsum(incs, axis=1, out=x[:, 1:])
+            x1, x2 = x[: len(block)], x[len(block) :]
+            weight = sum(
+                kappa**2
+                * np.asarray(f.partial(a1, a2)(x1[:, :-1], x2[:, :-1]), dtype=np.float64) ** 2
+                for kappa, (a1, a2) in zip(default_kappas().as_tuple, _INTEGRAND_TERMS)
+            )
+            weight = np.broadcast_to(weight, (len(block), size)).tolist()
+            for r, i in enumerate(block):
+                k = steps[i]
+                z = float(generator(seeds[i], STREAM_B).standard_normal())
+                # sqrt(0) * z is -0.0 for z < 0; adding 0.0 makes it +0.0.
+                out[0, i] = math.sqrt(h[r] * math.fsum(weight[r][:k])) * z + 0.0
+                out[1, i], out[2, i] = x1[r, k], x2[r, k]
+    return out[0], out[1], out[2]
 
 
 def _check_args(t: float, mesh: float) -> None:
@@ -136,6 +155,12 @@ def _check_args(t: float, mesh: float) -> None:
         raise ValueError(f"time horizon must be nonnegative, got {t}")
     if mesh <= 0:
         raise ValueError(f"mesh must be positive, got {mesh}")
+
+
+def _seed_list(seed) -> tuple[bool, list[int]]:
+    """(whether ``seed`` is one seed, the seeds as a list)."""
+    one = np.ndim(seed) == 0
+    return one, [seed] if one else list(seed)
 
 
 def sample_correction_fbm(
@@ -147,20 +172,21 @@ def sample_correction_fbm(
     """One draw of the limiting correction for the fBm clock run to time t.
     A sequence of seeds gives a block: ``value`` holds one draw per seed."""
     _check_args(t, mesh)
-    one = np.ndim(seed) == 0
-    value, _, _ = _euler_sum(f, t, mesh, [seed] if one else list(seed))
+    one, seeds = _seed_list(seed)
+    value, _, _ = _euler_sum(f, [t] * len(seeds), mesh, seeds)
     return CorrectionSample(value=float(value[0]) if one else value, t_effective=float(t))
 
 
 def _fbmbt_parts(
-    f: TestFunction2D, t: float, mesh: float, seed: int
-) -> tuple[float, float, float, float]:
+    f: TestFunction2D, t: float, mesh: float, seeds: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(correction, Y_t, X1 at Y_t, X2 at Y_t) for the Brownian-time
-    version.  X is sampled outward from 0 toward Y_t, so by the reflection
-    symmetry of fBm the draw has the law of the two-sided path restricted to
-    the traversed side."""
-    y = math.sqrt(t) * float(generator(seed, STREAM_Y).standard_normal()) if t else 0.0
-    value, x1_end, x2_end = (float(a[0]) for a in _euler_sum(f, abs(y), mesh, [seed]))
+    version, one entry per seed.  X is sampled outward from 0 toward Y_t, so
+    by the reflection symmetry of fBm the draw has the law of the two-sided
+    path restricted to the traversed side."""
+    y = np.array([math.sqrt(t) * float(generator(s, STREAM_Y).standard_normal()) if t else 0.0
+                  for s in seeds])
+    value, x1_end, x2_end = _euler_sum(f, np.abs(y).tolist(), mesh, seeds)
     return value, y, x1_end, x2_end
 
 
@@ -168,23 +194,33 @@ def sample_correction_fbmbt(
     f: TestFunction2D,
     t: float,
     mesh: float,
-    seed: int,
+    seed: int | list[int],
 ) -> CorrectionSample:
-    """One draw of the limiting correction for the Brownian-time clock."""
+    """One draw of the limiting correction for the Brownian-time clock.  A
+    sequence of seeds gives a block: ``value`` and ``t_effective`` hold one
+    entry per seed."""
     _check_args(t, mesh)
-    value, y, _, _ = _fbmbt_parts(f, t, mesh, seed)
-    return CorrectionSample(value=value, t_effective=y)
+    one, seeds = _seed_list(seed)
+    value, y, _, _ = _fbmbt_parts(f, t, mesh, seeds)
+    return CorrectionSample(value=float(value[0]) if one else value,
+                            t_effective=float(y[0]) if one else y)
 
 
 def sample_change_of_variable_rhs(
     f: TestFunction2D,
     t: float,
     mesh: float,
-    seed: int,
+    seed: int | list[int],
 ) -> CorrectionSample:
     """One draw of f(X_{Y_t}) - f(X_0) - correction, sharing the X, Y and B
-    draws with ``sample_correction_fbmbt`` at the same seed."""
+    draws with ``sample_correction_fbmbt`` at the same seed.  A sequence of
+    seeds gives a block: ``value`` and ``t_effective`` hold one entry per
+    seed."""
     _check_args(t, mesh)
-    corr, y, x1_end, x2_end = _fbmbt_parts(f, t, mesh, seed)
-    value = float(f(x1_end, x2_end)) - float(f(0.0, 0.0)) - corr
-    return CorrectionSample(value=value, t_effective=y)
+    one, seeds = _seed_list(seed)
+    corr, y, x1_end, x2_end = _fbmbt_parts(f, t, mesh, seeds)
+    f0 = float(f(0.0, 0.0))
+    value = np.array([float(f(a, b)) - f0 - c
+                      for a, b, c in zip(x1_end.tolist(), x2_end.tolist(), corr.tolist())])
+    return CorrectionSample(value=float(value[0]) if one else value,
+                            t_effective=float(y[0]) if one else y)

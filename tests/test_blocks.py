@@ -17,6 +17,7 @@ from fbmbt.experiments import (
     _terminal_segment,
     draw_correction_fbm,
     draw_o_tilde,
+    draw_rhs_fbmbt,
     draw_v3,
     draw_v_pq,
     draw_v_tilde_3,
@@ -30,7 +31,11 @@ from fbmbt.fgn import (
     sample_fbm_2d,
     sample_increments,
 )
-from fbmbt.limitlaw import sample_correction_fbm
+from fbmbt.limitlaw import (
+    sample_change_of_variable_rhs,
+    sample_correction_fbm,
+    sample_correction_fbmbt,
+)
 from fbmbt.rng import derive_seed, generator, stream_seed
 from fbmbt.skeleton import sample_terminal
 from fbmbt.variations import _TAYLOR, _VALUE, _grid_count, _midpoint_sums, v3, v_pq, w3, w_grad
@@ -204,6 +209,8 @@ def test_batched_estimators_equal_one_seed_draws(H, n, fname, seeds):
         (draw_w3_horizons, dict(H=H, n=n, ys=ys), horizons),
         (draw_correction_fbm, dict(t=t, mesh=mesh),
          lambda s: sample_correction_fbm(f, t, mesh, s).value),
+        (draw_rhs_fbmbt, dict(t=t, mesh=mesh),
+         lambda s: sample_change_of_variable_rhs(f, t, mesh, s).value),
     ]
     for draw, kwargs, one in cases:
         block = draw(seeds, fname=fname, **kwargs)
@@ -227,3 +234,25 @@ def test_brownian_clock_block_with_each_sign_of_j_star(fname):
             assert _bits(value) == _bits(one(seed))
             if sign == 0:
                 assert _bits(value) == _bits(0.0)  # +0.0, not -0.0
+
+
+@pytest.mark.parametrize("fname", ["x^3", "sin_x_cos_y"])
+def test_brownian_time_block_rows_equal_one_seed_values(fname):
+    # At mesh 2^-14 a Brownian time |Y_1| in (0.5, 1] pads to 2^14 steps, of
+    # which a chunk holds 4 seeds; 40 seeds span several padded sizes.
+    f, mesh = get_test_function(fname), 2.0**-14
+    seeds = [derive_seed(8, i) for i in range(40)]
+    rhs = sample_change_of_variable_rhs(f, 1.0, mesh, seeds)
+    corr = sample_correction_fbmbt(f, 1.0, mesh, seeds)
+    assert _bits(rhs.t_effective) == _bits(corr.t_effective)
+    padded = [1 << (max(1, round(abs(y) / mesh)) - 1).bit_length() for y in rhs.t_effective]
+    assert len(set(padded)) >= 3
+    assert any(padded.count(p) > BLOCK_VALUES // (4 * p) for p in padded)
+    for r, seed in enumerate(seeds):
+        one = sample_change_of_variable_rhs(f, 1.0, mesh, seed)
+        assert _bits(rhs.value[r]) == _bits(one.value)
+        assert _bits(rhs.t_effective[r]) == _bits(one.t_effective)
+        assert _bits(corr.value[r]) == _bits(sample_correction_fbmbt(f, 1.0, mesh, seed).value)
+    zero = sample_change_of_variable_rhs(f, 0.0, mesh, seeds)
+    assert _bits(zero.value) == _bits(np.zeros(len(seeds)))
+    assert _bits(zero.t_effective) == _bits(np.zeros(len(seeds)))
