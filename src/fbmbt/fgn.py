@@ -18,6 +18,7 @@ runs row-wise, so every row is bit for bit the draw of its seed alone.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +33,10 @@ MAX_INCREMENTS = 1 << 22
 # A Davies-Harte block runs its FFT on chunks of rows holding at most this
 # many complex values, which bounds its working set (4 MiB).
 BLOCK_VALUES = 1 << 18
+
+# sum_rho_cubed evaluates rho on chunks of this many lags, which bounds its
+# temporaries (~0.5 MB an array) for any truncation.
+_RHO_CHUNK = 1 << 16
 
 # Switch from the direct second-difference formula to the expm1 form of rho
 # at this lag (the direct form loses ~|k|^{2H} * eps absolute accuracy).
@@ -121,14 +126,17 @@ def sum_rho_cubed(H: float, m: int) -> RhoSeriesResult:
 
     The tail bound uses |rho(r)| <= H|2H-1| (r-1)^{2H-2} for r >= 2 (Taylor
     remainder of the second difference), valid and summable-cubed for H < 5/6.
+    The lags are cubed in chunks of ``_RHO_CHUNK`` and fed to one exactly
+    rounded ``math.fsum``, so the sum is that of the whole array.
     """
     H = check_hurst(H)
     if H >= 5.0 / 6.0:
         raise ValueError(f"series sum of rho^3 requires H < 5/6, got {H}")
     if m < 2:
         raise ValueError(f"truncation must satisfy m >= 2, got {m}")
-    r = np.arange(1, m + 1)
-    partial = 1.0 + 2.0 * math.fsum(rho(r, H) ** 3)
+    cubes = (rho(np.arange(lo, min(lo + _RHO_CHUNK, m + 1)), H) ** 3
+             for lo in range(1, m + 1, _RHO_CHUNK))
+    partial = 1.0 + 2.0 * math.fsum(itertools.chain.from_iterable(c.tolist() for c in cubes))
     c = H * abs(2.0 * H - 1.0)
     # sum_{r>m} (r-1)^{3(2H-2)} <= m^{6H-6} + integral_m^inf x^{6H-6} dx
     tail = 2.0 * c**3 * (float(m) ** (6 * H - 6) + float(m) ** (6 * H - 5) / (5 - 6 * H))

@@ -93,10 +93,11 @@ def default_kappas() -> KappaConstants:
 @dataclass(frozen=True)
 class CorrectionSample:
     """One Monte Carlo draw from a correction-term sampler; a block of
-    seeds gives one value per seed."""
+    seeds gives one value per seed, and on the Brownian clock one time per
+    seed."""
 
     value: float | np.ndarray
-    t_effective: float
+    t_effective: float | np.ndarray
 
 
 # Derivative multi-indices of the integrands g_i, in kappa order.
@@ -163,6 +164,13 @@ def _seed_list(seed) -> tuple[bool, list[int]]:
     return one, [seed] if one else list(seed)
 
 
+def _sample(one: bool, value: np.ndarray, t_effective) -> CorrectionSample:
+    """Floats for one seed, one entry per seed for a block."""
+    if one:
+        return CorrectionSample(float(value[0]), float(np.ravel(t_effective)[0]))
+    return CorrectionSample(value, t_effective)
+
+
 def sample_correction_fbm(
     f: TestFunction2D,
     t: float,
@@ -174,7 +182,7 @@ def sample_correction_fbm(
     _check_args(t, mesh)
     one, seeds = _seed_list(seed)
     value, _, _ = _euler_sum(f, [t] * len(seeds), mesh, seeds)
-    return CorrectionSample(value=float(value[0]) if one else value, t_effective=float(t))
+    return _sample(one, value, float(t))
 
 
 def _fbmbt_parts(
@@ -202,8 +210,7 @@ def sample_correction_fbmbt(
     _check_args(t, mesh)
     one, seeds = _seed_list(seed)
     value, y, _, _ = _fbmbt_parts(f, t, mesh, seeds)
-    return CorrectionSample(value=float(value[0]) if one else value,
-                            t_effective=float(y[0]) if one else y)
+    return _sample(one, value, y)
 
 
 def sample_change_of_variable_rhs(
@@ -222,5 +229,4 @@ def sample_change_of_variable_rhs(
     f0 = float(f(0.0, 0.0))
     value = np.array([float(f(a, b)) - f0 - c
                       for a, b, c in zip(x1_end.tolist(), x2_end.tolist(), corr.tolist())])
-    return CorrectionSample(value=float(value[0]) if one else value,
-                            t_effective=float(y[0]) if one else y)
+    return _sample(one, value, y)

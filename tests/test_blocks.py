@@ -1,7 +1,8 @@
 """Blocks of seeds: every row of a block draw equals, bit for bit, what its
-seed gives alone, for the fGn sampler, the midpoint kernel and every batched
-estimator; and the key-only Philox generator is the one ``Philox(key=...)``
-builds."""
+seed gives alone, for the fGn sampler, the midpoint kernel, the Euler
+samplers and every batched estimator; the sampler is the full-FFT
+Davies-Harte map of the normals it reads; and the key-only Philox generator
+is the one ``Philox(key=...)`` builds."""
 
 import math
 

@@ -83,6 +83,13 @@ def test_sum_rho_cubed_matches_bruteforce():
         assert res.tail_bound > 0
 
 
+@pytest.mark.parametrize("m", [2, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 10**6])
+def test_sum_rho_cubed_in_chunks_equals_one_array_sum(m):
+    for H in (0.1, 1 / 6, 0.3):
+        whole = 1.0 + 2.0 * math.fsum(rho(np.arange(1, m + 1), H) ** 3)
+        assert sum_rho_cubed(H, m).partial_sum == whole
+
+
 def test_sum_rho_cubed_tail_decreases():
     t1 = sum_rho_cubed(1 / 6, 100).tail_bound
     t2 = sum_rho_cubed(1 / 6, 10000).tail_bound
