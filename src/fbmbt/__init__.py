@@ -15,7 +15,6 @@ from .calculus import (
 from .fgn import (
     CapacityError,
     FbmGridPath2D,
-    cov_fbm,
     rho,
     sample_fbm_2d,
     sample_increments,
@@ -27,7 +26,6 @@ from .limitlaw import (
     kappa_constants,
     sample_change_of_variable_rhs,
     sample_correction_fbm,
-    sample_correction_fbmbt,
 )
 from .rng import derive_seed, generator, splitmix64
 from .skeleton import (
@@ -41,18 +39,12 @@ from .skeleton import (
 )
 from .stats import RateFit, TwoSampleResult, fit_rate, ks_two_sample, mc_run
 from .variations import (
-    VariationStatistic,
     k_components,
     kl_reduce,
-    o_n,
-    o_tilde_n,
-    o_tilde_reduced,
     p_n,
     v3,
     v_pq,
     v_pq_hermite,
-    v_tilde_3,
-    v_tilde_3_reduced,
     v_tilde_pq,
     w3,
     w_grad,

@@ -39,7 +39,9 @@ from .skeleton import (
 from .stats import fit_rate, ks_two_sample, mc_run
 from .variations import (
     _grid_count,
+    _one_sided_values,
     _step_count,
+    _taylor_sum,
     k_components,
     kl_reduce,
     p_n,
@@ -136,13 +138,13 @@ def _level_master(master_seed: int, tag: int) -> int:
 
 def draw_v_pq(seeds, *, H, n, t, fname, p, q):
     f, m = get_test_function(fname), _grid_count(n, t)
-    return np.concatenate([v_pq(f, sample_fbm_2d(H, n, 0, m, block), t, p, q).value
+    return np.concatenate([v_pq(f, sample_fbm_2d(H, n, 0, m, block), t, p, q)
                            for block in _blocks(seeds, m)])
 
 
 def draw_v3(seeds, *, H, n, t, fname):
     f, m = get_test_function(fname), _grid_count(n, t)
-    return np.concatenate([v3(f, sample_fbm_2d(H, n, 0, m, block), t).value
+    return np.concatenate([v3(f, sample_fbm_2d(H, n, 0, m, block), t)
                            for block in _blocks(seeds, m)])
 
 
@@ -153,13 +155,6 @@ def draw_v3(seeds, *, H, n, t, fname):
 # one-sided forms recover the edge count as floor(2^{n/2} |y|), which gives
 # back |j*| exactly for y = j* * grid_spacing(n) (checked for n <= 60 and
 # |j*| < 2^22).
-
-
-def _terminal_segment(seed, H, n, t):
-    """Terminal walk position j*, its height y, and the fBm between 0 and j*."""
-    j_star = sample_terminal(n, _step_count(n, t), seed)
-    fbm = sample_fbm_2d(H, n, min(0, j_star), max(0, j_star), seed)
-    return j_star, j_star * grid_spacing(n), fbm
 
 
 def _one_sided_draws(statistic, seeds, H, n, t, fname) -> np.ndarray:
@@ -174,7 +169,7 @@ def _one_sided_draws(statistic, seeds, H, n, t, fname) -> np.ndarray:
     for j_star, idx in rows.items():
         for block in _blocks(idx, abs(j_star)):
             fbm = sample_fbm_2d(H, n, min(0, j_star), max(0, j_star), [seeds[i] for i in block])
-            out[block] = statistic(f, fbm, j_star * grid_spacing(n)).value
+            out[block] = statistic(f, fbm, j_star * grid_spacing(n))
     return out
 
 
@@ -186,14 +181,15 @@ def draw_v_tilde_3(seeds, *, H, n, t, fname):
     return _one_sided_draws(w3, seeds, H, n, t, fname)
 
 
+def _skeleton_residual(f, fbm, y):
+    """f(X at j*) - f(0, 0) - the gradient sum out to y = j* 2^{-n/2}: the
+    last value of the one-sided segment is X at j*."""
+    v1, v2 = _one_sided_values(fbm, y)
+    return f(v1[..., -1], v2[..., -1]) - float(f(0.0, 0.0)) - _taylor_sum(f, v1, v2, 1)
+
+
 def draw_skeleton_residual(seeds, *, H, n, t, fname):
-    f = get_test_function(fname)
-    values = []
-    for seed in seeds:
-        j_star, y, fbm = _terminal_segment(seed, H, n, t)
-        z1, z2 = fbm.value(1, j_star), fbm.value(2, j_star)
-        values.append(float(f(z1, z2)) - float(f(0.0, 0.0)) - w_grad(f, fbm, y).value)
-    return values
+    return _one_sided_draws(_skeleton_residual, seeds, H, n, t, fname)
 
 
 def draw_terminal_y(seeds, *, n, t):
@@ -208,7 +204,7 @@ def draw_w3_horizons(seeds, *, H, n, ys, fname):
     rows = []
     for block in _blocks(seeds, 2 * m):
         fbm = sample_fbm_2d(H, n, -m, m, block)
-        rows.extend(zip(*(w3(f, fbm, float(y)).value for y in ys)))
+        rows.extend(zip(*(w3(f, fbm, float(y)) for y in ys)))
     return rows
 
 
@@ -246,7 +242,7 @@ def run_constants(replications=None, master_seed=0, workers=1) -> ExperimentResu
     series = sum_rho_cubed(H_SPECIAL, 10**6)
     kap = kappa_constants(series)
     res.series_constants = {
-        "S": series.value,
+        "S": series.partial_sum,
         "tail_bound": series.tail_bound,
         "truncation": series.m,
         "kappa1": kap.kappa1,
@@ -255,13 +251,13 @@ def run_constants(replications=None, master_seed=0, workers=1) -> ExperimentResu
         "kappa4": kap.kappa4,
     }
     val, tol = THRESHOLDS["series_value"]
-    res.add_test("series_value", series.value, abs(series.value - val) <= tol)
+    res.add_test("series_value", series.partial_sum, abs(series.partial_sum - val) <= tol)
     res.add_test(
         "series_tail_bound", series.tail_bound,
         series.tail_bound < THRESHOLDS["series_tail"],
     )
     val, tol = THRESHOLDS["sqrt_6s"]
-    s6 = math.sqrt(6.0 * series.value)
+    s6 = math.sqrt(6.0 * series.partial_sum)
     res.add_test("sqrt_6S", s6, abs(s6 - val) <= tol)
     val, tol = THRESHOLDS["kappa1"]
     res.add_test("kappa1", kap.kappa1, abs(kap.kappa1 - val) <= tol)
@@ -332,19 +328,19 @@ def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
     walk = sample_skeleton(n, m, seed)
     visited = walk.positions[: m + 1]
     fbm = sample_fbm_2d(H, n, int(visited.min()), int(visited.max()), seed)
-    vt = v_tilde_pq(f, fbm, walk, t, p, q).value
-    red = kl_reduce(f, fbm, walk, t, p, q).value
-    wv = w_pq(f, fbm, terminal_y(walk, m), p, q).value
+    vt = v_tilde_pq(f, fbm, walk, t, p, q)
+    red = kl_reduce(f, fbm, walk, t, p, q)
+    wv = w_pq(f, fbm, terminal_y(walk, m), p, q)
 
     # (d): third-order sum = chaos components + trace remainder at H = 1/6.
     path6 = sample_fbm_2d(H_SPECIAL, n, 0, _grid_count(n, t), seed)
-    lhs = v3(f, path6, t).value
-    rhs = math.fsum(k.value for k in k_components(f, path6, t)) + p_n(f, path6, t).value
+    lhs = v3(f, path6, t)
+    rhs = math.fsum(k_components(f, path6, t)) + p_n(f, path6, t)
 
     # (e): direct powers vs Hermite-rebuilt powers.
     path = sample_fbm_2d(H, n, 0, _grid_count(n, t), seed)
-    direct = v_pq(f, path, t, p, q).value
-    herm = v_pq_hermite(f, path, t, p, q).value
+    direct = v_pq(f, path, t, p, q)
+    herm = v_pq_hermite(f, path, t, p, q)
     return (crossings, _rel_err(vt, red), _rel_err(vt, wv), _rel_err(lhs, rhs),
             _rel_err(direct, herm))
 
@@ -433,7 +429,7 @@ def run_law_h_eq(
     """H = 1/6: limiting variances, law matches, and the modulus bound."""
     res = ExperimentResult(name="law-h-eq")
     kap = default_kappas()
-    s = kap.series.value
+    s = kap.series.partial_sum
     res.series_constants = {
         "S": s, "tail_bound": kap.series.tail_bound,
         "kappa1": kap.kappa1, "kappa3": kap.kappa3,

@@ -3,7 +3,7 @@
 The process lives on the grid ``j * 2**(-n/2)``, ``j_min <= j <= j_max``, and
 is the single two-sided fBm whose covariance is
 
-    cov_fbm(t, s) = (|s|^{2H} + |t|^{2H} - |t-s|^{2H}) / 2
+    cov(X_t, X_s) = (|s|^{2H} + |t|^{2H} - |t-s|^{2H}) / 2
 
 for all real t, s.  Note that this makes the negative and positive halves
 correlated; the increment sequence over the whole two-sided grid is the
@@ -73,13 +73,6 @@ def grid_spacing(n: int) -> float:
     return 2.0 ** (-check_level(n) / 2.0)
 
 
-def cov_fbm(t: float, s: float, H: float) -> float:
-    """fBm covariance (|s|^{2H} + |t|^{2H} - |t-s|^{2H}) / 2, any real t, s."""
-    H = check_hurst(H)
-    h2 = 2.0 * H
-    return 0.5 * (abs(s) ** h2 + abs(t) ** h2 - abs(t - s) ** h2)
-
-
 def rho(k, H: float):
     """Autocovariance of unit-step fGn: (|k+1|^{2H} + |k-1|^{2H} - 2|k|^{2H}) / 2.
 
@@ -115,10 +108,6 @@ class RhoSeriesResult:
     m: int
     partial_sum: float
     tail_bound: float
-
-    @property
-    def value(self) -> float:
-        return self.partial_sum
 
 
 def sum_rho_cubed(H: float, m: int) -> RhoSeriesResult:
@@ -160,10 +149,6 @@ class FbmGridPath2D:
     values1: np.ndarray = field(repr=False)
     values2: np.ndarray = field(repr=False)
     seed: int | tuple[int, ...]
-
-    @property
-    def spacing(self) -> float:
-        return grid_spacing(self.level)
 
     def component(self, i: int) -> np.ndarray:
         if i == 1:

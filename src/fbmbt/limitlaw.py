@@ -11,8 +11,9 @@ The limiting correction for a path run to time t is the Ito integral
 with (g_1, ..., g_4) = (f_xxx, f_yyy, f_xxy, f_xyy) evaluated along the
 2-component fBm X and four independent standard Brownian motions B^i,
 independent of X.  ``sample_correction_fbm`` draws one left-point Euler
-realization of that integral.  ``sample_correction_fbmbt`` first draws the
-Brownian time Y_t ~ N(0, t) and integrates out to |Y_t|.
+realization of that integral.  ``sample_change_of_variable_rhs`` first
+draws the Brownian time Y_t ~ N(0, t), integrates out to |Y_t|, and returns
+f(X_{Y_t}) - f(X_0) minus that correction.
 
 Given X, the Euler sum sum_i kappa_i sum_k g_i(X_k) (B^i_{k+1} - B^i_k) is a
 sum of independent centred normals, so it is exactly
@@ -79,7 +80,7 @@ class KappaConstants:
 
 def kappa_constants(series: RhoSeriesResult) -> KappaConstants:
     check_special_hurst(series.H, "kappa constants")
-    s = series.value
+    s = series.partial_sum
     k12 = math.sqrt(s / 96.0)
     k34 = math.sqrt(s / 32.0)
     return KappaConstants(kappa1=k12, kappa2=k12, kappa3=k34, kappa4=k34, series=series)
@@ -185,47 +186,22 @@ def sample_correction_fbm(
     return _sample(one, value, float(t))
 
 
-def _fbmbt_parts(
-    f: TestFunction2D, t: float, mesh: float, seeds: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(correction, Y_t, X1 at Y_t, X2 at Y_t) for the Brownian-time
-    version, one entry per seed.  X is sampled outward from 0 toward Y_t, so
-    by the reflection symmetry of fBm the draw has the law of the two-sided
-    path restricted to the traversed side."""
-    y = np.array([math.sqrt(t) * float(generator(s, STREAM_Y).standard_normal()) if t else 0.0
-                  for s in seeds])
-    value, x1_end, x2_end = _euler_sum(f, np.abs(y).tolist(), mesh, seeds)
-    return value, y, x1_end, x2_end
-
-
-def sample_correction_fbmbt(
-    f: TestFunction2D,
-    t: float,
-    mesh: float,
-    seed: int | list[int],
-) -> CorrectionSample:
-    """One draw of the limiting correction for the Brownian-time clock.  A
-    sequence of seeds gives a block: ``value`` and ``t_effective`` hold one
-    entry per seed."""
-    _check_args(t, mesh)
-    one, seeds = _seed_list(seed)
-    value, y, _, _ = _fbmbt_parts(f, t, mesh, seeds)
-    return _sample(one, value, y)
-
-
 def sample_change_of_variable_rhs(
     f: TestFunction2D,
     t: float,
     mesh: float,
     seed: int | list[int],
 ) -> CorrectionSample:
-    """One draw of f(X_{Y_t}) - f(X_0) - correction, sharing the X, Y and B
-    draws with ``sample_correction_fbmbt`` at the same seed.  A sequence of
-    seeds gives a block: ``value`` and ``t_effective`` hold one entry per
-    seed."""
+    """One draw of f(X_{Y_t}) - f(X_0) - correction for the Brownian-time
+    clock.  X is sampled outward from 0 toward Y_t, so by the reflection
+    symmetry of fBm the draw has the law of the two-sided path restricted
+    to the traversed side.  A sequence of seeds gives a block: ``value``
+    and ``t_effective`` (Y_t) hold one entry per seed."""
     _check_args(t, mesh)
     one, seeds = _seed_list(seed)
-    corr, y, x1_end, x2_end = _fbmbt_parts(f, t, mesh, seeds)
+    y = np.array([math.sqrt(t) * float(generator(s, STREAM_Y).standard_normal()) if t else 0.0
+                  for s in seeds])
+    corr, x1_end, x2_end = _euler_sum(f, np.abs(y).tolist(), mesh, seeds)
     f0 = float(f(0.0, 0.0))
     value = np.array([float(f(a, b)) - f0 - c
                       for a, b, c in zip(x1_end.tolist(), x2_end.tolist(), corr.tolist())])

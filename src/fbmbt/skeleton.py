@@ -27,10 +27,6 @@ class SkeletonPath:
     positions: np.ndarray = field(repr=False)
     seed: int
 
-    @property
-    def spacing(self) -> float:
-        return grid_spacing(self.level)
-
 
 @dataclass(frozen=True)
 class CrossingTable:
@@ -138,4 +134,4 @@ def signed_crossings_closed_form(path: SkeletonPath, horizon: int) -> dict[int, 
 def terminal_y(path: SkeletonPath, horizon: int) -> float:
     """Value of Y at the horizon-th stopping time: s_horizon * 2**(-n/2)."""
     horizon = _check_horizon(path, horizon)
-    return float(path.positions[horizon]) * path.spacing
+    return float(path.positions[horizon]) * grid_spacing(path.level)

@@ -6,11 +6,12 @@ increment, times factors of the increment, accumulated with ``math.fsum``.
 One kernel, ``_midpoint_sums``, computes the midpoints and increments of a
 path once and evaluates a table of (partials, increment exponents) terms on
 them; a term whose partials vanish identically (known for monomials when
-they are built) is 0.0 without being evaluated.  Paths run along the last
-axis: on a block of fBm paths (one row per seed) the grid and one-sided
-functionals return one value per row, each the row's own correctly rounded
-fsum.  The gradient and third-order sums take their terms and coefficients
-from ``midpoint_taylor_table``.  Three families live here:
+they are built) is 0.0 without being evaluated.  Every functional returns
+its value: a float for one path.  Paths run along the last axis, and on a
+block of fBm paths (one row per seed) the grid and one-sided functionals
+return one value per row, each the row's own correctly rounded fsum.  The
+gradient and third-order sums take their terms and coefficients from
+``midpoint_taylor_table``.  Three families live here:
 
 * grid statistics over consecutive dyadic indices ``j = 0 .. m-1`` with
   ``m = floor(2**(n/2) * t)``;
@@ -24,14 +25,14 @@ from ``midpoint_taylor_table``.  Three families live here:
 closed form for the net number of traversals of each edge, which only
 depends on the walk through its terminal position j*.  The one-sided forms
 at ``y = j* 2**(-n/2)`` are therefore the skeleton sums themselves, and need
-no walk: the Brownian-clock estimators evaluate them on a drawn j*, while
-the walk-based forms remain as oracles.
+no walk: the Brownian-clock estimators evaluate them on a drawn j*.  The
+walk-based gradient and third-order sums, and their reductions, are kept
+only as test oracles (``tests/test_variations.py``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,19 +44,6 @@ from .skeleton import SkeletonPath
 _TAYLOR = midpoint_taylor_table(3).entries
 # The partials of a power sum's weight: f itself.
 _VALUE = ((0, 0),)
-
-
-@dataclass(frozen=True)
-class VariationStatistic:
-    """One evaluated functional: what it is, on what data, and its value;
-    on a block of paths, ``value`` holds one value per row."""
-
-    kind: str
-    value: float | np.ndarray
-    function: str
-    level: int
-    horizon: float
-    exponents: tuple[int, int] | None = None
 
 
 def _check_exponents(p: int, q: int) -> tuple[int, int]:
@@ -139,22 +127,13 @@ def _grid_values(path: FbmGridPath2D, t: float) -> tuple[np.ndarray, np.ndarray]
     return path.segment(1, 0, m), path.segment(2, 0, m)
 
 
-def o_n(f: TestFunction2D, path: FbmGridPath2D, t: float) -> VariationStatistic:
-    """Midpoint gradient Riemann sum of f along the grid path up to time t."""
-    value = _taylor_sum(f, *_grid_values(path, t), 1)
-    return VariationStatistic("O", value, f.name, path.level, float(t))
-
-
-def v_pq(f: TestFunction2D, path: FbmGridPath2D, t: float, p: int, q: int) -> VariationStatistic:
+def v_pq(f: TestFunction2D, path: FbmGridPath2D, t: float, p: int, q: int) -> float:
     """Weighted (p,q)-power variation, p + q odd."""
     p, q = _check_exponents(p, q)
-    value = _power_sum(f, *_grid_values(path, t), p, q)
-    return VariationStatistic("V", value, f.name, path.level, float(t), (p, q))
+    return _power_sum(f, *_grid_values(path, t), p, q)
 
 
-def v_pq_hermite(
-    f: TestFunction2D, path: FbmGridPath2D, t: float, p: int, q: int
-) -> VariationStatistic:
+def v_pq_hermite(f: TestFunction2D, path: FbmGridPath2D, t: float, p: int, q: int) -> float:
     """Same statistic as ``v_pq`` with each increment power rebuilt from its
     exact Hermite-basis expansion; equal up to roundoff by construction."""
     p, q = _check_exponents(p, q)
@@ -166,20 +145,16 @@ def v_pq_hermite(
                 w = w * hermite_expand(power).evaluate(d * scale) * scale**-power
         return w
 
-    (value,) = _midpoint_sums(f, *_grid_values(path, t), [(_VALUE, (p, q))], rebuilt)
-    return VariationStatistic("V_hermite", value, f.name, path.level, float(t), (p, q))
+    return _midpoint_sums(f, *_grid_values(path, t), [(_VALUE, (p, q))], rebuilt)[0]
 
 
-def v3(f: TestFunction2D, path: FbmGridPath2D, t: float) -> VariationStatistic:
+def v3(f: TestFunction2D, path: FbmGridPath2D, t: float) -> float:
     """Third-order midpoint correction sum: the order-3 part of the midpoint
     expansion of f(path end) - f(path start) along the grid."""
-    value = _taylor_sum(f, *_grid_values(path, t), 3)
-    return VariationStatistic("V3", value, f.name, path.level, float(t))
+    return _taylor_sum(f, *_grid_values(path, t), 3)
 
 
-def k_components(
-    f: TestFunction2D, path: FbmGridPath2D, t: float
-) -> tuple[VariationStatistic, ...]:
+def k_components(f: TestFunction2D, path: FbmGridPath2D, t: float) -> tuple[float, ...]:
     """Chaos-projected pieces K1..K4 of the third-order sum at H = 1/6.
 
     Each increment power is replaced by its top Wiener-chaos part,
@@ -199,13 +174,10 @@ def k_components(
         f, *_grid_values(path, t), [((a,), a) for a in index],
         lambda w, d1, d2, p, q: w * (top_chaos(d1, p) * top_chaos(d2, q)),
     )
-    return tuple(
-        VariationStatistic(f"K{i + 1}", s / float(1 / _TAYLOR[a]), f.name, path.level, float(t))
-        for i, (a, s) in enumerate(zip(index, sums))
-    )
+    return tuple(s / float(1 / _TAYLOR[a]) for a, s in zip(index, sums))
 
 
-def p_n(f: TestFunction2D, path: FbmGridPath2D, t: float) -> VariationStatistic:
+def p_n(f: TestFunction2D, path: FbmGridPath2D, t: float) -> float:
     """Trace remainder of the chaos projection at H = 1/6: the lower-chaos
     part left over when the increment cubes and squares in the third-order
     sum are projected onto their top chaos."""
@@ -213,8 +185,7 @@ def p_n(f: TestFunction2D, path: FbmGridPath2D, t: float) -> VariationStatistic:
     s1, s2 = _midpoint_sums(
         f, *_grid_values(path, t), ((((3, 0), (1, 2)), (1, 0)), (((0, 3), (2, 1)), (0, 1)))
     )
-    value = 0.125 * 2.0 ** (-path.level * path.H) * (s1 + s2)
-    return VariationStatistic("P", value, f.name, path.level, float(t))
+    return 0.125 * 2.0 ** (-path.level * path.H) * (s1 + s2)
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +216,14 @@ def _skeleton_values(
     return fbm.values1[..., pos], fbm.values2[..., pos]
 
 
-def o_tilde_n(
-    f: TestFunction2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float
-) -> VariationStatistic:
-    """Midpoint gradient sum of f along the time-changed path: one term per
-    walk step, weighted at the midpoint of the fBm increment it traverses."""
-    value = _taylor_sum(f, *_skeleton_values(fbm, walk, t), 1)
-    return VariationStatistic("O_tilde", value, f.name, walk.level, float(t))
-
-
 def v_tilde_pq(
     f: TestFunction2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float, p: int, q: int
-) -> VariationStatistic:
-    """Weighted (p,q)-variation along the time-changed path, p + q odd."""
+) -> float:
+    """Weighted (p,q)-variation along the time-changed path, p + q odd: one
+    term per walk step, weighted at the midpoint of the fBm increment it
+    traverses."""
     p, q = _check_exponents(p, q)
-    value = _power_sum(f, *_skeleton_values(fbm, walk, t), p, q)
-    return VariationStatistic("V_tilde", value, f.name, walk.level, float(t), (p, q))
-
-
-def v_tilde_3(
-    f: TestFunction2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float
-) -> VariationStatistic:
-    """Third-order midpoint correction sum along the time-changed path."""
-    value = _taylor_sum(f, *_skeleton_values(fbm, walk, t), 3)
-    return VariationStatistic("V_tilde3", value, f.name, walk.level, float(t))
+    return _power_sum(f, *_skeleton_values(fbm, walk, t), p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +238,20 @@ def _one_sided_values(fbm: FbmGridPath2D, y: float) -> tuple[np.ndarray, np.ndar
     return fbm.segment(1, -m, 0)[..., ::-1], fbm.segment(2, -m, 0)[..., ::-1]
 
 
-def w_pq(f: TestFunction2D, fbm: FbmGridPath2D, y: float, p: int, q: int) -> VariationStatistic:
+def w_pq(f: TestFunction2D, fbm: FbmGridPath2D, y: float, p: int, q: int) -> float:
     """One-sided weighted (p,q)-variation out to signed spatial horizon y."""
     p, q = _check_exponents(p, q)
-    value = _power_sum(f, *_one_sided_values(fbm, y), p, q)
-    return VariationStatistic("W", value, f.name, fbm.level, float(y), (p, q))
+    return _power_sum(f, *_one_sided_values(fbm, y), p, q)
 
 
-def w3(f: TestFunction2D, fbm: FbmGridPath2D, y: float) -> VariationStatistic:
+def w3(f: TestFunction2D, fbm: FbmGridPath2D, y: float) -> float:
     """One-sided third-order midpoint correction sum out to horizon y."""
-    value = _taylor_sum(f, *_one_sided_values(fbm, y), 3)
-    return VariationStatistic("W3", value, f.name, fbm.level, float(y))
+    return _taylor_sum(f, *_one_sided_values(fbm, y), 3)
 
 
-def w_grad(f: TestFunction2D, fbm: FbmGridPath2D, y: float) -> VariationStatistic:
+def w_grad(f: TestFunction2D, fbm: FbmGridPath2D, y: float) -> float:
     """One-sided midpoint gradient sum out to horizon y."""
-    value = _taylor_sum(f, *_one_sided_values(fbm, y), 1)
-    return VariationStatistic("W_grad", value, f.name, fbm.level, float(y))
+    return _taylor_sum(f, *_one_sided_values(fbm, y), 1)
 
 
 def _reduced_segment(
@@ -314,7 +266,7 @@ def _reduced_segment(
 
 def kl_reduce(
     f: TestFunction2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float, p: int, q: int
-) -> VariationStatistic:
+) -> float:
     """Skeleton (p,q)-variation via the net-crossing closed form.
 
     For odd p + q the up and down traversals of an edge contribute with
@@ -324,23 +276,4 @@ def kl_reduce(
     """
     p, q = _check_exponents(p, q)
     v1, v2, sign = _reduced_segment(fbm, walk, t)
-    value = sign * _power_sum(f, v1, v2, p, q) if sign else 0.0
-    return VariationStatistic("V_tilde_reduced", value, f.name, walk.level, float(t), (p, q))
-
-
-def o_tilde_reduced(
-    f: TestFunction2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float
-) -> VariationStatistic:
-    """``o_tilde_n`` via the same net-crossing collapse (gradient weights)."""
-    v1, v2, sign = _reduced_segment(fbm, walk, t)
-    value = sign * _taylor_sum(f, v1, v2, 1) if sign else 0.0
-    return VariationStatistic("O_tilde_reduced", value, f.name, walk.level, float(t))
-
-
-def v_tilde_3_reduced(
-    f: TestFunction2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float
-) -> VariationStatistic:
-    """``v_tilde_3`` via the net-crossing collapse (third-order weights)."""
-    v1, v2, sign = _reduced_segment(fbm, walk, t)
-    value = sign * _taylor_sum(f, v1, v2, 3) if sign else 0.0
-    return VariationStatistic("V_tilde3_reduced", value, f.name, walk.level, float(t))
+    return sign * _power_sum(f, v1, v2, p, q) if sign else 0.0

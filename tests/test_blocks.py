@@ -15,10 +15,10 @@ from fbmbt import rng
 from fbmbt.calculus import get_test_function
 from fbmbt.calculus import test_function_names as function_names
 from fbmbt.experiments import (
-    _terminal_segment,
     draw_correction_fbm,
     draw_o_tilde,
     draw_rhs_fbmbt,
+    draw_skeleton_residual,
     draw_v3,
     draw_v_pq,
     draw_v_tilde_3,
@@ -28,18 +28,31 @@ from fbmbt.fgn import (
     BLOCK_VALUES,
     H_SPECIAL,
     _embedding_sqrt_eig,
+    grid_spacing,
     rho,
     sample_fbm_2d,
     sample_increments,
 )
 from fbmbt.limitlaw import (
+    _euler_sum,
+    _sample,
+    _seed_list,
     sample_change_of_variable_rhs,
     sample_correction_fbm,
-    sample_correction_fbmbt,
 )
 from fbmbt.rng import derive_seed, generator, stream_seed
 from fbmbt.skeleton import sample_terminal
-from fbmbt.variations import _TAYLOR, _VALUE, _grid_count, _midpoint_sums, v3, v_pq, w3, w_grad
+from fbmbt.variations import (
+    _TAYLOR,
+    _VALUE,
+    _grid_count,
+    _midpoint_sums,
+    _step_count,
+    v3,
+    v_pq,
+    w3,
+    w_grad,
+)
 
 SEED = st.integers(min_value=0, max_value=(1 << 64) - 1)
 SEEDS = st.lists(SEED, min_size=1, max_size=40)
@@ -177,11 +190,40 @@ def test_midpoint_sums_rows_equal_one_path_sums(name, rows, length, seed, mirror
         assert [_bits(s[r]) for s in block] == [_bits(s) for s in one]
 
 
+def _terminal_segment(seed, H, n, t):
+    """Terminal walk position j*, its height y, and the fBm between 0 and
+    j*, drawn for one seed alone."""
+    j_star = sample_terminal(n, _step_count(n, t), seed)
+    fbm = sample_fbm_2d(H, n, min(0, j_star), max(0, j_star), seed)
+    return j_star, j_star * grid_spacing(n), fbm
+
+
 def _one_sided(statistic, fname, H, n, t):
     def one(seed):
         _, y, fbm = _terminal_segment(seed, H, n, t)
-        return statistic(get_test_function(fname), fbm, y).value
+        return statistic(get_test_function(fname), fbm, y)
     return one
+
+
+def _residual(fname, H, n, t):
+    """The skeleton residual f(X_{j*}) - f(0) - O_tilde of one seed, as the
+    residual estimator drew it seed by seed."""
+    def one(seed):
+        f = get_test_function(fname)
+        j_star, y, fbm = _terminal_segment(seed, H, n, t)
+        z1, z2 = fbm.value(1, j_star), fbm.value(2, j_star)
+        return float(f(z1, z2)) - float(f(0.0, 0.0)) - w_grad(f, fbm, y)
+    return one
+
+
+def sample_correction_fbmbt(f, t, mesh, seed):
+    """The Brownian-time correction alone: the Euler sum out to |Y_t| that
+    ``sample_change_of_variable_rhs`` subtracts, with Y_t as its time."""
+    one, seeds = _seed_list(seed)
+    y = np.array([math.sqrt(t) * float(generator(s, rng.STREAM_Y).standard_normal()) if t else 0.0
+                  for s in seeds])
+    value, _, _ = _euler_sum(f, np.abs(y).tolist(), mesh, seeds)
+    return _sample(one, value, y)
 
 
 @settings(deadline=None, max_examples=15)
@@ -199,14 +241,15 @@ def test_batched_estimators_equal_one_seed_draws(H, n, fname, seeds):
 
     def horizons(seed):
         fbm = sample_fbm_2d(H, n, -m, m, seed)
-        return [w3(f, fbm, y).value for y in ys]
+        return [w3(f, fbm, y) for y in ys]
 
     cases = [
-        (draw_v3, dict(H=H, n=n, t=t), lambda s: v3(f, sample_fbm_2d(H, n, 0, m, s), t).value),
+        (draw_v3, dict(H=H, n=n, t=t), lambda s: v3(f, sample_fbm_2d(H, n, 0, m, s), t)),
         (draw_v_pq, dict(H=H, n=n, t=t, p=1, q=2),
-         lambda s: v_pq(f, sample_fbm_2d(H, n, 0, m, s), t, 1, 2).value),
+         lambda s: v_pq(f, sample_fbm_2d(H, n, 0, m, s), t, 1, 2)),
         (draw_v_tilde_3, dict(H=H, n=n, t=t), _one_sided(w3, fname, H, n, t)),
         (draw_o_tilde, dict(H=H, n=n, t=t), _one_sided(w_grad, fname, H, n, t)),
+        (draw_skeleton_residual, dict(H=H, n=n, t=t), _residual(fname, H, n, t)),
         (draw_w3_horizons, dict(H=H, n=n, ys=ys), horizons),
         (draw_correction_fbm, dict(t=t, mesh=mesh),
          lambda s: sample_correction_fbm(f, t, mesh, s).value),
@@ -228,8 +271,9 @@ def test_brownian_clock_block_with_each_sign_of_j_star(fname):
     seeds = [derive_seed(5, i) for i in range(40)]
     signs = [np.sign(sample_terminal(n, 4, s)) for s in seeds]
     assert set(signs) == {-1, 0, 1}
-    for draw, statistic in ((draw_v_tilde_3, w3), (draw_o_tilde, w_grad)):
-        one = _one_sided(statistic, fname, H_SPECIAL, n, t)
+    for draw, one in ((draw_v_tilde_3, _one_sided(w3, fname, H_SPECIAL, n, t)),
+                      (draw_o_tilde, _one_sided(w_grad, fname, H_SPECIAL, n, t)),
+                      (draw_skeleton_residual, _residual(fname, H_SPECIAL, n, t))):
         values = draw(seeds, H=H_SPECIAL, n=n, t=t, fname=fname)
         for value, seed, sign in zip(values, seeds, signs):
             assert _bits(value) == _bits(one(seed))

@@ -11,10 +11,20 @@ from fbmbt.limitlaw import (
     kappa_constants,
     sample_change_of_variable_rhs,
     sample_correction_fbm,
-    sample_correction_fbmbt,
 )
 from fbmbt.rng import derive_seed, generator
 from fbmbt.stats import ks_two_sample
+
+
+def sample_correction_fbmbt(f, t, mesh, seed):
+    """The Brownian-time correction alone: the Euler sum out to |Y_t| that
+    ``sample_change_of_variable_rhs`` subtracts, with Y_t as its time."""
+    one, seeds = limitlaw._seed_list(seed)
+    y = np.array([math.sqrt(t) * float(generator(s, rng.STREAM_Y).standard_normal()) if t else 0.0
+                  for s in seeds])
+    value, _, _ = limitlaw._euler_sum(f, np.abs(y).tolist(), mesh, seeds)
+    return limitlaw._sample(one, value, y)
+
 
 # Reference: the four-Brownian-motion Euler sum the samplers drew before
 # they drew it as one conditional normal, kept to check that the law is
@@ -52,7 +62,7 @@ def _reference_rhs_fbmbt(f, t, mesh, seed):
 
 def test_kappa_values():
     kap = default_kappas()
-    s = kap.series.value
+    s = kap.series.partial_sum
     assert kap.kappa1 == pytest.approx(math.sqrt(s / 96.0))
     assert kap.kappa2 == kap.kappa1
     assert kap.kappa3 == pytest.approx(math.sqrt(s / 32.0))

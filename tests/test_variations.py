@@ -13,17 +13,16 @@ from fbmbt.experiments import THRESHOLDS
 from fbmbt.fgn import grid_spacing, sample_fbm_2d
 from fbmbt.skeleton import sample_skeleton, terminal_y
 from fbmbt.variations import (
+    _grid_values,
+    _reduced_segment,
+    _skeleton_values,
+    _taylor_sum,
     k_components,
     kl_reduce,
-    o_n,
-    o_tilde_n,
-    o_tilde_reduced,
     p_n,
     v3,
     v_pq,
     v_pq_hermite,
-    v_tilde_3,
-    v_tilde_3_reduced,
     v_tilde_pq,
     w3,
     w_grad,
@@ -31,6 +30,38 @@ from fbmbt.variations import (
 )
 
 H6 = 1.0 / 6.0
+
+
+# Reference-only forms: the gradient and third-order sums on the grid, along
+# the walk and through the net-crossing collapse.  No estimator reads them;
+# they check the one-sided forms the Brownian-clock estimators use.
+
+
+def o_n(f, path, t):
+    """Midpoint gradient Riemann sum of f along the grid path up to time t."""
+    return _taylor_sum(f, *_grid_values(path, t), 1)
+
+
+def o_tilde_n(f, fbm, walk, t):
+    """Midpoint gradient sum of f along the time-changed path."""
+    return _taylor_sum(f, *_skeleton_values(fbm, walk, t), 1)
+
+
+def v_tilde_3(f, fbm, walk, t):
+    """Third-order midpoint correction sum along the time-changed path."""
+    return _taylor_sum(f, *_skeleton_values(fbm, walk, t), 3)
+
+
+def o_tilde_reduced(f, fbm, walk, t):
+    """``o_tilde_n`` via the net-crossing collapse (gradient weights)."""
+    v1, v2, sign = _reduced_segment(fbm, walk, t)
+    return sign * _taylor_sum(f, v1, v2, 1) if sign else 0.0
+
+
+def v_tilde_3_reduced(f, fbm, walk, t):
+    """``v_tilde_3`` via the net-crossing collapse (third-order weights)."""
+    v1, v2, sign = _reduced_segment(fbm, walk, t)
+    return sign * _taylor_sum(f, v1, v2, 3) if sign else 0.0
 
 
 def _rel(a, b):
@@ -46,22 +77,21 @@ def test_o_n_linear_function_telescopes():
     path = _path()
     f = get_test_function("x")
     m = int(math.floor(2.0**4 * 1.0))
-    stat = o_n(f, path, 1.0)
-    assert stat.value == pytest.approx(path.value(1, m), rel=1e-12)
+    assert o_n(f, path, 1.0) == pytest.approx(path.value(1, m), rel=1e-12)
 
 
 def test_o_n_sum_of_coordinates():
     path = _path()
     f = get_test_function("y")
     m = 16
-    assert o_n(f, path, 1.0).value == pytest.approx(path.value(2, m), rel=1e-12)
+    assert o_n(f, path, 1.0) == pytest.approx(path.value(2, m), rel=1e-12)
 
 
 def test_v_pq_constant_weight_is_power_sum():
     path = _path()
     f = get_test_function("1")
     d = np.diff(path.segment(1, 0, 16))
-    assert v_pq(f, path, 1.0, 3, 0).value == pytest.approx(
+    assert v_pq(f, path, 1.0, 3, 0) == pytest.approx(
         math.fsum(d**3), rel=1e-12
     )
 
@@ -79,7 +109,7 @@ def test_v3_vanishes_for_quadratics():
     path = _path()
     for name in ("1", "x", "y", "x^2", "x*y", "y^2"):
         f = get_test_function(name)
-        assert v3(f, path, 1.0).value == 0.0
+        assert v3(f, path, 1.0) == 0.0
 
 
 def test_v3_cubic_closed_form():
@@ -87,16 +117,16 @@ def test_v3_cubic_closed_form():
     path = _path()
     f = get_test_function("x^3")
     d = np.diff(path.segment(1, 0, 16))
-    assert v3(f, path, 1.0).value == pytest.approx(0.25 * math.fsum(d**3), rel=1e-12)
+    assert v3(f, path, 1.0) == pytest.approx(0.25 * math.fsum(d**3), rel=1e-12)
 
 
 def test_chaos_split_identity():
     path = sample_fbm_2d(H6, 8, 0, 16, 77)
     for name in ("x^3", "x*y^2", "sin_x_cos_y", "bump"):
         f = get_test_function(name)
-        lhs = v3(f, path, 1.0).value
+        lhs = v3(f, path, 1.0)
         ks = k_components(f, path, 1.0)
-        rhs = math.fsum(k.value for k in ks) + p_n(f, path, 1.0).value
+        rhs = math.fsum(ks) + p_n(f, path, 1.0)
         assert _rel(lhs, rhs) < 1e-12
 
 
@@ -114,8 +144,8 @@ def test_hermite_route_matches_direct():
     for name in ("x^3", "sin_x_cos_y"):
         f = get_test_function(name)
         for p, q in ((1, 0), (3, 0), (1, 2), (2, 3)):
-            a = v_pq(f, path, 1.0, p, q).value
-            b = v_pq_hermite(f, path, 1.0, p, q).value
+            a = v_pq(f, path, 1.0, p, q)
+            b = v_pq_hermite(f, path, 1.0, p, q)
             assert _rel(a, b) < 1e-12
 
 
@@ -129,21 +159,21 @@ def test_skeleton_statistics_and_reductions():
         fbm = sample_fbm_2d(0.3, n, int(visited.min()), int(visited.max()), seed)
         f = get_test_function("sin_x_cos_y")
         for p, q in ((1, 0), (3, 0), (1, 2)):
-            vt = v_tilde_pq(f, fbm, walk, t, p, q).value
-            red = kl_reduce(f, fbm, walk, t, p, q).value
+            vt = v_tilde_pq(f, fbm, walk, t, p, q)
+            red = kl_reduce(f, fbm, walk, t, p, q)
             assert _rel(vt, red) < 1e-12
-            wv = w_pq(f, fbm, terminal_y(walk, m), p, q).value
+            wv = w_pq(f, fbm, terminal_y(walk, m), p, q)
             assert _rel(vt, wv) < 1e-12
-        o_red = o_tilde_reduced(f, fbm, walk, t).value
-        v3_red = v_tilde_3_reduced(f, fbm, walk, t).value
-        assert _rel(o_tilde_n(f, fbm, walk, t).value, o_red) < 1e-12
-        assert _rel(v_tilde_3(f, fbm, walk, t).value, v3_red) < 1e-12
+        o_red = o_tilde_reduced(f, fbm, walk, t)
+        v3_red = v_tilde_3_reduced(f, fbm, walk, t)
+        assert _rel(o_tilde_n(f, fbm, walk, t), o_red) < 1e-12
+        assert _rel(v_tilde_3(f, fbm, walk, t), v3_red) < 1e-12
         # The one-sided forms the Brownian-clock draws use, at y = j* 2^{-n/2}
         # (equal up to the last bit: the j* < 0 side sums the mirrored path).
         j_star = int(walk.positions[m])
         y = j_star * grid_spacing(n)
-        assert w_grad(f, fbm, y).value == pytest.approx(o_red, rel=1e-12, abs=0.0)
-        assert w3(f, fbm, y).value == pytest.approx(v3_red, rel=1e-12, abs=0.0)
+        assert w_grad(f, fbm, y) == pytest.approx(o_red, rel=1e-12, abs=0.0)
+        assert w3(f, fbm, y) == pytest.approx(v3_red, rel=1e-12, abs=0.0)
         signs.add((n, int(np.sign(j_star))))
     assert signs == {(n, sign) for n in (7, 8) for sign in (-1, 0, 1)}
 
@@ -163,16 +193,16 @@ def test_reductions_equal_skeleton_sum(H, n, t, seed, name, pq):
     walk = sample_skeleton(n, m, seed)
     visited = walk.positions[: m + 1]
     fbm = sample_fbm_2d(H, n, int(visited.min()), int(visited.max()), seed)
-    vt = v_tilde_pq(f, fbm, walk, t, *pq).value
+    vt = v_tilde_pq(f, fbm, walk, t, *pq)
     tol = THRESHOLDS["identity_rel"]
-    assert _rel(vt, kl_reduce(f, fbm, walk, t, *pq).value) <= tol
-    assert _rel(vt, w_pq(f, fbm, terminal_y(walk, m), *pq).value) <= tol
+    assert _rel(vt, kl_reduce(f, fbm, walk, t, *pq)) <= tol
+    assert _rel(vt, w_pq(f, fbm, terminal_y(walk, m), *pq)) <= tol
 
 
 def test_w3_at_zero_horizon():
     fbm = _path(lo=-8, hi=8)
     f = get_test_function("sin_x_cos_y")
-    assert w3(f, fbm, 0.0).value == 0.0
+    assert w3(f, fbm, 0.0) == 0.0
 
 
 def test_w_pq_negative_horizon_uses_mirrored_path():
@@ -180,7 +210,7 @@ def test_w_pq_negative_horizon_uses_mirrored_path():
     f = get_test_function("1")
     v = fbm.segment(1, -16, 0)[::-1]
     want = math.fsum(np.diff(v) ** 3)
-    assert w_pq(f, fbm, -1.0, 3, 0).value == pytest.approx(want, rel=1e-12)
+    assert w_pq(f, fbm, -1.0, 3, 0) == pytest.approx(want, rel=1e-12)
 
 
 def test_level_mismatch_rejected():
@@ -210,14 +240,14 @@ def test_uncovered_grid_rejected():
         v_tilde_pq(f, fbm, walk, 1.0, 1, 0)
 
 
-def test_statistic_metadata():
-    path = _path()
+def test_statistics_return_plain_values():
+    # A float for one path, one value per row for a block of paths.
     f = get_test_function("x^3")
-    stat = v_pq(f, path, 0.5, 3, 0)
-    assert stat.kind == "V"
-    assert stat.function == "x^3"
-    assert stat.level == 8
-    assert stat.exponents == (3, 0)
+    one = v_pq(f, _path(), 0.5, 3, 0)
+    assert type(one) is float
+    block = v_pq(f, sample_fbm_2d(0.3, 8, 0, 16, [1, 2, 3]), 0.5, 3, 0)
+    assert block.shape == (3,) and block[0] == one
+    assert all(type(k) is float for k in k_components(f, _path(H=H6), 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +332,14 @@ def test_grid_statistics_bitwise_equal_reference(name):
     path = sample_fbm_2d(H6, 8, 0, 16, 5)
     for t in (1.0, 0.4, 0.01):  # 16, 6 and 0 increments
         v1, v2 = path.segment(1, 0, int(16 * t)), path.segment(2, 0, int(16 * t))
-        assert o_n(f, path, t).value == _ref_gradient(f, v1, v2)
-        assert v3(f, path, t).value == _ref_third_order(f, v1, v2)
+        assert o_n(f, path, t) == _ref_gradient(f, v1, v2)
+        assert v3(f, path, t) == _ref_third_order(f, v1, v2)
         for p, q in ORACLE_EXPONENTS:
-            assert v_pq(f, path, t, p, q).value == _ref_series(f, v1, v2, p, q)
-            assert v_pq_hermite(f, path, t, p, q).value == _ref_hermite(f, path, v1, v2, p, q)
-        ks = [k.value for k in k_components(f, path, t)]
+            assert v_pq(f, path, t, p, q) == _ref_series(f, v1, v2, p, q)
+            assert v_pq_hermite(f, path, t, p, q) == _ref_hermite(f, path, v1, v2, p, q)
+        ks = list(k_components(f, path, t))
         assert ks == _ref_k_components(f, path, v1, v2)
-        assert p_n(f, path, t).value == _ref_p_n(f, path, v1, v2)
+        assert p_n(f, path, t) == _ref_p_n(f, path, v1, v2)
 
 
 @pytest.mark.parametrize("name", ORACLE_FUNCTIONS)
@@ -322,10 +352,10 @@ def test_one_sided_statistics_bitwise_equal_reference(name):
             v1, v2 = fbm.segment(1, 0, m), fbm.segment(2, 0, m)
         else:
             v1, v2 = fbm.segment(1, -m, 0)[::-1], fbm.segment(2, -m, 0)[::-1]
-        assert w_grad(f, fbm, y).value == _ref_gradient(f, v1, v2)
-        assert w3(f, fbm, y).value == _ref_third_order(f, v1, v2)
+        assert w_grad(f, fbm, y) == _ref_gradient(f, v1, v2)
+        assert w3(f, fbm, y) == _ref_third_order(f, v1, v2)
         for p, q in ORACLE_EXPONENTS:
-            assert w_pq(f, fbm, y, p, q).value == _ref_series(f, v1, v2, p, q)
+            assert w_pq(f, fbm, y, p, q) == _ref_series(f, v1, v2, p, q)
 
 
 @pytest.mark.parametrize("name", ORACLE_FUNCTIONS)
@@ -338,22 +368,22 @@ def test_skeleton_statistics_bitwise_equal_reference(name):
         idx = walk.positions
         fbm = sample_fbm_2d(0.3, n, int(idx.min()), int(idx.max()), seed)
         v1, v2 = fbm.values1[idx - fbm.j_min], fbm.values2[idx - fbm.j_min]
-        assert o_tilde_n(f, fbm, walk, t).value == _ref_gradient(f, v1, v2)
-        assert v_tilde_3(f, fbm, walk, t).value == _ref_third_order(f, v1, v2)
+        assert o_tilde_n(f, fbm, walk, t) == _ref_gradient(f, v1, v2)
+        assert v_tilde_3(f, fbm, walk, t) == _ref_third_order(f, v1, v2)
         j_star = int(idx[m])
         sign = int(np.sign(j_star))
         signs.add(sign)
         lo, hi = min(0, j_star), max(0, j_star)
         r1, r2 = fbm.segment(1, lo, hi), fbm.segment(2, lo, hi)
-        assert o_tilde_reduced(f, fbm, walk, t).value == (
+        assert o_tilde_reduced(f, fbm, walk, t) == (
             sign * _ref_gradient(f, r1, r2) if sign else 0.0
         )
-        assert v_tilde_3_reduced(f, fbm, walk, t).value == (
+        assert v_tilde_3_reduced(f, fbm, walk, t) == (
             sign * _ref_third_order(f, r1, r2) if sign else 0.0
         )
         for p, q in ORACLE_EXPONENTS:
-            assert v_tilde_pq(f, fbm, walk, t, p, q).value == _ref_series(f, v1, v2, p, q)
-            assert kl_reduce(f, fbm, walk, t, p, q).value == (
+            assert v_tilde_pq(f, fbm, walk, t, p, q) == _ref_series(f, v1, v2, p, q)
+            assert kl_reduce(f, fbm, walk, t, p, q) == (
                 sign * _ref_series(f, r1, r2, p, q) if sign else 0.0
             )
     assert signs == {-1, 0, 1}
@@ -372,7 +402,7 @@ def test_v3_of_cube_evaluates_only_its_live_partial(monkeypatch):
         if fn is not counted_zero:
             f._partials[key] = lambda x, y, key=key, fn=fn: (evaluated.append(key), fn(x, y))[1]
     path = sample_fbm_2d(H6, 8, 0, 16, 1)
-    assert v3(f, path, 1.0).value == v3(get_test_function("x^3"), path, 1.0).value
+    assert v3(f, path, 1.0) == v3(get_test_function("x^3"), path, 1.0)
     assert evaluated == [(3, 0)]
     evaluated.clear()
     k_components(f, path, 1.0)
