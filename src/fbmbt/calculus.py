@@ -3,14 +3,16 @@
 Probabilists' Hermite polynomials, the exact Hermite-basis expansion of
 monomials, the midpoint (second-order-centered) odd-order Taylor coefficient
 table, and a small catalog of smooth two-variable test functions carrying
-oracles for all partial derivatives up to total order three.
+oracles for all partial derivatives up to total order three.  A monomial
+records, when it is built, which of its partials vanish identically and
+which are constant, with their values.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -131,11 +133,14 @@ def _zero_partial(x, y):
 
 @dataclass(frozen=True)
 class TestFunction2D:
-    """Smooth f(x, y) together with all partials up to total order 3."""
+    """Smooth f(x, y) together with all partials up to total order 3.
+    ``_constants`` maps each partial known to be a nonzero constant to its
+    value."""
 
     name: str
     bounded: bool
     _partials: dict[tuple[int, int], Callable]
+    _constants: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def __call__(self, x, y):
         return self._partials[(0, 0)](x, y)
@@ -152,6 +157,13 @@ class TestFunction2D:
     def vanishes(self, a1: int, a2: int) -> bool:
         """True when the (a1, a2) partial is identically zero."""
         return self.partial(a1, a2) is _zero_partial
+
+    def constant(self, a1: int, a2: int) -> float | None:
+        """The value of the (a1, a2) partial when it is known to be
+        constant (0.0 when it vanishes), else None."""
+        if self.vanishes(a1, a2):
+            return 0.0
+        return self._constants.get((a1, a2))
 
 
 def _sin_x_cos_y_function() -> TestFunction2D:
@@ -230,7 +242,10 @@ def _monomial_function(a: int, b: int) -> TestFunction2D:
         return deriv
 
     partials = {(a1, a2): make(a1, a2) for a1 in range(4) for a2 in range(4 - a1)}
-    return TestFunction2D(name=name, bounded=(a == 0 and b == 0), _partials=partials)
+    # The (a, b) partial of x^a y^b is the constant a! b!, carried when a + b <= 3.
+    constants = {(a, b): float(math.factorial(a) * math.factorial(b))} if a + b <= 3 else {}
+    return TestFunction2D(name=name, bounded=(a == 0 and b == 0), _partials=partials,
+                          _constants=constants)
 
 
 def _monomial_name(a: int, b: int) -> str:

@@ -13,6 +13,7 @@ level so they can be shipped to worker processes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +22,18 @@ from functools import partial
 import numpy as np
 
 from .calculus import get_test_function, midpoint_taylor_table, test_function_names
-from .fgn import H_SPECIAL, _blocks, grid_spacing, rho, sample_fbm_2d, sum_rho_cubed
+from .fgn import (
+    H_SPECIAL,
+    FbmGridPath2D,
+    _anchored_values,
+    _blocks,
+    _increment_rows,
+    _padded_size,
+    grid_spacing,
+    rho,
+    sample_fbm_2d,
+    sum_rho_cubed,
+)
 from .limitlaw import (
     default_kappas,
     kappa_constants,
@@ -159,17 +171,33 @@ def draw_v3(seeds, *, H, n, t, fname):
 
 def _one_sided_draws(statistic, seeds, H, n, t, fname) -> np.ndarray:
     """``statistic(f, fbm, y)`` on the fBm segment between 0 and each seed's
-    terminal position j*, out to y = j* 2^{-n/2}.  Every j* is drawn first;
-    seeds that share j* share a segment, so they are drawn as one block."""
+    terminal position j*, out to y = j* 2^{-n/2}.  Every j* is drawn first.
+    Seeds whose |j*| pad to one power of two share one fGn draw of that
+    size, in chunks of ``_blocks``, sorted so that the seeds of one j* are
+    consecutive rows.  Each j*'s segments are the first |j*| increments of
+    its rows, cumulated and anchored at index -min(0, j*) as
+    ``sample_fbm_2d`` does, so each value is the one its seed gives alone;
+    the statistic runs once per j* in a chunk."""
     f, steps = get_test_function(fname), _step_count(n, t)
-    rows: dict[int, list[int]] = {}
-    for i, seed in enumerate(seeds):
-        rows.setdefault(sample_terminal(n, steps, seed), []).append(i)
+    j_stars = [sample_terminal(n, steps, seed) for seed in seeds]
+    padded: dict[int, list[int]] = {}
+    for i in sorted(range(len(seeds)), key=j_stars.__getitem__):
+        padded.setdefault(_padded_size(abs(j_stars[i])), []).append(i)
     out = np.empty(len(seeds))
-    for j_star, idx in rows.items():
-        for block in _blocks(idx, abs(j_star)):
-            fbm = sample_fbm_2d(H, n, min(0, j_star), max(0, j_star), [seeds[i] for i in block])
-            out[block] = statistic(f, fbm, j_star * grid_spacing(n))
+    for size, idx in padded.items():
+        for block in _blocks(idx, size):
+            incs = _increment_rows(H, n, size, [seeds[i] for i in block])
+            lo = 0
+            for j_star, run in itertools.groupby(block, key=j_stars.__getitem__):
+                hi = lo + len(list(run))
+                j_min, rows = min(0, j_star), hi - lo
+                values = _anchored_values(
+                    incs[np.r_[lo:hi, lo + len(block) : hi + len(block)], : abs(j_star)],
+                    j_min, abs(j_star))
+                fbm = FbmGridPath2D(float(H), n, j_min, max(0, j_star), values[:rows],
+                                    values[rows:], tuple(seeds[i] for i in block[lo:hi]))
+                out[block[lo:hi]] = statistic(f, fbm, j_star * grid_spacing(n))
+                lo = hi
     return out
 
 
@@ -304,17 +332,8 @@ def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
     """Max relative deviation of each exact identity on one random instance,
     in ``_IDENTITIES`` order."""
     rng = np.random.default_rng(seed)
-
-    # (a) crossing counts: brute force vs closed form, integer exact.  Only
-    # the first ``horizon`` steps are read, and a shorter walk is a prefix of
-    # a longer one on the same stream, so the walk is drawn up to the horizon.
     steps = 1 << int(rng.integers(4, 21))
     horizon = int(rng.integers(0, steps + 1))
-    walk_a = sample_skeleton(8, horizon, seed)
-    brute = crossings_bruteforce(walk_a, horizon).signed()
-    closed = signed_crossings_closed_form(walk_a, horizon)
-    crossings = 0.0 if brute == closed else 1.0
-
     H = float(rng.uniform(0.05, 0.48))
     n = int(rng.integers(4, 13))
     t = float(rng.uniform(0.2, 1.5))
@@ -322,10 +341,19 @@ def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
     p, q = [(1, 0), (0, 1), (3, 0), (0, 3), (1, 2), (2, 1), (5, 0), (2, 3)][
         int(rng.integers(0, 8))
     ]
+    # (a) reads the first ``horizon`` steps of the walk and (b), (c) the
+    # first m.  A shorter walk is a prefix of a longer one on the same
+    # stream, so one walk of the longer length serves both.
+    m = _step_count(n, t)
+    walk = sample_skeleton(n, max(horizon, m), seed)
+
+    # (a) crossing counts: brute force vs closed form, integer exact.  The
+    # count reads the positions only, never the level.
+    brute = crossings_bruteforce(walk, horizon).signed()
+    closed = signed_crossings_closed_form(walk, horizon)
+    crossings = 0.0 if brute == closed else 1.0
 
     # (b), (c): skeleton sum vs crossing reduction vs one-sided form.
-    m = _step_count(n, t)
-    walk = sample_skeleton(n, m, seed)
     visited = walk.positions[: m + 1]
     fbm = sample_fbm_2d(H, n, int(visited.min()), int(visited.max()), seed)
     vt = v_tilde_pq(f, fbm, walk, t, p, q)

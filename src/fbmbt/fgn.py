@@ -180,6 +180,11 @@ def _blocks(items: list, count: int) -> list[list]:
     return [items[i : i + step] for i in range(0, len(items), step)]
 
 
+def _padded_size(count: int) -> int:
+    """The power of two a draw of ``count`` increments pads to; 0 for none."""
+    return 1 << (count - 1).bit_length() if count else 0
+
+
 @functools.lru_cache(maxsize=16)
 def _embedding_sqrt_eig(H: float, size: int) -> np.ndarray:
     """sqrt of the first size + 1 circulant-embedding eigenvalues for
@@ -241,8 +246,29 @@ def sample_increments(H: float, spacing: float, size: int, rng) -> np.ndarray:
             w[:, 0] *= math.sqrt(2.0)
             w[:, size] *= math.sqrt(2.0)
             w *= sq
-            out[lo : lo + len(chunk)] = np.fft.hfft(w, n=m)[:, :size] * scale
+            # hfft(w, m) is irfft(conj(w), m, norm="forward"); run in place
+            # of w and of the normals, it makes no temporaries.
+            np.fft.irfft(np.conjugate(w, out=w), n=m, norm="forward", out=v)
+            np.multiply(v[:, :size], scale, out=out[lo : lo + len(chunk)])
     return out[0] if one else out
+
+
+def _increment_rows(H: float, n: int, size: int, seeds: list[int]) -> np.ndarray:
+    """``size`` level-n increments of each component of each seed: the X^1
+    rows of every seed, then their X^2 rows, each from its own stream."""
+    rngs = [generator(s, stream) for stream in (STREAM_X1, STREAM_X2) for s in seeds]
+    return sample_increments(H, grid_spacing(n), size, rngs)
+
+
+def _anchored_values(incs: np.ndarray, j_min: int, count: int) -> np.ndarray:
+    """Rows of path values on ``count`` + 1 grid points from the first
+    ``count`` increments of each row, anchored to 0 at index -j_min.  The
+    values start at 0, so j_min = 0 needs no anchoring (v - 0.0 is v)."""
+    values = np.zeros((len(incs), count + 1))
+    np.cumsum(incs[:, :count], axis=1, out=values[:, 1:])
+    if j_min:
+        values = values - values[:, -j_min, None]
+    return values
 
 
 def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed) -> FbmGridPath2D:
@@ -266,15 +292,9 @@ def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed) -> FbmGridPath
     one = np.ndim(seed) == 0
     seeds = [int(seed)] if one else [int(s) for s in seed]
     # Pad to the next power of two so the factorization caches are shared
-    # across replications with slightly different realized ranges.
-    padded = 1 << max(0, (count - 1).bit_length()) if count else 0
-    # Both components of every seed are rows of one draw.
-    rngs = [generator(s, stream) for stream in (STREAM_X1, STREAM_X2) for s in seeds]
-    values = np.zeros((len(rngs), count + 1))
-    if count:
-        incs = sample_increments(H, grid_spacing(n), padded, rngs)
-        np.cumsum(incs[:, :count], axis=1, out=values[:, 1:])
-        values = values - values[:, -j_min, None]
+    # across replications with slightly different realized ranges.  Both
+    # components of every seed are rows of one draw.
+    values = _anchored_values(_increment_rows(H, n, _padded_size(count), seeds), j_min, count)
     values1, values2 = values[: len(seeds)], values[len(seeds) :]
     return FbmGridPath2D(
         H=H,

@@ -23,7 +23,11 @@ sum of independent centred normals, so it is exactly
 
 and it is drawn that way.  Being a centred normal given X and Y, the
 correction has the same joint law with either orientation, so the side of 0
-that Y_t falls on does not change its sign.
+that Y_t falls on does not change its sign.  When every g_i is constant
+(a monomial of total degree at most three, such as x^3 or x y^2) the weight
+is one number c = sum_i kappa_i^2 g_i^2, X cannot reach the value, and
+``sample_correction_fbm`` draws no X: its value is sqrt(h fsum([c] * K)) * N
+on the same normal N, bit for bit the value drawn along X.
 
 Euler grids use K = max(1, round(|horizon| / mesh)) uniform steps of exact
 size h = |horizon| / K, so the grid always lands exactly on the endpoint; the
@@ -47,7 +51,9 @@ from .calculus import TestFunction2D
 from .fgn import (
     H_SPECIAL,
     RhoSeriesResult,
+    _anchored_values,
     _blocks,
+    _padded_size,
     check_special_hurst,
     sample_increments,
     sum_rho_cubed,
@@ -105,6 +111,23 @@ class CorrectionSample:
 _INTEGRAND_TERMS = ((3, 0), (0, 3), (2, 1), (1, 2))
 
 
+def _conditional_normal(h: float, weights: list[float], seed: int) -> float:
+    """sqrt(h * fsum(weights)) * N, N the seed's ``STREAM_B`` normal: the
+    Euler value of the correction given the squared weights along X."""
+    z = float(generator(seed, STREAM_B).standard_normal())
+    # sqrt(0) * z is -0.0 for z < 0; adding 0.0 makes it +0.0.
+    return math.sqrt(h * math.fsum(weights)) * z + 0.0
+
+
+def _constant_weight(f: TestFunction2D) -> float | None:
+    """sum_i kappa_i^2 g_i^2 when every integrand g_i is constant, added in
+    the order and with the operations of ``_euler_sum``'s weight; else None."""
+    values = [f.constant(a1, a2) for a1, a2 in _INTEGRAND_TERMS]
+    if None in values:
+        return None
+    return sum(kappa**2 * g**2 for kappa, g in zip(default_kappas().as_tuple, values))
+
+
 def _euler_sum(
     f: TestFunction2D,
     lengths: list[float],
@@ -126,7 +149,7 @@ def _euler_sum(
     padded: dict[int, list[int]] = {}
     for i, length in enumerate(lengths):
         if length:
-            padded.setdefault(1 << (steps[i] - 1).bit_length(), []).append(i)
+            padded.setdefault(_padded_size(steps[i]), []).append(i)
     for size, idx in padded.items():
         for block in _blocks(idx, size):
             rngs = [generator(seeds[i], stream) for stream in (STREAM_X1, STREAM_X2)
@@ -134,8 +157,7 @@ def _euler_sum(
             h = [lengths[i] / steps[i] for i in block]
             incs = sample_increments(H_SPECIAL, 1.0, size, rngs)
             incs *= np.array([hr**H_SPECIAL for hr in h] * 2)[:, None]
-            x = np.zeros((len(rngs), size + 1))
-            np.cumsum(incs, axis=1, out=x[:, 1:])
+            x = _anchored_values(incs, 0, size)
             x1, x2 = x[: len(block)], x[len(block) :]
             weight = sum(
                 kappa**2
@@ -145,9 +167,7 @@ def _euler_sum(
             weight = np.broadcast_to(weight, (len(block), size)).tolist()
             for r, i in enumerate(block):
                 k = steps[i]
-                z = float(generator(seeds[i], STREAM_B).standard_normal())
-                # sqrt(0) * z is -0.0 for z < 0; adding 0.0 makes it +0.0.
-                out[0, i] = math.sqrt(h[r] * math.fsum(weight[r][:k])) * z + 0.0
+                out[0, i] = _conditional_normal(h[r], weight[r][:k], seeds[i])
                 out[1, i], out[2, i] = x1[r, k], x2[r, k]
     return out[0], out[1], out[2]
 
@@ -179,10 +199,17 @@ def sample_correction_fbm(
     seed: int | list[int],
 ) -> CorrectionSample:
     """One draw of the limiting correction for the fBm clock run to time t.
-    A sequence of seeds gives a block: ``value`` holds one draw per seed."""
+    A sequence of seeds gives a block: ``value`` holds one draw per seed.
+    When every integrand is constant no X is drawn: the value is the same
+    normal times the same square root, with the weight c on all K steps."""
     _check_args(t, mesh)
     one, seeds = _seed_list(seed)
-    value, _, _ = _euler_sum(f, [t] * len(seeds), mesh, seeds)
+    c = _constant_weight(f)
+    if c is None:
+        value, _, _ = _euler_sum(f, [t] * len(seeds), mesh, seeds)
+    else:
+        k = max(1, round(t / mesh))
+        value = np.array([_conditional_normal(t / k, [c] * k, s) if t else 0.0 for s in seeds])
     return _sample(one, value, float(t))
 
 

@@ -67,18 +67,18 @@ def sample_skeleton(level: int, steps: int, seed: int) -> SkeletonPath:
     level = check_level(level)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    rng = generator(seed, STREAM_WALK)
     # The top bit of each 32-bit word is exactly what integers(0, 2) draws
     # from the same word, so the stream is unchanged and shorter walks are
-    # prefixes of longer ones.
-    bits = rng.integers(0, 1 << 32, size=steps, dtype=np.uint32)
-    bits >>= 31
-    jumps = bits.view(np.int32)
-    jumps *= 2
-    jumps -= 1
+    # prefixes of longer ones.  The words are those integers(0, 2**32,
+    # dtype=uint32) hands out: each raw 64-bit output, low half first.
+    raw = generator(seed, STREAM_WALK).bit_generator.random_raw((steps + 1) // 2)
     positions = np.empty(steps + 1, dtype=np.int64)
     positions[0] = 0
-    np.cumsum(jumps, out=positions[1:])
+    jumps = positions[1:]
+    np.right_shift(raw.view(np.uint32)[:steps], 31, out=jumps)
+    jumps *= 2
+    jumps -= 1
+    np.cumsum(positions, out=positions)
     return SkeletonPath(level=level, steps=int(steps), positions=positions, seed=int(seed))
 
 
@@ -107,17 +107,15 @@ def crossings_bruteforce(path: SkeletonPath, horizon: int) -> CrossingTable:
     horizon = _check_horizon(path, horizon)
     if horizon == 0:
         return CrossingTable(j_lo=0, up=np.zeros(0, np.int64), down=np.zeros(0, np.int64), horizon=0)
-    a = path.positions[:horizon]
-    b = path.positions[1 : horizon + 1]
-    slot = np.minimum(a, b)  # step over edge [j, j+1] has min(a,b) = j
-    j_lo = int(slot.min())
-    width = int(slot.max()) - j_lo + 1
-    # One count per (edge, direction): slot 2*(j - j_lo) is down, +1 is up.
-    slot -= j_lo
-    slot *= 2
-    slot += b > a
-    counts = np.bincount(slot, minlength=2 * width)
-    return CrossingTable(j_lo=j_lo, up=counts[1::2], down=counts[::2], horizon=horizon)
+    # A step from a to b = a +- 1 keys as 3a + b: 4j + 1 for an up-step over
+    # the edge [j, j+1], 4j + 3 for a down-step over it.
+    key = path.positions[:horizon] * 3
+    key += path.positions[1 : horizon + 1]
+    j_lo = (int(key.min()) - 1) // 4
+    width = (int(key.max()) - 1) // 4 - j_lo + 1
+    key -= 4 * j_lo + 1
+    counts = np.bincount(key, minlength=4 * width)
+    return CrossingTable(j_lo=j_lo, up=counts[::4], down=counts[2::4], horizon=horizon)
 
 
 def signed_crossings_closed_form(path: SkeletonPath, horizon: int) -> dict[int, int]:

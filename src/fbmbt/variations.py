@@ -99,13 +99,15 @@ def _midpoint_sums(
         return sums
     mid1 = 0.5 * (v1[..., :-1] + v1[..., 1:])
     mid2 = 0.5 * (v2[..., :-1] + v2[..., 1:])
-    d1, d2 = np.diff(v1), np.diff(v2)
+    d1, d2 = v1[..., 1:] - v1[..., :-1], v2[..., 1:] - v2[..., :-1]
     for i, (partials, (p, q)) in enumerate(terms):
         weights = [np.asarray(f.partial(*a)(mid1, mid2), dtype=np.float64)
                    for a in partials if not f.vanishes(*a)]
         if weights:
             w = factor(sum(weights[1:], weights[0]), d1, d2, p, q)
-            sums[i] = _fsum_rows(np.broadcast_to(w, mid1.shape))
+            if np.shape(w) != mid1.shape:
+                w = np.broadcast_to(w, mid1.shape)
+            sums[i] = _fsum_rows(w)
     return sums
 
 

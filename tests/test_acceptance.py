@@ -4,8 +4,6 @@ failure).  The heavier Monte Carlo experiments are run once per session and
 shared by the criteria that read different statistics from the same run.
 """
 
-import math
-
 import pytest
 
 from fbmbt.experiments import (

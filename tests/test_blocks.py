@@ -1,6 +1,8 @@
 """Blocks of seeds: every row of a block draw equals, bit for bit, what its
 seed gives alone, for the fGn sampler, the midpoint kernel, the Euler
-samplers and every batched estimator; the sampler is the full-FFT
+samplers and every batched estimator, also when the Brownian-clock seeds of
+several j* share one padded fGn draw; the X-free correction of a constant
+integrand is the value drawn along X; the sampler is the full-FFT
 Davies-Harte map of the normals it reads; and the key-only Philox generator
 is the one ``Philox(key=...)`` builds."""
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbmbt import rng
+from fbmbt import fgn, rng
 from fbmbt.calculus import get_test_function
 from fbmbt.calculus import test_function_names as function_names
 from fbmbt.experiments import (
@@ -34,6 +36,7 @@ from fbmbt.fgn import (
     sample_increments,
 )
 from fbmbt.limitlaw import (
+    _constant_weight,
     _euler_sum,
     _sample,
     _seed_list,
@@ -301,3 +304,56 @@ def test_brownian_time_block_rows_equal_one_seed_values(fname):
     zero = sample_change_of_variable_rhs(f, 0.0, mesh, seeds)
     assert _bits(zero.value) == _bits(np.zeros(len(seeds)))
     assert _bits(zero.t_effective) == _bits(np.zeros(len(seeds)))
+
+
+@pytest.mark.parametrize("fname", ["x^3", "x*y^2"])
+@pytest.mark.parametrize("t", [0.0, 0.7, 1.0])
+def test_constant_integrand_correction_equals_the_euler_sum_along_x(fname, t):
+    # At t = 0.7 the grid has K = round(179.2) = 179 steps, padded to 256.
+    f, mesh = get_test_function(fname), 2.0**-8
+    assert _constant_weight(f) is not None
+    seeds = [derive_seed(12, i) for i in range(200)]
+    along_x, _, _ = _euler_sum(f, [t] * len(seeds), mesh, seeds)
+    assert _bits(sample_correction_fbm(f, t, mesh, seeds).value) == _bits(along_x)
+    for seed, value in zip(seeds[:3], along_x):
+        assert _bits(sample_correction_fbm(f, t, mesh, seed).value) == _bits(value)
+    assert _constant_weight(get_test_function("sin_x_cos_y")) is None
+    assert _constant_weight(get_test_function("x^4")) is None
+
+
+def test_constant_partial_record_matches_the_partials():
+    x, y = np.random.default_rng(9).uniform(-1.5, 1.5, (2, 64))
+    for name in function_names():
+        f = get_test_function(name)
+        for a1 in range(4):
+            for a2 in range(4 - a1):
+                c = f.constant(a1, a2)
+                values = np.broadcast_to(f.partial(a1, a2)(x, y), x.shape)
+                if c is None:
+                    assert np.ptp(values) > 0, (name, a1, a2)
+                else:
+                    assert _bits(values) == _bits(np.full(x.shape, c)), (name, a1, a2)
+                if name in ("sin_x_cos_y", "bump"):
+                    assert c is None, (name, a1, a2)
+
+
+@pytest.mark.parametrize("block_values", [fgn.BLOCK_VALUES, 64])
+@pytest.mark.parametrize("n,t", [(4, 1.0), (3, 0.9)])
+def test_brownian_clock_rows_shared_across_j_star(monkeypatch, block_values, n, t):
+    # 16 walk steps give even j*: 0, |j*| = 2, 4 and 8, exact powers of
+    # two, and 6, which shares 8's padded size.  7 steps give odd j*: -1
+    # and 1 share size 1, 5 and 7 size 8.  With 64 values a block holds
+    # 16 / size seeds, so the seeds of one j* straddle blocks.
+    monkeypatch.setattr(fgn, "BLOCK_VALUES", block_values)
+    seeds = [derive_seed(6, i) for i in range(200)]
+    steps = _step_count(n, t)
+    j_stars = {sample_terminal(n, steps, s) for s in seeds}
+    want = {0, 2, 4, 6, 8, -2, -4, -6, -8} if steps == 16 else {1, -1, 5, -5, 7, -7}
+    assert want <= j_stars
+    H, fname = 0.3, "sin_x_cos_y"
+    for draw, one in ((draw_v_tilde_3, _one_sided(w3, fname, H, n, t)),
+                      (draw_o_tilde, _one_sided(w_grad, fname, H, n, t)),
+                      (draw_skeleton_residual, _residual(fname, H, n, t))):
+        values = draw(seeds, H=H, n=n, t=t, fname=fname)
+        for value, seed in zip(values, seeds):
+            assert _bits(value) == _bits(one(seed)), draw.__name__

@@ -1,15 +1,23 @@
-"""Layout of the package source, read with ``ast`` alone: no module imports a
-name it does not use, and every public top-level function or class is used
-by code somewhere in the package, outside its own body and ``__init__``.
-A name counts as used where it is read in code (a bare name or an
-attribute); docstrings, comments and re-exports do not count."""
+"""Layout of the package source and its tests, read with ``ast`` alone: no
+module of the package or of the tests imports a name it does not use, and
+every public top-level function or class is used by code somewhere in the
+package, outside its own body and ``__init__``.  A name counts as used where
+it is read in code (a bare name or an attribute); docstrings, comments and
+re-exports do not count."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fbmbt"
-MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
-           for path in sorted(SRC.glob("*.py"))}
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _parse(folder: Path) -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(folder.glob("*.py"))}
+
+
+MODULES = _parse(ROOT / "src" / "fbmbt")
+TESTS = _parse(ROOT / "tests")
 
 
 def _names_read(node: ast.AST) -> set[str]:
@@ -36,8 +44,9 @@ def _imported(tree: ast.Module) -> list[str]:
 
 def test_no_module_imports_a_name_it_does_not_use():
     unused = [
-        f"{module}.{name}"
-        for module, tree in MODULES.items() if module != "__init__"
+        f"{folder}/{module}.{name}"
+        for folder, modules in (("src", MODULES), ("tests", TESTS))
+        for module, tree in modules.items() if module != "__init__"
         for name in _imported(tree) if name not in _names_read(tree)
     ]
     assert unused == []

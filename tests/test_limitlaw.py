@@ -190,7 +190,12 @@ def test_euler_sum_is_one_conditional_normal(monkeypatch, fname):
     monkeypatch.setattr(limitlaw, "generator", recording)
     f = get_test_function(fname)
     value = sample_correction_fbm(f, 1.0, 2.0**-6, 3).value
-    assert requested == [rng.STREAM_X1, rng.STREAM_X2, rng.STREAM_B]
+    # X cannot reach the value when every third partial is constant, and it
+    # is not drawn; the value is still the one drawn along X.
+    if fname == "sin_x_cos_y":
+        assert requested == [rng.STREAM_X1, rng.STREAM_X2, rng.STREAM_B]
+    else:
+        assert requested == [rng.STREAM_B]
     # sqrt(h sum_k sum_i kappa_i^2 g_i(X_k)^2) N on 64 steps of h = 2^-6.
     h = 2.0**-6
     x1, x2 = (
