@@ -13,7 +13,6 @@ level so they can be shipped to worker processes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,11 +23,8 @@ import numpy as np
 from .calculus import get_test_function, midpoint_taylor_table, test_function_names
 from .fgn import (
     H_SPECIAL,
-    FbmGridPath2D,
-    _anchored_values,
     _blocks,
-    _increment_rows,
-    _padded_size,
+    _path_blocks,
     grid_spacing,
     rho,
     sample_fbm_2d,
@@ -171,33 +167,16 @@ def draw_v3(seeds, *, H, n, t, fname):
 
 def _one_sided_draws(statistic, seeds, H, n, t, fname) -> np.ndarray:
     """``statistic(f, fbm, y)`` on the fBm segment between 0 and each seed's
-    terminal position j*, out to y = j* 2^{-n/2}.  Every j* is drawn first.
-    Seeds whose |j*| pad to one power of two share one fGn draw of that
-    size, in chunks of ``_blocks``, sorted so that the seeds of one j* are
-    consecutive rows.  Each j*'s segments are the first |j*| increments of
-    its rows, cumulated and anchored at index -min(0, j*) as
-    ``sample_fbm_2d`` does, so each value is the one its seed gives alone;
-    the statistic runs once per j* in a chunk."""
+    terminal position j*, out to y = j* 2^{-n/2}.  Every j* is drawn first;
+    ``fgn._path_blocks`` then draws the segments of all seeds whose |j*| pad
+    to one power of two as rows of one fGn draw and hands them back as one
+    block per j* and chunk, each row the segment its seed gives alone.  The
+    statistic runs once per block."""
     f, steps = get_test_function(fname), _step_count(n, t)
     j_stars = [sample_terminal(n, steps, seed) for seed in seeds]
-    padded: dict[int, list[int]] = {}
-    for i in sorted(range(len(seeds)), key=j_stars.__getitem__):
-        padded.setdefault(_padded_size(abs(j_stars[i])), []).append(i)
     out = np.empty(len(seeds))
-    for size, idx in padded.items():
-        for block in _blocks(idx, size):
-            incs = _increment_rows(H, n, size, [seeds[i] for i in block])
-            lo = 0
-            for j_star, run in itertools.groupby(block, key=j_stars.__getitem__):
-                hi = lo + len(list(run))
-                j_min, rows = min(0, j_star), hi - lo
-                values = _anchored_values(
-                    incs[np.r_[lo:hi, lo + len(block) : hi + len(block)], : abs(j_star)],
-                    j_min, abs(j_star))
-                fbm = FbmGridPath2D(float(H), n, j_min, max(0, j_star), values[:rows],
-                                    values[rows:], tuple(seeds[i] for i in block[lo:hi]))
-                out[block[lo:hi]] = statistic(f, fbm, j_star * grid_spacing(n))
-                lo = hi
+    for rows, fbm in _path_blocks(H, n, [(min(0, j), max(0, j)) for j in j_stars], seeds):
+        out[rows] = statistic(f, fbm, j_stars[rows[0]] * grid_spacing(n))
     return out
 
 

@@ -17,6 +17,7 @@ runs row-wise, so every row is bit for bit the draw of its seed alone.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -253,22 +254,34 @@ def sample_increments(H: float, spacing: float, size: int, rng) -> np.ndarray:
     return out[0] if one else out
 
 
-def _increment_rows(H: float, n: int, size: int, seeds: list[int]) -> np.ndarray:
-    """``size`` level-n increments of each component of each seed: the X^1
-    rows of every seed, then their X^2 rows, each from its own stream."""
+def _increment_rows(H: float, n: int, size: int, seeds: list[int],
+                    scales: list[float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` level-n increments of each seed's X^1 and of its X^2, one
+    ``(len(seeds), size)`` array each, every row from its seed's own stream;
+    ``scales``, one per seed, multiplies that seed's rows.  Both components
+    are rows of one draw; a size of 0 draws nothing."""
+    if not size:
+        return np.zeros((len(seeds), 0)), np.zeros((len(seeds), 0))
     rngs = [generator(s, stream) for stream in (STREAM_X1, STREAM_X2) for s in seeds]
-    return sample_increments(H, grid_spacing(n), size, rngs)
+    incs = sample_increments(H, grid_spacing(n), size, rngs)
+    if scales is not None:
+        incs *= np.array(list(scales) * 2)[:, None]
+    return incs[: len(seeds)], incs[len(seeds) :]
 
 
-def _anchored_values(incs: np.ndarray, j_min: int, count: int) -> np.ndarray:
-    """Rows of path values on ``count`` + 1 grid points from the first
-    ``count`` increments of each row, anchored to 0 at index -j_min.  The
-    values start at 0, so j_min = 0 needs no anchoring (v - 0.0 is v)."""
-    values = np.zeros((len(incs), count + 1))
-    np.cumsum(incs[:, :count], axis=1, out=values[:, 1:])
-    if j_min:
-        values = values - values[:, -j_min, None]
-    return values
+def _block_path(H: float, n: int, j_min: int, j_max: int, seeds: list[int],
+                incs: tuple[np.ndarray, np.ndarray]) -> FbmGridPath2D:
+    """The block of paths on grid indices j_min..j_max whose increments are
+    the first j_max - j_min of each row of ``incs`` (X^1 rows, X^2 rows),
+    cumulated and anchored to 0 at index -j_min.  The values start at 0, so
+    j_min = 0 needs no anchoring (v - 0.0 is v)."""
+    count = j_max - j_min
+    values = []
+    for rows in incs:
+        v = np.zeros((len(rows), count + 1))
+        np.cumsum(rows[:, :count], axis=1, out=v[:, 1:])
+        values.append(v - v[:, -j_min, None] if j_min else v)
+    return FbmGridPath2D(float(H), n, int(j_min), int(j_max), *values, tuple(seeds))
 
 
 def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed) -> FbmGridPath2D:
@@ -292,16 +305,39 @@ def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed) -> FbmGridPath
     one = np.ndim(seed) == 0
     seeds = [int(seed)] if one else [int(s) for s in seed]
     # Pad to the next power of two so the factorization caches are shared
-    # across replications with slightly different realized ranges.  Both
-    # components of every seed are rows of one draw.
-    values = _anchored_values(_increment_rows(H, n, _padded_size(count), seeds), j_min, count)
-    values1, values2 = values[: len(seeds)], values[len(seeds) :]
-    return FbmGridPath2D(
-        H=H,
-        level=n,
-        j_min=int(j_min),
-        j_max=int(j_max),
-        values1=values1[0] if one else values1,
-        values2=values2[0] if one else values2,
-        seed=seeds[0] if one else tuple(seeds),
-    )
+    # across replications with slightly different realized ranges.
+    path = _block_path(H, n, j_min, j_max, seeds, _increment_rows(H, n, _padded_size(count), seeds))
+    if one:
+        return dataclasses.replace(path, values1=path.values1[0], values2=path.values2[0],
+                                   seed=seeds[0])
+    return path
+
+
+def _path_blocks(H: float, n: int, ranges: list[tuple[int, int]], seeds: list[int],
+                 scales: list[float] | None = None):
+    """Each seed's path on its own grid range, drawn by padded size.
+
+    Seed i's path spans grid indices ``ranges[i]`` = (j_min, j_max), with
+    j_min <= 0 <= j_max.  The seeds whose ranges pad to one power of two
+    share one fGn draw of that size, in chunks of ``_blocks``, sorted by
+    range; within a chunk, the seeds of one range form one block of paths.
+    Yields (indices into ``seeds``, block).  Each row is the path
+    ``sample_fbm_2d`` gives its seed alone: the first j_max - j_min
+    increments of its padded draw, cumulated and anchored at index -j_min.
+    ``scales``, one per seed, multiplies a seed's increments before they
+    are cumulated."""
+    padded: dict[int, list[int]] = {}
+    for i in sorted(range(len(seeds)), key=ranges.__getitem__):
+        j_min, j_max = ranges[i]
+        padded.setdefault(_padded_size(j_max - j_min), []).append(i)
+    for size, idx in padded.items():
+        for block in _blocks(idx, size):
+            incs = _increment_rows(H, n, size, [seeds[i] for i in block],
+                                   None if scales is None else [scales[i] for i in block])
+            lo = 0
+            for (j_min, j_max), run in itertools.groupby(block, key=ranges.__getitem__):
+                run = list(run)
+                rows = slice(lo, lo + len(run))
+                yield run, _block_path(H, n, j_min, j_max, [seeds[i] for i in run],
+                                       (incs[0][rows], incs[1][rows]))
+                lo += len(run)

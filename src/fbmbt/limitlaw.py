@@ -51,17 +51,12 @@ from .calculus import TestFunction2D
 from .fgn import (
     H_SPECIAL,
     RhoSeriesResult,
-    _anchored_values,
-    _blocks,
-    _padded_size,
+    _path_blocks,
     check_special_hurst,
-    sample_increments,
     sum_rho_cubed,
 )
 from .rng import (
     STREAM_B,
-    STREAM_X1,
-    STREAM_X2,
     STREAM_Y,
     generator,
 )
@@ -140,35 +135,28 @@ def _euler_sum(
 
     A length L has K = max(1, round(L / mesh)) steps of size h = L / K.  X
     is the first K increments of a unit-spacing draw of K padded to a power
-    of two, each row scaled by h^H.  The X^1 and X^2 paths of the seeds
-    whose K pad alike are rows of one fGn draw, in chunks of ``_blocks``,
-    and each value is the one its seed gives alone.  Returns (integral,
-    x1_end, x2_end), one entry per seed; a zero length gives zeros."""
+    of two, each row scaled by h^H; ``fgn._path_blocks`` draws the seeds
+    whose K pad alike as rows of one fGn draw, and each value is the one its
+    seed gives alone.  Returns (integral, x1_end, x2_end), one entry per
+    seed; a zero length gives zeros."""
     out = np.zeros((3, len(seeds)))
-    steps = [max(1, round(length / mesh)) for length in lengths]
-    padded: dict[int, list[int]] = {}
-    for i, length in enumerate(lengths):
-        if length:
-            padded.setdefault(_padded_size(steps[i]), []).append(i)
-    for size, idx in padded.items():
-        for block in _blocks(idx, size):
-            rngs = [generator(seeds[i], stream) for stream in (STREAM_X1, STREAM_X2)
-                    for i in block]
-            h = [lengths[i] / steps[i] for i in block]
-            incs = sample_increments(H_SPECIAL, 1.0, size, rngs)
-            incs *= np.array([hr**H_SPECIAL for hr in h] * 2)[:, None]
-            x = _anchored_values(incs, 0, size)
-            x1, x2 = x[: len(block)], x[len(block) :]
-            weight = sum(
-                kappa**2
-                * np.asarray(f.partial(a1, a2)(x1[:, :-1], x2[:, :-1]), dtype=np.float64) ** 2
-                for kappa, (a1, a2) in zip(default_kappas().as_tuple, _INTEGRAND_TERMS)
-            )
-            weight = np.broadcast_to(weight, (len(block), size)).tolist()
-            for r, i in enumerate(block):
-                k = steps[i]
-                out[0, i] = _conditional_normal(h[r], weight[r][:k], seeds[i])
-                out[1, i], out[2, i] = x1[r, k], x2[r, k]
+    live = [i for i, length in enumerate(lengths) if length]
+    steps = [max(1, round(lengths[i] / mesh)) for i in live]
+    h = [lengths[i] / k for i, k in zip(live, steps)]
+    blocks = _path_blocks(H_SPECIAL, 0, [(0, k) for k in steps], [seeds[i] for i in live],
+                          [hr**H_SPECIAL for hr in h])
+    for rows, path in blocks:
+        x1, x2 = path.values1, path.values2
+        weight = sum(
+            kappa**2
+            * np.asarray(f.partial(a1, a2)(x1[:, :-1], x2[:, :-1]), dtype=np.float64) ** 2
+            for kappa, (a1, a2) in zip(default_kappas().as_tuple, _INTEGRAND_TERMS)
+        )
+        weight = np.broadcast_to(weight, x1[:, :-1].shape).tolist()
+        for r, j in enumerate(rows):
+            i = live[j]
+            out[0, i] = _conditional_normal(h[j], weight[r], seeds[i])
+            out[1, i], out[2, i] = x1[r, -1], x2[r, -1]
     return out[0], out[1], out[2]
 
 

@@ -70,12 +70,15 @@ def sample_skeleton(level: int, steps: int, seed: int) -> SkeletonPath:
     # The top bit of each 32-bit word is exactly what integers(0, 2) draws
     # from the same word, so the stream is unchanged and shorter walks are
     # prefixes of longer ones.  The words are those integers(0, 2**32,
-    # dtype=uint32) hands out: each raw 64-bit output, low half first.
+    # dtype=uint32) hands out: the low then the high half of each raw 64-bit
+    # output, which a little-endian view of the outputs lists in that order
+    # on any host.
     raw = generator(seed, STREAM_WALK).bit_generator.random_raw((steps + 1) // 2)
+    words = raw.astype("<u8", copy=False).view("<u4")
     positions = np.empty(steps + 1, dtype=np.int64)
     positions[0] = 0
     jumps = positions[1:]
-    np.right_shift(raw.view(np.uint32)[:steps], 31, out=jumps)
+    np.right_shift(words[:steps], 31, out=jumps)
     jumps *= 2
     jumps -= 1
     np.cumsum(positions, out=positions)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fbmbt import limitlaw, rng
+from fbmbt import fgn, limitlaw, rng
 from fbmbt.calculus import get_test_function
 from fbmbt.fgn import H_SPECIAL, sample_increments, sum_rho_cubed
 from fbmbt.limitlaw import (
@@ -187,6 +187,8 @@ def test_euler_sum_is_one_conditional_normal(monkeypatch, fname):
         requested.append(stream)
         return generator(seed, stream)
 
+    # X is drawn in fgn, the normal in limitlaw.
+    monkeypatch.setattr(fgn, "generator", recording)
     monkeypatch.setattr(limitlaw, "generator", recording)
     f = get_test_function(fname)
     value = sample_correction_fbm(f, 1.0, 2.0**-6, 3).value
