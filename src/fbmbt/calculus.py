@@ -6,6 +6,11 @@ table, and a small catalog of smooth two-variable test functions carrying
 oracles for all partial derivatives up to total order three.  A monomial
 records, when it is built, which of its partials vanish identically and
 which are constant, with their values.
+
+Integer powers of arrays are products: x^k is x * x * ... * x, multiplied
+left to right (``_power``), whose bits IEEE multiplication defines, where
+numpy's general ``pow`` is up to the C library and many times slower.
+x^2 is the same product either way.
 """
 
 from __future__ import annotations
@@ -19,6 +24,27 @@ from typing import Callable
 import numpy as np
 
 MAX_TABLE_ORDER = 13
+
+
+def _power(x, k: int):
+    """x^k for k >= 1 as the left-to-right product x * x * ... * x; x
+    itself for k = 1."""
+    if k == 1:
+        return x
+    out = x * x
+    for _ in range(k - 2):
+        out *= x
+    return out
+
+
+def _powers(w, x, y, p: int, q: int):
+    """w * x^p * y^q, multiplied in that order, each power a ``_power``
+    product; a zero exponent skips its factor."""
+    if p:
+        w = w * _power(x, p)
+    if q:
+        w = w * _power(y, q)
+    return w
 
 
 def hermite_eval(q: int, x):
@@ -135,12 +161,14 @@ def _zero_partial(x, y):
 class TestFunction2D:
     """Smooth f(x, y) together with all partials up to total order 3.
     ``_constants`` maps each partial known to be a nonzero constant to its
-    value."""
+    value; ``_shared``, when given, evaluates several partials at the same
+    points, computing the factors they share once (``partials_at``)."""
 
     name: str
     bounded: bool
     _partials: dict[tuple[int, int], Callable]
     _constants: dict[tuple[int, int], float] = field(default_factory=dict)
+    _shared: Callable | None = None
 
     def __call__(self, x, y):
         return self._partials[(0, 0)](x, y)
@@ -153,6 +181,13 @@ class TestFunction2D:
                 f"test function {self.name!r} carries partials up to total order 3, "
                 f"requested ({a1},{a2})"
             ) from None
+
+    def partials_at(self, keys, x, y) -> list:
+        """The (a1, a2) partials in ``keys`` evaluated at (x, y), in that
+        order, each bit for bit what ``partial(a1, a2)(x, y)`` gives."""
+        if self._shared is not None:
+            return self._shared(keys, x, y)
+        return [self.partial(*a)(x, y) for a in keys]
 
     def vanishes(self, a1: int, a2: int) -> bool:
         """True when the (a1, a2) partial is identically zero."""
@@ -171,17 +206,30 @@ def _sin_x_cos_y_function() -> TestFunction2D:
 
     d/dx cycles sin -> cos -> -sin -> -cos and d/dy cycles cos -> -sin ->
     -cos -> sin.  Products commute and negation is exact, so the order of
-    the factors and the sign changes no bit.
+    the factors and the sign changes no bit.  Several partials at the same
+    points share sin x, cos x, sin y and cos y, each evaluated once.
     """
 
-    def make(a1: int, a2: int) -> Callable:
+    def rule(a1: int, a2: int) -> tuple[Callable, Callable, float]:
         fx = np.sin if a1 % 2 == 0 else np.cos
         fy = np.cos if a2 % 2 == 0 else np.sin
-        sign = -1.0 if (a1 >= 2) != (a2 in (1, 2)) else 1.0
-        return lambda x, y: sign * (fx(x) * fy(y))
+        return fx, fy, -1.0 if (a1 >= 2) != (a2 in (1, 2)) else 1.0
 
-    partials = {(a1, a2): make(a1, a2) for a1 in range(4) for a2 in range(4 - a1)}
-    return TestFunction2D(name="sin_x_cos_y", bounded=True, _partials=partials)
+    rules = {(a1, a2): rule(a1, a2) for a1 in range(4) for a2 in range(4 - a1)}
+
+    def shared(keys, x, y) -> list:
+        xs, ys, out = {}, {}, []
+        for key in keys:
+            fx, fy, sign = rules[key]
+            if fx not in xs:
+                xs[fx] = fx(x)
+            if fy not in ys:
+                ys[fy] = fy(y)
+            out.append(sign * (xs[fx] * ys[fy]))
+        return out
+
+    partials = {key: lambda x, y, key=key: shared((key,), x, y)[0] for key in rules}
+    return TestFunction2D(name="sin_x_cos_y", bounded=True, _partials=partials, _shared=shared)
 
 
 def _bump_function() -> TestFunction2D:
@@ -191,7 +239,8 @@ def _bump_function() -> TestFunction2D:
     With w = 1/(1 - s): h' = -w^2 h, h'' = (w^4 - 2w^3) h and
     h^(3) = (-w^6 + 6w^5 - 6w^4) h.  Since s is quadratic,
     d^a/dx^a h(s) = sum_i c(a, i) x^(a-2i) h^(a-i)(s) with
-    c(a, i) = a! / (i! (a-2i)!) 2^-a, and likewise in y.
+    c(a, i) = a! / (i! (a-2i)!) 2^-a, and likewise in y; the factors
+    x^(a-2i) y^(b-2j) are ``_powers`` products.
     """
     chain = (lambda w: 1.0, lambda w: -(w**2), lambda w: w**4 - 2.0 * w**3,
              lambda w: -(w**6) + 6.0 * w**5 - 6.0 * w**4)
@@ -212,7 +261,7 @@ def _bump_function() -> TestFunction2D:
                 x, y = xb[mask], yb[mask]
                 w = 4.0 / (4.0 - (x**2 + y**2))
                 out[mask] = np.exp(-w) * sum(
-                    coef * x**px * y**py * h(w) for coef, px, py, h in terms
+                    _powers(coef, x, y, px, py) * h(w) for coef, px, py, h in terms
                 )
             return out if out.ndim else float(out)
 
@@ -228,7 +277,7 @@ def _monomial_function(a: int, b: int) -> TestFunction2D:
     def make(a1: int, a2: int) -> Callable:
         if a1 > a or a2 > b:
             return _zero_partial
-        coef = float(
+        coef = np.float64(
             math.factorial(a) // math.factorial(a - a1)
             * (math.factorial(b) // math.factorial(b - a2))
         )
@@ -237,7 +286,10 @@ def _monomial_function(a: int, b: int) -> TestFunction2D:
         def deriv(x, y, coef=coef, pa=pa, pb=pb):
             x = np.asarray(x, dtype=np.float64)
             y = np.asarray(y, dtype=np.float64)
-            return coef * x**pa * y**pb
+            w = _powers(coef, x, y, pa, pb)
+            shape = np.broadcast_shapes(x.shape, y.shape)
+            # A skipped factor x^0 or y^0 (all ones) would have broadcast w.
+            return w if np.shape(w) == shape else w * np.ones(shape)
 
         return deriv
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import STREAM_X1, STREAM_X2, generator
+from .rng import STREAM_X1, STREAM_X2, StreamKey
 
 # Hard cap on the number of increments sampled exactly; beyond this we refuse
 # rather than silently approximate.
@@ -116,16 +116,18 @@ def sum_rho_cubed(H: float, m: int) -> RhoSeriesResult:
 
     The tail bound uses |rho(r)| <= H|2H-1| (r-1)^{2H-2} for r >= 2 (Taylor
     remainder of the second difference), valid and summable-cubed for H < 5/6.
-    The lags are cubed in chunks of ``_RHO_CHUNK`` and fed to one exactly
-    rounded ``math.fsum``, so the sum is that of the whole array.
+    The lags are cubed as products r * r * r in chunks of ``_RHO_CHUNK`` and
+    fed to one exactly rounded ``math.fsum``, so the sum is that of the whole
+    array.
     """
     H = check_hurst(H)
     if H >= 5.0 / 6.0:
         raise ValueError(f"series sum of rho^3 requires H < 5/6, got {H}")
     if m < 2:
         raise ValueError(f"truncation must satisfy m >= 2, got {m}")
-    cubes = (rho(np.arange(lo, min(lo + _RHO_CHUNK, m + 1)), H) ** 3
-             for lo in range(1, m + 1, _RHO_CHUNK))
+    lags = (rho(np.arange(lo, min(lo + _RHO_CHUNK, m + 1)), H)
+            for lo in range(1, m + 1, _RHO_CHUNK))
+    cubes = (r * r * r for r in lags)
     partial = 1.0 + 2.0 * math.fsum(itertools.chain.from_iterable(c.tolist() for c in cubes))
     c = H * abs(2.0 * H - 1.0)
     # sum_{r>m} (r-1)^{3(2H-2)} <= m^{6H-6} + integral_m^inf x^{6H-6} dx
@@ -219,10 +221,12 @@ def sample_increments(H: float, spacing: float, size: int, rng) -> np.ndarray:
     spacing**H / sqrt(4 * size), gives the increments.
 
     ``rng`` is one generator, giving a ``(size,)`` array, or a sequence of
-    generators, giving a ``(len(rng), size)`` block whose row r is exactly
-    what ``rng[r]`` alone gives: each row takes its normals from its own
-    generator, and the FFT runs row-wise, in chunks of at most
-    ``BLOCK_VALUES`` complex values.
+    generators or ``rng.StreamKey`` handles, giving a ``(len(rng), size)``
+    block whose row r is exactly what ``rng[r]`` alone gives: each row takes
+    its normals from its own generator, one row after another, so a handle
+    that re-keys the process's one generator is read before the next
+    re-keys it; the FFT runs row-wise, in chunks of at most ``BLOCK_VALUES``
+    complex values.
     """
     if size > MAX_INCREMENTS:
         raise CapacityError(
@@ -262,7 +266,7 @@ def _increment_rows(H: float, n: int, size: int, seeds: list[int],
     are rows of one draw; a size of 0 draws nothing."""
     if not size:
         return np.zeros((len(seeds), 0)), np.zeros((len(seeds), 0))
-    rngs = [generator(s, stream) for stream in (STREAM_X1, STREAM_X2) for s in seeds]
+    rngs = [StreamKey(s, stream) for stream in (STREAM_X1, STREAM_X2) for s in seeds]
     incs = sample_increments(H, grid_spacing(n), size, rngs)
     if scales is not None:
         incs *= np.array(list(scales) * 2)[:, None]

@@ -55,11 +55,7 @@ from .fgn import (
     check_special_hurst,
     sum_rho_cubed,
 )
-from .rng import (
-    STREAM_B,
-    STREAM_Y,
-    generator,
-)
+from .rng import STREAM_B, STREAM_Y, keyed
 
 DEFAULT_SERIES_TRUNCATION = 10**6
 
@@ -109,7 +105,7 @@ _INTEGRAND_TERMS = ((3, 0), (0, 3), (2, 1), (1, 2))
 def _conditional_normal(h: float, weights: list[float], seed: int) -> float:
     """sqrt(h * fsum(weights)) * N, N the seed's ``STREAM_B`` normal: the
     Euler value of the correction given the squared weights along X."""
-    z = float(generator(seed, STREAM_B).standard_normal())
+    z = float(keyed(seed, STREAM_B).standard_normal())
     # sqrt(0) * z is -0.0 for z < 0; adding 0.0 makes it +0.0.
     return math.sqrt(h * math.fsum(weights)) * z + 0.0
 
@@ -148,9 +144,9 @@ def _euler_sum(
     for rows, path in blocks:
         x1, x2 = path.values1, path.values2
         weight = sum(
-            kappa**2
-            * np.asarray(f.partial(a1, a2)(x1[:, :-1], x2[:, :-1]), dtype=np.float64) ** 2
-            for kappa, (a1, a2) in zip(default_kappas().as_tuple, _INTEGRAND_TERMS)
+            kappa**2 * np.asarray(g, dtype=np.float64) ** 2
+            for kappa, g in zip(default_kappas().as_tuple,
+                                f.partials_at(_INTEGRAND_TERMS, x1[:, :-1], x2[:, :-1]))
         )
         weight = np.broadcast_to(weight, x1[:, :-1].shape).tolist()
         for r, j in enumerate(rows):
@@ -214,7 +210,7 @@ def sample_change_of_variable_rhs(
     and ``t_effective`` (Y_t) hold one entry per seed."""
     _check_args(t, mesh)
     one, seeds = _seed_list(seed)
-    y = np.array([math.sqrt(t) * float(generator(s, STREAM_Y).standard_normal()) if t else 0.0
+    y = np.array([math.sqrt(t) * float(keyed(s, STREAM_Y).standard_normal()) if t else 0.0
                   for s in seeds])
     corr, x1_end, x2_end = _euler_sum(f, np.abs(y).tolist(), mesh, seeds)
     f0 = float(f(0.0, 0.0))

@@ -8,13 +8,21 @@ component (fBm component 1/2, the skeleton walk or its terminal position, the
 normal of the H = 1/6 correction, the Brownian time draw) gets its own stream
 via a fixed offset.
 The scheme is stateless, so results are independent of execution order.
-A generator is Philox keyed directly, without the OS-entropy seed sequence
-``Philox(key=...)`` builds and discards.
+
+A Philox stream is a function of its key and counter alone (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so a process keeps
+one Philox and one Generator, built on first draw, and ``keyed`` re-keys them
+for each (seed, stream) draw: key ``[stream_seed(seed, stream), 0]``, counter
+0, and an empty output buffer and no buffered 32-bit half-word, the state of a
+fresh ``generator(seed, stream)``.  What ``keyed`` returns is valid until the
+next call; ``StreamKey`` is a handle that re-keys when it draws.  The pair is
+per process (a forked pool worker re-keys its own copy) and not thread-safe.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,28 +55,40 @@ def stream_seed(seed: int, stream: int) -> int:
     return splitmix64((seed ^ ((stream * GOLDEN) & _MASK) ^ GOLDEN) & _MASK)
 
 
-@functools.cache
-def _philox_key() -> type:
-    """A seed sequence that hands Philox the key words ``[key, 0]`` that
-    ``Philox(key=key)`` sets, so that Philox draws no entropy from the OS.
-
-    Built on first use: numpy loads ``numpy.random`` lazily, and loading it
-    at import would add ~6 MB to the memory peak of the set-up."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PhiloxKey(ISeedSequence):
-        __slots__ = ("key",)
-
-        def __init__(self, key: int):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return np.array([self.key, 0], dtype=np.uint64)
-
-    return PhiloxKey
-
-
 def generator(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator for the given (seed, stream) pair: Philox with
-    key ``stream_seed(seed, stream)`` and counter 0."""
-    return np.random.Generator(np.random.Philox(_philox_key()(stream_seed(seed, stream))))
+    """A fresh counter-based generator for the given (seed, stream) pair:
+    Philox with key ``stream_seed(seed, stream)`` and counter 0."""
+    return np.random.Generator(np.random.Philox(key=stream_seed(seed, stream)))
+
+
+@functools.cache
+def _shared() -> tuple[np.random.Generator, list, dict]:
+    """The process's generator, the key words of the state it is re-keyed
+    to and that state.  The words are Python lists, which the state setter
+    reads faster than uint64 arrays.  Built on first use:
+    numpy loads ``numpy.random`` lazily, and loading it at import would add
+    ~6 MB to the memory peak of the set-up."""
+    key = [0, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return generator(0, 0), key, state
+
+
+def keyed(seed: int, stream: int) -> np.random.Generator:
+    """The process's generator re-keyed to the (seed, stream) pair: it draws
+    what ``generator(seed, stream)`` draws, until the next call re-keys it."""
+    rng, key, state = _shared()
+    key[0] = stream_seed(seed, stream)
+    rng.bit_generator.state = state
+    return rng
+
+
+class StreamKey(NamedTuple):
+    """A (seed, stream) pair that draws its normals through ``keyed``: a
+    handle, one per row, for a sampler that reads its rows one by one."""
+
+    seed: int
+    stream: int
+
+    def standard_normal(self, out: np.ndarray) -> np.ndarray:
+        return keyed(self.seed, self.stream).standard_normal(out=out)

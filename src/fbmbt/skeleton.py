@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fgn import check_level, grid_spacing
-from .rng import STREAM_WALK, generator
+from .rng import STREAM_WALK, keyed
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def sample_skeleton(level: int, steps: int, seed: int) -> SkeletonPath:
     # dtype=uint32) hands out: the low then the high half of each raw 64-bit
     # output, which a little-endian view of the outputs lists in that order
     # on any host.
-    raw = generator(seed, STREAM_WALK).bit_generator.random_raw((steps + 1) // 2)
+    raw = keyed(seed, STREAM_WALK).bit_generator.random_raw((steps + 1) // 2)
     words = raw.astype("<u8", copy=False).view("<u4")
     positions = np.empty(steps + 1, dtype=np.int64)
     positions[0] = 0
@@ -95,8 +95,7 @@ def sample_terminal(level: int, steps: int, seed: int) -> int:
     check_level(level)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    rng = generator(seed, STREAM_WALK)
-    return 2 * int(rng.binomial(steps, 0.5)) - int(steps)
+    return 2 * int(keyed(seed, STREAM_WALK).binomial(steps, 0.5)) - int(steps)
 
 
 def _check_horizon(path: SkeletonPath, horizon: int) -> int:

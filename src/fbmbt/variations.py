@@ -9,7 +9,9 @@ them; a term whose partials vanish identically (known for monomials when
 they are built) is 0.0 without being evaluated.  Every functional returns
 its value: a float for one path.  Paths run along the last axis, and on a
 block of fBm paths (one row per seed) the grid and one-sided functionals
-return one value per row, each the row's own correctly rounded fsum.  The
+return one value per row, each the row's own correctly rounded fsum.
+Increment powers d^p are products d * d * ... * d, multiplied left to right
+(``calculus._powers``), as are the monomials' own powers.  The
 gradient and third-order sums take their terms and coefficients from
 ``midpoint_taylor_table``.  Three families live here:
 
@@ -36,7 +38,13 @@ import math
 
 import numpy as np
 
-from .calculus import TestFunction2D, hermite_eval, hermite_expand, midpoint_taylor_table
+from .calculus import (
+    TestFunction2D,
+    _powers,
+    hermite_eval,
+    hermite_expand,
+    midpoint_taylor_table,
+)
 from .fgn import FbmGridPath2D, check_special_hurst
 from .skeleton import SkeletonPath
 
@@ -64,15 +72,6 @@ def _step_count(level: int, t: float) -> int:
     return _grid_count(2 * level, t)
 
 
-def _powers(w, d1: np.ndarray, d2: np.ndarray, p: int, q: int):
-    """w * d1^p * d2^q, multiplied in that order."""
-    if p:
-        w = w * d1**p
-    if q:
-        w = w * d2**q
-    return w
-
-
 def _fsum_rows(a: np.ndarray):
     """``math.fsum`` along the last axis: a float for one row, an array of
     one sum per row for a 2-D block.  fsum is correctly rounded, so a row's
@@ -90,9 +89,10 @@ def _midpoint_sums(
     ``factor(weight, d1, d2, p, q)``.
 
     Paths run along the last axis; a 2-D block of paths gives each term an
-    array of one sum per row.  Midpoints and increments are computed once
-    for all terms.  A term whose partials all vanish identically is left at
-    0.0, the exact value of its sum, without being evaluated.
+    array of one sum per row.  Midpoints, increments and each live partial
+    (one ``partials_at`` call) are computed once for all terms.  A term
+    whose partials all vanish identically is left at 0.0, the exact value
+    of its sum, without being evaluated.
     """
     sums = [np.zeros(v1.shape[:-1]) if v1.ndim > 1 else 0.0] * len(terms)
     if v1.shape[-1] < 2:
@@ -100,9 +100,10 @@ def _midpoint_sums(
     mid1 = 0.5 * (v1[..., :-1] + v1[..., 1:])
     mid2 = 0.5 * (v2[..., :-1] + v2[..., 1:])
     d1, d2 = v1[..., 1:] - v1[..., :-1], v2[..., 1:] - v2[..., :-1]
+    live = list(dict.fromkeys(a for partials, _ in terms for a in partials if not f.vanishes(*a)))
+    values = dict(zip(live, f.partials_at(live, mid1, mid2)))
     for i, (partials, (p, q)) in enumerate(terms):
-        weights = [np.asarray(f.partial(*a)(mid1, mid2), dtype=np.float64)
-                   for a in partials if not f.vanishes(*a)]
+        weights = [np.asarray(values[a], dtype=np.float64) for a in partials if a in values]
         if weights:
             w = factor(sum(weights[1:], weights[0]), d1, d2, p, q)
             if np.shape(w) != mid1.shape:

@@ -4,7 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fbmbt import calculus
 from fbmbt.calculus import (
+    _power,
+    _powers,
     get_test_function,
     hermite_eval,
     hermite_expand,
@@ -220,3 +223,91 @@ def test_bump_partials_match_sympy():
         got = f.partial(a1, a2)(x[inside], y[inside])
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (a1, a2)
         assert isinstance(f.partial(a1, a2)(0.3, 0.2), float)
+
+
+# ---------------------------------------------------------------------------
+# Integer powers are the left-to-right products x * x * ... * x, bit for bit.
+
+
+def _product(x, k):
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
+
+
+def _product_term(w, x, y, p, q):
+    """w * x^p * y^q in that order, a zero exponent skipping its factor."""
+    if p:
+        w = w * _product(x, p)
+    if q:
+        w = w * _product(y, q)
+    return w
+
+
+def _signed_points(radius):
+    """Points of both signs in each coordinate, and the origin."""
+    x, y = np.random.default_rng(3).uniform(-radius, radius, (2, 4000))
+    return np.append(x, [0.0, -0.7, 0.7]), np.append(y, [0.0, 0.9, -0.9])
+
+
+def test_powers_are_left_to_right_products():
+    x, y = _signed_points(3.0)
+    assert (x < 0).any() and (x > 0).any() and (y < 0).any() and (y > 0).any()
+    for k in range(1, 6):
+        assert _power(x, k).tobytes() == _product(x, k).tobytes(), k
+        assert _power(-1.3, k) == _product(-1.3, k), k
+    w = np.random.default_rng(4).normal(size=x.shape)
+    for p in range(6):
+        for q in range(6):
+            assert _powers(w, x, y, p, q).tobytes() == _product_term(w, x, y, p, q).tobytes()
+
+
+def test_monomial_partials_are_products():
+    x, y = _signed_points(3.0)
+    for a in range(6):
+        for b in range(6 - a):
+            f = get_test_function(calculus._monomial_name(a, b))
+            for a1 in range(min(a, 3) + 1):
+                for a2 in range(min(b, 3 - a1) + 1):
+                    coef = float(math.factorial(a) // math.factorial(a - a1)
+                                 * (math.factorial(b) // math.factorial(b - a2)))
+                    want = np.broadcast_to(_product_term(coef, x, y, a - a1, b - a2), x.shape)
+                    got = f.partial(a1, a2)(x, y)
+                    assert got.tobytes() == want.tobytes(), (f.name, a1, a2)
+                    assert f.partial(a1, a2)(-0.7, 0.9) == want[-2], (f.name, a1, a2)
+
+
+def test_bump_partials_are_products():
+    # h^(k)(s) as polynomials in w = 1/(1 - s) times h, as in the catalog,
+    # and d^a/dx^a of h(s) as sum_i c(a, i) x^(a-2i) h^(a-i)(s).
+    chain = (lambda w: 1.0, lambda w: -(w**2), lambda w: w**4 - 2.0 * w**3,
+             lambda w: -(w**6) + 6.0 * w**5 - 6.0 * w**4)
+
+    def c(a, i):
+        return math.factorial(a) / (math.factorial(i) * math.factorial(a - 2 * i) * 2**a)
+
+    x, y = _signed_points(1.4)  # inside the support r < 2
+    f = get_test_function("bump")
+    w = 4.0 / (4.0 - (x**2 + y**2))
+    for a1 in range(4):
+        for a2 in range(4 - a1):
+            want = np.exp(-w) * sum(
+                _product_term(c(a1, i) * c(a2, j), x, y, a1 - 2 * i, a2 - 2 * j)
+                * chain[a1 + a2 - i - j](w)
+                for i in range(a1 // 2 + 1) for j in range(a2 // 2 + 1))
+            assert f.partial(a1, a2)(x, y).tobytes() == want.tobytes(), (a1, a2)
+
+
+def test_partials_at_equal_each_partial_alone():
+    # Several partials at one set of points, in any order and with repeats,
+    # are bit for bit the partials evaluated one by one.
+    x, y = _signed_points(1.9)
+    keys = [(a1, a2) for a1 in range(4) for a2 in range(4 - a1)]
+    keys = keys[::-1] + keys[:3]
+    for name in function_names():
+        f = get_test_function(name)
+        got = f.partials_at(keys, x, y)
+        assert len(got) == len(keys)
+        for key, value in zip(keys, got):
+            assert np.asarray(value).tobytes() == np.asarray(f.partial(*key)(x, y)).tobytes(), (name, key)

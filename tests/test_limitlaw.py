@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fbmbt import fgn, limitlaw, rng
+from fbmbt import limitlaw, rng
 from fbmbt.calculus import get_test_function
 from fbmbt.fgn import H_SPECIAL, sample_increments, sum_rho_cubed
 from fbmbt.limitlaw import (
@@ -183,13 +183,13 @@ def test_zero_time_horizon():
 def test_euler_sum_is_one_conditional_normal(monkeypatch, fname):
     requested = []
 
-    def recording(seed, stream):
+    def recording(seed, stream, keyed=rng.keyed):
         requested.append(stream)
-        return generator(seed, stream)
+        return keyed(seed, stream)
 
-    # X is drawn in fgn, the normal in limitlaw.
-    monkeypatch.setattr(fgn, "generator", recording)
-    monkeypatch.setattr(limitlaw, "generator", recording)
+    # X's rows re-key through rng's handles, the normal in limitlaw.
+    monkeypatch.setattr(rng, "keyed", recording)
+    monkeypatch.setattr(limitlaw, "keyed", recording)
     f = get_test_function(fname)
     value = sample_correction_fbm(f, 1.0, 2.0**-6, 3).value
     # X cannot reach the value when every third partial is constant, and it

@@ -13,6 +13,7 @@ from fbmbt.experiments import THRESHOLDS
 from fbmbt.fgn import grid_spacing, sample_fbm_2d
 from fbmbt.skeleton import sample_skeleton, terminal_y
 from fbmbt.variations import (
+    _grid_count,
     _grid_values,
     _reduced_segment,
     _skeleton_values,
@@ -149,6 +150,39 @@ def test_hermite_route_matches_direct():
             assert _rel(a, b) < 1e-12
 
 
+ODD_EXPONENTS = [(p, q) for p in range(6) for q in range(6 - p) if (p + q) % 2]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    H=st.floats(min_value=0.05, max_value=0.95),
+    n=st.integers(min_value=2, max_value=12),
+    t=st.floats(min_value=0.05, max_value=1.5),
+    seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+    name=st.sampled_from(function_names()),
+    pq=st.sampled_from(ODD_EXPONENTS),
+)
+def test_hermite_route_equals_direct_sum(H, n, t, seed, name, pq):
+    f = get_test_function(name)
+    path = sample_fbm_2d(H, n, 0, _grid_count(n, t), seed)
+    a, b = v_pq(f, path, t, *pq), v_pq_hermite(f, path, t, *pq)
+    assert _rel(a, b) <= THRESHOLDS["identity_rel"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    t=st.floats(min_value=0.05, max_value=1.5),
+    seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+    name=st.sampled_from(function_names()),
+)
+def test_chaos_split_is_exact(n, t, seed, name):
+    f = get_test_function(name)
+    path = sample_fbm_2d(H6, n, 0, _grid_count(n, t), seed)
+    rhs = math.fsum(k_components(f, path, t)) + p_n(f, path, t)
+    assert _rel(v3(f, path, t), rhs) <= THRESHOLDS["identity_rel"]
+
+
 def test_skeleton_statistics_and_reductions():
     t = 1.0
     signs = set()
@@ -252,7 +286,15 @@ def test_statistics_return_plain_values():
 
 # ---------------------------------------------------------------------------
 # Bitwise oracle: the midpoint kernel against the formulas it replaced, each
-# of which recomputed midpoints and increments for itself.
+# of which recomputed midpoints and increments for itself.  Powers are the
+# left-to-right products x * x * ... * x the package multiplies.
+
+
+def _product(x, k):
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
 
 
 def _ref_series(weight, v1, v2, p, q):
@@ -262,9 +304,9 @@ def _ref_series(weight, v1, v2, p, q):
     mid2 = 0.5 * (v2[:-1] + v2[1:])
     terms = np.asarray(weight(mid1, mid2), dtype=np.float64)
     if p:
-        terms = terms * np.diff(v1) ** p
+        terms = terms * _product(np.diff(v1), p)
     if q:
-        terms = terms * np.diff(v2) ** q
+        terms = terms * _product(np.diff(v2), q)
     return math.fsum(np.broadcast_to(terms, mid1.shape))
 
 
