@@ -47,7 +47,6 @@ from .variations import (
     v_pq_hermite,
     v_tilde_pq,
     w3,
-    w_grad,
     w_pq,
 )
 

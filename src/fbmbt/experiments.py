@@ -24,7 +24,7 @@ from .calculus import get_test_function, midpoint_taylor_table, test_function_na
 from .fgn import (
     H_SPECIAL,
     _blocks,
-    _path_blocks,
+    _outward_paths,
     grid_spacing,
     rho,
     sample_fbm_2d,
@@ -47,7 +47,6 @@ from .skeleton import (
 from .stats import fit_rate, ks_two_sample, mc_run
 from .variations import (
     _grid_count,
-    _one_sided_values,
     _step_count,
     _taylor_sum,
     k_components,
@@ -58,7 +57,6 @@ from .variations import (
     v_pq_hermite,
     v_tilde_pq,
     w3,
-    w_grad,
     w_pq,
 )
 
@@ -159,44 +157,42 @@ def draw_v3(seeds, *, H, n, t, fname):
 # Brownian-clock estimators.  For odd-order sums the up- and downcrossings
 # of each edge cancel, so a skeleton sum depends on the walk only through its
 # terminal position j*: it equals the one-sided sum out to y = j* 2^{-n/2} on
-# the fBm segment between 0 and j*.  Only j* is drawn, never the walk.  The
-# one-sided forms recover the edge count as floor(2^{n/2} |y|), which gives
-# back |j*| exactly for y = j* * grid_spacing(n) (checked for n <= 60 and
-# |j*| < 2^22).
+# the fBm segment between 0 and j*, read outward from 0.  Only j* is drawn,
+# never the walk, and each seed's sum has its own length |j*|, so the seeds
+# are drawn as ragged blocks: one fGn draw and one midpoint-kernel pass per
+# chunk of seeds, each row summing its own first |j*| terms.
 
 
-def _one_sided_draws(statistic, seeds, H, n, t, fname) -> np.ndarray:
-    """``statistic(f, fbm, y)`` on the fBm segment between 0 and each seed's
-    terminal position j*, out to y = j* 2^{-n/2}.  Every j* is drawn first;
-    ``fgn._path_blocks`` then draws the segments of all seeds whose |j*| pad
-    to one power of two as rows of one fGn draw and hands them back as one
-    block per j* and chunk, each row the segment its seed gives alone.  The
-    statistic runs once per block."""
+def _one_sided_draws(seeds, H, n, t, fname, order, residual=False) -> np.ndarray:
+    """The order-``order`` one-sided midpoint sum on the fBm segment between
+    0 and each seed's terminal position j*; with ``residual``, f(X at j*) -
+    f(0, 0) minus that sum.  Every j* is drawn first; ``fgn._outward_paths``
+    then draws the segments of all seeds whose |j*| pad to one power of two
+    as rows of one fGn draw, and the sum runs once per chunk of rows, each
+    row's value the one its seed gives alone."""
     f, steps = get_test_function(fname), _step_count(n, t)
     j_stars = [sample_terminal(n, steps, seed) for seed in seeds]
     out = np.empty(len(seeds))
-    for rows, fbm in _path_blocks(H, n, [(min(0, j), max(0, j)) for j in j_stars], seeds):
-        out[rows] = statistic(f, fbm, j_stars[rows[0]] * grid_spacing(n))
+    for rows, v1, v2, lengths in _outward_paths(H, n, j_stars, seeds):
+        sums = _taylor_sum(f, v1, v2, order, lengths)
+        if residual:
+            end = np.arange(len(rows)), lengths
+            sums = f(v1[end], v2[end]) - float(f(0.0, 0.0)) - sums
+        out[rows] = sums
     return out
 
 
 def draw_o_tilde(seeds, *, H, n, t, fname):
-    return _one_sided_draws(w_grad, seeds, H, n, t, fname)
+    return _one_sided_draws(seeds, H, n, t, fname, 1)
 
 
 def draw_v_tilde_3(seeds, *, H, n, t, fname):
-    return _one_sided_draws(w3, seeds, H, n, t, fname)
-
-
-def _skeleton_residual(f, fbm, y):
-    """f(X at j*) - f(0, 0) - the gradient sum out to y = j* 2^{-n/2}: the
-    last value of the one-sided segment is X at j*."""
-    v1, v2 = _one_sided_values(fbm, y)
-    return f(v1[..., -1], v2[..., -1]) - float(f(0.0, 0.0)) - _taylor_sum(f, v1, v2, 1)
+    return _one_sided_draws(seeds, H, n, t, fname, 3)
 
 
 def draw_skeleton_residual(seeds, *, H, n, t, fname):
-    return _one_sided_draws(_skeleton_residual, seeds, H, n, t, fname)
+    """f(X at j*) - f(0, 0) - the gradient sum out to y = j* 2^{-n/2}."""
+    return _one_sided_draws(seeds, H, n, t, fname, 1, residual=True)
 
 
 def draw_terminal_y(seeds, *, n, t):

@@ -317,31 +317,34 @@ def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed) -> FbmGridPath
     return path
 
 
-def _path_blocks(H: float, n: int, ranges: list[tuple[int, int]], seeds: list[int],
-                 scales: list[float] | None = None):
-    """Each seed's path on its own grid range, drawn by padded size.
+def _outward_paths(H: float, n: int, ends: list[int], seeds: list[int],
+                   scales: list[float] | None = None):
+    """Each seed's path from index 0 out to its signed end, drawn by padded size.
 
-    Seed i's path spans grid indices ``ranges[i]`` = (j_min, j_max), with
-    j_min <= 0 <= j_max.  The seeds whose ranges pad to one power of two
-    share one fGn draw of that size, in chunks of ``_blocks``, sorted by
-    range; within a chunk, the seeds of one range form one block of paths.
-    Yields (indices into ``seeds``, block).  Each row is the path
-    ``sample_fbm_2d`` gives its seed alone: the first j_max - j_min
-    increments of its padded draw, cumulated and anchored at index -j_min.
-    ``scales``, one per seed, multiplies a seed's increments before they
-    are cumulated."""
+    The seeds whose |end| pads to one power of two share one fGn draw of
+    that size, in chunks of ``_blocks``, sorted by |end|.  Yields, per
+    chunk, (indices into ``seeds``, X^1 rows, X^2 rows, lengths L = |end|):
+    only the first L + 1 entries of a row are meaningful, and they are bit
+    for bit the path ``sample_fbm_2d`` gives the seed alone on
+    [min(0, end), max(0, end)], read outward from index 0.  With v the
+    cumulated increments, entry k is v[k], or v[L - k] - v[L] for an end of
+    -L, the same anchoring subtraction.  ``scales``, one per seed,
+    multiplies a seed's increments before they are cumulated."""
     padded: dict[int, list[int]] = {}
-    for i in sorted(range(len(seeds)), key=ranges.__getitem__):
-        j_min, j_max = ranges[i]
-        padded.setdefault(_padded_size(j_max - j_min), []).append(i)
+    for i in sorted(range(len(seeds)), key=lambda i: abs(ends[i])):
+        padded.setdefault(_padded_size(abs(ends[i])), []).append(i)
     for size, idx in padded.items():
         for block in _blocks(idx, size):
             incs = _increment_rows(H, n, size, [seeds[i] for i in block],
                                    None if scales is None else [scales[i] for i in block])
-            lo = 0
-            for (j_min, j_max), run in itertools.groupby(block, key=ranges.__getitem__):
-                run = list(run)
-                rows = slice(lo, lo + len(run))
-                yield run, _block_path(H, n, j_min, j_max, [seeds[i] for i in run],
-                                       (incs[0][rows], incs[1][rows]))
-                lo += len(run)
+            lengths = [abs(ends[i]) for i in block]
+            mirrored = [r for r, i in enumerate(block) if ends[i] < 0]
+            paths = []
+            for rows in incs:
+                v = np.zeros((len(block), lengths[-1] + 1))
+                np.cumsum(rows[:, : lengths[-1]], axis=1, out=v[:, 1:])
+                for r in mirrored:
+                    k = lengths[r]
+                    v[r, : k + 1] = v[r, k::-1] - v[r, k]
+                paths.append(v)
+            yield block, paths[0], paths[1], np.array(lengths)

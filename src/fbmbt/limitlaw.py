@@ -36,7 +36,8 @@ integrand's intra-step variation is approximated.  X on the grid is the first
 K increments of a unit-spacing fGn draw padded to the next power of two,
 scaled by h^H (self-similarity), so seeds whose grids pad to the same size
 (every seed of the fixed clock, and Brownian times of one power-of-two range
-of K) are drawn as one block of fGn rows.
+of K) are drawn as rows of one fGn draw, with one weight pass per chunk of
+rows whatever their K.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .calculus import TestFunction2D
 from .fgn import (
     H_SPECIAL,
     RhoSeriesResult,
-    _path_blocks,
+    _outward_paths,
     check_special_hurst,
     sum_rho_cubed,
 )
@@ -131,28 +132,28 @@ def _euler_sum(
 
     A length L has K = max(1, round(L / mesh)) steps of size h = L / K.  X
     is the first K increments of a unit-spacing draw of K padded to a power
-    of two, each row scaled by h^H; ``fgn._path_blocks`` draws the seeds
-    whose K pad alike as rows of one fGn draw, and each value is the one its
-    seed gives alone.  Returns (integral, x1_end, x2_end), one entry per
-    seed; a zero length gives zeros."""
+    of two, each row scaled by h^H; ``fgn._outward_paths`` draws the seeds
+    whose K pad alike as rows of one fGn draw, and each seed's normal reads
+    its own first K weights, so it is the one its seed gives alone.  Returns
+    (integral, x1_end, x2_end), one entry per seed; a zero length gives
+    zeros."""
     out = np.zeros((3, len(seeds)))
     live = [i for i, length in enumerate(lengths) if length]
     steps = [max(1, round(lengths[i] / mesh)) for i in live]
     h = [lengths[i] / k for i, k in zip(live, steps)]
-    blocks = _path_blocks(H_SPECIAL, 0, [(0, k) for k in steps], [seeds[i] for i in live],
-                          [hr**H_SPECIAL for hr in h])
-    for rows, path in blocks:
-        x1, x2 = path.values1, path.values2
+    blocks = _outward_paths(H_SPECIAL, 0, steps, [seeds[i] for i in live],
+                            [hr**H_SPECIAL for hr in h])
+    for rows, x1, x2, ks in blocks:
         weight = sum(
             kappa**2 * np.asarray(g, dtype=np.float64) ** 2
             for kappa, g in zip(default_kappas().as_tuple,
                                 f.partials_at(_INTEGRAND_TERMS, x1[:, :-1], x2[:, :-1]))
         )
         weight = np.broadcast_to(weight, x1[:, :-1].shape).tolist()
-        for r, j in enumerate(rows):
+        for r, (j, k) in enumerate(zip(rows, ks.tolist())):
             i = live[j]
-            out[0, i] = _conditional_normal(h[j], weight[r], seeds[i])
-            out[1, i], out[2, i] = x1[r, -1], x2[r, -1]
+            out[0, i] = _conditional_normal(h[j], weight[r][:k], seeds[i])
+            out[1, i], out[2, i] = x1[r, k], x2[r, k]
     return out[0], out[1], out[2]
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +113,7 @@ def mc_run(estimator, replications: int, master_seed: int, workers: int = 1):
     if workers <= 1:
         values = list(estimator(seeds))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # not loaded by serial runs
         chunk = max(1, replications // (8 * workers))
         blocks = [seeds[i : i + chunk] for i in range(0, replications, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

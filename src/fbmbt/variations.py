@@ -9,17 +9,19 @@ them; a term whose partials vanish identically (known for monomials when
 they are built) is 0.0 without being evaluated.  Every functional returns
 its value: a float for one path.  Paths run along the last axis, and on a
 block of fBm paths (one row per seed) the grid and one-sided functionals
-return one value per row, each the row's own correctly rounded fsum.
-Increment powers d^p are products d * d * ... * d, multiplied left to right
-(``calculus._powers``), as are the monomials' own powers.  The
-gradient and third-order sums take their terms and coefficients from
-``midpoint_taylor_table``.  Three families live here:
+return one value per row, each the row's own correctly rounded fsum.  A
+ragged block, whose rows hold paths of different lengths, passes the
+kernel one term count per row.  Increment powers d^p are products
+d * d * ... * d, multiplied left to right (``calculus._powers``), as are
+the monomials' own powers.  The gradient and third-order sums take their
+terms and coefficients from ``midpoint_taylor_table``.  Three families
+live here:
 
 * grid statistics over consecutive dyadic indices ``j = 0 .. m-1`` with
   ``m = floor(2**(n/2) * t)``;
 * skeleton statistics over the first ``floor(2**n * t)`` walk steps, each
   step contributing the fBm increment over the spatial edge it traverses;
-* one-sided edge statistics ``w_pq`` / ``w3`` / ``w_grad`` indexed by a
+* one-sided edge statistics ``w_pq`` / ``w3`` indexed by a
   signed spatial horizon ``y``, the negative side read through the mirrored
   path ``t -> X_{-t}``.
 
@@ -27,9 +29,10 @@ gradient and third-order sums take their terms and coefficients from
 closed form for the net number of traversals of each edge, which only
 depends on the walk through its terminal position j*.  The one-sided forms
 at ``y = j* 2**(-n/2)`` are therefore the skeleton sums themselves, and need
-no walk: the Brownian-clock estimators evaluate them on a drawn j*.  The
-walk-based gradient and third-order sums, and their reductions, are kept
-only as test oracles (``tests/test_variations.py``).
+no walk: the Brownian-clock estimators evaluate ``_taylor_sum`` on a drawn
+j*, for a ragged block of seeds at once.  The walk-based gradient and
+third-order sums, their reductions and the one-sided gradient sum
+``w_grad`` are kept only as test oracles (``tests/test_variations.py``).
 """
 
 from __future__ import annotations
@@ -72,27 +75,32 @@ def _step_count(level: int, t: float) -> int:
     return _grid_count(2 * level, t)
 
 
-def _fsum_rows(a: np.ndarray):
+def _fsum_rows(a: np.ndarray, counts=None):
     """``math.fsum`` along the last axis: a float for one row, an array of
     one sum per row for a 2-D block.  fsum is correctly rounded, so a row's
-    sum does not depend on the other rows."""
+    sum does not depend on the other rows.  ``counts``, one per row, sums
+    only the first counts[r] entries of row r."""
     if a.ndim == 1:
         return math.fsum(a.tolist())
-    return np.array([math.fsum(row) for row in a.tolist()])
+    if counts is None:
+        return np.array([math.fsum(row) for row in a.tolist()])
+    return np.array([math.fsum(row[:k].tolist()) for row, k in zip(a, counts.tolist())])
 
 
 def _midpoint_sums(
-    f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, terms, factor=_powers
+    f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, terms, factor=_powers, counts=None
 ) -> list:
     """One fsum per (partials, (p, q)) term along paired value arrays: the
     term's partials of f summed at the increment midpoints, times
     ``factor(weight, d1, d2, p, q)``.
 
     Paths run along the last axis; a 2-D block of paths gives each term an
-    array of one sum per row.  Midpoints, increments and each live partial
-    (one ``partials_at`` call) are computed once for all terms.  A term
-    whose partials all vanish identically is left at 0.0, the exact value
-    of its sum, without being evaluated.
+    array of one sum per row.  A ragged block gives ``counts``, one term
+    count per row: row r is a path of counts[r] + 1 values and sums only its
+    first counts[r] terms, whatever its tail holds.  Midpoints, increments
+    and each live partial (one ``partials_at`` call) are computed once for
+    all terms.  A term whose partials all vanish identically is left at
+    0.0, the exact value of its sum, without being evaluated.
     """
     sums = [np.zeros(v1.shape[:-1]) if v1.ndim > 1 else 0.0] * len(terms)
     if v1.shape[-1] < 2:
@@ -108,15 +116,17 @@ def _midpoint_sums(
             w = factor(sum(weights[1:], weights[0]), d1, d2, p, q)
             if np.shape(w) != mid1.shape:
                 w = np.broadcast_to(w, mid1.shape)
-            sums[i] = _fsum_rows(w)
+            sums[i] = _fsum_rows(w, counts)
     return sums
 
 
-def _taylor_sum(f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, order: int) -> float:
+def _taylor_sum(f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, order: int,
+                counts=None) -> float:
     """Order-``order`` part of the midpoint expansion of f along the path:
-    fsum of C(a) * d^a f(midpoint) * d1^a1 * d2^a2 over |a| = order."""
+    fsum of C(a) * d^a f(midpoint) * d1^a1 * d2^a2 over |a| = order.
+    ``counts`` is ``_midpoint_sums``' per-row term count."""
     index = [a for a in _TAYLOR if sum(a) == order]
-    sums = _midpoint_sums(f, v1, v2, [((a,), a) for a in index])
+    sums = _midpoint_sums(f, v1, v2, [((a,), a) for a in index], counts=counts)
     return _fsum_rows(np.stack([float(_TAYLOR[a]) * s for a, s in zip(index, sums)], axis=-1))
 
 
@@ -250,11 +260,6 @@ def w_pq(f: TestFunction2D, fbm: FbmGridPath2D, y: float, p: int, q: int) -> flo
 def w3(f: TestFunction2D, fbm: FbmGridPath2D, y: float) -> float:
     """One-sided third-order midpoint correction sum out to horizon y."""
     return _taylor_sum(f, *_one_sided_values(fbm, y), 3)
-
-
-def w_grad(f: TestFunction2D, fbm: FbmGridPath2D, y: float) -> float:
-    """One-sided midpoint gradient sum out to horizon y."""
-    return _taylor_sum(f, *_one_sided_values(fbm, y), 1)
 
 
 def _reduced_segment(

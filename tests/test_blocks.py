@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbmbt import fgn, rng
+from fbmbt import fgn, rng, variations
 from fbmbt.calculus import get_test_function
 from fbmbt.calculus import test_function_names as function_names
 from fbmbt.experiments import (
@@ -50,11 +50,12 @@ from fbmbt.variations import (
     _VALUE,
     _grid_count,
     _midpoint_sums,
+    _one_sided_values,
     _step_count,
+    _taylor_sum,
     v3,
     v_pq,
     w3,
-    w_grad,
 )
 
 SEED = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -191,6 +192,93 @@ def test_midpoint_sums_rows_equal_one_path_sums(name, rows, length, seed, mirror
     for r in range(rows):
         one = _midpoint_sums(f, v1[r], v2[r], terms)
         assert [_bits(s[r]) for s in block] == [_bits(s) for s in one]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    name=st.sampled_from(function_names()),
+    width=st.integers(min_value=0, max_value=40),
+    data=st.data(),
+    seed=SEED,
+)
+def test_ragged_rows_equal_one_path_sums_on_their_prefix(name, width, data, seed):
+    # Row r holds a path of lengths[r] + 1 values, read backward from its end
+    # when mirrored, and NaN beyond: no padding may reach a sum.
+    f = get_test_function(name)
+    lengths = data.draw(st.lists(st.integers(0, width), min_size=1, max_size=12))
+    lengths = np.array(lengths + [width])
+    mirrored = data.draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
+    steps = np.random.default_rng(seed).normal(0.0, 0.3, (2, len(lengths), width))
+    v1, v2 = np.full((2, len(lengths), width + 1), np.nan)
+    for r, (k, back) in enumerate(zip(lengths, mirrored)):
+        for v, d in ((v1, steps[0, r]), (v2, steps[1, r])):
+            path = np.concatenate([[0.0], np.cumsum(d[:k])])
+            v[r, : k + 1] = path[::-1] - path[-1] if back else path
+    terms = [((a,), a) for a in _TAYLOR] + [(_VALUE, (2, 3)), (((3, 0), (1, 2)), (1, 0))]
+    block = _midpoint_sums(f, v1, v2, terms, counts=lengths)
+    taylor = [_taylor_sum(f, v1, v2, order, lengths) for order in (1, 3)]
+    for r, k in enumerate(lengths):
+        p1, p2 = v1[r, : k + 1], v2[r, : k + 1]
+        one = _midpoint_sums(f, p1, p2, terms)
+        assert [_bits(s[r]) for s in block] == [_bits(s) for s in one]
+        assert [_bits(s[r]) for s in taylor] == [_bits(_taylor_sum(f, p1, p2, o)) for o in (1, 3)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    H=st.floats(min_value=0.05, max_value=0.95),
+    n=st.integers(min_value=0, max_value=12),
+    ends=st.lists(st.integers(min_value=-70, max_value=70), min_size=1, max_size=30),
+    seed=SEED,
+)
+def test_outward_rows_are_the_one_seed_paths_read_from_zero(H, n, ends, seed):
+    seeds = [derive_seed(seed, i) for i in range(len(ends))]
+    seen = []
+    for rows, v1, v2, lengths in fgn._outward_paths(H, n, ends, seeds):
+        for r, i in enumerate(rows):
+            k = abs(ends[i])
+            assert lengths[r] == k
+            one = sample_fbm_2d(H, n, min(0, ends[i]), max(0, ends[i]), seeds[i])
+            step = -1 if ends[i] < 0 else 1
+            assert _bits(v1[r, : k + 1]) == _bits(one.values1[::step])
+            assert _bits(v2[r, : k + 1]) == _bits(one.values2[::step])
+        seen += rows
+    assert sorted(seen) == list(range(len(ends)))
+
+
+def test_ragged_draws_make_one_kernel_pass_per_fgn_chunk(monkeypatch):
+    # 300 seeds at n = 10 hold dozens of distinct |j*| and Brownian-time
+    # step counts K but only a few padded sizes: one kernel or weight pass
+    # per fGn chunk, not one per length.
+    seeds = [derive_seed(14, i) for i in range(300)]
+    calls = {"chunks": 0, "passes": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fgn, "_increment_rows", counted(fgn._increment_rows, "chunks"))
+    monkeypatch.setattr(variations, "_midpoint_sums", counted(variations._midpoint_sums, "passes"))
+    n, t = 10, 1.0
+    lengths = {abs(sample_terminal(n, _step_count(n, t), s)) for s in seeds}
+    for draw in (draw_v_tilde_3, draw_o_tilde):
+        calls.update(chunks=0, passes=0)
+        draw(seeds, H=0.3, n=n, t=t, fname="sin_x_cos_y")
+        assert calls["passes"] == calls["chunks"] < len(lengths) // 4, draw.__name__
+    f, mesh = get_test_function("sin_x_cos_y"), 2.0**-8
+    times = sample_change_of_variable_rhs(f, t, mesh, seeds).t_effective
+    steps = {max(1, round(abs(y) / mesh)) for y in times}
+    monkeypatch.setattr(type(f), "partials_at", counted(type(f).partials_at, "passes"))
+    calls.update(chunks=0, passes=0)
+    draw_rhs_fbmbt(seeds, fname="sin_x_cos_y", t=t, mesh=mesh)
+    assert calls["passes"] == calls["chunks"] < len(steps) // 4
+
+
+def w_grad(f, fbm, y):
+    """The one-sided gradient sum out to horizon y on one path."""
+    return _taylor_sum(f, *_one_sided_values(fbm, y), 1)
 
 
 def _terminal_segment(seed, H, n, t):

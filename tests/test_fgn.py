@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fbmbt.experiments import THRESHOLDS
 from fbmbt.fgn import (
     CapacityError,
     _embedding_sqrt_eig,
@@ -32,6 +35,16 @@ def test_rho_brownian_case_is_exact_zero():
     vals = rho(k, 0.5)
     assert vals[10] == 1.0
     assert np.all(vals[k != 0] == 0.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(H=st.floats(min_value=0.02, max_value=0.5), m=st.integers(min_value=1, max_value=10**5))
+def test_rho_telescopes_to_the_stable_increment_form(H, m):
+    # sum_{|r|<=m} rho(r) = (m+1)^{2H} - m^{2H}.  The fsum stays within the
+    # pinned tolerance for H <= 1/2; above H ~ 0.66 it no longer does.
+    total = 1.0 + 2.0 * math.fsum(rho(np.arange(1, m + 1), H))
+    target = float(m) ** (2 * H) * math.expm1(2 * H * math.log1p(1.0 / m))
+    assert abs(total - target) <= THRESHOLDS["telescoping_abs"]
 
 
 def test_rho_large_lag_matches_direct_formula():

@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmbt.skeleton import (
@@ -76,6 +76,17 @@ def _below_zero_walk(seed, steps):
     """0, then -1 - |s_k|: a simple walk that stays below 0."""
     s = sample_skeleton(6, steps - 1, seed).positions
     return _manual_path(6, np.concatenate([[0], -1 - np.abs(s)]), seed)
+
+
+@settings(deadline=None, max_examples=60)
+@given(steps=st.integers(min_value=0, max_value=3000), data=st.data(),
+       seed=st.integers(min_value=0, max_value=(1 << 64) - 1))
+def test_crossing_counts_match_the_closed_form(steps, data, seed):
+    horizon = data.draw(st.integers(min_value=0, max_value=steps))
+    walk = sample_skeleton(6, steps, seed)
+    table = crossings_bruteforce(walk, horizon)
+    assert table.signed() == signed_crossings_closed_form(walk, horizon)
+    assert int(table.up.sum() + table.down.sum()) == horizon
 
 
 def test_crossings_bruteforce_matches_loop_counter():

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fbmbt
 from fbmbt.rng import derive_seed, splitmix64
 from fbmbt.stats import fit_rate, kolmogorov_tail, ks_two_sample, mc_run
 
@@ -113,3 +119,13 @@ def test_kolmogorov_tail_matches_scipy():
 def test_mc_run_rejects_a_value_count_other_than_the_seed_count():
     with pytest.raises(RuntimeError, match="returned 4 values for 5 seeds"):
         mc_run(lambda seeds: _estimator(seeds)[1:], 5, 1)
+
+
+def test_cli_import_leaves_the_pool_machinery_unloaded():
+    # mc_run imports ProcessPoolExecutor only when it starts a pool.
+    code = ("import sys, fbmbt.cli; print(sorted(m for m in "
+            "('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(fbmbt.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"

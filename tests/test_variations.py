@@ -15,6 +15,7 @@ from fbmbt.skeleton import sample_skeleton, terminal_y
 from fbmbt.variations import (
     _grid_count,
     _grid_values,
+    _one_sided_values,
     _reduced_segment,
     _skeleton_values,
     _taylor_sum,
@@ -26,7 +27,6 @@ from fbmbt.variations import (
     v_pq_hermite,
     v_tilde_pq,
     w3,
-    w_grad,
     w_pq,
 )
 
@@ -41,6 +41,11 @@ H6 = 1.0 / 6.0
 def o_n(f, path, t):
     """Midpoint gradient Riemann sum of f along the grid path up to time t."""
     return _taylor_sum(f, *_grid_values(path, t), 1)
+
+
+def w_grad(f, fbm, y):
+    """One-sided midpoint gradient sum out to horizon y."""
+    return _taylor_sum(f, *_one_sided_values(fbm, y), 1)
 
 
 def o_tilde_n(f, fbm, walk, t):
