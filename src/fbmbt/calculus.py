@@ -65,7 +65,6 @@ def hermite_eval(q: int, x):
 class HermiteExpansion:
     """Exact coefficients of x^p in the Hermite basis."""
 
-    power: int
     coefficients: dict[int, Fraction]
 
     def evaluate(self, x) -> np.ndarray:
@@ -91,22 +90,7 @@ def hermite_expand(p: int) -> HermiteExpansion:
             if q >= 1:
                 nxt[q - 1] = nxt.get(q - 1, Fraction(0)) + q * c
         coeffs = nxt
-    return HermiteExpansion(power=p, coefficients={q: c for q, c in coeffs.items() if c})
-
-
-@dataclass(frozen=True)
-class MidpointTaylorTable:
-    """Coefficients C(a1, a2) of the midpoint difference expansion.
-
-    f(b,d) - f(a,c) = sum C(a1,a2) d^{a1,a2}f(midpoint) (b-a)^{a1} (d-c)^{a2},
-    exact for polynomials up to ``max_order``; even-total coefficients vanish.
-    """
-
-    max_order: int
-    entries: dict[tuple[int, int], Fraction]
-
-    def coefficient(self, a1: int, a2: int) -> Fraction:
-        return self.entries[(a1, a2)]
+    return HermiteExpansion({q: c for q, c in coeffs.items() if c})
 
 
 def _monomial_partial(a1: int, a2: int, b1: int, b2: int, x: Fraction, y: Fraction) -> Fraction:
@@ -119,12 +103,17 @@ def _monomial_partial(a1: int, a2: int, b1: int, b2: int, x: Fraction, y: Fracti
 
 
 @functools.lru_cache(maxsize=4)
-def midpoint_taylor_table(max_order: int) -> MidpointTaylorTable:
-    """Solve for the C(a1,a2) in exact arithmetic, order by order.
+def midpoint_taylor_table(max_order: int) -> dict[tuple[int, int], Fraction]:
+    """The coefficients C(a1, a2) of the midpoint difference expansion,
+    keyed by (a1, a2), for every total order up to ``max_order``:
 
-    Plugging f = x^{a1} y^{a2} of total order k into the expansion leaves a
-    single unknown once all lower-order coefficients are known, because the
-    only order-k partial derivative surviving on a monomial is its own.
+    f(b,d) - f(a,c) = sum C(a1,a2) d^{a1,a2}f(midpoint) (b-a)^{a1} (d-c)^{a2},
+
+    exact for polynomials up to ``max_order``; even-total coefficients
+    vanish.  They are solved in exact arithmetic, order by order: plugging
+    f = x^{a1} y^{a2} of total order k into the expansion leaves a single
+    unknown once all lower-order coefficients are known, because the only
+    order-k partial derivative surviving on a monomial is its own.
     """
     if not 1 <= max_order <= MAX_TABLE_ORDER:
         raise ValueError(f"max_order must be in [1, {MAX_TABLE_ORDER}], got {max_order}")
@@ -149,7 +138,7 @@ def midpoint_taylor_table(max_order: int) -> MidpointTaylorTable:
                 * (d - c) ** a2
             )
             entries[(a1, a2)] = lhs / denom
-    return MidpointTaylorTable(max_order=max_order, entries=entries)
+    return entries
 
 
 def _zero_partial(x, y):
@@ -165,7 +154,6 @@ class TestFunction2D:
     points, computing the factors they share once (``partials_at``)."""
 
     name: str
-    bounded: bool
     _partials: dict[tuple[int, int], Callable]
     _constants: dict[tuple[int, int], float] = field(default_factory=dict)
     _shared: Callable | None = None
@@ -229,7 +217,7 @@ def _sin_x_cos_y_function() -> TestFunction2D:
         return out
 
     partials = {key: lambda x, y, key=key: shared((key,), x, y)[0] for key in rules}
-    return TestFunction2D(name="sin_x_cos_y", bounded=True, _partials=partials, _shared=shared)
+    return TestFunction2D(name="sin_x_cos_y", _partials=partials, _shared=shared)
 
 
 def _bump_function() -> TestFunction2D:
@@ -268,7 +256,7 @@ def _bump_function() -> TestFunction2D:
         return deriv
 
     partials = {(a1, a2): make(a1, a2) for a1 in range(4) for a2 in range(4 - a1)}
-    return TestFunction2D(name="bump", bounded=True, _partials=partials)
+    return TestFunction2D(name="bump", _partials=partials)
 
 
 def _monomial_function(a: int, b: int) -> TestFunction2D:
@@ -296,8 +284,7 @@ def _monomial_function(a: int, b: int) -> TestFunction2D:
     partials = {(a1, a2): make(a1, a2) for a1 in range(4) for a2 in range(4 - a1)}
     # The (a, b) partial of x^a y^b is the constant a! b!, carried when a + b <= 3.
     constants = {(a, b): float(math.factorial(a) * math.factorial(b))} if a + b <= 3 else {}
-    return TestFunction2D(name=name, bounded=(a == 0 and b == 0), _partials=partials,
-                          _constants=constants)
+    return TestFunction2D(name=name, _partials=partials, _constants=constants)
 
 
 def _monomial_name(a: int, b: int) -> str:

@@ -3,8 +3,8 @@
 Usage:  fbmbt --config experiment.json [--out DIR] [--workers N] [--verbose]
 
 The JSON config selects one experiment and overrides its defaults; a key the
-experiment does not take, or a value of the wrong type or range, is a
-configuration error raised before any work starts.  Outputs
+experiment does not take, a value of the wrong type or range, or a worker
+count below 1 is a configuration error raised before any work starts.  Outputs
 are a CSV of raw replication values and a JSON summary; both land in the
 output directory.  Exit code 0 when every verdict passes, 1 when any fails,
 2 on a configuration error, 3 when a size drawn during the run exceeds a
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calculus import test_function_names
+from .calculus import get_test_function, test_function_names
 from .experiments import RUNNERS, ExperimentResult
 from .fgn import MAX_INCREMENTS, CapacityError
 from .stats import MIN_FIT_LEVELS
@@ -42,8 +42,9 @@ class ConfigurationError(ValueError):
 # apart from ``workers``, which only the --workers flag sets.
 _RUN_KEYS = {"experiment", "csv", "json"}
 
-# config key -> runner keyword
+# config key -> runner keyword, and back
 _KEY_ALIASES = {"function": "fname"}
+_CONFIG_NAMES = {name: key for key, name in _KEY_ALIASES.items()}
 
 
 def _is_int(value) -> bool:
@@ -55,7 +56,8 @@ def _is_real(value) -> bool:
             and math.isfinite(value))
 
 
-_POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+# A count of draws feeds a sample variance, which needs two of them.
+_COUNT = (lambda v: _is_int(v) and v >= 2, "an integer >= 2")
 _NONNEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "a nonnegative integer")
 _POSITIVE_REAL = (lambda v: _is_real(v) and v > 0, "a positive real number")
 _LEVEL_LIST = (
@@ -72,25 +74,30 @@ _VALUE_CHECKS = {
     "n": _NONNEGATIVE_INT,
     "p": _NONNEGATIVE_INT,
     "q": _NONNEGATIVE_INT,
-    "master_seed": _NONNEGATIVE_INT,
+    # derive_seed keeps the low 64 bits, so a larger seed would alias a smaller one.
+    "master_seed": (lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2^64)"),
     "csv": _FILE_NAME,
     "json": _FILE_NAME,
     "levels": _LEVEL_LIST,
     "modulus_levels": _LEVEL_LIST,
     # Keys that count draws or instances.
-    "replications": _POSITIVE_INT,
-    "ks_replications": _POSITIVE_INT,
-    "mixture_replications": _POSITIVE_INT,
-    "fbmbt_replications": _POSITIVE_INT,
-    "modulus_replications": _POSITIVE_INT,
+    "replications": _COUNT,
+    "ks_replications": _COUNT,
+    "mixture_replications": _COUNT,
+    "fbmbt_replications": _COUNT,
+    "modulus_replications": _COUNT,
 }
+
+# Experiments whose rate fits read a sum that is 0 up to rounding when every
+# third partial of f vanishes: V3, and the skeleton residual, since the
+# midpoint gradient sum is exact on quadratics.
+_THIRD_ORDER_FITS = {"converge-h-gt", "diverge-h-lt"}
 
 
 def _accepted_keys(runner) -> set[str]:
     """Config keys the runner takes: its keywords, under their config names."""
     names = set(inspect.signature(runner).parameters) - {"workers"}
-    config_name = {name: key for key, name in _KEY_ALIASES.items()}
-    return _RUN_KEYS | {config_name.get(name, name) for name in names}
+    return _RUN_KEYS | {_CONFIG_NAMES.get(name, name) for name in names}
 
 
 def _validate(config: dict) -> None:
@@ -125,7 +132,23 @@ def _validate(config: dict) -> None:
             f"key 'function' does not resolve: {fn!r}; "
             f"available: {', '.join(test_function_names())}"
         )
-    _check_capacity(exp, config)
+    arg = _arguments(exp, config)
+    if "p" in arg and (arg["p"] + arg["q"]) % 2 == 0:
+        raise ConfigurationError(f"keys 'p' + 'q' must be odd, got {arg['p']} + {arg['q']}")
+    if exp in _THIRD_ORDER_FITS and all(get_test_function(arg["fname"]).vanishes(a, 3 - a)
+                                        for a in range(4)):
+        raise ConfigurationError(
+            f"experiment {exp!r} needs a function with a third partial that is not "
+            f"identically zero; every one of {arg['fname']!r} vanishes"
+        )
+    _check_capacity(exp, arg)
+
+
+def _arguments(exp: str, config: dict) -> dict:
+    """The runner's keywords: each config value, else the runner's default."""
+    params = inspect.signature(RUNNERS[exp]).parameters
+    return {name: config.get(_CONFIG_NAMES.get(name, name), param.default)
+            for name, param in params.items()}
 
 
 def _check_size(what: str, count, cap: int) -> None:
@@ -138,12 +161,10 @@ def _check_size(what: str, count, cap: int) -> None:
         raise ConfigurationError(f"{what} exceeds the sampler's cap {cap}")
 
 
-def _check_capacity(exp: str, config: dict) -> None:
+def _check_capacity(exp: str, arg: dict) -> None:
     """Refuse a size that is fixed before the run and that no sampler can
     draw.  Sizes drawn at random (|j*| on the Brownian clock, |Y_t| / mesh
     in the Euler sampler) are checked by the samplers."""
-    params = inspect.signature(RUNNERS[exp]).parameters
-    arg = {key: config.get(key, param.default) for key, param in params.items()}
     t = arg.get("t")
     for n in arg.get("levels") or ([arg["n"]] if "n" in arg else []):
         # The walk's terminal point is one binomial draw of a 64-bit count.
@@ -162,7 +183,7 @@ def _check_capacity(exp: str, config: dict) -> None:
 
 def _runner_kwargs(config: dict, workers: int) -> tuple:
     runner = RUNNERS[config["experiment"]]
-    kwargs = {"workers": workers}
+    kwargs = {"workers": workers} if "workers" in inspect.signature(runner).parameters else {}
     for key, value in config.items():
         if key not in _RUN_KEYS:
             name = _KEY_ALIASES.get(key, key)
@@ -206,17 +227,21 @@ def build_summary(config: dict, result: ExperimentResult, runtime: float) -> dic
 
 def run_experiment(config: dict, out_dir: Path, workers: int = 1,
                    verbose: bool = False) -> ExperimentResult:
+    if not _is_int(workers) or workers < 1:
+        raise ConfigurationError(f"--workers must be a positive integer, got {workers!r}")
     _validate(config)
     runner, kwargs = _runner_kwargs(config, workers)
     start = time.perf_counter()
     result = runner(**kwargs)
     runtime = time.perf_counter() - start
+    # Strict JSON: a non-finite value is an internal error, raised before
+    # any output is written.
+    summary = json.dumps(build_summary(config, result, runtime), indent=2, allow_nan=False)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = config["experiment"]
     write_csv(result, out_dir / config.get("csv", f"{name}.csv"))
-    summary = build_summary(config, result, runtime)
     (out_dir / config.get("json", f"{name}.json")).write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8", newline="\n"
+        summary + "\n", encoding="utf-8", newline="\n"
     )
     if verbose:
         for test in result.tests:

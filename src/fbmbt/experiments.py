@@ -87,16 +87,11 @@ TELESCOPING_TRUNCATIONS = (10, 10**3, 10**6)
 
 @dataclass
 class ExperimentResult:
-    name: str
     series_constants: dict = field(default_factory=dict)
     per_level: list = field(default_factory=list)
     tests: list = field(default_factory=list)
     rates: list = field(default_factory=list)
     raw: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(t["verdict"] for t in self.tests)
 
     def add_test(self, name: str, statistic: float, verdict: bool, p_value=None):
         self.tests.append(
@@ -212,22 +207,22 @@ def draw_w3_horizons(seeds, *, H, n, ys, fname):
 
 
 def draw_correction_fbm(seeds, *, fname, t, mesh):
-    return sample_correction_fbm(get_test_function(fname), t, mesh, seeds).value
+    return sample_correction_fbm(get_test_function(fname), t, mesh, seeds)
 
 
 def draw_rhs_fbmbt(seeds, *, fname, t, mesh):
     """The Euler grids of Brownian times that pad to one power of two are
     drawn as one block."""
-    return sample_change_of_variable_rhs(get_test_function(fname), t, mesh, seeds).value
+    return sample_change_of_variable_rhs(get_test_function(fname), t, mesh, seeds)
 
 
 # ---------------------------------------------------------------------------
 # Experiments
 
 
-def run_rho_table(replications=None, master_seed=0, workers=1) -> ExperimentResult:
+def run_rho_table() -> ExperimentResult:
     """Telescoping check: sum_{|r|<=m} rho(r) = (m+1)^{2H} - m^{2H}."""
-    res = ExperimentResult(name="rho-table")
+    res = ExperimentResult()
     tol = THRESHOLDS["telescoping_abs"]
     for H in TELESCOPING_HURSTS:
         for m in TELESCOPING_TRUNCATIONS:
@@ -239,9 +234,9 @@ def run_rho_table(replications=None, master_seed=0, workers=1) -> ExperimentResu
     return res
 
 
-def run_constants(replications=None, master_seed=0, workers=1) -> ExperimentResult:
+def run_constants() -> ExperimentResult:
     """Certified series constant S and the kappa weights derived from it."""
-    res = ExperimentResult(name="constants")
+    res = ExperimentResult()
     series = sum_rho_cubed(H_SPECIAL, 10**6)
     kap = kappa_constants(series)
     res.series_constants = {
@@ -269,9 +264,9 @@ def run_constants(replications=None, master_seed=0, workers=1) -> ExperimentResu
     return res
 
 
-def run_taylor_table(replications=None, master_seed=0, workers=1) -> ExperimentResult:
+def run_taylor_table() -> ExperimentResult:
     """Midpoint Taylor coefficients: documented rationals, even orders vanish."""
-    res = ExperimentResult(name="taylor-table")
+    res = ExperimentResult()
     table = midpoint_taylor_table(12)
     expected = {
         (1, 0): Fraction(1),
@@ -282,10 +277,10 @@ def run_taylor_table(replications=None, master_seed=0, workers=1) -> ExperimentR
         (2, 1): Fraction(1, 8),
     }
     for key, want in expected.items():
-        got = table.coefficient(*key)
+        got = table[key]
         res.add_test(f"coeff_{key[0]}{key[1]}", float(got), got == want)
     even_ok = all(
-        table.coefficient(a1, a2) == 0
+        table[a1, a2] == 0
         for k in range(2, 13, 2)
         for a1 in range(k + 1)
         for a2 in [k - a1]
@@ -349,7 +344,7 @@ def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
 
 
 def run_identity_suite(replications=1000, master_seed=0, workers=1) -> ExperimentResult:
-    res = ExperimentResult(name="identity-suite")
+    res = ExperimentResult()
     devs, seeds = mc_run(
         partial(_identity_instances, fnames=test_function_names()),
         replications, master_seed, workers,
@@ -395,7 +390,7 @@ def run_converge_h_gt(
     fname="sin_x_cos_y", levels=(8, 10, 12, 14, 16, 18), p=1, q=2,
 ) -> ExperimentResult:
     """H > 1/6: weighted variation and skeleton residual decay in L2."""
-    res = ExperimentResult(name="converge-h-gt")
+    res = ExperimentResult()
     levels = tuple(levels)
     v_means = _second_moments(
         res, "v_pq",
@@ -430,7 +425,7 @@ def run_law_h_eq(
     modulus_levels=(10, 14, 18), modulus_replications=400,
 ) -> ExperimentResult:
     """H = 1/6: limiting variances, law matches, and the modulus bound."""
-    res = ExperimentResult(name="law-h-eq")
+    res = ExperimentResult()
     kap = default_kappas()
     s = kap.series.partial_sum
     res.series_constants = {
@@ -541,7 +536,7 @@ def run_diverge_h_lt(
     fname="x^3", levels=(10, 12, 14, 16, 18, 20), fbmbt_replications=600,
 ) -> ExperimentResult:
     """H < 1/6: variance growth rate and the normalizing exponent."""
-    res = ExperimentResult(name="diverge-h-lt")
+    res = ExperimentResult()
     levels = tuple(levels)
     v_vars = []
     for n in levels:
@@ -582,7 +577,7 @@ def run_skeleton_suite(
     replications=10**4, master_seed=0, workers=1, n=16, t=1.0
 ) -> ExperimentResult:
     """Variance of the walk terminal value matches the Brownian time."""
-    res = ExperimentResult(name="skeleton-suite")
+    res = ExperimentResult()
     values, seeds = mc_run(
         partial(draw_terminal_y, n=n, t=t),
         replications, _level_master(master_seed, 1), workers,

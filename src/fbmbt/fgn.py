@@ -140,9 +140,8 @@ class FbmGridPath2D:
     """Two independent two-sided fBm components on a level-n dyadic grid.
 
     ``values1[j - j_min]`` holds X^1 at time ``j * 2**(-n/2)``; both
-    components vanish at j = 0.  A block of paths, one per seed in the
-    tuple ``seed``, holds one row per seed, and grid indices run along the
-    last axis.
+    components vanish at j = 0.  A block of paths holds one row per seed,
+    and grid indices run along the last axis.
     """
 
     H: float
@@ -151,7 +150,6 @@ class FbmGridPath2D:
     j_max: int
     values1: np.ndarray = field(repr=False)
     values2: np.ndarray = field(repr=False)
-    seed: int | tuple[int, ...]
 
     def component(self, i: int) -> np.ndarray:
         if i == 1:
@@ -159,11 +157,6 @@ class FbmGridPath2D:
         if i == 2:
             return self.values2
         raise ValueError(f"component must be 1 or 2, got {i}")
-
-    def value(self, i: int, j: int) -> float:
-        if not self.j_min <= j <= self.j_max:
-            raise ValueError(f"grid index {j} outside [{self.j_min}, {self.j_max}]")
-        return float(self.component(i)[j - self.j_min])
 
     def segment(self, i: int, j_lo: int, j_hi: int) -> np.ndarray:
         """Values at grid indices j_lo..j_hi inclusive."""
@@ -210,7 +203,7 @@ def _embedding_sqrt_eig(H: float, size: int) -> np.ndarray:
     return np.sqrt(np.clip(eig, 0.0, None))
 
 
-def sample_increments(H: float, spacing: float, size: int, rng) -> np.ndarray:
+def sample_increments(H: float, spacing: float, size: int, rngs) -> np.ndarray:
     """Exact draw of ``size`` stationary fBm increments at the given spacing,
     by circulant embedding (Davies-Harte 1987).
 
@@ -220,20 +213,18 @@ def sample_increments(H: float, spacing: float, size: int, rng) -> np.ndarray:
     w_1..w_{size-1}.  The Hermitian FFT of sqrt(eig) * w, scaled by
     spacing**H / sqrt(4 * size), gives the increments.
 
-    ``rng`` is one generator, giving a ``(size,)`` array, or a sequence of
-    generators or ``rng.StreamKey`` handles, giving a ``(len(rng), size)``
-    block whose row r is exactly what ``rng[r]`` alone gives: each row takes
-    its normals from its own generator, one row after another, so a handle
-    that re-keys the process's one generator is read before the next
-    re-keys it; the FFT runs row-wise, in chunks of at most ``BLOCK_VALUES``
-    complex values.
+    ``rngs`` is a sequence of generators or ``rng.StreamKey`` handles, and
+    the draw a ``(len(rngs), size)`` block whose row r is exactly what
+    ``[rngs[r]]`` alone gives: each row takes its normals from its own
+    generator, one row after another, so a handle that re-keys the
+    process's one generator is read before the next re-keys it; the FFT
+    runs row-wise, in chunks of at most ``BLOCK_VALUES`` complex values.
     """
     if size > MAX_INCREMENTS:
         raise CapacityError(
             f"grid of {size} increments exceeds exact-sampling cap {MAX_INCREMENTS}"
         )
-    one = isinstance(rng, np.random.Generator)
-    rngs = [rng] if one else list(rng)
+    rngs = list(rngs)
     out = np.empty((len(rngs), size))
     if size:
         sq = _embedding_sqrt_eig(H, size)
@@ -255,7 +246,7 @@ def sample_increments(H: float, spacing: float, size: int, rng) -> np.ndarray:
             # of w and of the normals, it makes no temporaries.
             np.fft.irfft(np.conjugate(w, out=w), n=m, norm="forward", out=v)
             np.multiply(v[:, :size], scale, out=out[lo : lo + len(chunk)])
-    return out[0] if one else out
+    return out
 
 
 def _increment_rows(H: float, n: int, size: int, seeds: list[int],
@@ -273,7 +264,7 @@ def _increment_rows(H: float, n: int, size: int, seeds: list[int],
     return incs[: len(seeds)], incs[len(seeds) :]
 
 
-def _block_path(H: float, n: int, j_min: int, j_max: int, seeds: list[int],
+def _block_path(H: float, n: int, j_min: int, j_max: int,
                 incs: tuple[np.ndarray, np.ndarray]) -> FbmGridPath2D:
     """The block of paths on grid indices j_min..j_max whose increments are
     the first j_max - j_min of each row of ``incs`` (X^1 rows, X^2 rows),
@@ -285,7 +276,7 @@ def _block_path(H: float, n: int, j_min: int, j_max: int, seeds: list[int],
         v = np.zeros((len(rows), count + 1))
         np.cumsum(rows[:, :count], axis=1, out=v[:, 1:])
         values.append(v - v[:, -j_min, None] if j_min else v)
-    return FbmGridPath2D(float(H), n, int(j_min), int(j_max), *values, tuple(seeds))
+    return FbmGridPath2D(float(H), n, int(j_min), int(j_max), *values)
 
 
 def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed) -> FbmGridPath2D:
@@ -310,10 +301,9 @@ def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed) -> FbmGridPath
     seeds = [int(seed)] if one else [int(s) for s in seed]
     # Pad to the next power of two so the factorization caches are shared
     # across replications with slightly different realized ranges.
-    path = _block_path(H, n, j_min, j_max, seeds, _increment_rows(H, n, _padded_size(count), seeds))
+    path = _block_path(H, n, j_min, j_max, _increment_rows(H, n, _padded_size(count), seeds))
     if one:
-        return dataclasses.replace(path, values1=path.values1[0], values2=path.values2[0],
-                                   seed=seeds[0])
+        return dataclasses.replace(path, values1=path.values1[0], values2=path.values2[0])
     return path
 
 

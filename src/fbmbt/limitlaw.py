@@ -10,9 +10,10 @@ The limiting correction for a path run to time t is the Ito integral
 
 with (g_1, ..., g_4) = (f_xxx, f_yyy, f_xxy, f_xyy) evaluated along the
 2-component fBm X and four independent standard Brownian motions B^i,
-independent of X.  ``sample_correction_fbm`` draws one left-point Euler
-realization of that integral.  ``sample_change_of_variable_rhs`` first
-draws the Brownian time Y_t ~ N(0, t), integrates out to |Y_t|, and returns
+independent of X.  Both samplers take a list of seeds and return one value
+per seed.  ``sample_correction_fbm`` draws a left-point Euler realization
+of that integral.  ``sample_change_of_variable_rhs`` first draws the
+Brownian time Y_t ~ N(0, t), integrates out to |Y_t|, and returns
 f(X_{Y_t}) - f(X_0) minus that correction.
 
 Given X, the Euler sum sum_i kappa_i sum_k g_i(X_k) (B^i_{k+1} - B^i_k) is a
@@ -89,16 +90,6 @@ def default_kappas() -> KappaConstants:
     return kappa_constants(sum_rho_cubed(H_SPECIAL, DEFAULT_SERIES_TRUNCATION))
 
 
-@dataclass(frozen=True)
-class CorrectionSample:
-    """One Monte Carlo draw from a correction-term sampler; a block of
-    seeds gives one value per seed, and on the Brownian clock one time per
-    seed."""
-
-    value: float | np.ndarray
-    t_effective: float | np.ndarray
-
-
 # Derivative multi-indices of the integrands g_i, in kappa order.
 _INTEGRAND_TERMS = ((3, 0), (0, 3), (2, 1), (1, 2))
 
@@ -164,57 +155,38 @@ def _check_args(t: float, mesh: float) -> None:
         raise ValueError(f"mesh must be positive, got {mesh}")
 
 
-def _seed_list(seed) -> tuple[bool, list[int]]:
-    """(whether ``seed`` is one seed, the seeds as a list)."""
-    one = np.ndim(seed) == 0
-    return one, [seed] if one else list(seed)
-
-
-def _sample(one: bool, value: np.ndarray, t_effective) -> CorrectionSample:
-    """Floats for one seed, one entry per seed for a block."""
-    if one:
-        return CorrectionSample(float(value[0]), float(np.ravel(t_effective)[0]))
-    return CorrectionSample(value, t_effective)
-
-
 def sample_correction_fbm(
     f: TestFunction2D,
     t: float,
     mesh: float,
-    seed: int | list[int],
-) -> CorrectionSample:
-    """One draw of the limiting correction for the fBm clock run to time t.
-    A sequence of seeds gives a block: ``value`` holds one draw per seed.
-    When every integrand is constant no X is drawn: the value is the same
-    normal times the same square root, with the weight c on all K steps."""
+    seeds: list[int],
+) -> np.ndarray:
+    """Draws of the limiting correction for the fBm clock run to time t, one
+    per seed.  When every integrand is constant no X is drawn: the value is
+    the same normal times the same square root, with the weight c on all K
+    steps."""
     _check_args(t, mesh)
-    one, seeds = _seed_list(seed)
     c = _constant_weight(f)
     if c is None:
-        value, _, _ = _euler_sum(f, [t] * len(seeds), mesh, seeds)
-    else:
-        k = max(1, round(t / mesh))
-        value = np.array([_conditional_normal(t / k, [c] * k, s) if t else 0.0 for s in seeds])
-    return _sample(one, value, float(t))
+        return _euler_sum(f, [t] * len(seeds), mesh, seeds)[0]
+    k = max(1, round(t / mesh))
+    return np.array([_conditional_normal(t / k, [c] * k, s) if t else 0.0 for s in seeds])
 
 
 def sample_change_of_variable_rhs(
     f: TestFunction2D,
     t: float,
     mesh: float,
-    seed: int | list[int],
-) -> CorrectionSample:
-    """One draw of f(X_{Y_t}) - f(X_0) - correction for the Brownian-time
-    clock.  X is sampled outward from 0 toward Y_t, so by the reflection
-    symmetry of fBm the draw has the law of the two-sided path restricted
-    to the traversed side.  A sequence of seeds gives a block: ``value``
-    and ``t_effective`` (Y_t) hold one entry per seed."""
+    seeds: list[int],
+) -> np.ndarray:
+    """Draws of f(X_{Y_t}) - f(X_0) - correction for the Brownian-time
+    clock, one per seed.  X is sampled outward from 0 toward Y_t, so by the
+    reflection symmetry of fBm the draw has the law of the two-sided path
+    restricted to the traversed side."""
     _check_args(t, mesh)
-    one, seeds = _seed_list(seed)
-    y = np.array([math.sqrt(t) * float(keyed(s, STREAM_Y).standard_normal()) if t else 0.0
-                  for s in seeds])
-    corr, x1_end, x2_end = _euler_sum(f, np.abs(y).tolist(), mesh, seeds)
+    y = [math.sqrt(t) * float(keyed(s, STREAM_Y).standard_normal()) if t else 0.0
+         for s in seeds]
+    corr, x1_end, x2_end = _euler_sum(f, [abs(v) for v in y], mesh, seeds)
     f0 = float(f(0.0, 0.0))
-    value = np.array([float(f(a, b)) - f0 - c
-                      for a, b, c in zip(x1_end.tolist(), x2_end.tolist(), corr.tolist())])
-    return _sample(one, value, y)
+    return np.array([float(f(a, b)) - f0 - c
+                     for a, b, c in zip(x1_end.tolist(), x2_end.tolist(), corr.tolist())])

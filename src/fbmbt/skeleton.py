@@ -25,7 +25,6 @@ class SkeletonPath:
     level: int
     steps: int
     positions: np.ndarray = field(repr=False)
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -39,21 +38,6 @@ class CrossingTable:
     j_lo: int
     up: np.ndarray = field(repr=False)
     down: np.ndarray = field(repr=False)
-    horizon: int
-
-    @property
-    def j_hi(self) -> int:
-        return self.j_lo + len(self.up) - 1
-
-    def upcrossings(self, j: int) -> int:
-        if self.j_lo <= j <= self.j_hi:
-            return int(self.up[j - self.j_lo])
-        return 0
-
-    def downcrossings(self, j: int) -> int:
-        if self.j_lo <= j <= self.j_hi:
-            return int(self.down[j - self.j_lo])
-        return 0
 
     def signed(self) -> dict[int, int]:
         """Map j -> U_j - D_j, zeros omitted."""
@@ -82,7 +66,7 @@ def sample_skeleton(level: int, steps: int, seed: int) -> SkeletonPath:
     jumps *= 2
     jumps -= 1
     np.cumsum(positions, out=positions)
-    return SkeletonPath(level=level, steps=int(steps), positions=positions, seed=int(seed))
+    return SkeletonPath(level=level, steps=int(steps), positions=positions)
 
 
 def sample_terminal(level: int, steps: int, seed: int) -> int:
@@ -108,7 +92,7 @@ def crossings_bruteforce(path: SkeletonPath, horizon: int) -> CrossingTable:
     """Count every up/downcrossing among the first ``horizon`` steps."""
     horizon = _check_horizon(path, horizon)
     if horizon == 0:
-        return CrossingTable(j_lo=0, up=np.zeros(0, np.int64), down=np.zeros(0, np.int64), horizon=0)
+        return CrossingTable(j_lo=0, up=np.zeros(0, np.int64), down=np.zeros(0, np.int64))
     # A step from a to b = a +- 1 keys as 3a + b: 4j + 1 for an up-step over
     # the edge [j, j+1], 4j + 3 for a down-step over it.
     key = path.positions[:horizon] * 3
@@ -117,7 +101,7 @@ def crossings_bruteforce(path: SkeletonPath, horizon: int) -> CrossingTable:
     width = (int(key.max()) - 1) // 4 - j_lo + 1
     key -= 4 * j_lo + 1
     counts = np.bincount(key, minlength=4 * width)
-    return CrossingTable(j_lo=j_lo, up=counts[::4], down=counts[2::4], horizon=horizon)
+    return CrossingTable(j_lo=j_lo, up=counts[::4], down=counts[2::4])
 
 
 def signed_crossings_closed_form(path: SkeletonPath, horizon: int) -> dict[int, int]:

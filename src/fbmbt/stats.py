@@ -25,18 +25,15 @@ def kolmogorov_tail(x: float) -> float:
 
 @dataclass(frozen=True)
 class TwoSampleResult:
-    """Two-sample comparison: statistic, asymptotic p-value, sample sizes."""
+    """Two-sample comparison: statistic and asymptotic p-value."""
 
     statistic: float
     p_value: float
-    n1: int
-    n2: int
-    small_sample: bool
 
 
 def ks_two_sample(a, b) -> TwoSampleResult:
     """Exact two-sample Kolmogorov-Smirnov sup distance with the asymptotic
-    Kolmogorov p-value; flagged when either sample has fewer than 50 points."""
+    Kolmogorov p-value."""
     a = np.sort(np.asarray(a, dtype=np.float64))
     b = np.sort(np.asarray(b, dtype=np.float64))
     n1, n2 = len(a), len(b)
@@ -48,10 +45,7 @@ def ks_two_sample(a, b) -> TwoSampleResult:
     stat = float(np.max(np.abs(cdf1 - cdf2)))
     en = math.sqrt(n1 * n2 / (n1 + n2))
     p = kolmogorov_tail(en * stat)
-    return TwoSampleResult(
-        statistic=stat, p_value=p, n1=n1, n2=n2,
-        small_sample=min(n1, n2) < 50,
-    )
+    return TwoSampleResult(statistic=stat, p_value=p)
 
 
 # A rate fit of fewer levels has no residual to judge the straight line by.
@@ -63,9 +57,7 @@ class RateFit:
     """Least-squares fit of log2(value) against the level n."""
 
     slope: float
-    intercept: float
     r_squared: float
-    levels: tuple[int, ...]
 
 
 def fit_rate(levels, values) -> RateFit:
@@ -87,10 +79,7 @@ def fit_rate(levels, values) -> RateFit:
     total = logs - logs.mean()
     ss_tot = float(total @ total)
     r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(
-        slope=float(slope), intercept=float(intercept), r_squared=r2,
-        levels=tuple(int(n) for n in levels),
-    )
+    return RateFit(slope=float(slope), r_squared=r2)
 
 
 def replication_seeds(replications: int, master_seed: int) -> list[int]:

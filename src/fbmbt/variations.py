@@ -52,7 +52,7 @@ from .fgn import FbmGridPath2D, check_special_hurst
 from .skeleton import SkeletonPath
 
 # Midpoint Taylor coefficients C(a1, a2) up to order three.
-_TAYLOR = midpoint_taylor_table(3).entries
+_TAYLOR = midpoint_taylor_table(3)
 # The partials of a power sum's weight: f itself.
 _VALUE = ((0, 0),)
 

@@ -38,8 +38,6 @@ from fbmbt.fgn import (
 from fbmbt.limitlaw import (
     _constant_weight,
     _euler_sum,
-    _sample,
-    _seed_list,
     sample_change_of_variable_rhs,
     sample_correction_fbm,
 )
@@ -124,7 +122,7 @@ def test_increment_block_rows_equal_one_row_draws(H, size, seeds):
     block = sample_increments(H, 0.5, size, [generator(s, rng.STREAM_X1) for s in seeds])
     assert block.shape == (len(seeds), size)
     for row, seed in zip(block, seeds):
-        one = sample_increments(H, 0.5, size, generator(seed, rng.STREAM_X1))
+        one = sample_increments(H, 0.5, size, [generator(seed, rng.STREAM_X1)])[0]
         assert _bits(row) == _bits(one)
     if size:
         _assert_same_law_map(H, 0.5, size, seeds[0])
@@ -153,7 +151,7 @@ def test_increment_block_straddles_the_chunk_cap():
     seeds = [derive_seed(11, i) for i in range(rows)]
     block = sample_increments(H_SPECIAL, 0.25, size, [generator(s, rng.STREAM_X2) for s in seeds])
     for row, seed in zip(block, seeds):
-        one = sample_increments(H_SPECIAL, 0.25, size, generator(seed, rng.STREAM_X2))
+        one = sample_increments(H_SPECIAL, 0.25, size, [generator(seed, rng.STREAM_X2)])[0]
         assert _bits(row) == _bits(one)
 
 
@@ -167,7 +165,6 @@ def test_increment_block_straddles_the_chunk_cap():
 )
 def test_fbm_block_rows_equal_one_seed_paths(H, n, lo, hi, seeds):
     block = sample_fbm_2d(H, n, lo, hi, seeds)
-    assert block.seed == tuple(seeds)
     for r, seed in enumerate(seeds):
         one = sample_fbm_2d(H, n, lo, hi, seed)
         assert _bits(block.values1[r]) == _bits(one.values1)
@@ -268,7 +265,7 @@ def test_ragged_draws_make_one_kernel_pass_per_fgn_chunk(monkeypatch):
         draw(seeds, H=0.3, n=n, t=t, fname="sin_x_cos_y")
         assert calls["passes"] == calls["chunks"] < len(lengths) // 4, draw.__name__
     f, mesh = get_test_function("sin_x_cos_y"), 2.0**-8
-    times = sample_change_of_variable_rhs(f, t, mesh, seeds).t_effective
+    times = _brownian_times(t, seeds)
     steps = {max(1, round(abs(y) / mesh)) for y in times}
     monkeypatch.setattr(type(f), "partials_at", counted(type(f).partials_at, "passes"))
     calls.update(chunks=0, passes=0)
@@ -302,19 +299,21 @@ def _residual(fname, H, n, t):
     def one(seed):
         f = get_test_function(fname)
         j_star, y, fbm = _terminal_segment(seed, H, n, t)
-        z1, z2 = fbm.value(1, j_star), fbm.value(2, j_star)
+        z1, z2 = fbm.values1[j_star - fbm.j_min], fbm.values2[j_star - fbm.j_min]
         return float(f(z1, z2)) - float(f(0.0, 0.0)) - w_grad(f, fbm, y)
     return one
 
 
-def sample_correction_fbmbt(f, t, mesh, seed):
+def _brownian_times(t, seeds):
+    """Y_t of each seed, from its own ``STREAM_Y`` normal."""
+    return np.array([math.sqrt(t) * float(generator(s, rng.STREAM_Y).standard_normal()) if t
+                     else 0.0 for s in seeds])
+
+
+def sample_correction_fbmbt(f, t, mesh, seeds):
     """The Brownian-time correction alone: the Euler sum out to |Y_t| that
-    ``sample_change_of_variable_rhs`` subtracts, with Y_t as its time."""
-    one, seeds = _seed_list(seed)
-    y = np.array([math.sqrt(t) * float(generator(s, rng.STREAM_Y).standard_normal()) if t else 0.0
-                  for s in seeds])
-    value, _, _ = _euler_sum(f, np.abs(y).tolist(), mesh, seeds)
-    return _sample(one, value, y)
+    ``sample_change_of_variable_rhs`` subtracts, one value per seed."""
+    return _euler_sum(f, np.abs(_brownian_times(t, seeds)).tolist(), mesh, seeds)[0]
 
 
 @settings(deadline=None, max_examples=15)
@@ -343,9 +342,9 @@ def test_batched_estimators_equal_one_seed_draws(H, n, fname, seeds):
         (draw_skeleton_residual, dict(H=H, n=n, t=t), _residual(fname, H, n, t)),
         (draw_w3_horizons, dict(H=H, n=n, ys=ys), horizons),
         (draw_correction_fbm, dict(t=t, mesh=mesh),
-         lambda s: sample_correction_fbm(f, t, mesh, s).value),
+         lambda s: sample_correction_fbm(f, t, mesh, [s])[0]),
         (draw_rhs_fbmbt, dict(t=t, mesh=mesh),
-         lambda s: sample_change_of_variable_rhs(f, t, mesh, s).value),
+         lambda s: sample_change_of_variable_rhs(f, t, mesh, [s])[0]),
     ]
     for draw, kwargs, one in cases:
         block = draw(seeds, fname=fname, **kwargs)
@@ -380,18 +379,15 @@ def test_brownian_time_block_rows_equal_one_seed_values(fname):
     seeds = [derive_seed(8, i) for i in range(40)]
     rhs = sample_change_of_variable_rhs(f, 1.0, mesh, seeds)
     corr = sample_correction_fbmbt(f, 1.0, mesh, seeds)
-    assert _bits(rhs.t_effective) == _bits(corr.t_effective)
-    padded = [1 << (max(1, round(abs(y) / mesh)) - 1).bit_length() for y in rhs.t_effective]
+    padded = [1 << (max(1, round(abs(y) / mesh)) - 1).bit_length()
+              for y in _brownian_times(1.0, seeds)]
     assert len(set(padded)) >= 3
     assert any(padded.count(p) > BLOCK_VALUES // (4 * p) for p in padded)
     for r, seed in enumerate(seeds):
-        one = sample_change_of_variable_rhs(f, 1.0, mesh, seed)
-        assert _bits(rhs.value[r]) == _bits(one.value)
-        assert _bits(rhs.t_effective[r]) == _bits(one.t_effective)
-        assert _bits(corr.value[r]) == _bits(sample_correction_fbmbt(f, 1.0, mesh, seed).value)
+        assert _bits(rhs[r]) == _bits(sample_change_of_variable_rhs(f, 1.0, mesh, [seed])[0])
+        assert _bits(corr[r]) == _bits(sample_correction_fbmbt(f, 1.0, mesh, [seed])[0])
     zero = sample_change_of_variable_rhs(f, 0.0, mesh, seeds)
-    assert _bits(zero.value) == _bits(np.zeros(len(seeds)))
-    assert _bits(zero.t_effective) == _bits(np.zeros(len(seeds)))
+    assert _bits(zero) == _bits(np.zeros(len(seeds)))
 
 
 @pytest.mark.parametrize("fname", ["x^3", "x*y^2"])
@@ -402,9 +398,9 @@ def test_constant_integrand_correction_equals_the_euler_sum_along_x(fname, t):
     assert _constant_weight(f) is not None
     seeds = [derive_seed(12, i) for i in range(200)]
     along_x, _, _ = _euler_sum(f, [t] * len(seeds), mesh, seeds)
-    assert _bits(sample_correction_fbm(f, t, mesh, seeds).value) == _bits(along_x)
+    assert _bits(sample_correction_fbm(f, t, mesh, seeds)) == _bits(along_x)
     for seed, value in zip(seeds[:3], along_x):
-        assert _bits(sample_correction_fbm(f, t, mesh, seed).value) == _bits(value)
+        assert _bits(sample_correction_fbm(f, t, mesh, [seed])[0]) == _bits(value)
     assert _constant_weight(get_test_function("sin_x_cos_y")) is None
     assert _constant_weight(get_test_function("x^4")) is None
 

@@ -51,18 +51,18 @@ def test_hermite_expand_reconstructs_powers():
 
 def test_taylor_table_documented_entries():
     table = midpoint_taylor_table(5)
-    assert table.coefficient(1, 0) == 1
-    assert table.coefficient(0, 1) == 1
-    assert table.coefficient(3, 0) == Fraction(1, 24)
-    assert table.coefficient(0, 3) == Fraction(1, 24)
-    assert table.coefficient(1, 2) == Fraction(1, 8)
-    assert table.coefficient(2, 1) == Fraction(1, 8)
-    assert table.coefficient(5, 0) == Fraction(1, 1920)
+    assert table[1, 0] == 1
+    assert table[0, 1] == 1
+    assert table[3, 0] == Fraction(1, 24)
+    assert table[0, 3] == Fraction(1, 24)
+    assert table[1, 2] == Fraction(1, 8)
+    assert table[2, 1] == Fraction(1, 8)
+    assert table[5, 0] == Fraction(1, 1920)
 
 
 def test_taylor_table_even_orders_vanish():
     table = midpoint_taylor_table(12)
-    for (a1, a2), coeff in table.entries.items():
+    for (a1, a2), coeff in table.items():
         if (a1 + a2) % 2 == 0:
             assert coeff == 0, (a1, a2)
 
@@ -70,7 +70,7 @@ def test_taylor_table_even_orders_vanish():
 def test_taylor_table_closed_form():
     # C(a1, a2) = 2^{1-(a1+a2)} / (a1! a2!) for odd totals
     table = midpoint_taylor_table(9)
-    for (a1, a2), coeff in table.entries.items():
+    for (a1, a2), coeff in table.items():
         k = a1 + a2
         if k % 2 == 1:
             want = Fraction(2) ** (1 - k) / (
@@ -103,7 +103,7 @@ def test_taylor_table_reproduces_polynomial_difference():
     mx, my = (a + b) / 2, (c + d) / 2
     approx = sum(
         float(coeff) * partial(b1, b2, mx, my) * (b - a) ** b1 * (d - c) ** b2
-        for (b1, b2), coeff in table.entries.items()
+        for (b1, b2), coeff in table.items()
     )
     assert approx == pytest.approx(poly(b, d) - poly(a, c), rel=1e-12)
 

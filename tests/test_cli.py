@@ -163,6 +163,53 @@ def test_bad_config_exit_2(tmp_path, capsys, config):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+_TINY = {"levels": [2, 4, 6], "replications": 4}
+_TINY_DIVERGE = {"experiment": "diverge-h-lt", **_TINY, "fbmbt_replications": 4}
+_TINY_LAW = {"experiment": "law-h-eq", "n": 4, "replications": 4, "ks_replications": 4,
+             "mixture_replications": 4, "modulus_levels": [2], "modulus_replications": 4,
+             "mesh": 0.25}
+_TINY_SKELETON = {"experiment": "skeleton-suite", "n": 4, "replications": 4}
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        # p + q even, given or with the runner's default p = 1 or q = 2.
+        ({"experiment": "converge-h-gt", "p": 2, "q": 2, **_TINY}, []),
+        ({"experiment": "converge-h-gt", "q": 1, **_TINY}, []),
+        ({"experiment": "converge-h-gt", "p": 0, **_TINY}, []),
+        # The fitted statistic is identically zero.
+        ({**_TINY_DIVERGE, "function": "x"}, []),
+        ({**_TINY_DIVERGE, "function": "1"}, []),
+        ({"experiment": "converge-h-gt", "function": "1", **_TINY}, []),
+        # The residual is rounding noise: the midpoint rule is exact on quadratics.
+        ({"experiment": "converge-h-gt", "function": "x*y", **_TINY}, []),
+        # One draw has no sample variance.
+        ({**_TINY_LAW, "replications": 1}, []),
+        ({**_TINY_LAW, "mixture_replications": 1}, []),
+        ({**_TINY_DIVERGE, "replications": 1}, []),
+        ({**_TINY_DIVERGE, "fbmbt_replications": 1}, []),
+        ({**_TINY_SKELETON, "replications": 1}, []),
+        ({"experiment": "identity-suite", "replications": 1}, []),
+        # A master seed that derive_seed would alias to a smaller one.
+        ({**_TINY_SKELETON, "master_seed": 2**64 + 5}, []),
+        # Worker counts that would run serially without a word.
+        (_TINY_SKELETON, ["--workers", "0"]),
+        (_TINY_SKELETON, ["--workers", "-3"]),
+        # Keys the experiments without draws do not read.
+        ({"experiment": "rho-table", "replications": 5000, "master_seed": 3}, []),
+        ({"experiment": "constants", "master_seed": 3}, []),
+        ({"experiment": "taylor-table", "replications": 10}, []),
+    ],
+)
+def test_input_the_run_cannot_honour_exit_2(tmp_path, capsys, config, flags):
+    cfg = _write_config(tmp_path, config)
+    assert main(["--config", str(cfg), "--out", str(tmp_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_every_runner_key_is_checked():
     from fbmbt.cli import _RUN_KEYS, _VALUE_CHECKS, _accepted_keys
     from fbmbt.experiments import RUNNERS
@@ -228,6 +275,22 @@ def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     assert err[0] == "Traceback (most recent call last):"
     assert err[-1] == ("internal error: LinAlgError: circulant embedding has a "
                        "negative eigenvalue")
+    assert not out.exists()
+
+
+def test_non_finite_summary_exit_4(tmp_path, capsys, monkeypatch):
+    from fbmbt import cli
+
+    def runner():
+        res = cli.ExperimentResult()
+        res.add_test("variance", float("nan"), False)
+        return res
+
+    monkeypatch.setitem(cli.RUNNERS, "constants", runner)
+    cfg = _write_config(tmp_path, {"experiment": "constants"})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines()[-1].startswith("internal error: ValueError:")
     assert not out.exists()
 
 

@@ -128,7 +128,7 @@ def test_sample_fbm_marginal_variance():
     vals = []
     for seed in range(400):
         path = sample_fbm_2d(H, n, 0, m, seed)
-        vals.append(path.value(1, m))
+        vals.append(path.values1[m - path.j_min])
     var = np.var(vals, ddof=1)
     assert var == pytest.approx(1.0, abs=0.25)
 
@@ -136,13 +136,8 @@ def test_sample_fbm_marginal_variance():
 def test_sample_fbm_two_sided_covariance():
     # empirical cov between X(t) and X(-t) matches the two-sided formula
     H, n, m = 0.3, 6, 8
-    pairs = np.array(
-        [
-            [sample_fbm_2d(H, n, -m, m, seed).value(1, m),
-             sample_fbm_2d(H, n, -m, m, seed).value(1, -m)]
-            for seed in range(600)
-        ]
-    )
+    paths = [sample_fbm_2d(H, n, -m, m, seed) for seed in range(600)]
+    pairs = np.array([[p.values1[m - p.j_min], p.values1[-m - p.j_min]] for p in paths])
     emp = np.mean(pairs[:, 0] * pairs[:, 1])
     assert emp == pytest.approx(cov_fbm(1.0, -1.0, H), abs=0.15)
 
@@ -150,8 +145,8 @@ def test_sample_fbm_two_sided_covariance():
 def test_sample_fbm_components_independent():
     H, n, m = 0.3, 6, 8
     prods = [
-        sample_fbm_2d(H, n, 0, m, seed).value(1, m)
-        * sample_fbm_2d(H, n, 0, m, seed).value(2, m)
+        sample_fbm_2d(H, n, 0, m, seed).values1[m]
+        * sample_fbm_2d(H, n, 0, m, seed).values2[m]
         for seed in range(600)
     ]
     assert abs(np.mean(prods)) < 0.15
@@ -159,8 +154,8 @@ def test_sample_fbm_components_independent():
 
 def test_sample_fbm_anchored_and_reproducible():
     path = sample_fbm_2d(0.3, 8, -5, 11, 987)
-    assert path.value(1, 0) == 0.0
-    assert path.value(2, 0) == 0.0
+    assert path.values1[0 - path.j_min] == 0.0
+    assert path.values2[0 - path.j_min] == 0.0
     again = sample_fbm_2d(0.3, 8, -5, 11, 987)
     assert np.array_equal(path.values1, again.values1)
     assert np.array_equal(path.values2, again.values2)
@@ -176,9 +171,7 @@ def test_sample_fbm_nested_ranges_consistent():
 def test_sample_increments_empirical_covariance():
     H, spacing, size = 1 / 6, 0.125, 16
     target = spacing ** (2 * H) * np.array([float(rho(k, H)) for k in range(size)])
-    draws = np.array(
-        [sample_increments(H, spacing, size, generator(s, 1)) for s in range(3000)]
-    )
+    draws = sample_increments(H, spacing, size, [generator(s, 1) for s in range(3000)])
     emp = draws.T @ draws / len(draws)
     assert np.max(np.abs(emp[0] - target)) < 0.05
 
@@ -192,7 +185,7 @@ def test_non_psd_embedding_raises(monkeypatch):
     monkeypatch.setattr("fbmbt.fgn.rho", bad_rho)
     _embedding_sqrt_eig.cache_clear()
     with pytest.raises(np.linalg.LinAlgError, match=r"H=0\.3, size=8:") as err:
-        sample_increments(0.3, 0.5, 8, generator(1, 1))
+        sample_increments(0.3, 0.5, 8, [generator(1, 1)])
     assert "spacing" not in str(err.value)  # the eigenvalues are spacing-free
     assert _embedding_sqrt_eig.cache_info().currsize == 0
 
@@ -211,5 +204,3 @@ def test_segment_bounds_checked():
     path = sample_fbm_2d(0.3, 8, -2, 4, 3)
     with pytest.raises(ValueError):
         path.segment(1, -3, 2)
-    with pytest.raises(ValueError):
-        path.value(1, 5)

@@ -1,9 +1,15 @@
 """Layout of the package source and its tests, read with ``ast`` alone: no
-module of the package or of the tests imports a name it does not use, and
-every public top-level function or class is used by code somewhere in the
-package, outside its own body and ``__init__``.  A name counts as used where
-it is read in code (a bare name or an attribute); docstrings, comments and
-re-exports do not count."""
+module of the package or of the tests imports a name it does not use; every
+public top-level function or class is used by code somewhere in the
+package, outside its own body and ``__init__``; every public field, method
+and property of a class in the package is read somewhere in the package;
+and every parameter of a ``def`` in the package is read in that function's
+body.  A name counts as used where it is read in code (a bare name or an
+attribute); docstrings, comments and re-exports do not count.  Code reads a
+field, method or property through an attribute, so only attribute loads
+count for those, and only loads of a bare name count for a parameter.  The
+checks go by name: a member whose name some other read member shares passes
+unread."""
 
 import ast
 from pathlib import Path
@@ -70,3 +76,43 @@ def test_every_public_definition_is_used_in_the_package():
         and not stmt.name.startswith("_") and stmt.name not in used
     ]
     assert unused == []
+
+
+def _unread_members(kind) -> list[str]:
+    """``module.Class.member`` for every public ``kind`` statement of a class
+    body in ``src/`` (``ast.AnnAssign``: a field; ``ast.FunctionDef``: a
+    method or property) whose name ``src/`` never loads as an attribute,
+    the only way its code reads a member."""
+    read = {sub.attr for tree in MODULES.values() for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    members = [
+        (f"{module}.{cls.name}", node.target.id if kind is ast.AnnAssign else node.name)
+        for module, tree in MODULES.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, kind)
+    ]
+    return [f"{cls}.{name}" for cls, name in members
+            if not name.startswith("_") and name not in read]
+
+
+def test_every_public_field_is_read_in_the_package():
+    assert _unread_members(ast.AnnAssign) == []
+
+
+def test_every_public_method_is_read_in_the_package():
+    assert _unread_members(ast.FunctionDef) == []
+
+
+def test_every_parameter_is_read_in_its_function():
+    unread = []
+    for module, tree in MODULES.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            loaded = {sub.id for stmt in fn.body for sub in ast.walk(stmt)
+                      if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{module}.{fn.name}({name})" for name in params if name not in loaded]
+    assert unread == []

@@ -16,14 +16,16 @@ from fbmbt.rng import derive_seed, generator
 from fbmbt.stats import ks_two_sample
 
 
-def sample_correction_fbmbt(f, t, mesh, seed):
+def _brownian_times(t, seeds):
+    """Y_t of each seed, from its own ``STREAM_Y`` normal."""
+    return np.array([math.sqrt(t) * float(generator(s, rng.STREAM_Y).standard_normal()) if t
+                     else 0.0 for s in seeds])
+
+
+def sample_correction_fbmbt(f, t, mesh, seeds):
     """The Brownian-time correction alone: the Euler sum out to |Y_t| that
-    ``sample_change_of_variable_rhs`` subtracts, with Y_t as its time."""
-    one, seeds = limitlaw._seed_list(seed)
-    y = np.array([math.sqrt(t) * float(generator(s, rng.STREAM_Y).standard_normal()) if t else 0.0
-                  for s in seeds])
-    value, _, _ = limitlaw._euler_sum(f, np.abs(y).tolist(), mesh, seeds)
-    return limitlaw._sample(one, value, y)
+    ``sample_change_of_variable_rhs`` subtracts, one value per seed."""
+    return limitlaw._euler_sum(f, np.abs(_brownian_times(t, seeds)).tolist(), mesh, seeds)[0]
 
 
 # Reference: the four-Brownian-motion Euler sum the samplers drew before
@@ -40,7 +42,7 @@ def _reference_euler_sum(f, length, mesh, seed):
     h = length / steps
     x1, x2 = (
         np.concatenate([[0.0], np.cumsum(
-            sample_increments(H_SPECIAL, h, steps, generator(seed, stream)))])
+            sample_increments(H_SPECIAL, h, steps, [generator(seed, stream)])[0])])
         for stream in (rng.STREAM_X1, rng.STREAM_X2)
     )
     total = 0.0
@@ -80,28 +82,26 @@ def test_quadratic_integrand_gives_exact_zero():
     # Every third partial of x^2 vanishes, so the conditional variance is 0
     # and the value is +0.0 even where the normal drawn is negative.
     f = get_test_function("x^2")
-    seeds = range(5)
+    seeds = list(range(5))
     assert any(generator(s, rng.STREAM_B).standard_normal() < 0 for s in seeds)
-    for seed in seeds:
-        for sampler in (sample_correction_fbm, sample_correction_fbmbt):
-            value = sampler(f, 1.0, 2.0**-6, seed).value
+    for sampler in (sample_correction_fbm, sample_correction_fbmbt):
+        for value in sampler(f, 1.0, 2.0**-6, seeds):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_argument_validation():
     f = get_test_function("x^3")
     with pytest.raises(ValueError):
-        sample_correction_fbm(f, -1.0, 0.01, 0)
+        sample_correction_fbm(f, -1.0, 0.01, [0])
     with pytest.raises(ValueError):
-        sample_correction_fbm(f, 1.0, 0.0, 0)
+        sample_correction_fbm(f, 1.0, 0.0, [0])
 
 
 def test_determinism():
     f = get_test_function("sin_x_cos_y")
-    a = sample_correction_fbmbt(f, 1.0, 2.0**-8, 123)
-    b = sample_correction_fbmbt(f, 1.0, 2.0**-8, 123)
-    assert a.value == b.value
-    assert a.t_effective == b.t_effective
+    a = sample_correction_fbmbt(f, 1.0, 2.0**-8, [123])
+    b = sample_correction_fbmbt(f, 1.0, 2.0**-8, [123])
+    assert a[0] == b[0]
 
 
 def test_fbm_correction_variance_cubic():
@@ -109,10 +109,7 @@ def test_fbm_correction_variance_cubic():
     f = get_test_function("x^3")
     kap = default_kappas()
     t = 0.7
-    vals = [
-        sample_correction_fbm(f, t, 2.0**-6, derive_seed(5, i)).value
-        for i in range(4000)
-    ]
+    vals = sample_correction_fbm(f, t, 2.0**-6, [derive_seed(5, i) for i in range(4000)])
     target = 36.0 * kap.kappa1**2 * t
     assert np.var(vals, ddof=1) == pytest.approx(target, rel=0.12)
     # and the value is exactly Gaussian here: normaltest should not reject
@@ -125,12 +122,7 @@ def test_fbmbt_correction_variance_and_kurtosis():
     # and mixing over Y_t leaves positive excess kurtosis
     f = get_test_function("x^3")
     kap = default_kappas()
-    vals = np.array(
-        [
-            sample_correction_fbmbt(f, 1.0, 2.0**-6, derive_seed(9, i)).value
-            for i in range(6000)
-        ]
-    )
+    vals = sample_correction_fbmbt(f, 1.0, 2.0**-6, [derive_seed(9, i) for i in range(6000)])
     target = 36.0 * kap.kappa1**2 * math.sqrt(2.0 / math.pi)
     assert np.var(vals, ddof=1) == pytest.approx(target, rel=0.12)
     centred = vals - vals.mean()
@@ -143,20 +135,14 @@ def test_mesh_robustness():
     f = get_test_function("sin_x_cos_y")
     out = []
     for mesh in (2.0**-6, 2.0**-7):
-        vals = [
-            sample_correction_fbm(f, 1.0, mesh, derive_seed(31, i)).value
-            for i in range(3000)
-        ]
+        vals = sample_correction_fbm(f, 1.0, mesh, [derive_seed(31, i) for i in range(3000)])
         out.append(np.var(vals, ddof=1))
     assert abs(out[0] - out[1]) < 0.08 * out[0]
 
 
 def test_t_effective_is_brownian_time():
     f = get_test_function("x^3")
-    ys = [
-        sample_correction_fbmbt(f, 2.0, 2.0**-6, derive_seed(3, i)).t_effective
-        for i in range(3000)
-    ]
+    ys = _brownian_times(2.0, [derive_seed(3, i) for i in range(3000)])
     assert np.mean(ys) == pytest.approx(0.0, abs=0.1)
     assert np.var(ys, ddof=1) == pytest.approx(2.0, rel=0.12)
 
@@ -164,19 +150,17 @@ def test_t_effective_is_brownian_time():
 def test_rhs_shares_draws_with_correction():
     f = get_test_function("sin_x_cos_y")
     seed = 4242
-    corr = sample_correction_fbmbt(f, 1.0, 2.0**-8, seed)
-    rhs = sample_change_of_variable_rhs(f, 1.0, 2.0**-8, seed)
-    assert rhs.t_effective == corr.t_effective
+    corr = sample_correction_fbmbt(f, 1.0, 2.0**-8, [seed])[0]
+    rhs = sample_change_of_variable_rhs(f, 1.0, 2.0**-8, [seed])[0]
     # rhs + correction = f(endpoint) - f(0), which is bounded for this f
-    recon = rhs.value + corr.value
+    recon = rhs + corr
     assert abs(recon - (-float(f(0.0, 0.0)))) <= 2.0 + 1e-9
 
 
 def test_zero_time_horizon():
     f = get_test_function("x^3")
-    s = sample_correction_fbm(f, 0.0, 0.01, 1)
-    assert s.value == 0.0
-    assert s.t_effective == 0.0
+    s = sample_correction_fbm(f, 0.0, 0.01, [1])
+    assert s[0] == 0.0
 
 
 @pytest.mark.parametrize("fname", ["x^3", "x*y^2", "sin_x_cos_y"])
@@ -191,7 +175,7 @@ def test_euler_sum_is_one_conditional_normal(monkeypatch, fname):
     monkeypatch.setattr(rng, "keyed", recording)
     monkeypatch.setattr(limitlaw, "keyed", recording)
     f = get_test_function(fname)
-    value = sample_correction_fbm(f, 1.0, 2.0**-6, 3).value
+    value = sample_correction_fbm(f, 1.0, 2.0**-6, [3])[0]
     # X cannot reach the value when every third partial is constant, and it
     # is not drawn; the value is still the one drawn along X.
     if fname == "sin_x_cos_y":
@@ -202,7 +186,7 @@ def test_euler_sum_is_one_conditional_normal(monkeypatch, fname):
     h = 2.0**-6
     x1, x2 = (
         np.concatenate([[0.0], np.cumsum(
-            sample_increments(H_SPECIAL, h, 64, generator(3, stream)))])[:-1]
+            sample_increments(H_SPECIAL, h, 64, [generator(3, stream)])[0])])[:-1]
         for stream in (rng.STREAM_X1, rng.STREAM_X2)
     )
     weight = sum(
@@ -219,12 +203,11 @@ def test_conditional_normal_matches_four_brownian_reference():
     f = get_test_function("sin_x_cos_y")
     draws = 3000
     pairs = [
-        ([sample_correction_fbm(f, 1.0, 2.0**-6, derive_seed(41, i)).value
-          for i in range(draws)],
+        (sample_correction_fbm(f, 1.0, 2.0**-6, [derive_seed(41, i) for i in range(draws)]),
          [_reference_euler_sum(f, 1.0, 2.0**-6, derive_seed(42, i))[0]
           for i in range(draws)]),
-        ([sample_change_of_variable_rhs(f, 1.0, 2.0**-6, derive_seed(43, i)).value
-          for i in range(draws)],
+        (sample_change_of_variable_rhs(f, 1.0, 2.0**-6,
+                                       [derive_seed(43, i) for i in range(draws)]),
          [_reference_rhs_fbmbt(f, 1.0, 2.0**-6, derive_seed(44, i))
           for i in range(draws)]),
     ]

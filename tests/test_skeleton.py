@@ -16,11 +16,9 @@ from fbmbt.skeleton import (
 from fbmbt.stats import ks_two_sample
 
 
-def _manual_path(level, positions, seed=0):
+def _manual_path(level, positions):
     positions = np.asarray(positions, dtype=np.int64)
-    return SkeletonPath(
-        level=level, steps=len(positions) - 1, positions=positions, seed=seed
-    )
+    return SkeletonPath(level=level, steps=len(positions) - 1, positions=positions)
 
 
 def test_sample_skeleton_is_simple_walk():
@@ -72,10 +70,16 @@ def _loop_crossings(positions, horizon):
     return up, down
 
 
+def _edge_count(counts, j_lo, j):
+    """The count of edge [j, j+1] in a per-edge array starting at edge
+    j_lo; 0 for an edge outside it."""
+    return int(counts[j - j_lo]) if 0 <= j - j_lo < len(counts) else 0
+
+
 def _below_zero_walk(seed, steps):
     """0, then -1 - |s_k|: a simple walk that stays below 0."""
     s = sample_skeleton(6, steps - 1, seed).positions
-    return _manual_path(6, np.concatenate([[0], -1 - np.abs(s)]), seed)
+    return _manual_path(6, np.concatenate([[0], -1 - np.abs(s)]))
 
 
 @settings(deadline=None, max_examples=60)
@@ -96,14 +100,13 @@ def test_crossings_bruteforce_matches_loop_counter():
         for horizon in {0, 1, walk.steps // 3, walk.steps - 1, walk.steps}:
             table = crossings_bruteforce(walk, horizon)
             up, down = _loop_crossings(walk.positions, horizon)
-            assert table.horizon == horizon
             assert int(table.up.sum()) == sum(up.values())
             assert int(table.down.sum()) == sum(down.values())
             lo = int(walk.positions.min()) - 1
             hi = int(walk.positions.max()) + 1
             for j in range(lo, hi + 1):
-                assert table.upcrossings(j) == up[j]
-                assert table.downcrossings(j) == down[j]
+                assert _edge_count(table.up, table.j_lo, j) == up[j]
+                assert _edge_count(table.down, table.j_lo, j) == down[j]
             net = {j: up[j] - down[j] for j in up.keys() | down.keys()}
             assert table.signed() == {j: d for j, d in net.items() if d != 0}
     assert all(_below_zero_walk(0, 300).positions[1:] < 0)
@@ -112,7 +115,7 @@ def test_crossings_bruteforce_matches_loop_counter():
 def test_signed_omits_zero_edges():
     # Edge -1 is crossed down and back up; edges 0 and 1 have net +1.
     table = crossings_bruteforce(_manual_path(4, [0, 1, 0, -1, 0, 1, 2]), 6)
-    assert table.upcrossings(-1) == table.downcrossings(-1) == 1
+    assert table.up[-1 - table.j_lo] == table.down[-1 - table.j_lo] == 1
     signed = table.signed()
     assert signed == {0: 1, 1: 1}
     assert all(type(j) is int and type(d) is int for j, d in signed.items())
@@ -122,12 +125,12 @@ def test_crossings_on_known_path():
     # 0 1 2 1 2 1 0 -1 0
     path = _manual_path(4, [0, 1, 2, 1, 2, 1, 0, -1, 0])
     table = crossings_bruteforce(path, 8)
-    assert table.upcrossings(0) == 1
-    assert table.downcrossings(0) == 1
-    assert table.upcrossings(1) == 2
-    assert table.downcrossings(1) == 2
-    assert table.upcrossings(-1) == 1
-    assert table.downcrossings(-1) == 1
+    assert table.up[0 - table.j_lo] == 1
+    assert table.down[0 - table.j_lo] == 1
+    assert table.up[1 - table.j_lo] == 2
+    assert table.down[1 - table.j_lo] == 2
+    assert table.up[-1 - table.j_lo] == 1
+    assert table.down[-1 - table.j_lo] == 1
     assert table.signed() == {}
     assert signed_crossings_closed_form(path, 8) == {}
 

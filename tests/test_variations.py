@@ -83,14 +83,14 @@ def test_o_n_linear_function_telescopes():
     path = _path()
     f = get_test_function("x")
     m = int(math.floor(2.0**4 * 1.0))
-    assert o_n(f, path, 1.0) == pytest.approx(path.value(1, m), rel=1e-12)
+    assert o_n(f, path, 1.0) == pytest.approx(path.values1[m - path.j_min], rel=1e-12)
 
 
 def test_o_n_sum_of_coordinates():
     path = _path()
     f = get_test_function("y")
     m = 16
-    assert o_n(f, path, 1.0) == pytest.approx(path.value(2, m), rel=1e-12)
+    assert o_n(f, path, 1.0) == pytest.approx(path.values2[m - path.j_min], rel=1e-12)
 
 
 def test_v_pq_constant_weight_is_power_sum():
