@@ -46,7 +46,6 @@ from .variations import (
     v_pq,
     v_pq_hermite,
     v_tilde_pq,
-    w3,
     w_pq,
 )
 

@@ -42,10 +42,6 @@ class ConfigurationError(ValueError):
 # apart from ``workers``, which only the --workers flag sets.
 _RUN_KEYS = {"experiment", "csv", "json"}
 
-# config key -> runner keyword, and back
-_KEY_ALIASES = {"function": "fname"}
-_CONFIG_NAMES = {name: key for key, name in _KEY_ALIASES.items()}
-
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -95,9 +91,8 @@ _THIRD_ORDER_FITS = {"converge-h-gt", "diverge-h-lt"}
 
 
 def _accepted_keys(runner) -> set[str]:
-    """Config keys the runner takes: its keywords, under their config names."""
-    names = set(inspect.signature(runner).parameters) - {"workers"}
-    return _RUN_KEYS | {_CONFIG_NAMES.get(name, name) for name in names}
+    """Config keys the runner takes: its keywords."""
+    return _RUN_KEYS | set(inspect.signature(runner).parameters) - {"workers"}
 
 
 def _validate(config: dict) -> None:
@@ -135,11 +130,11 @@ def _validate(config: dict) -> None:
     arg = _arguments(exp, config)
     if "p" in arg and (arg["p"] + arg["q"]) % 2 == 0:
         raise ConfigurationError(f"keys 'p' + 'q' must be odd, got {arg['p']} + {arg['q']}")
-    if exp in _THIRD_ORDER_FITS and all(get_test_function(arg["fname"]).vanishes(a, 3 - a)
+    if exp in _THIRD_ORDER_FITS and all(get_test_function(arg["function"]).vanishes(a, 3 - a)
                                         for a in range(4)):
         raise ConfigurationError(
             f"experiment {exp!r} needs a function with a third partial that is not "
-            f"identically zero; every one of {arg['fname']!r} vanishes"
+            f"identically zero; every one of {arg['function']!r} vanishes"
         )
     _check_capacity(exp, arg)
 
@@ -147,24 +142,27 @@ def _validate(config: dict) -> None:
 def _arguments(exp: str, config: dict) -> dict:
     """The runner's keywords: each config value, else the runner's default."""
     params = inspect.signature(RUNNERS[exp]).parameters
-    return {name: config.get(_CONFIG_NAMES.get(name, name), param.default)
-            for name, param in params.items()}
+    return {name: config.get(name, param.default) for name, param in params.items()}
 
 
 def _check_size(what: str, count, cap: int) -> None:
-    """Refuse ``what`` when ``count()`` exceeds ``cap`` or overflows a float."""
+    """Refuse ``what`` when ``count()`` is 0, exceeds ``cap`` or overflows a
+    float."""
     try:
         size = count()
     except OverflowError:
         size = math.inf
+    if size == 0:
+        raise ConfigurationError(f"{what} is empty")
     if size > cap:
         raise ConfigurationError(f"{what} exceeds the sampler's cap {cap}")
 
 
 def _check_capacity(exp: str, arg: dict) -> None:
     """Refuse a size that is fixed before the run and that no sampler can
-    draw.  Sizes drawn at random (|j*| on the Brownian clock, |Y_t| / mesh
-    in the Euler sampler) are checked by the samplers."""
+    draw, or that draws nothing: on an empty walk or fixed-clock grid every
+    statistic is 0.  Sizes drawn at random (|j*| on the Brownian clock,
+    |Y_t| / mesh in the Euler sampler) are checked by the samplers."""
     t = arg.get("t")
     for n in arg.get("levels") or ([arg["n"]] if "n" in arg else []):
         # The walk's terminal point is one binomial draw of a 64-bit count.
@@ -177,8 +175,8 @@ def _check_capacity(exp: str, arg: dict) -> None:
         _check_size(f"the modulus grid of 2 floor(2^({lev}/2)) increments",
                     lambda: 2 * _grid_count(lev, 1.0), MAX_INCREMENTS)
     if "mesh" in arg:
-        _check_size("the Euler grid of round(t / mesh) steps",
-                    lambda: round(t / arg["mesh"]), MAX_INCREMENTS)
+        _check_size("the Euler grid of max(1, round(t / mesh)) steps",
+                    lambda: max(1, round(t / arg["mesh"])), MAX_INCREMENTS)
 
 
 def _runner_kwargs(config: dict, workers: int) -> tuple:
@@ -186,8 +184,7 @@ def _runner_kwargs(config: dict, workers: int) -> tuple:
     kwargs = {"workers": workers} if "workers" in inspect.signature(runner).parameters else {}
     for key, value in config.items():
         if key not in _RUN_KEYS:
-            name = _KEY_ALIASES.get(key, key)
-            kwargs[name] = tuple(value) if isinstance(value, list) else value
+            kwargs[key] = tuple(value) if isinstance(value, list) else value
     return runner, kwargs
 
 

@@ -8,7 +8,11 @@ they are pinned in exactly one place.
 
 Estimator functions take a list of replication seeds plus keyword
 configuration, return one value per seed, and are defined at module top
-level so they can be shipped to worker processes.
+level so they can be shipped to worker processes.  Every fBm estimator
+draws its paths as ragged outward rows of ``fgn._outward_paths`` through
+one helper, ``_outward_draws``, which runs a kernel once per chunk of rows.
+Runner keywords are the config keys, so a runner's ``function`` is passed
+on to the draws as their ``fname``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import numpy as np
 from .calculus import get_test_function, midpoint_taylor_table, test_function_names
 from .fgn import (
     H_SPECIAL,
-    _blocks,
     _outward_paths,
     grid_spacing,
     rho,
@@ -46,7 +49,9 @@ from .skeleton import (
 )
 from .stats import fit_rate, ks_two_sample, mc_run
 from .variations import (
+    _check_exponents,
     _grid_count,
+    _power_sum,
     _step_count,
     _taylor_sum,
     k_components,
@@ -56,7 +61,6 @@ from .variations import (
     v_pq,
     v_pq_hermite,
     v_tilde_pq,
-    w3,
     w_pq,
 )
 
@@ -116,6 +120,12 @@ class ExperimentResult:
             }
         )
 
+    def add_rate(self, name: str, levels, values) -> float:
+        """Fit log2(values) on the levels, record the fit and return its slope."""
+        fit = fit_rate(levels, values)
+        self.rates.append({"name": name, "slope": fit.slope, "r_squared": fit.r_squared})
+        return fit.slope
+
     def add_raw(self, statistic: str, values, seeds):
         for i, (v, s) in enumerate(zip(values, seeds)):
             self.raw.append((i, int(s), statistic, float(v)))
@@ -133,48 +143,60 @@ def _level_master(master_seed: int, tag: int) -> int:
 # ---------------------------------------------------------------------------
 # Estimators (top-level and picklable).  Each takes a list of replication
 # seeds and returns one value per seed, in seed order, equal to the value its
-# seed gives alone.  Seeds that draw the same grid are made as blocks of rows
-# (one fGn FFT and one midpoint-kernel pass per block).
+# seed gives alone.  Every fBm estimator reads its paths as the outward rows
+# of ``fgn._outward_paths``: the seeds whose paths pad to one power of two are
+# rows of one fGn draw, and the midpoint kernel runs once per chunk of rows.
+
+
+def _outward_draws(H, n, ends, seeds, kernel, width=None) -> np.ndarray:
+    """``kernel(v1, v2, lengths)`` on each chunk of ``fgn._outward_paths``
+    rows, each seed's path from index 0 out to its signed end, gathered in
+    seed order: one value per seed, or one row of ``width`` values."""
+    out = np.empty(len(seeds) if width is None else (len(seeds), width))
+    for rows, v1, v2, lengths in _outward_paths(H, n, ends, seeds):
+        out[rows] = kernel(v1, v2, lengths)
+    return out
+
+
+# On the fixed clock every path ends at m = floor(2^{n/2} t).
 
 
 def draw_v_pq(seeds, *, H, n, t, fname, p, q):
-    f, m = get_test_function(fname), _grid_count(n, t)
-    return np.concatenate([v_pq(f, sample_fbm_2d(H, n, 0, m, block), t, p, q)
-                           for block in _blocks(seeds, m)])
+    f, (p, q) = get_test_function(fname), _check_exponents(p, q)
+    return _outward_draws(H, n, [_grid_count(n, t)] * len(seeds), seeds,
+                          lambda v1, v2, _: _power_sum(f, v1, v2, p, q))
 
 
 def draw_v3(seeds, *, H, n, t, fname):
-    f, m = get_test_function(fname), _grid_count(n, t)
-    return np.concatenate([v3(f, sample_fbm_2d(H, n, 0, m, block), t)
-                           for block in _blocks(seeds, m)])
+    f = get_test_function(fname)
+    return _outward_draws(H, n, [_grid_count(n, t)] * len(seeds), seeds,
+                          lambda v1, v2, _: _taylor_sum(f, v1, v2, 3))
 
 
 # Brownian-clock estimators.  For odd-order sums the up- and downcrossings
 # of each edge cancel, so a skeleton sum depends on the walk only through its
 # terminal position j*: it equals the one-sided sum out to y = j* 2^{-n/2} on
 # the fBm segment between 0 and j*, read outward from 0.  Only j* is drawn,
-# never the walk, and each seed's sum has its own length |j*|, so the seeds
-# are drawn as ragged blocks: one fGn draw and one midpoint-kernel pass per
-# chunk of seeds, each row summing its own first |j*| terms.
+# never the walk, and each seed's sum has its own length |j*|, so the rows
+# are ragged: each sums its own first |j*| terms.
 
 
 def _one_sided_draws(seeds, H, n, t, fname, order, residual=False) -> np.ndarray:
     """The order-``order`` one-sided midpoint sum on the fBm segment between
     0 and each seed's terminal position j*; with ``residual``, f(X at j*) -
-    f(0, 0) minus that sum.  Every j* is drawn first; ``fgn._outward_paths``
-    then draws the segments of all seeds whose |j*| pad to one power of two
-    as rows of one fGn draw, and the sum runs once per chunk of rows, each
-    row's value the one its seed gives alone."""
+    f(0, 0) minus that sum.  Every j* is drawn first, then the segments of
+    all seeds as outward rows."""
     f, steps = get_test_function(fname), _step_count(n, t)
-    j_stars = [sample_terminal(n, steps, seed) for seed in seeds]
-    out = np.empty(len(seeds))
-    for rows, v1, v2, lengths in _outward_paths(H, n, j_stars, seeds):
-        sums = _taylor_sum(f, v1, v2, order, lengths)
+
+    def sums(v1, v2, lengths):
+        out = _taylor_sum(f, v1, v2, order, lengths)
         if residual:
-            end = np.arange(len(rows)), lengths
-            sums = f(v1[end], v2[end]) - float(f(0.0, 0.0)) - sums
-        out[rows] = sums
-    return out
+            end = np.arange(len(lengths)), lengths
+            out = f(v1[end], v2[end]) - float(f(0.0, 0.0)) - out
+        return out
+
+    return _outward_draws(H, n, [sample_terminal(n, steps, seed) for seed in seeds],
+                          seeds, sums)
 
 
 def draw_o_tilde(seeds, *, H, n, t, fname):
@@ -196,14 +218,24 @@ def draw_terminal_y(seeds, *, n, t):
 
 def draw_w3_horizons(seeds, *, H, n, ys, fname):
     """The one-sided third-order sum out to each y in ``ys``, all on one
-    two-sided fBm path per seed: one tuple per seed."""
+    two-sided fBm path per seed: one row per seed.  The path on [-m, m] is
+    the outward path of 2m increments less its value at index m, the
+    anchoring subtraction of ``sample_fbm_2d``; each sum reads it from
+    index m, forward for y >= 0 and backward for y < 0."""
     m = _grid_count(n, max(abs(y) for y in ys))
     f = get_test_function(fname)
-    rows = []
-    for block in _blocks(seeds, 2 * m):
-        fbm = sample_fbm_2d(H, n, -m, m, block)
-        rows.extend(zip(*(w3(f, fbm, float(y)) for y in ys)))
-    return rows
+
+    def sums(v1, v2):
+        x1, x2 = v1 - v1[:, m, None], v2 - v2[:, m, None]
+        out = []
+        for y in ys:
+            k = _grid_count(n, abs(y))
+            cols, step = (slice(m, m + k + 1), 1) if y >= 0 else (slice(m - k, m + 1), -1)
+            out.append(_taylor_sum(f, x1[:, cols][:, ::step], x2[:, cols][:, ::step], 3))
+        return np.stack(out, axis=-1)
+
+    return _outward_draws(H, n, [2 * m] * len(seeds), seeds,
+                          lambda v1, v2, _: sums(v1, v2), len(ys))
 
 
 def draw_correction_fbm(seeds, *, fname, t, mesh):
@@ -359,7 +391,17 @@ def run_identity_suite(replications=1000, master_seed=0, workers=1) -> Experimen
     return res
 
 
-def _second_moments(
+def _draw(res: ExperimentResult, label: str, estimator, replications: int,
+          master_seed: int, tag: int, workers: int, scale: float = 1.0) -> np.ndarray:
+    """The draws of sub-experiment ``tag``, times ``scale``; records them as
+    raw values under ``label``."""
+    values, seeds = mc_run(estimator, replications, _level_master(master_seed, tag), workers)
+    values = values * scale
+    res.add_raw(label, values, seeds)
+    return values
+
+
+def _level_draws(
     res: ExperimentResult,
     label: str,
     estimator,
@@ -368,54 +410,46 @@ def _second_moments(
     master_seed: int,
     tag: int,
     workers: int,
-) -> list[float]:
-    """Per-level E[value^2]; records raw draws and per-level summaries."""
-    means = []
+    scale=lambda n: 1.0,
+) -> list[np.ndarray]:
+    """Each level's draws, times ``scale(n)``; records the raw draws and the
+    per-level summaries of their squares."""
+    draws = []
     for n in levels:
-        values, seeds = mc_run(
-            partial(estimator, n=n),
-            replications,
-            _level_master(master_seed, tag * 100 + n),
-            workers,
-        )
-        res.add_raw(f"{label}_n{n}", values, seeds)
-        sq = values**2
-        res.add_level(n, sq)
-        means.append(float(np.mean(sq)))
-    return means
+        values = _draw(res, f"{label}_n{n}", partial(estimator, n=n), replications,
+                       master_seed, tag * 100 + n, workers, scale(n))
+        res.add_level(n, values**2)
+        draws.append(values)
+    return draws
 
 
 def run_converge_h_gt(
     replications=2000, master_seed=0, workers=1, H=0.3, t=1.0,
-    fname="sin_x_cos_y", levels=(8, 10, 12, 14, 16, 18), p=1, q=2,
+    function="sin_x_cos_y", levels=(8, 10, 12, 14, 16, 18), p=1, q=2,
 ) -> ExperimentResult:
     """H > 1/6: weighted variation and skeleton residual decay in L2."""
     res = ExperimentResult()
     levels = tuple(levels)
-    v_means = _second_moments(
+    v_means = [float(np.mean(v**2)) for v in _level_draws(
         res, "v_pq",
-        partial(draw_v_pq, H=H, t=t, fname=fname, p=p, q=q),
+        partial(draw_v_pq, H=H, t=t, fname=function, p=p, q=q),
         levels, replications, master_seed, 1, workers,
-    )
-    fit_v = fit_rate(levels, v_means)
-    res.rates.append({"name": "v_pq_second_moment", "slope": fit_v.slope,
-                      "r_squared": fit_v.r_squared})
-    res.add_test("v_pq_slope", fit_v.slope, fit_v.slope <= THRESHOLDS["decay_slope_max"])
+    )]
+    slope = res.add_rate("v_pq_second_moment", levels, v_means)
+    res.add_test("v_pq_slope", slope, slope <= THRESHOLDS["decay_slope_max"])
     res.add_test(
         "v_pq_endpoint_drop", v_means[-1] / v_means[0],
         v_means[-1] < 0.25 * v_means[0],
     )
-    r_means = _second_moments(
+    r_means = [float(np.mean(v**2)) for v in _level_draws(
         res, "residual",
-        partial(draw_skeleton_residual, H=H, t=t, fname=fname),
+        partial(draw_skeleton_residual, H=H, t=t, fname=function),
         levels, replications, master_seed, 2, workers,
-    )
-    fit_r = fit_rate(levels, r_means)
-    res.rates.append({"name": "residual_second_moment", "slope": fit_r.slope,
-                      "r_squared": fit_r.r_squared})
+    )]
+    slope = res.add_rate("residual_second_moment", levels, r_means)
     decreasing = all(b < a for a, b in zip(r_means, r_means[1:]))
     res.add_test("residual_decreasing", float(decreasing), decreasing)
-    res.add_test("residual_slope", fit_r.slope, fit_r.slope < 0.0)
+    res.add_test("residual_slope", slope, slope < 0.0)
     return res
 
 
@@ -433,23 +467,18 @@ def run_law_h_eq(
         "kappa1": kap.kappa1, "kappa3": kap.kappa3,
     }
     rel_fbm = THRESHOLDS["variance_rel_fbm"]
+    draw = partial(_draw, res, master_seed=master_seed, workers=workers)
 
     # Variance of the third-order sum, f = x^3 -> 36 kappa1^2 t.
-    v3_x3, seeds = mc_run(
-        partial(draw_v3, H=H_SPECIAL, n=n, t=t, fname="x^3"),
-        replications, _level_master(master_seed, 10), workers,
-    )
-    res.add_raw("v3_x3", v3_x3, seeds)
+    v3_x3 = draw("v3_x3", partial(draw_v3, H=H_SPECIAL, n=n, t=t, fname="x^3"),
+                 replications, tag=10)
     target = 36.0 * kap.kappa1**2 * t
     var = float(np.var(v3_x3, ddof=1))
     res.add_test("var_v3_x3", var / target, abs(var - target) <= rel_fbm * target)
 
     # f = x y^2 -> 4 kappa3^2 t.
-    v3_xy2, seeds = mc_run(
-        partial(draw_v3, H=H_SPECIAL, n=n, t=t, fname="x*y^2"),
-        replications, _level_master(master_seed, 11), workers,
-    )
-    res.add_raw("v3_xy2", v3_xy2, seeds)
+    v3_xy2 = draw("v3_xy2", partial(draw_v3, H=H_SPECIAL, n=n, t=t, fname="x*y^2"),
+                  replications, tag=11)
     target = 4.0 * kap.kappa3**2 * t
     var = float(np.var(v3_xy2, ddof=1))
     res.add_test("var_v3_xy2", var / target, abs(var - target) <= rel_fbm * target)
@@ -457,11 +486,8 @@ def run_law_h_eq(
     # Brownian-time version, f = x^3 -> 36 kappa1^2 sqrt(2t/pi).  The random
     # Brownian time makes this a variance mixture with fatter tails, so it
     # gets a larger replication budget than the fixed-clock checks.
-    vt3, seeds = mc_run(
-        partial(draw_v_tilde_3, H=H_SPECIAL, n=n, t=t, fname="x^3"),
-        mixture_replications, _level_master(master_seed, 12), workers,
-    )
-    res.add_raw("v_tilde3_x3", vt3, seeds)
+    vt3 = draw("v_tilde3_x3", partial(draw_v_tilde_3, H=H_SPECIAL, n=n, t=t, fname="x^3"),
+               mixture_replications, tag=12)
     target = 36.0 * kap.kappa1**2 * math.sqrt(2.0 * t / math.pi)
     var = float(np.var(vt3, ddof=1))
     res.add_test(
@@ -470,16 +496,10 @@ def run_law_h_eq(
     )
 
     # Law match: V3 draws against the limiting correction integral.
-    lhs, seeds = mc_run(
-        partial(draw_v3, H=H_SPECIAL, n=n, t=t, fname="x^3"),
-        ks_replications, _level_master(master_seed, 13), workers,
-    )
-    res.add_raw("ks_v3_x3", lhs, seeds)
-    rhs, seeds = mc_run(
-        partial(draw_correction_fbm, fname="x^3", t=t, mesh=mesh),
-        ks_replications, _level_master(master_seed, 14), workers,
-    )
-    res.add_raw("ks_correction_fbm", rhs, seeds)
+    lhs = draw("ks_v3_x3", partial(draw_v3, H=H_SPECIAL, n=n, t=t, fname="x^3"),
+               ks_replications, tag=13)
+    rhs = draw("ks_correction_fbm", partial(draw_correction_fbm, fname="x^3", t=t, mesh=mesh),
+               ks_replications, tag=14)
     ks = ks_two_sample(lhs, rhs)
     res.add_test(
         "ks_v3_correction", ks.statistic,
@@ -488,16 +508,11 @@ def run_law_h_eq(
 
     # Law match on the Brownian clock: the gradient sum against
     # f(endpoint) - f(0) - correction.
-    lhs, seeds = mc_run(
-        partial(draw_o_tilde, H=H_SPECIAL, n=n, t=t, fname="sin_x_cos_y"),
-        ks_replications, _level_master(master_seed, 15), workers,
-    )
-    res.add_raw("ks_o_tilde", lhs, seeds)
-    rhs, seeds = mc_run(
-        partial(draw_rhs_fbmbt, fname="sin_x_cos_y", t=t, mesh=mesh),
-        ks_replications, _level_master(master_seed, 16), workers,
-    )
-    res.add_raw("ks_rhs_fbmbt", rhs, seeds)
+    lhs = draw("ks_o_tilde",
+               partial(draw_o_tilde, H=H_SPECIAL, n=n, t=t, fname="sin_x_cos_y"),
+               ks_replications, tag=15)
+    rhs = draw("ks_rhs_fbmbt", partial(draw_rhs_fbmbt, fname="sin_x_cos_y", t=t, mesh=mesh),
+               ks_replications, tag=16)
     ks = ks_two_sample(lhs, rhs)
     res.add_test(
         "ks_otilde_rhs", ks.statistic,
@@ -533,42 +548,28 @@ def run_law_h_eq(
 
 def run_diverge_h_lt(
     replications=1000, master_seed=0, workers=1, H=0.1, t=1.0,
-    fname="x^3", levels=(10, 12, 14, 16, 18, 20), fbmbt_replications=600,
+    function="x^3", levels=(10, 12, 14, 16, 18, 20), fbmbt_replications=600,
 ) -> ExperimentResult:
     """H < 1/6: variance growth rate and the normalizing exponent."""
     res = ExperimentResult()
     levels = tuple(levels)
-    v_vars = []
-    for n in levels:
-        values, seeds = mc_run(
-            partial(draw_v3, H=H, n=n, t=t, fname=fname),
-            replications, _level_master(master_seed, 100 + n), workers,
-        )
-        res.add_raw(f"v3_n{n}", values, seeds)
-        res.add_level(n, values**2)
-        v_vars.append(float(np.var(values, ddof=1)))
-    fit_v = fit_rate(levels, v_vars)
-    res.rates.append({"name": "v3_variance", "slope": fit_v.slope,
-                      "r_squared": fit_v.r_squared})
+    v_vars = [float(np.var(v, ddof=1)) for v in _level_draws(
+        res, "v3", partial(draw_v3, H=H, t=t, fname=function),
+        levels, replications, master_seed, 1, workers,
+    )]
+    slope = res.add_rate("v3_variance", levels, v_vars)
     target, tol = THRESHOLDS["divergence_slope"]
-    res.add_test("v3_variance_slope", fit_v.slope, abs(fit_v.slope - target) <= tol)
+    res.add_test("v3_variance_slope", slope, abs(slope - target) <= tol)
 
-    norm_vars = []
-    for n in levels:
-        values, seeds = mc_run(
-            partial(draw_v_tilde_3, H=H, n=n, t=t, fname=fname),
-            fbmbt_replications, _level_master(master_seed, 200 + n), workers,
-        )
-        scaled = values * 2.0 ** (-n * (1.0 - 6.0 * H) / 4.0)
-        res.add_raw(f"v_tilde3_norm_n{n}", scaled, seeds)
-        res.add_level(n, scaled**2)
-        norm_vars.append(float(np.var(scaled, ddof=1)))
-    fit_n = fit_rate(levels, norm_vars)
-    res.rates.append({"name": "v_tilde3_normalized_variance", "slope": fit_n.slope,
-                      "r_squared": fit_n.r_squared})
+    norm_vars = [float(np.var(v, ddof=1)) for v in _level_draws(
+        res, "v_tilde3_norm", partial(draw_v_tilde_3, H=H, t=t, fname=function),
+        levels, fbmbt_replications, master_seed, 2, workers,
+        scale=lambda n: 2.0 ** (-n * (1.0 - 6.0 * H) / 4.0),
+    )]
+    slope = res.add_rate("v_tilde3_normalized_variance", levels, norm_vars)
     res.add_test(
-        "v_tilde3_normalized_slope", fit_n.slope,
-        abs(fit_n.slope) <= THRESHOLDS["normalized_slope_abs"],
+        "v_tilde3_normalized_slope", slope,
+        abs(slope) <= THRESHOLDS["normalized_slope_abs"],
     )
     return res
 
@@ -578,11 +579,8 @@ def run_skeleton_suite(
 ) -> ExperimentResult:
     """Variance of the walk terminal value matches the Brownian time."""
     res = ExperimentResult()
-    values, seeds = mc_run(
-        partial(draw_terminal_y, n=n, t=t),
-        replications, _level_master(master_seed, 1), workers,
-    )
-    res.add_raw("terminal_y", values, seeds)
+    values = _draw(res, "terminal_y", partial(draw_terminal_y, n=n, t=t),
+                   replications, master_seed, 1, workers)
     res.add_level(n, values)
     var = float(np.var(values, ddof=1))
     target = _step_count(n, t) * 2.0**-n

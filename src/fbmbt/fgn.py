@@ -10,14 +10,15 @@ correlated; the increment sequence over the whole two-sided grid is the
 stationary fractional Gaussian noise with autocovariance
 ``2**(-n*H) * rho(k)``, which is what the sampler draws.
 
-The samplers draw blocks of seeds as well as single seeds: row r of a block
-takes its normals from seed r's own streams, and the circulant-embedding FFT
-runs row-wise, so every row is bit for bit the draw of its seed alone.
+``sample_fbm_2d`` draws the path of one seed.  The estimators draw blocks
+of seeds through ``_outward_paths``: ragged rows, each a seed's path read
+outward from index 0, whose normals come from that seed's own streams; the
+circulant-embedding FFT runs row-wise, so every row is bit for bit the path
+``sample_fbm_2d`` gives its seed alone.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -140,8 +141,7 @@ class FbmGridPath2D:
     """Two independent two-sided fBm components on a level-n dyadic grid.
 
     ``values1[j - j_min]`` holds X^1 at time ``j * 2**(-n/2)``; both
-    components vanish at j = 0.  A block of paths holds one row per seed,
-    and grid indices run along the last axis.
+    components vanish at j = 0.
     """
 
     H: float
@@ -165,7 +165,7 @@ class FbmGridPath2D:
                 f"requested segment [{j_lo}, {j_hi}] outside grid "
                 f"[{self.j_min}, {self.j_max}]"
             )
-        return self.component(i)[..., j_lo - self.j_min : j_hi - self.j_min + 1]
+        return self.component(i)[j_lo - self.j_min : j_hi - self.j_min + 1]
 
 
 def _blocks(items: list, count: int) -> list[list]:
@@ -264,29 +264,12 @@ def _increment_rows(H: float, n: int, size: int, seeds: list[int],
     return incs[: len(seeds)], incs[len(seeds) :]
 
 
-def _block_path(H: float, n: int, j_min: int, j_max: int,
-                incs: tuple[np.ndarray, np.ndarray]) -> FbmGridPath2D:
-    """The block of paths on grid indices j_min..j_max whose increments are
-    the first j_max - j_min of each row of ``incs`` (X^1 rows, X^2 rows),
-    cumulated and anchored to 0 at index -j_min.  The values start at 0, so
-    j_min = 0 needs no anchoring (v - 0.0 is v)."""
-    count = j_max - j_min
-    values = []
-    for rows in incs:
-        v = np.zeros((len(rows), count + 1))
-        np.cumsum(rows[:, :count], axis=1, out=v[:, 1:])
-        values.append(v - v[:, -j_min, None] if j_min else v)
-    return FbmGridPath2D(float(H), n, int(j_min), int(j_max), *values)
-
-
-def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed) -> FbmGridPath2D:
-    """Exact 2-component fBm sample on grid indices ``j_min..j_max``.
+def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed: int) -> FbmGridPath2D:
+    """Exact 2-component fBm sample of one seed on grid indices ``j_min..j_max``.
 
     Each component is drawn from its own RNG stream (so they are independent),
     as the cumulative sum of one stationary increment sequence over the whole
-    two-sided range, anchored so that X_0 = 0.  ``seed`` is one seed, giving
-    values of shape ``(j_max - j_min + 1,)``, or a sequence of seeds, giving
-    a block of paths whose value rows are exactly the one-seed values.
+    two-sided range, anchored so that X_0 = 0.
     """
     H = check_hurst(H)
     n = check_level(n)
@@ -297,14 +280,15 @@ def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed) -> FbmGridPath
         raise CapacityError(
             f"grid of {count} increments exceeds exact-sampling cap {MAX_INCREMENTS}"
         )
-    one = np.ndim(seed) == 0
-    seeds = [int(seed)] if one else [int(s) for s in seed]
     # Pad to the next power of two so the factorization caches are shared
-    # across replications with slightly different realized ranges.
-    path = _block_path(H, n, j_min, j_max, _increment_rows(H, n, _padded_size(count), seeds))
-    if one:
-        return dataclasses.replace(path, values1=path.values1[0], values2=path.values2[0])
-    return path
+    # across replications with slightly different realized ranges.  The
+    # values start at 0, so j_min = 0 needs no anchoring (v - 0.0 is v).
+    values = []
+    for rows in _increment_rows(H, n, _padded_size(count), [int(seed)]):
+        v = np.zeros(count + 1)
+        np.cumsum(rows[0, :count], out=v[1:])
+        values.append(v - v[-j_min] if j_min else v)
+    return FbmGridPath2D(float(H), n, int(j_min), int(j_max), *values)
 
 
 def _outward_paths(H: float, n: int, ends: list[int], seeds: list[int],
@@ -337,4 +321,7 @@ def _outward_paths(H: float, n: int, ends: list[int], seeds: list[int],
                     k = lengths[r]
                     v[r, : k + 1] = v[r, k::-1] - v[r, k]
                 paths.append(v)
+            # Free the increments before the caller's kernel allocates its
+            # temporaries, which then reuse that memory.
+            del incs, rows
             yield block, paths[0], paths[1], np.array(lengths)

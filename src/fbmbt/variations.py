@@ -7,13 +7,14 @@ One kernel, ``_midpoint_sums``, computes the midpoints and increments of a
 path once and evaluates a table of (partials, increment exponents) terms on
 them; a term whose partials vanish identically (known for monomials when
 they are built) is 0.0 without being evaluated.  Every functional returns
-its value: a float for one path.  Paths run along the last axis, and on a
-block of fBm paths (one row per seed) the grid and one-sided functionals
-return one value per row, each the row's own correctly rounded fsum.  A
-ragged block, whose rows hold paths of different lengths, passes the
-kernel one term count per row.  Increment powers d^p are products
-d * d * ... * d, multiplied left to right (``calculus._powers``), as are
-the monomials' own powers.  The gradient and third-order sums take their
+its value: a float for one path.  The Monte Carlo estimators
+(``experiments``) skip the path objects: they pass the kernel sums a block
+of outward fBm rows (one row per seed, paths along the last axis), and get
+one value per row, each the row's own correctly rounded fsum.  A ragged
+block, whose rows hold paths of different lengths, passes the kernel one
+term count per row.  Increment powers d^p are products d * d * ... * d,
+multiplied left to right (``calculus._powers``), as are the monomials' own
+powers.  The gradient and third-order sums take their
 terms and coefficients from ``midpoint_taylor_table``.  Three families
 live here:
 
@@ -21,9 +22,9 @@ live here:
   ``m = floor(2**(n/2) * t)``;
 * skeleton statistics over the first ``floor(2**n * t)`` walk steps, each
   step contributing the fBm increment over the spatial edge it traverses;
-* one-sided edge statistics ``w_pq`` / ``w3`` indexed by a
-  signed spatial horizon ``y``, the negative side read through the mirrored
-  path ``t -> X_{-t}``.
+* the one-sided edge statistic ``w_pq`` indexed by a signed spatial
+  horizon ``y``, the negative side read through the mirrored path
+  ``t -> X_{-t}``.
 
 ``kl_reduce`` rewrites a skeleton sum as a signed one-sided sum using the
 closed form for the net number of traversals of each edge, which only
@@ -31,8 +32,9 @@ depends on the walk through its terminal position j*.  The one-sided forms
 at ``y = j* 2**(-n/2)`` are therefore the skeleton sums themselves, and need
 no walk: the Brownian-clock estimators evaluate ``_taylor_sum`` on a drawn
 j*, for a ragged block of seeds at once.  The walk-based gradient and
-third-order sums, their reductions and the one-sided gradient sum
-``w_grad`` are kept only as test oracles (``tests/test_variations.py``).
+third-order sums, their reductions and the one-sided gradient and
+third-order sums ``w_grad`` and ``w3`` are kept only as test oracles
+(``tests/test_variations.py``).
 """
 
 from __future__ import annotations
@@ -226,7 +228,7 @@ def _skeleton_values(
             f"[{fbm.j_min}, {fbm.j_max}]"
         )
     pos = idx - fbm.j_min
-    return fbm.values1[..., pos], fbm.values2[..., pos]
+    return fbm.values1[pos], fbm.values2[pos]
 
 
 def v_tilde_pq(
@@ -248,18 +250,13 @@ def _one_sided_values(fbm: FbmGridPath2D, y: float) -> tuple[np.ndarray, np.ndar
     m = _grid_count(fbm.level, abs(y))
     if y >= 0:
         return fbm.segment(1, 0, m), fbm.segment(2, 0, m)
-    return fbm.segment(1, -m, 0)[..., ::-1], fbm.segment(2, -m, 0)[..., ::-1]
+    return fbm.segment(1, -m, 0)[::-1], fbm.segment(2, -m, 0)[::-1]
 
 
 def w_pq(f: TestFunction2D, fbm: FbmGridPath2D, y: float, p: int, q: int) -> float:
     """One-sided weighted (p,q)-variation out to signed spatial horizon y."""
     p, q = _check_exponents(p, q)
     return _power_sum(f, *_one_sided_values(fbm, y), p, q)
-
-
-def w3(f: TestFunction2D, fbm: FbmGridPath2D, y: float) -> float:
-    """One-sided third-order midpoint correction sum out to horizon y."""
-    return _taylor_sum(f, *_one_sided_values(fbm, y), 3)
 
 
 def _reduced_segment(

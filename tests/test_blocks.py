@@ -48,13 +48,12 @@ from fbmbt.variations import (
     _VALUE,
     _grid_count,
     _midpoint_sums,
-    _one_sided_values,
     _step_count,
     _taylor_sum,
     v3,
     v_pq,
-    w3,
 )
+from test_variations import w3, w_grad
 
 SEED = st.integers(min_value=0, max_value=(1 << 64) - 1)
 SEEDS = st.lists(SEED, min_size=1, max_size=40)
@@ -155,22 +154,6 @@ def test_increment_block_straddles_the_chunk_cap():
         assert _bits(row) == _bits(one)
 
 
-@settings(deadline=None, max_examples=40)
-@given(
-    H=st.floats(min_value=0.05, max_value=0.95),
-    n=st.integers(min_value=0, max_value=12),
-    lo=st.integers(min_value=-70, max_value=0),
-    hi=st.integers(min_value=0, max_value=70),
-    seeds=SEEDS,
-)
-def test_fbm_block_rows_equal_one_seed_paths(H, n, lo, hi, seeds):
-    block = sample_fbm_2d(H, n, lo, hi, seeds)
-    for r, seed in enumerate(seeds):
-        one = sample_fbm_2d(H, n, lo, hi, seed)
-        assert _bits(block.values1[r]) == _bits(one.values1)
-        assert _bits(block.values2[r]) == _bits(one.values2)
-
-
 @settings(deadline=None, max_examples=60)
 @given(
     name=st.sampled_from(function_names()),
@@ -246,7 +229,8 @@ def test_outward_rows_are_the_one_seed_paths_read_from_zero(H, n, ends, seed):
 def test_ragged_draws_make_one_kernel_pass_per_fgn_chunk(monkeypatch):
     # 300 seeds at n = 10 hold dozens of distinct |j*| and Brownian-time
     # step counts K but only a few padded sizes: one kernel or weight pass
-    # per fGn chunk, not one per length.
+    # per fGn chunk, not one per length.  The fixed-clock draws, whose rows
+    # all end at m, make one pass per chunk too.
     seeds = [derive_seed(14, i) for i in range(300)]
     calls = {"chunks": 0, "passes": 0}
 
@@ -260,6 +244,12 @@ def test_ragged_draws_make_one_kernel_pass_per_fgn_chunk(monkeypatch):
     monkeypatch.setattr(variations, "_midpoint_sums", counted(variations._midpoint_sums, "passes"))
     n, t = 10, 1.0
     lengths = {abs(sample_terminal(n, _step_count(n, t), s)) for s in seeds}
+    with monkeypatch.context() as small:
+        small.setattr(fgn, "BLOCK_VALUES", 1 << 12)  # chunks of 32 rows of m = 32
+        for draw, kwargs in ((draw_v3, {}), (draw_v_pq, dict(p=1, q=2))):
+            calls.update(chunks=0, passes=0)
+            draw(seeds, H=0.3, n=n, t=t, fname="sin_x_cos_y", **kwargs)
+            assert calls["passes"] == calls["chunks"] == 10, draw.__name__
     for draw in (draw_v_tilde_3, draw_o_tilde):
         calls.update(chunks=0, passes=0)
         draw(seeds, H=0.3, n=n, t=t, fname="sin_x_cos_y")
@@ -271,11 +261,6 @@ def test_ragged_draws_make_one_kernel_pass_per_fgn_chunk(monkeypatch):
     calls.update(chunks=0, passes=0)
     draw_rhs_fbmbt(seeds, fname="sin_x_cos_y", t=t, mesh=mesh)
     assert calls["passes"] == calls["chunks"] < len(steps) // 4
-
-
-def w_grad(f, fbm, y):
-    """The one-sided gradient sum out to horizon y on one path."""
-    return _taylor_sum(f, *_one_sided_values(fbm, y), 1)
 
 
 def _terminal_segment(seed, H, n, t):

@@ -200,6 +200,11 @@ _TINY_SKELETON = {"experiment": "skeleton-suite", "n": 4, "replications": 4}
         ({"experiment": "rho-table", "replications": 5000, "master_seed": 3}, []),
         ({"experiment": "constants", "master_seed": 3}, []),
         ({"experiment": "taylor-table", "replications": 10}, []),
+        # An empty fixed-clock grid (floor(2^(n/2) t) = 0 at n = 0 and 1) or
+        # an empty walk (floor(2^n t) = 0 at n = 0).
+        ({**_TINY_DIVERGE, "levels": [0, 1, 2], "t": 0.5}, []),
+        ({"experiment": "converge-h-gt", **_TINY, "levels": [0, 1, 2], "t": 0.5}, []),
+        ({"experiment": "skeleton-suite", "n": 0, "t": 0.5}, []),
     ],
 )
 def test_input_the_run_cannot_honour_exit_2(tmp_path, capsys, config, flags):

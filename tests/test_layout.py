@@ -3,8 +3,9 @@ module of the package or of the tests imports a name it does not use; every
 public top-level function or class is used by code somewhere in the
 package, outside its own body and ``__init__``; every public field, method
 and property of a class in the package is read somewhere in the package;
-and every parameter of a ``def`` in the package is read in that function's
-body.  A name counts as used where it is read in code (a bare name or an
+every private top-level function, class or module constant is read by
+code somewhere in the package, outside its own definition; and every
+parameter of a ``def`` in the package is read in that function's body.  A name counts as used where it is read in code (a bare name or an
 attribute); docstrings, comments and re-exports do not count.  Code reads a
 field, method or property through an attribute, so only attribute loads
 count for those, and only loads of a bare name count for a parameter.  The
@@ -76,6 +77,35 @@ def test_every_public_definition_is_used_in_the_package():
         and not stmt.name.startswith("_") and stmt.name not in used
     ]
     assert unused == []
+
+
+def _private_names(stmt: ast.stmt) -> list[str]:
+    """The private (one leading underscore) names a top-level statement
+    defines: a function, a class or an assigned module constant."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_definition_is_read_in_the_package():
+    defined = [(module, stmt, name) for module, tree in MODULES.items()
+               for stmt in tree.body for name in _private_names(stmt)]
+    unread = []
+    for module, own, name in defined:
+        read = any(
+            (isinstance(sub, ast.Name) and sub.id == name and isinstance(sub.ctx, ast.Load))
+            or (isinstance(sub, ast.Attribute) and sub.attr == name)
+            for tree in MODULES.values() for stmt in tree.body if stmt is not own
+            for sub in ast.walk(stmt)
+        )
+        if not read:
+            unread.append(f"{module}.{name}")
+    assert unread == []
 
 
 def _unread_members(kind) -> list[str]:
