@@ -30,6 +30,7 @@ import numpy as np
 from .calculus import get_test_function, test_function_names
 from .experiments import RUNNERS, ExperimentResult
 from .fgn import MAX_INCREMENTS, CapacityError
+from .limitlaw import _euler_steps
 from .stats import MIN_FIT_LEVELS
 from .variations import _grid_count, _step_count
 
@@ -176,7 +177,7 @@ def _check_capacity(exp: str, arg: dict) -> None:
                     lambda: 2 * _grid_count(lev, 1.0), MAX_INCREMENTS)
     if "mesh" in arg:
         _check_size("the Euler grid of max(1, round(t / mesh)) steps",
-                    lambda: max(1, round(t / arg["mesh"])), MAX_INCREMENTS)
+                    lambda: _euler_steps(t, arg["mesh"]), MAX_INCREMENTS)
 
 
 def _runner_kwargs(config: dict, workers: int) -> tuple:

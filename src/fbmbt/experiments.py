@@ -9,8 +9,8 @@ they are pinned in exactly one place.
 Estimator functions take a list of replication seeds plus keyword
 configuration, return one value per seed, and are defined at module top
 level so they can be shipped to worker processes.  Every fBm estimator
-draws its paths as ragged outward rows of ``fgn._outward_paths`` through
-one helper, ``_outward_draws``, which runs a kernel once per chunk of rows.
+draws its paths as ragged outward rows of ``fgn._outward_draws``, which runs
+the estimator's kernel once per fGn chunk of rows.
 Runner keywords are the config keys, so a runner's ``function`` is passed
 on to the draws as their ``fname``.
 """
@@ -27,7 +27,7 @@ import numpy as np
 from .calculus import get_test_function, midpoint_taylor_table, test_function_names
 from .fgn import (
     H_SPECIAL,
-    _outward_paths,
+    _outward_draws,
     grid_spacing,
     rho,
     sample_fbm_2d,
@@ -144,18 +144,8 @@ def _level_master(master_seed: int, tag: int) -> int:
 # Estimators (top-level and picklable).  Each takes a list of replication
 # seeds and returns one value per seed, in seed order, equal to the value its
 # seed gives alone.  Every fBm estimator reads its paths as the outward rows
-# of ``fgn._outward_paths``: the seeds whose paths pad to one power of two are
+# of ``fgn._outward_draws``: the seeds whose paths pad to one power of two are
 # rows of one fGn draw, and the midpoint kernel runs once per chunk of rows.
-
-
-def _outward_draws(H, n, ends, seeds, kernel, width=None) -> np.ndarray:
-    """``kernel(v1, v2, lengths)`` on each chunk of ``fgn._outward_paths``
-    rows, each seed's path from index 0 out to its signed end, gathered in
-    seed order: one value per seed, or one row of ``width`` values."""
-    out = np.empty(len(seeds) if width is None else (len(seeds), width))
-    for rows, v1, v2, lengths in _outward_paths(H, n, ends, seeds):
-        out[rows] = kernel(v1, v2, lengths)
-    return out
 
 
 # On the fixed clock every path ends at m = floor(2^{n/2} t).

@@ -10,9 +10,11 @@ correlated; the increment sequence over the whole two-sided grid is the
 stationary fractional Gaussian noise with autocovariance
 ``2**(-n*H) * rho(k)``, which is what the sampler draws.
 
-``sample_fbm_2d`` draws the path of one seed.  The estimators draw blocks
-of seeds through ``_outward_paths``: ragged rows, each a seed's path read
-outward from index 0, whose normals come from that seed's own streams; the
+``sample_fbm_2d`` draws the path of one seed.  Every Monte Carlo draw, the
+estimators' midpoint sums and the Euler sampler's correction alike, runs
+through ``_outward_draws``: it draws blocks of seeds as ragged rows, each a
+seed's path read outward from index 0, whose normals come from that seed's
+own streams, and runs a kernel once per fGn chunk of rows.  The
 circulant-embedding FFT runs row-wise, so every row is bit for bit the path
 ``sample_fbm_2d`` gives its seed alone.
 """
@@ -151,29 +153,15 @@ class FbmGridPath2D:
     values1: np.ndarray = field(repr=False)
     values2: np.ndarray = field(repr=False)
 
-    def component(self, i: int) -> np.ndarray:
-        if i == 1:
-            return self.values1
-        if i == 2:
-            return self.values2
-        raise ValueError(f"component must be 1 or 2, got {i}")
-
-    def segment(self, i: int, j_lo: int, j_hi: int) -> np.ndarray:
-        """Values at grid indices j_lo..j_hi inclusive."""
+    def segment(self, j_lo: int, j_hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """X^1 and X^2 at grid indices j_lo..j_hi inclusive."""
         if j_lo < self.j_min or j_hi > self.j_max:
             raise ValueError(
                 f"requested segment [{j_lo}, {j_hi}] outside grid "
                 f"[{self.j_min}, {self.j_max}]"
             )
-        return self.component(i)[j_lo - self.j_min : j_hi - self.j_min + 1]
-
-
-def _blocks(items: list, count: int) -> list[list]:
-    """Consecutive runs of ``items`` whose paths of ``count`` increments, two
-    components each, pass at most about ``BLOCK_VALUES`` complex values
-    through one fGn draw; this bounds a block's working set."""
-    step = max(1, BLOCK_VALUES // (4 * max(count, 1)))
-    return [items[i : i + step] for i in range(0, len(items), step)]
+        rows = slice(j_lo - self.j_min, j_hi - self.j_min + 1)
+        return self.values1[rows], self.values2[rows]
 
 
 def _padded_size(count: int) -> int:
@@ -276,12 +264,9 @@ def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed: int) -> FbmGri
     if not j_min <= 0 <= j_max:
         raise ValueError(f"grid must contain index 0, got [{j_min}, {j_max}]")
     count = j_max - j_min
-    if count > MAX_INCREMENTS:
-        raise CapacityError(
-            f"grid of {count} increments exceeds exact-sampling cap {MAX_INCREMENTS}"
-        )
     # Pad to the next power of two so the factorization caches are shared
-    # across replications with slightly different realized ranges.  The
+    # across replications with slightly different realized ranges; the
+    # padded size exceeds MAX_INCREMENTS exactly when the count does.  The
     # values start at 0, so j_min = 0 needs no anchoring (v - 0.0 is v).
     values = []
     for rows in _increment_rows(H, n, _padded_size(count), [int(seed)]):
@@ -291,24 +276,30 @@ def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed: int) -> FbmGri
     return FbmGridPath2D(float(H), n, int(j_min), int(j_max), *values)
 
 
-def _outward_paths(H: float, n: int, ends: list[int], seeds: list[int],
-                   scales: list[float] | None = None):
-    """Each seed's path from index 0 out to its signed end, drawn by padded size.
+def _outward_draws(H: float, n: int, ends: list[int], seeds: list[int], kernel,
+                   width: int | None = None, scales: list[float] | None = None) -> np.ndarray:
+    """``kernel(v1, v2, lengths)`` on each seed's path from index 0 out to its
+    signed end, gathered in seed order: one value per seed, or one row of
+    ``width`` values.
 
     The seeds whose |end| pads to one power of two share one fGn draw of
-    that size, in chunks of ``_blocks``, sorted by |end|.  Yields, per
-    chunk, (indices into ``seeds``, X^1 rows, X^2 rows, lengths L = |end|):
-    only the first L + 1 entries of a row are meaningful, and they are bit
-    for bit the path ``sample_fbm_2d`` gives the seed alone on
-    [min(0, end), max(0, end)], read outward from index 0.  With v the
-    cumulated increments, entry k is v[k], or v[L - k] - v[L] for an end of
-    -L, the same anchoring subtraction.  ``scales``, one per seed,
-    multiplies a seed's increments before they are cumulated."""
+    that size, sorted by |end|, in chunks whose two components pass at most
+    about ``BLOCK_VALUES`` complex values through the draw, which bounds a
+    chunk's working set.  The kernel runs once per chunk, on its X^1 rows,
+    its X^2 rows and their lengths L = |end|: only the first L + 1 entries
+    of a row are meaningful, and they are bit for bit the path
+    ``sample_fbm_2d`` gives the seed alone on [min(0, end), max(0, end)],
+    read outward from index 0.  With v the cumulated increments, entry k is
+    v[k], or v[L - k] - v[L] for an end of -L, the same anchoring
+    subtraction.  ``scales``, one per seed, multiplies a seed's increments
+    before they are cumulated."""
+    out = np.empty(len(seeds) if width is None else (len(seeds), width))
     padded: dict[int, list[int]] = {}
     for i in sorted(range(len(seeds)), key=lambda i: abs(ends[i])):
         padded.setdefault(_padded_size(abs(ends[i])), []).append(i)
     for size, idx in padded.items():
-        for block in _blocks(idx, size):
+        step = max(1, BLOCK_VALUES // (4 * max(size, 1)))
+        for block in (idx[lo : lo + step] for lo in range(0, len(idx), step)):
             incs = _increment_rows(H, n, size, [seeds[i] for i in block],
                                    None if scales is None else [scales[i] for i in block])
             lengths = [abs(ends[i]) for i in block]
@@ -321,7 +312,8 @@ def _outward_paths(H: float, n: int, ends: list[int], seeds: list[int],
                     k = lengths[r]
                     v[r, : k + 1] = v[r, k::-1] - v[r, k]
                 paths.append(v)
-            # Free the increments before the caller's kernel allocates its
+            # Free the increments before the kernel allocates its
             # temporaries, which then reuse that memory.
             del incs, rows
-            yield block, paths[0], paths[1], np.array(lengths)
+            out[block] = kernel(*paths, np.array(lengths))
+    return out

@@ -30,15 +30,17 @@ is one number c = sum_i kappa_i^2 g_i^2, X cannot reach the value, and
 ``sample_correction_fbm`` draws no X: its value is sqrt(h fsum([c] * K)) * N
 on the same normal N, bit for bit the value drawn along X.
 
-Euler grids use K = max(1, round(|horizon| / mesh)) uniform steps of exact
+Euler grids use K = ``_euler_steps(|horizon|, mesh)`` uniform steps of exact
 size h = |horizon| / K, so the grid always lands exactly on the endpoint; the
 fBm marginals on the grid are exact (stationary-increment sampling), only the
 integrand's intra-step variation is approximated.  X on the grid is the first
 K increments of a unit-spacing fGn draw padded to the next power of two,
-scaled by h^H (self-similarity), so seeds whose grids pad to the same size
-(every seed of the fixed clock, and Brownian times of one power-of-two range
-of K) are drawn as rows of one fGn draw, with one weight pass per chunk of
-rows whatever their K.
+scaled by h^H (self-similarity).  It is drawn by ``fgn._outward_draws``, the
+draw loop of every Monte Carlo estimator, so seeds whose grids pad to the
+same size (every seed of the fixed clock, and Brownian times of one
+power-of-two range of K) are rows of one fGn draw, with one weight pass per
+chunk of rows whatever their K.  A zero horizon has K = 0 and h = 0, and
+takes the same path.
 """
 
 from __future__ import annotations
@@ -53,11 +55,12 @@ from .calculus import TestFunction2D
 from .fgn import (
     H_SPECIAL,
     RhoSeriesResult,
-    _outward_paths,
+    _outward_draws,
     check_special_hurst,
     sum_rho_cubed,
 )
 from .rng import STREAM_B, STREAM_Y, keyed
+from .variations import _fsum_rows
 
 DEFAULT_SERIES_TRUNCATION = 10**6
 
@@ -94,12 +97,18 @@ def default_kappas() -> KappaConstants:
 _INTEGRAND_TERMS = ((3, 0), (0, 3), (2, 1), (1, 2))
 
 
-def _conditional_normal(h: float, weights: list[float], seed: int) -> float:
-    """sqrt(h * fsum(weights)) * N, N the seed's ``STREAM_B`` normal: the
-    Euler value of the correction given the squared weights along X."""
+def _euler_steps(length: float, mesh: float) -> int:
+    """K = max(1, round(L / mesh)) Euler steps for a length L > 0; 0 for L = 0."""
+    return max(1, round(length / mesh)) if length else 0
+
+
+def _conditional_normal(h: float, total: float, seed: int) -> float:
+    """sqrt(h * total) * N, N the seed's ``STREAM_B`` normal: the Euler value
+    of the correction given the fsum ``total`` of the squared weights along
+    X."""
     z = float(keyed(seed, STREAM_B).standard_normal())
     # sqrt(0) * z is -0.0 for z < 0; adding 0.0 makes it +0.0.
-    return math.sqrt(h * math.fsum(weights)) * z + 0.0
+    return math.sqrt(h * total) * z + 0.0
 
 
 def _constant_weight(f: TestFunction2D) -> float | None:
@@ -121,31 +130,31 @@ def _euler_sum(
     for each seed and its length, drawn as one normal given X, along with
     the exact endpoint values of the two fBm components.
 
-    A length L has K = max(1, round(L / mesh)) steps of size h = L / K.  X
-    is the first K increments of a unit-spacing draw of K padded to a power
-    of two, each row scaled by h^H; ``fgn._outward_paths`` draws the seeds
-    whose K pad alike as rows of one fGn draw, and each seed's normal reads
-    its own first K weights, so it is the one its seed gives alone.  Returns
-    (integral, x1_end, x2_end), one entry per seed; a zero length gives
-    zeros."""
-    out = np.zeros((3, len(seeds)))
-    live = [i for i, length in enumerate(lengths) if length]
-    steps = [max(1, round(lengths[i] / mesh)) for i in live]
-    h = [lengths[i] / k for i, k in zip(live, steps)]
-    blocks = _outward_paths(H_SPECIAL, 0, steps, [seeds[i] for i in live],
-                            [hr**H_SPECIAL for hr in h])
-    for rows, x1, x2, ks in blocks:
+    A length L has K = ``_euler_steps(L, mesh)`` steps of size h = L / K,
+    and h = 0 when L = 0.  X is the first K increments of a unit-spacing
+    draw of K padded to a power of two, each row scaled by h^H;
+    ``fgn._outward_draws`` draws the seeds whose K pad alike as rows of one
+    fGn draw, and its kernel gives, per seed, the fsum of its own first K
+    weights and X at step K.  Each seed's normal scales its own sum, so it
+    is the one its seed gives alone.  Returns (integral, x1_end, x2_end),
+    one entry per seed; a zero length gives +0.0 for all three."""
+    steps = [_euler_steps(length, mesh) for length in lengths]
+    h = [length / k if k else 0.0 for length, k in zip(lengths, steps)]
+
+    def kernel(x1, x2, ks):
         weight = sum(
             kappa**2 * np.asarray(g, dtype=np.float64) ** 2
             for kappa, g in zip(default_kappas().as_tuple,
                                 f.partials_at(_INTEGRAND_TERMS, x1[:, :-1], x2[:, :-1]))
         )
-        weight = np.broadcast_to(weight, x1[:, :-1].shape).tolist()
-        for r, (j, k) in enumerate(zip(rows, ks.tolist())):
-            i = live[j]
-            out[0, i] = _conditional_normal(h[j], weight[r][:k], seeds[i])
-            out[1, i], out[2, i] = x1[r, k], x2[r, k]
-    return out[0], out[1], out[2]
+        end = np.arange(len(ks)), ks
+        total = _fsum_rows(np.broadcast_to(weight, x1[:, :-1].shape), ks)
+        return np.stack([total, x1[end], x2[end]], axis=-1)
+
+    total, x1_end, x2_end = _outward_draws(H_SPECIAL, 0, steps, seeds, kernel, 3,
+                                           [hr**H_SPECIAL for hr in h]).T
+    corr = [_conditional_normal(hr, s, seed) for hr, s, seed in zip(h, total.tolist(), seeds)]
+    return np.array(corr), x1_end, x2_end
 
 
 def _check_args(t: float, mesh: float) -> None:
@@ -169,8 +178,9 @@ def sample_correction_fbm(
     c = _constant_weight(f)
     if c is None:
         return _euler_sum(f, [t] * len(seeds), mesh, seeds)[0]
-    k = max(1, round(t / mesh))
-    return np.array([_conditional_normal(t / k, [c] * k, s) if t else 0.0 for s in seeds])
+    k = _euler_steps(t, mesh)
+    h, total = t / k if k else 0.0, math.fsum([c] * k)
+    return np.array([_conditional_normal(h, total, s) for s in seeds])
 
 
 def sample_change_of_variable_rhs(

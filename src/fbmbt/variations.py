@@ -138,8 +138,7 @@ def _power_sum(f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, p: int, q: int
 
 
 def _grid_values(path: FbmGridPath2D, t: float) -> tuple[np.ndarray, np.ndarray]:
-    m = _grid_count(path.level, t)
-    return path.segment(1, 0, m), path.segment(2, 0, m)
+    return path.segment(0, _grid_count(path.level, t))
 
 
 def v_pq(f: TestFunction2D, path: FbmGridPath2D, t: float, p: int, q: int) -> float:
@@ -249,8 +248,9 @@ def _one_sided_values(fbm: FbmGridPath2D, y: float) -> tuple[np.ndarray, np.ndar
     """Path values from index 0 outward toward ``y`` (mirrored when y < 0)."""
     m = _grid_count(fbm.level, abs(y))
     if y >= 0:
-        return fbm.segment(1, 0, m), fbm.segment(2, 0, m)
-    return fbm.segment(1, -m, 0)[::-1], fbm.segment(2, -m, 0)[::-1]
+        return fbm.segment(0, m)
+    v1, v2 = fbm.segment(-m, 0)
+    return v1[::-1], v2[::-1]
 
 
 def w_pq(f: TestFunction2D, fbm: FbmGridPath2D, y: float, p: int, q: int) -> float:
@@ -266,7 +266,7 @@ def _reduced_segment(
     where j* is the walk position at the horizon."""
     j_star = int(walk.positions[_walk_horizon(fbm, walk, t)])
     lo, hi = min(0, j_star), max(0, j_star)
-    return fbm.segment(1, lo, hi), fbm.segment(2, lo, hi), (j_star > 0) - (j_star < 0)
+    return *fbm.segment(lo, hi), (j_star > 0) - (j_star < 0)
 
 
 def kl_reduce(

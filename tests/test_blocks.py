@@ -212,18 +212,25 @@ def test_ragged_rows_equal_one_path_sums_on_their_prefix(name, width, data, seed
     seed=SEED,
 )
 def test_outward_rows_are_the_one_seed_paths_read_from_zero(H, n, ends, seed):
+    # The kernel hands back each chunk's rows padded to one width, then the
+    # row lengths, so the gather returns every seed's whole outward path.
     seeds = [derive_seed(seed, i) for i in range(len(ends))]
-    seen = []
-    for rows, v1, v2, lengths in fgn._outward_paths(H, n, ends, seeds):
-        for r, i in enumerate(rows):
-            k = abs(ends[i])
-            assert lengths[r] == k
-            one = sample_fbm_2d(H, n, min(0, ends[i]), max(0, ends[i]), seeds[i])
-            step = -1 if ends[i] < 0 else 1
-            assert _bits(v1[r, : k + 1]) == _bits(one.values1[::step])
-            assert _bits(v2[r, : k + 1]) == _bits(one.values2[::step])
-        seen += rows
-    assert sorted(seen) == list(range(len(ends)))
+    width = max(abs(end) for end in ends) + 1
+
+    def padded(v1, v2, lengths):
+        rows = np.full((len(lengths), 2 * width + 1), np.nan)
+        rows[:, : v1.shape[1]], rows[:, width : width + v2.shape[1]] = v1, v2
+        rows[:, -1] = lengths
+        return rows
+
+    rows = fgn._outward_draws(H, n, ends, seeds, padded, 2 * width + 1)
+    for row, end, s in zip(rows, ends, seeds):
+        k = abs(end)
+        assert row[-1] == k
+        one = sample_fbm_2d(H, n, min(0, end), max(0, end), s)
+        step = -1 if end < 0 else 1
+        assert _bits(row[: k + 1]) == _bits(one.values1[::step])
+        assert _bits(row[width : width + k + 1]) == _bits(one.values2[::step])
 
 
 def test_ragged_draws_make_one_kernel_pass_per_fgn_chunk(monkeypatch):
@@ -373,6 +380,19 @@ def test_brownian_time_block_rows_equal_one_seed_values(fname):
         assert _bits(corr[r]) == _bits(sample_correction_fbmbt(f, 1.0, mesh, [seed])[0])
     zero = sample_change_of_variable_rhs(f, 0.0, mesh, seeds)
     assert _bits(zero) == _bits(np.zeros(len(seeds)))
+
+
+@pytest.mark.parametrize("fname", ["x^3", "sin_x_cos_y"])
+def test_euler_sum_mixes_zero_and_nonzero_lengths(fname):
+    # Zero lengths take K = 0 and h = 0 through the same draw as the rest,
+    # in the padded size 0 of their own chunk.
+    f, mesh = get_test_function(fname), 2.0**-8
+    seeds = [derive_seed(15, i) for i in range(12)]
+    lengths = [0.0 if i % 3 == 0 else 0.15 * i for i in range(12)]
+    block = _euler_sum(f, lengths, mesh, seeds)
+    for r, (length, seed) in enumerate(zip(lengths, seeds)):
+        alone = _euler_sum(f, [length], mesh, [seed]) if length else np.zeros((3, 1))
+        assert _bits([values[r] for values in block]) == _bits([values[0] for values in alone])
 
 
 @pytest.mark.parametrize("fname", ["x^3", "x*y^2"])

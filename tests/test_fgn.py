@@ -203,4 +203,4 @@ def test_capacity_limit():
 def test_segment_bounds_checked():
     path = sample_fbm_2d(0.3, 8, -2, 4, 3)
     with pytest.raises(ValueError):
-        path.segment(1, -3, 2)
+        path.segment(-3, 2)

@@ -4,13 +4,15 @@ public top-level function or class is used by code somewhere in the
 package, outside its own body and ``__init__``; every public field, method
 and property of a class in the package is read somewhere in the package;
 every private top-level function, class or module constant is read by
-code somewhere in the package, outside its own definition; and every
-parameter of a ``def`` in the package is read in that function's body.  A name counts as used where it is read in code (a bare name or an
-attribute); docstrings, comments and re-exports do not count.  Code reads a
-field, method or property through an attribute, so only attribute loads
-count for those, and only loads of a bare name count for a parameter.  The
-checks go by name: a member whose name some other read member shares passes
-unread."""
+code somewhere in the package, outside its own definition; every
+parameter of a ``def`` in the package is read in that function's body; and
+no module but ``fgn`` reads the helpers that decide how its fGn draws are
+padded and chunked.  A name counts as used where it is read in code (a bare
+name or an attribute); docstrings, comments and re-exports do not count.
+Code reads a field, method or property through an attribute, so only
+attribute loads count for those, and only loads of a bare name count for a
+parameter.  The checks go by name: a member whose name some other read
+member shares passes unread."""
 
 import ast
 from pathlib import Path
@@ -146,3 +148,15 @@ def test_every_parameter_is_read_in_its_function():
                       if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
             unread += [f"{module}.{fn.name}({name})" for name in params if name not in loaded]
     assert unread == []
+
+
+# How a block of seeds is padded and cut into fGn chunks is decided in
+# ``fgn._outward_draws`` alone.
+_CHUNK_HELPERS = ("_increment_rows", "_padded_size")
+
+
+def test_only_fgn_reads_its_chunk_helpers():
+    readers = [f"{module}.{name}" for module, tree in MODULES.items() if module != "fgn"
+               for name in _CHUNK_HELPERS
+               if name in _names_read(tree) or name in _imported(tree)]
+    assert readers == []

@@ -101,7 +101,7 @@ def test_o_n_sum_of_coordinates():
 def test_v_pq_constant_weight_is_power_sum():
     path = _path()
     f = get_test_function("1")
-    d = np.diff(path.segment(1, 0, 16))
+    d = np.diff(path.segment(0, 16)[0])
     assert v_pq(f, path, 1.0, 3, 0) == pytest.approx(
         math.fsum(d**3), rel=1e-12
     )
@@ -127,7 +127,7 @@ def test_v3_cubic_closed_form():
     # f = x^3: only the pure-x third derivative (= 6) survives
     path = _path()
     f = get_test_function("x^3")
-    d = np.diff(path.segment(1, 0, 16))
+    d = np.diff(path.segment(0, 16)[0])
     assert v3(f, path, 1.0) == pytest.approx(0.25 * math.fsum(d**3), rel=1e-12)
 
 
@@ -252,7 +252,7 @@ def test_w3_at_zero_horizon():
 def test_w_pq_negative_horizon_uses_mirrored_path():
     fbm = _path(lo=-16, hi=0)
     f = get_test_function("1")
-    v = fbm.segment(1, -16, 0)[::-1]
+    v = fbm.segment(-16, 0)[0][::-1]
     want = math.fsum(np.diff(v) ** 3)
     assert w_pq(f, fbm, -1.0, 3, 0) == pytest.approx(want, rel=1e-12)
 
@@ -379,7 +379,7 @@ def test_grid_statistics_bitwise_equal_reference(name):
     f = get_test_function(name)
     path = sample_fbm_2d(H6, 8, 0, 16, 5)
     for t in (1.0, 0.4, 0.01):  # 16, 6 and 0 increments
-        v1, v2 = path.segment(1, 0, int(16 * t)), path.segment(2, 0, int(16 * t))
+        v1, v2 = path.segment(0, int(16 * t))
         assert o_n(f, path, t) == _ref_gradient(f, v1, v2)
         assert v3(f, path, t) == _ref_third_order(f, v1, v2)
         for p, q in ORACLE_EXPONENTS:
@@ -397,9 +397,9 @@ def test_one_sided_statistics_bitwise_equal_reference(name):
     for y in (1.0, -0.7, 0.0):
         m = int(16 * abs(y))
         if y >= 0:
-            v1, v2 = fbm.segment(1, 0, m), fbm.segment(2, 0, m)
+            v1, v2 = fbm.segment(0, m)
         else:
-            v1, v2 = fbm.segment(1, -m, 0)[::-1], fbm.segment(2, -m, 0)[::-1]
+            v1, v2 = (v[::-1] for v in fbm.segment(-m, 0))
         assert w_grad(f, fbm, y) == _ref_gradient(f, v1, v2)
         assert w3(f, fbm, y) == _ref_third_order(f, v1, v2)
         for p, q in ORACLE_EXPONENTS:
@@ -422,7 +422,7 @@ def test_skeleton_statistics_bitwise_equal_reference(name):
         sign = int(np.sign(j_star))
         signs.add(sign)
         lo, hi = min(0, j_star), max(0, j_star)
-        r1, r2 = fbm.segment(1, lo, hi), fbm.segment(2, lo, hi)
+        r1, r2 = fbm.segment(lo, hi)
         assert o_tilde_reduced(f, fbm, walk, t) == (
             sign * _ref_gradient(f, r1, r2) if sign else 0.0
         )
