@@ -10,7 +10,9 @@ Estimator functions take a list of replication seeds plus keyword
 configuration, return one value per seed, and are defined at module top
 level so they can be shipped to worker processes.  Every fBm estimator
 draws its paths as ragged outward rows of ``fgn._outward_draws``, which runs
-the estimator's kernel once per fGn chunk of rows.
+the estimator's kernel once per fGn chunk of rows and draws only the
+components that ``variations._components_read`` finds the kernel's terms
+read.
 Runner keywords are the config keys, so a runner's ``function`` is passed
 on to the draws as their ``fname``.
 """
@@ -49,11 +51,14 @@ from .skeleton import (
 )
 from .stats import fit_rate, ks_two_sample, mc_run
 from .variations import (
+    _VALUE,
     _check_exponents,
+    _components_read,
     _grid_count,
     _power_sum,
     _step_count,
     _taylor_sum,
+    _taylor_terms,
     k_components,
     kl_reduce,
     p_n,
@@ -154,13 +159,15 @@ def _level_master(master_seed: int, tag: int) -> int:
 def draw_v_pq(seeds, *, H, n, t, fname, p, q):
     f, (p, q) = get_test_function(fname), _check_exponents(p, q)
     return _outward_draws(H, n, [_grid_count(n, t)] * len(seeds), seeds,
-                          lambda v1, v2, _: _power_sum(f, v1, v2, p, q))
+                          lambda v1, v2, _: _power_sum(f, v1, v2, p, q),
+                          reads=_components_read(f, [(_VALUE, (p, q))]))
 
 
 def draw_v3(seeds, *, H, n, t, fname):
     f = get_test_function(fname)
     return _outward_draws(H, n, [_grid_count(n, t)] * len(seeds), seeds,
-                          lambda v1, v2, _: _taylor_sum(f, v1, v2, 3))
+                          lambda v1, v2, _: _taylor_sum(f, v1, v2, 3),
+                          reads=_components_read(f, _taylor_terms(3)))
 
 
 # Brownian-clock estimators.  For odd-order sums the up- and downcrossings
@@ -174,9 +181,10 @@ def draw_v3(seeds, *, H, n, t, fname):
 def _one_sided_draws(seeds, H, n, t, fname, order, residual=False) -> np.ndarray:
     """The order-``order`` one-sided midpoint sum on the fBm segment between
     0 and each seed's terminal position j*; with ``residual``, f(X at j*) -
-    f(0, 0) minus that sum.  Every j* is drawn first, then the segments of
-    all seeds as outward rows."""
+    f(0, 0) minus that sum, which also reads f at the end.  Every j* is
+    drawn first, then the segments of all seeds as outward rows."""
     f, steps = get_test_function(fname), _step_count(n, t)
+    terms = _taylor_terms(order) + ([(_VALUE, (0, 0))] if residual else [])
 
     def sums(v1, v2, lengths):
         out = _taylor_sum(f, v1, v2, order, lengths)
@@ -186,7 +194,7 @@ def _one_sided_draws(seeds, H, n, t, fname, order, residual=False) -> np.ndarray
         return out
 
     return _outward_draws(H, n, [sample_terminal(n, steps, seed) for seed in seeds],
-                          seeds, sums)
+                          seeds, sums, reads=_components_read(f, terms))
 
 
 def draw_o_tilde(seeds, *, H, n, t, fname):
@@ -225,7 +233,8 @@ def draw_w3_horizons(seeds, *, H, n, ys, fname):
         return np.stack(out, axis=-1)
 
     return _outward_draws(H, n, [2 * m] * len(seeds), seeds,
-                          lambda v1, v2, _: sums(v1, v2), len(ys))
+                          lambda v1, v2, _: sums(v1, v2), len(ys),
+                          reads=_components_read(f, _taylor_terms(3)))
 
 
 def draw_correction_fbm(seeds, *, fname, t, mesh):

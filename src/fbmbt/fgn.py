@@ -16,7 +16,9 @@ through ``_outward_draws``: it draws blocks of seeds as ragged rows, each a
 seed's path read outward from index 0, whose normals come from that seed's
 own streams, and runs a kernel once per fGn chunk of rows.  The
 circulant-embedding FFT runs row-wise, so every row is bit for bit the path
-``sample_fbm_2d`` gives its seed alone.
+``sample_fbm_2d`` gives its seed alone.  Only the components the kernel's
+statistic reads (``variations._components_read``) are drawn; for f = x^3
+that is X^1 alone, and the kernel gets zeros for X^2.
 """
 
 from __future__ import annotations
@@ -238,18 +240,26 @@ def sample_increments(H: float, spacing: float, size: int, rngs) -> np.ndarray:
 
 
 def _increment_rows(H: float, n: int, size: int, seeds: list[int],
-                    scales: list[float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+                    scales: list[float] | None = None,
+                    reads: tuple[bool, bool] = (True, True)) -> tuple:
     """``size`` level-n increments of each seed's X^1 and of its X^2, one
     ``(len(seeds), size)`` array each, every row from its seed's own stream;
-    ``scales``, one per seed, multiplies that seed's rows.  Both components
-    are rows of one draw; a size of 0 draws nothing."""
-    if not size:
-        return np.zeros((len(seeds), 0)), np.zeros((len(seeds), 0))
-    rngs = [StreamKey(s, stream) for stream in (STREAM_X1, STREAM_X2) for s in seeds]
-    incs = sample_increments(H, grid_spacing(n), size, rngs)
-    if scales is not None:
-        incs *= np.array(list(scales) * 2)[:, None]
-    return incs[: len(seeds)], incs[len(seeds) :]
+    ``scales``, one per seed, multiplies that seed's rows.  A component that
+    ``reads`` leaves out is None: no handle is keyed to its stream.  The
+    components read are rows of one draw; a size of 0 draws nothing."""
+    streams = [stream for stream, read in zip((STREAM_X1, STREAM_X2), reads) if read]
+    if size and streams:
+        incs = sample_increments(H, grid_spacing(n), size,
+                                 [StreamKey(s, stream) for stream in streams for s in seeds])
+        if scales is not None:
+            incs *= np.array(list(scales) * len(streams))[:, None]
+    else:
+        incs = np.zeros((len(streams) * len(seeds), 0))
+    rows, lo = [], 0
+    for read in reads:
+        rows.append(incs[lo : lo + len(seeds)] if read else None)
+        lo += len(seeds) * read
+    return tuple(rows)
 
 
 def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed: int) -> FbmGridPath2D:
@@ -277,40 +287,50 @@ def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed: int) -> FbmGri
 
 
 def _outward_draws(H: float, n: int, ends: list[int], seeds: list[int], kernel,
-                   width: int | None = None, scales: list[float] | None = None) -> np.ndarray:
+                   width: int | None = None, scales: list[float] | None = None,
+                   reads: tuple[bool, bool] = (True, True)) -> np.ndarray:
     """``kernel(v1, v2, lengths)`` on each seed's path from index 0 out to its
     signed end, gathered in seed order: one value per seed, or one row of
     ``width`` values.
 
-    The seeds whose |end| pads to one power of two share one fGn draw of
-    that size, sorted by |end|, in chunks whose two components pass at most
-    about ``BLOCK_VALUES`` complex values through the draw, which bounds a
-    chunk's working set.  The kernel runs once per chunk, on its X^1 rows,
-    its X^2 rows and their lengths L = |end|: only the first L + 1 entries
-    of a row are meaningful, and they are bit for bit the path
+    Only the components that ``reads`` names are drawn (the kernel's
+    ``variations._components_read``); the kernel gets zeros for the other,
+    which by that rule moves no bit of its value.  The seeds whose |end|
+    pads to one power of two share one fGn draw of that size, sorted by
+    |end|, in chunks whose drawn components pass at most about
+    ``BLOCK_VALUES`` complex values through the draw, which bounds a
+    chunk's working set: a chunk of one component holds twice the rows.
+    The kernel runs once per chunk, on its X^1 rows, its X^2 rows and their
+    lengths L = |end|: only the first L + 1 entries of a row are
+    meaningful, and a drawn component's are bit for bit the path
     ``sample_fbm_2d`` gives the seed alone on [min(0, end), max(0, end)],
-    read outward from index 0.  With v the cumulated increments, entry k is
-    v[k], or v[L - k] - v[L] for an end of -L, the same anchoring
-    subtraction.  ``scales``, one per seed, multiplies a seed's increments
-    before they are cumulated."""
+    read outward from index 0.  Each row is its own seed's stream and the
+    FFT runs row-wise, so leaving a component out moves no bit of the
+    other.  With v the cumulated increments, entry k is v[k], or
+    v[L - k] - v[L] for an end of -L, the same anchoring subtraction.
+    ``scales``, one per seed, multiplies a seed's increments before they
+    are cumulated."""
     out = np.empty(len(seeds) if width is None else (len(seeds), width))
     padded: dict[int, list[int]] = {}
     for i in sorted(range(len(seeds)), key=lambda i: abs(ends[i])):
         padded.setdefault(_padded_size(abs(ends[i])), []).append(i)
+    components = max(1, sum(reads))
     for size, idx in padded.items():
-        step = max(1, BLOCK_VALUES // (4 * max(size, 1)))
+        step = max(1, BLOCK_VALUES // (2 * components * max(size, 1)))
         for block in (idx[lo : lo + step] for lo in range(0, len(idx), step)):
             incs = _increment_rows(H, n, size, [seeds[i] for i in block],
-                                   None if scales is None else [scales[i] for i in block])
+                                   None if scales is None else [scales[i] for i in block],
+                                   reads)
             lengths = [abs(ends[i]) for i in block]
             mirrored = [r for r, i in enumerate(block) if ends[i] < 0]
             paths = []
             for rows in incs:
                 v = np.zeros((len(block), lengths[-1] + 1))
-                np.cumsum(rows[:, : lengths[-1]], axis=1, out=v[:, 1:])
-                for r in mirrored:
-                    k = lengths[r]
-                    v[r, : k + 1] = v[r, k::-1] - v[r, k]
+                if rows is not None:
+                    np.cumsum(rows[:, : lengths[-1]], axis=1, out=v[:, 1:])
+                    for r in mirrored:
+                        k = lengths[r]
+                        v[r, : k + 1] = v[r, k::-1] - v[r, k]
                 paths.append(v)
             # Free the increments before the kernel allocates its
             # temporaries, which then reuse that memory.

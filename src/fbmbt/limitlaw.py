@@ -28,7 +28,11 @@ that Y_t falls on does not change its sign.  When every g_i is constant
 (a monomial of total degree at most three, such as x^3 or x y^2) the weight
 is one number c = sum_i kappa_i^2 g_i^2, X cannot reach the value, and
 ``sample_correction_fbm`` draws no X: its value is sqrt(h fsum([c] * K)) * N
-on the same normal N, bit for bit the value drawn along X.
+on the same normal N, bit for bit the value drawn along X.  Such integrands
+read no component of X (``variations._components_read``), yet they keep
+this branch: ``_euler_sum`` would draw no fGn for them, but would still
+fsum K zero-path weights per row: for 1000 seeds at mesh 2^-10 on a 2-core
+Xeon, 39.5 ms against 1.4 ms for the branch.
 
 Euler grids use K = ``_euler_steps(|horizon|, mesh)`` uniform steps of exact
 size h = |horizon| / K, so the grid always lands exactly on the endpoint; the
@@ -60,7 +64,7 @@ from .fgn import (
     sum_rho_cubed,
 )
 from .rng import STREAM_B, STREAM_Y, keyed
-from .variations import _fsum_rows
+from .variations import _VALUE, _components_read, _fsum_rows
 
 DEFAULT_SERIES_TRUNCATION = 10**6
 
@@ -95,6 +99,9 @@ def default_kappas() -> KappaConstants:
 
 # Derivative multi-indices of the integrands g_i, in kappa order.
 _INTEGRAND_TERMS = ((3, 0), (0, 3), (2, 1), (1, 2))
+# What the Euler kernel reads of X, as midpoint-sum terms for the read rule:
+# the integrands along X, with no increment factor, and f at the end.
+_EULER_READS = tuple(((a,), (0, 0)) for a in _INTEGRAND_TERMS) + ((_VALUE, (0, 0)),)
 
 
 def _euler_steps(length: float, mesh: float) -> int:
@@ -136,8 +143,11 @@ def _euler_sum(
     ``fgn._outward_draws`` draws the seeds whose K pad alike as rows of one
     fGn draw, and its kernel gives, per seed, the fsum of its own first K
     weights and X at step K.  Each seed's normal scales its own sum, so it
-    is the one its seed gives alone.  Returns (integral, x1_end, x2_end),
-    one entry per seed; a zero length gives +0.0 for all three."""
+    is the one its seed gives alone.  Only the components that the
+    integrands and f at the end read are drawn (``_EULER_READS``); an
+    unread one's end is 0.0, and f does not depend on it.  Returns
+    (integral, x1_end, x2_end), one entry per seed; a zero length gives
+    +0.0 for all three."""
     steps = [_euler_steps(length, mesh) for length in lengths]
     h = [length / k if k else 0.0 for length, k in zip(lengths, steps)]
 
@@ -152,7 +162,8 @@ def _euler_sum(
         return np.stack([total, x1[end], x2[end]], axis=-1)
 
     total, x1_end, x2_end = _outward_draws(H_SPECIAL, 0, steps, seeds, kernel, 3,
-                                           [hr**H_SPECIAL for hr in h]).T
+                                           [hr**H_SPECIAL for hr in h],
+                                           _components_read(f, _EULER_READS)).T
     corr = [_conditional_normal(hr, s, seed) for hr, s, seed in zip(h, total.tolist(), seeds)]
     return np.array(corr), x1_end, x2_end
 

@@ -6,7 +6,10 @@ increment, times factors of the increment, accumulated with ``math.fsum``.
 One kernel, ``_midpoint_sums``, computes the midpoints and increments of a
 path once and evaluates a table of (partials, increment exponents) terms on
 them; a term whose partials vanish identically (known for monomials when
-they are built) is 0.0 without being evaluated.  Every functional returns
+they are built) is 0.0 without being evaluated.  That record, with the
+partials known to be constant, decides which of X^1 and X^2 a table of
+terms reads (``_components_read``), and an estimator draws only those.
+Every functional returns
 its value: a float for one path.  The Monte Carlo estimators
 (``experiments``) skip the path objects: they pass the kernel sums a block
 of outward fBm rows (one row per seed, paths along the last axis), and get
@@ -57,6 +60,26 @@ from .skeleton import SkeletonPath
 _TAYLOR = midpoint_taylor_table(3)
 # The partials of a power sum's weight: f itself.
 _VALUE = ((0, 0),)
+
+
+def _taylor_terms(order: int) -> list:
+    """The (partials, exponents) terms of the order-``order`` Taylor sum: the
+    a-th partial times d1^a1 d2^a2 for each |a| = order."""
+    return [((a,), a) for a in _TAYLOR if sum(a) == order]
+
+
+def _components_read(f: TestFunction2D, terms) -> tuple[bool, bool]:
+    """Whether a midpoint sum of ``terms`` reads X^1 and whether it reads
+    X^2.  A term is live when its partials do not all vanish identically;
+    a component is read when some live term has a nonzero increment
+    exponent on it, or when some live partial is not constant.  An unread
+    component may be any path, zeros say, without moving a bit of the sum:
+    its increments enter only as skipped factors d^0, its midpoints only
+    through partials that vanish or are constant."""
+    live = [(partials, pq) for partials, pq in terms
+            if not all(f.vanishes(*a) for a in partials)]
+    varying = any(f.constant(*a) is None for partials, _ in live for a in partials)
+    return tuple(varying or any(pq[i] for _, pq in live) for i in (0, 1))
 
 
 def _check_exponents(p: int, q: int) -> tuple[int, int]:
@@ -127,9 +150,9 @@ def _taylor_sum(f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, order: int,
     """Order-``order`` part of the midpoint expansion of f along the path:
     fsum of C(a) * d^a f(midpoint) * d1^a1 * d2^a2 over |a| = order.
     ``counts`` is ``_midpoint_sums``' per-row term count."""
-    index = [a for a in _TAYLOR if sum(a) == order]
-    sums = _midpoint_sums(f, v1, v2, [((a,), a) for a in index], counts=counts)
-    return _fsum_rows(np.stack([float(_TAYLOR[a]) * s for a, s in zip(index, sums)], axis=-1))
+    terms = _taylor_terms(order)
+    sums = _midpoint_sums(f, v1, v2, terms, counts=counts)
+    return _fsum_rows(np.stack([float(_TAYLOR[a]) * s for (_, a), s in zip(terms, sums)], axis=-1))
 
 
 def _power_sum(f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, p: int, q: int) -> float:

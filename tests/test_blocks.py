@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbmbt import fgn, rng, variations
@@ -36,6 +36,7 @@ from fbmbt.fgn import (
     sample_increments,
 )
 from fbmbt.limitlaw import (
+    _EULER_READS,
     _constant_weight,
     _euler_sum,
     sample_change_of_variable_rhs,
@@ -46,10 +47,12 @@ from fbmbt.skeleton import sample_terminal
 from fbmbt.variations import (
     _TAYLOR,
     _VALUE,
+    _components_read,
     _grid_count,
     _midpoint_sums,
     _step_count,
     _taylor_sum,
+    _taylor_terms,
     v3,
     v_pq,
 )
@@ -270,6 +273,82 @@ def test_ragged_draws_make_one_kernel_pass_per_fgn_chunk(monkeypatch):
     assert calls["passes"] == calls["chunks"] < len(steps) // 4
 
 
+BOTH, X1, X2, NEITHER = (True, True), (True, False), (False, True), (False, False)
+
+
+@pytest.mark.parametrize("fname,terms,reads", [
+    # Order 3: x^3 keeps only 6 d1^3 / 24 with the constant partial 6.
+    ("x^3", _taylor_terms(3), X1),
+    ("y^3", _taylor_terms(3), X2),
+    ("x*y^2", _taylor_terms(3), BOTH),
+    ("sin_x_cos_y", _taylor_terms(3), BOTH),
+    ("bump", _taylor_terms(3), BOTH),
+    ("x*y", _taylor_terms(3), NEITHER),
+    # draw_v_pq's one term: its exponents name the components, alone for f = 1.
+    ("x*y", [(_VALUE, (1, 2))], BOTH),
+    ("1", [(_VALUE, (1, 2))], BOTH),
+    ("1", [(_VALUE, (3, 0))], X1),
+    # f at the path's end: the skeleton residual and the Euler kernel.
+    ("x^3", _taylor_terms(1) + [(_VALUE, (0, 0))], BOTH),
+    ("x^3", list(_EULER_READS), BOTH),
+    ("1", list(_EULER_READS), NEITHER),
+])
+def test_read_rule_over_the_catalog(fname, terms, reads):
+    assert _components_read(get_test_function(fname), terms) == reads
+
+
+def _record_handles(monkeypatch):
+    """Patch ``fgn.sample_increments`` to record the (seed, stream) handles
+    of each call: one list per call."""
+    calls = []
+
+    def recording(H, spacing, size, rngs):
+        rngs = list(rngs)
+        calls.append([(g.seed, g.stream) for g in rngs])
+        return sample_increments(H, spacing, size, rngs)
+
+    monkeypatch.setattr(fgn, "sample_increments", recording)
+    return calls
+
+
+@pytest.mark.parametrize("fname,streams", [
+    ("x^3", {rng.STREAM_X1}),
+    ("y^3", {rng.STREAM_X2}),
+    ("sin_x_cos_y", {rng.STREAM_X1, rng.STREAM_X2}),
+])
+def test_draws_key_only_the_streams_their_statistic_reads(monkeypatch, fname, streams):
+    seeds = [derive_seed(18, i) for i in range(300)]
+    calls = _record_handles(monkeypatch)
+    for draw in (draw_v3, draw_v_tilde_3):
+        calls.clear()
+        draw(seeds, H=0.3, n=10, t=1.0, fname=fname)
+        handles = [h for call in calls for h in call]
+        assert {stream for _, stream in handles} == streams, draw.__name__
+        if draw is draw_v3:  # every path ends at m; a zero j* draws nothing
+            assert sorted(handles) == sorted((s, k) for s in seeds for k in streams)
+    # A draw that evaluates f at its end reads both, x^3 included.
+    for draw, kwargs in ((draw_skeleton_residual, dict(H=0.3, n=10)),
+                         (draw_rhs_fbmbt, dict(mesh=2.0**-8))):
+        calls.clear()
+        draw(seeds, t=1.0, fname=fname, **kwargs)
+        assert {stream for call in calls for _, stream in call} == {
+            rng.STREAM_X1, rng.STREAM_X2}, draw.__name__
+
+
+def test_one_component_chunks_hold_twice_the_rows(monkeypatch):
+    # m = 32 at n = 10 pads to 32: a chunk of 2^12 complex values holds 32
+    # seeds of two components or 64 of one, so 300 seeds make 10 or 5.
+    seeds = [derive_seed(18, i) for i in range(300)]
+    calls = _record_handles(monkeypatch)
+    monkeypatch.setattr(fgn, "BLOCK_VALUES", 1 << 12)
+    chunks = {}
+    for fname in ("x^3", "sin_x_cos_y"):
+        calls.clear()
+        draw_v3(seeds, H=0.3, n=10, t=1.0, fname=fname)
+        chunks[fname] = len(calls)
+    assert chunks == {"x^3": 5, "sin_x_cos_y": 10}
+
+
 def _terminal_segment(seed, H, n, t):
     """Terminal walk position j*, its height y, and the fBm between 0 and
     j*, drawn for one seed alone."""
@@ -308,13 +387,19 @@ def sample_correction_fbmbt(f, t, mesh, seeds):
     return _euler_sum(f, np.abs(_brownian_times(t, seeds)).tolist(), mesh, seeds)[0]
 
 
+# The one-seed oracles draw both components through ``sample_fbm_2d``, so a
+# draw that leaves out a component its statistic reads fails here; x^3,
+# y^3 and x*y leave one or both out of some draws, and each runs every time.
 @settings(deadline=None, max_examples=15)
 @given(
     H=st.sampled_from([0.1, H_SPECIAL, 0.3]),
     n=st.integers(min_value=2, max_value=10),
-    fname=st.sampled_from(["x^3", "x*y^2", "sin_x_cos_y", "bump"]),
+    fname=st.sampled_from(["x^3", "x*y^2", "sin_x_cos_y", "bump", "y^3", "x^4", "x*y"]),
     seeds=SEEDS,
 )
+@example(H=0.3, n=6, fname="x^3", seeds=[1, 2, 3])
+@example(H=H_SPECIAL, n=7, fname="y^3", seeds=[4, 5, 6])
+@example(H=0.1, n=5, fname="x*y", seeds=[7, 8, 9])
 def test_batched_estimators_equal_one_seed_draws(H, n, fname, seeds):
     t, f = 1.0, get_test_function(fname)
     m = _grid_count(n, t)
