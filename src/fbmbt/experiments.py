@@ -54,6 +54,7 @@ from .variations import (
     _VALUE,
     _check_exponents,
     _components_read,
+    _fsum_rows,
     _grid_count,
     _power_sum,
     _step_count,
@@ -218,19 +219,22 @@ def draw_w3_horizons(seeds, *, H, n, ys, fname):
     """The one-sided third-order sum out to each y in ``ys``, all on one
     two-sided fBm path per seed: one row per seed.  The path on [-m, m] is
     the outward path of 2m increments less its value at index m, the
-    anchoring subtraction of ``sample_fbm_2d``; each sum reads it from
-    index m, forward for y >= 0 and backward for y < 0."""
+    anchoring subtraction of ``sample_fbm_2d``.  The sums read it from index
+    m, forward for y > 0 and backward for y < 0, in one ``_taylor_sum`` per
+    side whose counts cut it at each y of that side; y = 0 is 0.0."""
     m = _grid_count(n, max(abs(y) for y in ys))
     f = get_test_function(fname)
+    sides = [(cols, [i for i, y in enumerate(ys) if sign * y > 0])
+             for cols, sign in ((slice(m, None), 1), (slice(m, None, -1), -1))]
 
     def sums(v1, v2):
         x1, x2 = v1 - v1[:, m, None], v2 - v2[:, m, None]
-        out = []
-        for y in ys:
-            k = _grid_count(n, abs(y))
-            cols, step = (slice(m, m + k + 1), 1) if y >= 0 else (slice(m - k, m + 1), -1)
-            out.append(_taylor_sum(f, x1[:, cols][:, ::step], x2[:, cols][:, ::step], 3))
-        return np.stack(out, axis=-1)
+        out = np.zeros((len(v1), len(ys)))
+        for cols, side in sides:
+            if side:
+                counts = np.tile([_grid_count(n, abs(ys[i])) for i in side], (len(v1), 1))
+                out[:, side] = _taylor_sum(f, x1[:, cols], x2[:, cols], 3, counts)
+        return out
 
     return _outward_draws(H, n, [2 * m] * len(seeds), seeds,
                           lambda v1, v2, _: sums(v1, v2), len(ys),
@@ -257,7 +261,7 @@ def run_rho_table() -> ExperimentResult:
     tol = THRESHOLDS["telescoping_abs"]
     for H in TELESCOPING_HURSTS:
         for m in TELESCOPING_TRUNCATIONS:
-            total = 1.0 + 2.0 * math.fsum(rho(np.arange(1, m + 1), H))
+            total = 1.0 + 2.0 * _fsum_rows(rho(np.arange(1, m + 1), H))
             # stable form of (m+1)^{2H} - m^{2H}
             target = float(m) ** (2 * H) * math.expm1(2 * H * math.log1p(1.0 / m))
             err = abs(total - target)

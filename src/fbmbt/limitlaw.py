@@ -31,8 +31,8 @@ is one number c = sum_i kappa_i^2 g_i^2, X cannot reach the value, and
 on the same normal N, bit for bit the value drawn along X.  Such integrands
 read no component of X (``variations._components_read``), yet they keep
 this branch: ``_euler_sum`` would draw no fGn for them, but would still
-fsum K zero-path weights per row: for 1000 seeds at mesh 2^-10 on a 2-core
-Xeon, 39.5 ms against 1.4 ms for the branch.
+sum K zero-path weights per row: for 1000 seeds at mesh 2^-10 on a 2-core
+Xeon, 20.9 ms against 1.4 ms for the branch.
 
 Euler grids use K = ``_euler_steps(|horizon|, mesh)`` uniform steps of exact
 size h = |horizon| / K, so the grid always lands exactly on the endpoint; the

@@ -2,20 +2,23 @@
 
 Every functional here is one midpoint sum: a term per increment, partials of
 the smooth weight evaluated at the coordinate-wise midpoint of the
-increment, times factors of the increment, accumulated with ``math.fsum``.
-One kernel, ``_midpoint_sums``, computes the midpoints and increments of a
-path once and evaluates a table of (partials, increment exponents) terms on
-them; a term whose partials vanish identically (known for monomials when
-they are built) is 0.0 without being evaluated.  That record, with the
-partials known to be constant, decides which of X^1 and X^2 a table of
-terms reads (``_components_read``), and an estimator draws only those.
-Every functional returns
-its value: a float for one path.  The Monte Carlo estimators
+increment, times factors of the increment, accumulated with one correctly
+rounded sum (``_fsum_rows``).  One kernel, ``_midpoint_sums``, computes the
+midpoints and increments of a path once and evaluates a table of
+(partials, increment exponents) terms on them; a term whose partials vanish
+identically (known for monomials when they are built) is 0.0 without being
+evaluated.  That record, with which variables each partial depends on,
+decides which of X^1 and X^2 a table of terms reads (``_components_read``),
+and an estimator draws only those.  Every functional returns its value: a
+float for one path, summed by ``math.fsum``.  The Monte Carlo estimators
 (``experiments``) skip the path objects: they pass the kernel sums a block
 of outward fBm rows (one row per seed, paths along the last axis), and get
-one value per row, each the row's own correctly rounded fsum.  A ragged
+one value per row, each the row's own correctly rounded sum, bit for bit
+its ``math.fsum``, computed for the whole block at once by error-free
+extraction (Rump, Ogita and Oishi 2008; see ``_fsum_rows``).  A ragged
 block, whose rows hold paths of different lengths, passes the kernel one
-term count per row.  Increment powers d^p are products d * d * ... * d,
+term count per row, and a row read at several horizons passes one count
+per horizon.  Increment powers d^p are products d * d * ... * d,
 multiplied left to right (``calculus._powers``), as are the monomials' own
 powers.  The gradient and third-order sums take their
 terms and coefficients from ``midpoint_taylor_table``.  Three families
@@ -42,6 +45,7 @@ third-order sums ``w_grad`` and ``w3`` are kept only as test oracles
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -72,14 +76,15 @@ def _components_read(f: TestFunction2D, terms) -> tuple[bool, bool]:
     """Whether a midpoint sum of ``terms`` reads X^1 and whether it reads
     X^2.  A term is live when its partials do not all vanish identically;
     a component is read when some live term has a nonzero increment
-    exponent on it, or when some live partial is not constant.  An unread
-    component may be any path, zeros say, without moving a bit of the sum:
-    its increments enter only as skipped factors d^0, its midpoints only
-    through partials that vanish or are constant."""
+    exponent on it, or when some live partial depends on its variable
+    (``TestFunction2D.depends``).  An unread component may be any path,
+    zeros say, without moving a bit of the sum: its increments enter only
+    as skipped factors d^0, its midpoints only through partials that do not
+    read them."""
     live = [(partials, pq) for partials, pq in terms
             if not all(f.vanishes(*a) for a in partials)]
-    varying = any(f.constant(*a) is None for partials, _ in live for a in partials)
-    return tuple(varying or any(pq[i] for _, pq in live) for i in (0, 1))
+    return tuple(any(pq[i] or any(f.depends(*a)[i] for a in partials) for partials, pq in live)
+                 for i in (0, 1))
 
 
 def _check_exponents(p: int, q: int) -> tuple[int, int]:
@@ -101,15 +106,82 @@ def _step_count(level: int, t: float) -> int:
 
 
 def _fsum_rows(a: np.ndarray, counts=None):
-    """``math.fsum`` along the last axis: a float for one row, an array of
-    one sum per row for a 2-D block.  fsum is correctly rounded, so a row's
-    sum does not depend on the other rows.  ``counts``, one per row, sums
-    only the first counts[r] entries of row r."""
+    """The correctly rounded sum along the last axis, ``math.fsum``'s bits:
+    a float for one row, an array of one sum per row for a block of rows.
+    ``counts``, one per row, sums only the first counts[r] entries of row r;
+    with a trailing axis of several cuts per row, it gives one sum per cut,
+    each over the row's first ``cut`` entries.
+
+    One row is ``math.fsum`` itself.  A block is summed by error-free
+    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation,
+    Part I", SIAM J. Sci. Comput. 31(1), 2008, ``ExtractVector``), with no
+    Python loop over its rows.  The entries past a row's last cut are set to
+    0.0, which moves no exact sum.  With max|x| <= 2^e and L the number of
+    columns summed, sigma = 2^(e + bit_length(L + 1)) splits each x into
+    q = (sigma + x) - sigma and r = x - q, both exact; the q are multiples of
+    sigma 2^-53 whose sum stays below sigma, so any order of summing them,
+    numpy's pairwise sum or a prefix ``cumsum`` read at the cuts, is exact.
+    A second round splits r with sigma * 2^(bit_length(L + 1) - 53).  A row's
+    sum is then exactly tau1 + tau2 + the remainders, and a correctly
+    rounded sum is unique: a cut with no nonzero remainder before it is the
+    one rounded addition tau1 + tau2, any other the ``math.fsum`` of its
+    two taus and its few remainders.  A row whose max|x| is not finite or
+    lies outside [2^-900, 2^900], an all-zero row included, is summed by
+    ``math.fsum`` itself."""
     if a.ndim == 1:
         return math.fsum(a.tolist())
-    if counts is None:
-        return np.array([math.fsum(row) for row in a.tolist()])
-    return np.array([math.fsum(row[:k].tolist()) for row, k in zip(a, counts.tolist())])
+    shape = a.shape[:-1] if counts is None else np.shape(counts)
+    a = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+    cuts = (np.full((len(a), 1), a.shape[1]) if counts is None
+            else np.asarray(counts, dtype=np.intp).reshape(len(a), -1))
+    last = cuts.max(axis=1)
+    width = int(last.max(initial=0))
+    if not width:
+        return np.zeros(shape)
+    x = a[:, :width]
+    if last.min() < width:
+        x = np.where(np.arange(width) < last[:, None], x, 0.0)
+    top = np.abs(x).max(axis=1)
+    fallback = ~((top >= 2.0**-900) & (top <= 2.0**900))
+    if fallback.any():
+        x = np.where(fallback[:, None], 0.0, x)
+    mantissa, exponent = np.frexp(top)
+    headroom = (width + 1).bit_length()
+    sigma = np.ldexp(1.0, exponent - (mantissa == 0.5) + headroom)[:, None]
+    whole = cuts.shape[1] == 1 and (cuts[:, 0] == last).all()
+
+    def tau(q):
+        """The exact sum of q up to each cut."""
+        if whole:
+            return q.sum(axis=1)[:, None]
+        prefix = np.take_along_axis(np.cumsum(q, axis=1), cuts - 1, axis=1)
+        return np.where(cuts > 0, prefix, 0.0)
+
+    q = x + sigma
+    q -= sigma
+    x = x - q
+    taus = [tau(q)]
+    sigma *= 2.0 ** (headroom - 53)
+    np.add(x, sigma, out=q)
+    q -= sigma
+    x -= q
+    taus.append(tau(q))
+    out = taus[0] + taus[1]
+    flat = np.flatnonzero(x != 0.0)
+    if flat.size:
+        where, cols = np.divmod(flat, width)
+        starts = np.flatnonzero(np.diff(where, prepend=-1))
+        left, cols = x.ravel()[flat].tolist(), cols.tolist()
+        tau1, tau2, cut_rows = taus[0].tolist(), taus[1].tolist(), cuts.tolist()
+        for r, lo, hi in zip(where[starts].tolist(), starts.tolist(),
+                             starts[1:].tolist() + [flat.size]):
+            for c, k in enumerate(cut_rows[r]):
+                j = bisect.bisect_left(cols, k, lo, hi)
+                if j > lo:
+                    out[r, c] = math.fsum([tau1[r][c], tau2[r][c], *left[lo:j]])
+    for r in np.flatnonzero(fallback).tolist():
+        out[r] = [math.fsum(a[r, :k].tolist()) for k in cuts[r].tolist()]
+    return out.reshape(shape)
 
 
 def _midpoint_sums(
@@ -122,12 +194,15 @@ def _midpoint_sums(
     Paths run along the last axis; a 2-D block of paths gives each term an
     array of one sum per row.  A ragged block gives ``counts``, one term
     count per row: row r is a path of counts[r] + 1 values and sums only its
-    first counts[r] terms, whatever its tail holds.  Midpoints, increments
+    first counts[r] terms, whatever its tail holds.  With a trailing axis of
+    several counts per row, each term gets one sum per count, the prefix
+    sums of one pass (``_fsum_rows``).  Midpoints, increments
     and each live partial (one ``partials_at`` call) are computed once for
     all terms.  A term whose partials all vanish identically is left at
     0.0, the exact value of its sum, without being evaluated.
     """
-    sums = [np.zeros(v1.shape[:-1]) if v1.ndim > 1 else 0.0] * len(terms)
+    shape = v1.shape[:-1] if counts is None else np.shape(counts)
+    sums = [np.zeros(shape) if v1.ndim > 1 else 0.0] * len(terms)
     if v1.shape[-1] < 2:
         return sums
     mid1 = 0.5 * (v1[..., :-1] + v1[..., 1:])

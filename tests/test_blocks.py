@@ -288,10 +288,18 @@ BOTH, X1, X2, NEITHER = (True, True), (True, False), (False, True), (False, Fals
     ("x*y", [(_VALUE, (1, 2))], BOTH),
     ("1", [(_VALUE, (1, 2))], BOTH),
     ("1", [(_VALUE, (3, 0))], X1),
-    # f at the path's end: the skeleton residual and the Euler kernel.
-    ("x^3", _taylor_terms(1) + [(_VALUE, (0, 0))], BOTH),
-    ("x^3", list(_EULER_READS), BOTH),
+    # f at the path's end: the skeleton residual and the Euler kernel read
+    # what f depends on.
+    ("x^3", _taylor_terms(1) + [(_VALUE, (0, 0))], X1),
+    ("x^3", list(_EULER_READS), X1),
     ("1", list(_EULER_READS), NEITHER),
+    ("y^3", _taylor_terms(1) + [(_VALUE, (0, 0))], X2),
+    ("x*y^2", _taylor_terms(1) + [(_VALUE, (0, 0))], BOTH),
+    ("y^3", list(_EULER_READS), X2),
+    ("sin_x_cos_y", list(_EULER_READS), BOTH),
+    # A partial that is not constant reads only the variables it depends on.
+    ("x^4", _taylor_terms(3), X1),
+    ("x^4", [(_VALUE, (0, 1))], BOTH),
 ])
 def test_read_rule_over_the_catalog(fname, terms, reads):
     assert _components_read(get_test_function(fname), terms) == reads
@@ -319,20 +327,16 @@ def _record_handles(monkeypatch):
 def test_draws_key_only_the_streams_their_statistic_reads(monkeypatch, fname, streams):
     seeds = [derive_seed(18, i) for i in range(300)]
     calls = _record_handles(monkeypatch)
-    for draw in (draw_v3, draw_v_tilde_3):
+    # The draws that evaluate f at their end read what f depends on too.
+    for draw, kwargs in ((draw_v3, dict(H=0.3, n=10)), (draw_v_tilde_3, dict(H=0.3, n=10)),
+                         (draw_skeleton_residual, dict(H=0.3, n=10)),
+                         (draw_rhs_fbmbt, dict(mesh=2.0**-8))):
         calls.clear()
-        draw(seeds, H=0.3, n=10, t=1.0, fname=fname)
+        draw(seeds, t=1.0, fname=fname, **kwargs)
         handles = [h for call in calls for h in call]
         assert {stream for _, stream in handles} == streams, draw.__name__
         if draw is draw_v3:  # every path ends at m; a zero j* draws nothing
             assert sorted(handles) == sorted((s, k) for s in seeds for k in streams)
-    # A draw that evaluates f at its end reads both, x^3 included.
-    for draw, kwargs in ((draw_skeleton_residual, dict(H=0.3, n=10)),
-                         (draw_rhs_fbmbt, dict(mesh=2.0**-8))):
-        calls.clear()
-        draw(seeds, t=1.0, fname=fname, **kwargs)
-        assert {stream for call in calls for _, stream in call} == {
-            rng.STREAM_X1, rng.STREAM_X2}, draw.__name__
 
 
 def test_one_component_chunks_hold_twice_the_rows(monkeypatch):

@@ -187,6 +187,27 @@ def test_vanishes_exactly_when_partial_is_identically_zero():
         get_test_function("x^3").vanishes(4, 0)
 
 
+@pytest.mark.parametrize("name", function_names())
+def test_depends_matches_a_perturbation_of_each_variable(name):
+    # A partial recorded as not depending on a variable keeps its bits when
+    # that variable moves; one recorded as depending on it changes somewhere.
+    rng = np.random.default_rng(1)
+    x, y = rng.uniform(-0.9, 0.9, (2, 50))  # moved by 0.37, still inside the bump
+    f = get_test_function(name)
+    for a1 in range(4):
+        for a2 in range(4 - a1):
+            g = f.partial(a1, a2)
+            base = np.asarray(g(x, y))
+            moved = (np.asarray(g(x + 0.37, y)), np.asarray(g(x, y + 0.37)))
+            for depends, value in zip(f.depends(a1, a2), moved):
+                if depends:
+                    assert np.any(value != base), (name, a1, a2)
+                else:
+                    assert value.tobytes() == base.tobytes(), (name, a1, a2)
+    if name in ("sin_x_cos_y", "bump"):
+        assert f.depends(0, 0) == (True, True)
+
+
 def _sympy_partials(expr_of):
     """(a1, a2) -> numpy function of the sympy partial of ``expr_of(x, y)``."""
     sp = pytest.importorskip("sympy")

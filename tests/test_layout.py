@@ -5,10 +5,12 @@ package, outside its own body and ``__init__``; every public field, method
 and property of a class in the package is read somewhere in the package;
 every private top-level function, class or module constant is read by
 code somewhere in the package, outside its own definition; every
-parameter of a ``def`` in the package is read in that function's body; and
-no module but ``fgn`` reads the helpers that decide how its fGn draws are
-padded and chunked.  A name counts as used where it is read in code (a bare
-name or an attribute); docstrings, comments and re-exports do not count.
+parameter of a ``def`` in the package is read in that function's body; no
+module but ``fgn`` reads the helpers that decide how its fGn draws are
+padded and chunked; and no code but ``variations._fsum_rows`` calls
+``math.fsum`` inside a loop or a comprehension.  A name counts as used
+where it is read in code (a bare name or an attribute); docstrings,
+comments and re-exports do not count.
 Code reads a field, method or property through an attribute, so only
 attribute loads count for those, and only loads of a bare name count for a
 parameter.  The checks go by name: a member whose name some other read
@@ -160,3 +162,33 @@ def test_only_fgn_reads_its_chunk_helpers():
                for name in _CHUNK_HELPERS
                if name in _names_read(tree) or name in _imported(tree)]
     assert readers == []
+
+
+# Correctly rounded row sums have one kernel: only ``variations._fsum_rows``
+# calls ``math.fsum`` in a loop, so a block of rows is never summed one
+# Python call per row anywhere else.
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _fsum_calls_in_loops(node: ast.AST, where: str, looping: bool = False) -> list[str]:
+    """``where`` of every ``fsum`` call under ``node`` made inside a loop or a
+    comprehension, ``where`` being the dotted path of its enclosing
+    definitions."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}"
+        elif isinstance(child, ast.Call) and looping and "fsum" in (
+                getattr(child.func, "attr", None), getattr(child.func, "id", None)):
+            found.append(where)
+        found += _fsum_calls_in_loops(child, inner, looping or isinstance(child, _LOOPS))
+    return found
+
+
+def test_only_fsum_rows_calls_fsum_in_a_loop():
+    calls = [where for module, tree in MODULES.items()
+             for where in _fsum_calls_in_loops(tree, module)]
+    assert [where for where in calls if not where.startswith("variations._fsum_rows")] == []
+    assert "variations._fsum_rows" in calls

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbmbt import calculus
@@ -13,6 +13,7 @@ from fbmbt.experiments import THRESHOLDS
 from fbmbt.fgn import grid_spacing, sample_fbm_2d
 from fbmbt.skeleton import sample_skeleton, terminal_y
 from fbmbt.variations import (
+    _fsum_rows,
     _grid_count,
     _grid_values,
     _one_sided_values,
@@ -456,3 +457,63 @@ def test_v3_of_cube_evaluates_only_its_live_partial(monkeypatch):
     k_components(f, path, 1.0)
     p_n(f, path, 1.0)
     assert evaluated == [(3, 0), (3, 0)]
+
+
+# ---------------------------------------------------------------------------
+# Correctly rounded row sums: ``_fsum_rows`` on a block of rows, cut at one or
+# several counts per row, against ``math.fsum`` on each row's prefix, bit
+# for bit.
+
+# Any finite float up to 2^1000 in magnitude, subnormals included; exact
+# mantissas times powers of two spread exponents over the whole range.
+_ENTRY = st.one_of(
+    st.floats(min_value=-(2.0**1000), max_value=2.0**1000),
+    st.builds(math.ldexp, st.integers(-(2**53), 2**53), st.integers(-1074, 1000 - 53)),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0**53, 2.0**-1074, -(2.0**-1022)]),
+)
+# Values on and beyond the ends of [2^-900, 2^900]: a row whose largest
+# magnitude lies outside that range, or is not finite, takes math.fsum
+# itself, and one on its ends is still extracted.
+_SPECIAL = (math.inf, -math.inf, math.nan, 1.5 * 2.0**900, 2.0**900, 2.0**-900, 2.0**-901)
+
+
+@st.composite
+def _blocks(draw):
+    """A block of rows, each plain, exactly cancelling or holding a special
+    value, with one to three cuts per row."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    a = np.array([[draw(_ENTRY) for _ in range(width)] for _ in range(rows)])
+    for r in range(rows):
+        kind = draw(st.sampled_from(("plain", "cancel", "special")))
+        if kind == "cancel":
+            half = width // 2
+            a[r, half : 2 * half] = -a[r, :half]
+        elif kind == "special":
+            a[r, draw(st.integers(0, width - 1))] = draw(st.sampled_from(_SPECIAL))
+    cuts = draw(st.integers(1, 3))
+    return a, np.array([[draw(st.integers(0, width)) for _ in range(cuts)] for _ in range(rows)])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(block=_blocks())
+# Round half to even: 2^53 + 1 is a tie, broken by a later 2^-100.
+@example(block=(np.array([[2.0**53, 1.0, 2.0**-100], [2.0**53 + 2.0, 1.0, 0.0]]),
+                np.array([[2, 3], [2, 3]])))
+# Exact cancellation across the exponent range gives +0.0.
+@example(block=(np.array([[1e300, -1.0, 2.0**-1074, -1e300, 1.0, -(2.0**-1074)]]),
+                np.array([[6, 0, 5]])))
+# The sum of the q's needs the headroom: 1 - 1e-5 rounds on a grid of
+# 2^-53 below sigma = 1, and 1 + 1e-5 on one of 2^-52 above it.
+@example(block=(np.array([[1e-5, -1e-5, 1.0]]), np.array([[3]])))
+# Subnormals only, and one-column rows.
+@example(block=(np.array([[2.0**-1074], [-(2.0**-1073)], [-0.0]]), np.array([[1], [1], [0]])))
+def test_fsum_rows_equals_math_fsum_on_each_row(block):
+    a, cuts = block
+    want = [[math.fsum(row[:k]) for k in ks] for row, ks in zip(a.tolist(), cuts.tolist())]
+    assert _bits(_fsum_rows(a, cuts)) == _bits(want)
+    assert _bits(_fsum_rows(a, cuts[:, 0])) == _bits([w[0] for w in want])
+    assert _bits(_fsum_rows(a)) == _bits([math.fsum(row) for row in a.tolist()])
