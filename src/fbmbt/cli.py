@@ -96,7 +96,9 @@ def _accepted_keys(runner) -> set[str]:
     return _RUN_KEYS | set(inspect.signature(runner).parameters) - {"workers"}
 
 
-def _validate(config: dict) -> None:
+def _validate(config: dict, workers: int = 1) -> dict:
+    """Check the config before any work starts; returns the runner's
+    keywords (``_arguments``)."""
     exp = config.get("experiment")
     if exp not in RUNNERS:
         raise ConfigurationError(
@@ -128,7 +130,7 @@ def _validate(config: dict) -> None:
             f"key 'function' does not resolve: {fn!r}; "
             f"available: {', '.join(test_function_names())}"
         )
-    arg = _arguments(exp, config)
+    arg = _arguments(exp, config, workers)
     if "p" in arg and (arg["p"] + arg["q"]) % 2 == 0:
         raise ConfigurationError(f"keys 'p' + 'q' must be odd, got {arg['p']} + {arg['q']}")
     if exp in _THIRD_ORDER_FITS and all(get_test_function(arg["function"]).vanishes(a, 3 - a)
@@ -138,12 +140,15 @@ def _validate(config: dict) -> None:
             f"identically zero; every one of {arg['function']!r} vanishes"
         )
     _check_capacity(exp, arg)
+    return arg
 
 
-def _arguments(exp: str, config: dict) -> dict:
-    """The runner's keywords: each config value, else the runner's default."""
-    params = inspect.signature(RUNNERS[exp]).parameters
-    return {name: config.get(name, param.default) for name, param in params.items()}
+def _arguments(exp: str, config: dict, workers: int) -> dict:
+    """The runner's keywords: each config value, a list as a tuple, else the
+    runner's default; ``workers`` is the --workers flag's."""
+    params, values = inspect.signature(RUNNERS[exp]).parameters, dict(config, workers=workers)
+    arg = {name: values.get(name, param.default) for name, param in params.items()}
+    return {name: tuple(v) if isinstance(v, list) else v for name, v in arg.items()}
 
 
 def _check_size(what: str, count, cap: int) -> None:
@@ -178,15 +183,6 @@ def _check_capacity(exp: str, arg: dict) -> None:
     if "mesh" in arg:
         _check_size("the Euler grid of max(1, round(t / mesh)) steps",
                     lambda: _euler_steps(t, arg["mesh"]), MAX_INCREMENTS)
-
-
-def _runner_kwargs(config: dict, workers: int) -> tuple:
-    runner = RUNNERS[config["experiment"]]
-    kwargs = {"workers": workers} if "workers" in inspect.signature(runner).parameters else {}
-    for key, value in config.items():
-        if key not in _RUN_KEYS:
-            kwargs[key] = tuple(value) if isinstance(value, list) else value
-    return runner, kwargs
 
 
 def _toolkit_version() -> str:
@@ -227,10 +223,9 @@ def run_experiment(config: dict, out_dir: Path, workers: int = 1,
                    verbose: bool = False) -> ExperimentResult:
     if not _is_int(workers) or workers < 1:
         raise ConfigurationError(f"--workers must be a positive integer, got {workers!r}")
-    _validate(config)
-    runner, kwargs = _runner_kwargs(config, workers)
+    kwargs = _validate(config, workers)
     start = time.perf_counter()
-    result = runner(**kwargs)
+    result = RUNNERS[config["experiment"]](**kwargs)
     runtime = time.perf_counter() - start
     # Strict JSON: a non-finite value is an internal error, raised before
     # any output is written.

@@ -9,10 +9,12 @@ they are pinned in exactly one place.
 Estimator functions take a list of replication seeds plus keyword
 configuration, return one value per seed, and are defined at module top
 level so they can be shipped to worker processes.  Every fBm estimator
-draws its paths as ragged outward rows of ``fgn._outward_draws``, which runs
-the estimator's kernel once per fGn chunk of rows and draws only the
-components that ``variations._components_read`` finds the kernel's terms
-read.
+draws its paths as ragged rows of ``fgn._path_draws``, each a seed's fBm on
+a grid range that contains 0, which runs the estimator's kernel once per
+fGn chunk of rows and draws only the components that
+``variations._components_read`` finds the kernel's terms read.  An odd
+one-sided sum on the negative side is the sign of j* times the sum read
+forward along the row, with no mirrored copy of the row.
 Runner keywords are the config keys, so a runner's ``function`` is passed
 on to the draws as their ``fname``.
 """
@@ -29,7 +31,7 @@ import numpy as np
 from .calculus import get_test_function, midpoint_taylor_table, test_function_names
 from .fgn import (
     H_SPECIAL,
-    _outward_draws,
+    _path_draws,
     grid_spacing,
     rho,
     sample_fbm_2d,
@@ -149,53 +151,59 @@ def _level_master(master_seed: int, tag: int) -> int:
 # ---------------------------------------------------------------------------
 # Estimators (top-level and picklable).  Each takes a list of replication
 # seeds and returns one value per seed, in seed order, equal to the value its
-# seed gives alone.  Every fBm estimator reads its paths as the outward rows
-# of ``fgn._outward_draws``: the seeds whose paths pad to one power of two are
-# rows of one fGn draw, and the midpoint kernel runs once per chunk of rows.
+# seed gives alone.  Every fBm estimator reads its paths as the rows of
+# ``fgn._path_draws``: the seeds whose paths pad to one power of two are rows
+# of one fGn draw, and the midpoint kernel runs once per chunk of rows.
 
 
-# On the fixed clock every path ends at m = floor(2^{n/2} t).
+# On the fixed clock every path runs over [0, m], m = floor(2^{n/2} t).
 
 
 def draw_v_pq(seeds, *, H, n, t, fname, p, q):
     f, (p, q) = get_test_function(fname), _check_exponents(p, q)
-    return _outward_draws(H, n, [_grid_count(n, t)] * len(seeds), seeds,
-                          lambda v1, v2, _: _power_sum(f, v1, v2, p, q),
-                          reads=_components_read(f, [(_VALUE, (p, q))]))
+    return _path_draws(H, n, [(0, _grid_count(n, t))] * len(seeds), seeds,
+                       lambda v1, v2, _: _power_sum(f, v1, v2, p, q),
+                       reads=_components_read(f, [(_VALUE, (p, q))]))
 
 
 def draw_v3(seeds, *, H, n, t, fname):
     f = get_test_function(fname)
-    return _outward_draws(H, n, [_grid_count(n, t)] * len(seeds), seeds,
-                          lambda v1, v2, _: _taylor_sum(f, v1, v2, 3),
-                          reads=_components_read(f, _taylor_terms(3)))
+    return _path_draws(H, n, [(0, _grid_count(n, t))] * len(seeds), seeds,
+                       lambda v1, v2, _: _taylor_sum(f, v1, v2, 3),
+                       reads=_components_read(f, _taylor_terms(3)))
 
 
 # Brownian-clock estimators.  For odd-order sums the up- and downcrossings
 # of each edge cancel, so a skeleton sum depends on the walk only through its
-# terminal position j*: it equals the one-sided sum out to y = j* 2^{-n/2} on
-# the fBm segment between 0 and j*, read outward from 0.  Only j* is drawn,
-# never the walk, and each seed's sum has its own length |j*|, so the rows
-# are ragged: each sums its own first |j*| terms.
+# terminal position j*: it equals the one-sided sum out to y = j* 2^{-n/2},
+# which is sign(j*) times the sum read forward along the fBm segment on
+# [min(0, j*), max(0, j*)].  Reading that segment from 0 toward j* instead
+# negates every increment and leaves every midpoint, so each term of an
+# odd-order sum flips sign exactly, and so does its correctly rounded sum.
+# Only j* is drawn, never the walk, and each seed's sum has its own length
+# |j*|, so the rows are ragged: each sums its own first |j*| terms.
 
 
 def _one_sided_draws(seeds, H, n, t, fname, order, residual=False) -> np.ndarray:
     """The order-``order`` one-sided midpoint sum on the fBm segment between
     0 and each seed's terminal position j*; with ``residual``, f(X at j*) -
     f(0, 0) minus that sum, which also reads f at the end.  Every j* is
-    drawn first, then the segments of all seeds as outward rows."""
+    drawn first, then the segments of all seeds as ragged rows."""
     f, steps = get_test_function(fname), _step_count(n, t)
     terms = _taylor_terms(order) + ([(_VALUE, (0, 0))] if residual else [])
+    j_stars = [sample_terminal(n, steps, seed) for seed in seeds]
 
-    def sums(v1, v2, lengths):
-        out = _taylor_sum(f, v1, v2, order, lengths)
-        if residual:
-            end = np.arange(len(lengths)), lengths
+    def sums(v1, v2, ranges):
+        lo, hi = ranges.T
+        # Adding 0.0 makes a zero sum +0.0 whatever the sign.
+        out = np.sign(lo + hi) * _taylor_sum(f, v1, v2, order, hi - lo) + 0.0
+        if residual:  # X at j* is in column j* - lo = hi
+            end = np.arange(len(hi)), hi
             out = f(v1[end], v2[end]) - float(f(0.0, 0.0)) - out
         return out
 
-    return _outward_draws(H, n, [sample_terminal(n, steps, seed) for seed in seeds],
-                          seeds, sums, reads=_components_read(f, terms))
+    return _path_draws(H, n, [(min(0, j), max(0, j)) for j in j_stars], seeds, sums,
+                       reads=_components_read(f, terms))
 
 
 def draw_o_tilde(seeds, *, H, n, t, fname):
@@ -217,28 +225,26 @@ def draw_terminal_y(seeds, *, n, t):
 
 def draw_w3_horizons(seeds, *, H, n, ys, fname):
     """The one-sided third-order sum out to each y in ``ys``, all on one
-    two-sided fBm path per seed: one row per seed.  The path on [-m, m] is
-    the outward path of 2m increments less its value at index m, the
-    anchoring subtraction of ``sample_fbm_2d``.  The sums read it from index
-    m, forward for y > 0 and backward for y < 0, in one ``_taylor_sum`` per
-    side whose counts cut it at each y of that side; y = 0 is 0.0."""
+    two-sided fBm path per seed, its row on [-m, m]: one row per seed.  The
+    sums read it from X_0 at column m, forward for y > 0 and backward for
+    y < 0, in one ``_taylor_sum`` per side whose counts cut it at each y of
+    that side; y = 0 is 0.0."""
     m = _grid_count(n, max(abs(y) for y in ys))
     f = get_test_function(fname)
     sides = [(cols, [i for i, y in enumerate(ys) if sign * y > 0])
              for cols, sign in ((slice(m, None), 1), (slice(m, None, -1), -1))]
 
     def sums(v1, v2):
-        x1, x2 = v1 - v1[:, m, None], v2 - v2[:, m, None]
         out = np.zeros((len(v1), len(ys)))
         for cols, side in sides:
             if side:
                 counts = np.tile([_grid_count(n, abs(ys[i])) for i in side], (len(v1), 1))
-                out[:, side] = _taylor_sum(f, x1[:, cols], x2[:, cols], 3, counts)
+                out[:, side] = _taylor_sum(f, v1[:, cols], v2[:, cols], 3, counts)
         return out
 
-    return _outward_draws(H, n, [2 * m] * len(seeds), seeds,
-                          lambda v1, v2, _: sums(v1, v2), len(ys),
-                          reads=_components_read(f, _taylor_terms(3)))
+    return _path_draws(H, n, [(-m, m)] * len(seeds), seeds,
+                       lambda v1, v2, _: sums(v1, v2), len(ys),
+                       reads=_components_read(f, _taylor_terms(3)))
 
 
 def draw_correction_fbm(seeds, *, fname, t, mesh):

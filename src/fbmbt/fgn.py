@@ -10,13 +10,16 @@ correlated; the increment sequence over the whole two-sided grid is the
 stationary fractional Gaussian noise with autocovariance
 ``2**(-n*H) * rho(k)``, which is what the sampler draws.
 
-``sample_fbm_2d`` draws the path of one seed.  Every Monte Carlo draw, the
-estimators' midpoint sums and the Euler sampler's correction alike, runs
-through ``_outward_draws``: it draws blocks of seeds as ragged rows, each a
-seed's path read outward from index 0, whose normals come from that seed's
-own streams, and runs a kernel once per fGn chunk of rows.  The
-circulant-embedding FFT runs row-wise, so every row is bit for bit the path
-``sample_fbm_2d`` gives its seed alone.  Only the components the kernel's
+Every path is laid out one way (``_path_rows``): a row holds X on a grid
+range [lo, hi] that contains 0, drawn as one increment sequence, cumulated
+once and less its value at index 0, so that X_0 = 0.  ``sample_fbm_2d``
+draws the path of one seed.  Every Monte Carlo draw, the estimators'
+midpoint sums and the Euler sampler's correction alike, runs through
+``_path_draws``: it draws blocks of seeds as ragged rows, each a seed's
+path on its own range, whose normals come from that seed's own streams,
+and runs a kernel once per fGn chunk of rows.  The circulant-embedding FFT
+runs row-wise, so every row is bit for bit the path ``sample_fbm_2d``
+gives its seed alone on that range.  Only the components the kernel's
 statistic reads (``variations._components_read``) are drawn; for f = x^3
 that is X^1 alone, and the kernel gets zeros for X^2.
 """
@@ -239,27 +242,37 @@ def sample_increments(H: float, spacing: float, size: int, rngs) -> np.ndarray:
     return out
 
 
-def _increment_rows(H: float, n: int, size: int, seeds: list[int],
-                    scales: list[float] | None = None,
-                    reads: tuple[bool, bool] = (True, True)) -> tuple:
-    """``size`` level-n increments of each seed's X^1 and of its X^2, one
-    ``(len(seeds), size)`` array each, every row from its seed's own stream;
-    ``scales``, one per seed, multiplies that seed's rows.  A component that
-    ``reads`` leaves out is None: no handle is keyed to its stream.  The
-    components read are rows of one draw; a size of 0 draws nothing."""
+def _path_rows(H: float, n: int, ranges: list[tuple[int, int]], seeds: list[int],
+               scales: list[float] | None = None,
+               reads: tuple[bool, bool] = (True, True)) -> list[np.ndarray]:
+    """Each seed's level-n X^1 and X^2 on its grid range ``ranges[r] =
+    (lo, hi)``, lo <= 0 <= hi: one ``(len(seeds), width + 1)`` array per
+    component, width the widest hi - lo, whose row r holds X at indices
+    lo..hi in its first hi - lo + 1 entries, with X_0 = 0 at entry -lo.
+
+    Every row is drawn from its seed's own streams as one fGn draw of the
+    padded size of width (so nearby widths share one eigenvalue cache
+    entry; it exceeds ``MAX_INCREMENTS`` exactly when width does),
+    cumulated once and less its value at entry -lo; ``scales``, one per
+    seed, multiplies a seed's increments before they are cumulated.  A
+    component that ``reads`` leaves out is zeros: no handle is keyed to its
+    stream.  The components read are rows of one draw; a width of 0 draws
+    nothing."""
+    width = max(hi - lo for lo, hi in ranges)
+    size = _padded_size(width)
     streams = [stream for stream, read in zip((STREAM_X1, STREAM_X2), reads) if read]
+    v = np.zeros((len(streams) * len(seeds), width + 1))
     if size and streams:
         incs = sample_increments(H, grid_spacing(n), size,
                                  [StreamKey(s, stream) for stream in streams for s in seeds])
         if scales is not None:
             incs *= np.array(list(scales) * len(streams))[:, None]
-    else:
-        incs = np.zeros((len(streams) * len(seeds), 0))
-    rows, lo = [], 0
-    for read in reads:
-        rows.append(incs[lo : lo + len(seeds)] if read else None)
-        lo += len(seeds) * read
-    return tuple(rows)
+        np.cumsum(incs[:, :width], axis=1, out=v[:, 1:])
+        if any(lo for lo, _ in ranges):  # less each row's X_0, at flat index r (width + 1) - lo
+            v -= v.take([r * (width + 1) - lo
+                         for r, (lo, _) in enumerate(ranges * len(streams))])[:, None]
+    drawn = iter(v.reshape(len(streams), len(seeds), width + 1))
+    return [next(drawn) if read else np.zeros((len(seeds), width + 1)) for read in reads]
 
 
 def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed: int) -> FbmGridPath2D:
@@ -267,73 +280,47 @@ def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed: int) -> FbmGri
 
     Each component is drawn from its own RNG stream (so they are independent),
     as the cumulative sum of one stationary increment sequence over the whole
-    two-sided range, anchored so that X_0 = 0.
+    two-sided range, anchored so that X_0 = 0 (``_path_rows``).
     """
     H = check_hurst(H)
     n = check_level(n)
     if not j_min <= 0 <= j_max:
         raise ValueError(f"grid must contain index 0, got [{j_min}, {j_max}]")
-    count = j_max - j_min
-    # Pad to the next power of two so the factorization caches are shared
-    # across replications with slightly different realized ranges; the
-    # padded size exceeds MAX_INCREMENTS exactly when the count does.  The
-    # values start at 0, so j_min = 0 needs no anchoring (v - 0.0 is v).
-    values = []
-    for rows in _increment_rows(H, n, _padded_size(count), [int(seed)]):
-        v = np.zeros(count + 1)
-        np.cumsum(rows[0, :count], out=v[1:])
-        values.append(v - v[-j_min] if j_min else v)
-    return FbmGridPath2D(float(H), n, int(j_min), int(j_max), *values)
+    v1, v2 = _path_rows(H, n, [(int(j_min), int(j_max))], [int(seed)])
+    return FbmGridPath2D(float(H), n, int(j_min), int(j_max), v1[0], v2[0])
 
 
-def _outward_draws(H: float, n: int, ends: list[int], seeds: list[int], kernel,
-                   width: int | None = None, scales: list[float] | None = None,
-                   reads: tuple[bool, bool] = (True, True)) -> np.ndarray:
-    """``kernel(v1, v2, lengths)`` on each seed's path from index 0 out to its
-    signed end, gathered in seed order: one value per seed, or one row of
-    ``width`` values.
+def _path_draws(H: float, n: int, ranges: list[tuple[int, int]], seeds: list[int], kernel,
+                width: int | None = None, scales: list[float] | None = None,
+                reads: tuple[bool, bool] = (True, True)) -> np.ndarray:
+    """``kernel(v1, v2, ranges)`` on each seed's path on its grid range
+    ``ranges[i] = (lo, hi)``, lo <= 0 <= hi, gathered in seed order: one
+    value per seed, or one row of ``width`` values.
 
-    Only the components that ``reads`` names are drawn (the kernel's
+    The seeds whose hi - lo pads to one power of two share one fGn draw of
+    that size, sorted by hi - lo, in chunks whose drawn components pass at
+    most about ``BLOCK_VALUES`` complex values through the draw, which
+    bounds a chunk's working set: a chunk of one component holds twice the
+    rows.  The kernel runs once per chunk, on its ``_path_rows``, X^1 and
+    X^2, and their ranges as a ``(rows, 2)`` array: row r is X on
+    lo..hi in its first hi - lo + 1 entries, X_0 at entry -lo, bit for bit
+    the path ``sample_fbm_2d`` gives the seed alone on that range.  Only
+    the components that ``reads`` names are drawn (the kernel's
     ``variations._components_read``); the kernel gets zeros for the other,
-    which by that rule moves no bit of its value.  The seeds whose |end|
-    pads to one power of two share one fGn draw of that size, sorted by
-    |end|, in chunks whose drawn components pass at most about
-    ``BLOCK_VALUES`` complex values through the draw, which bounds a
-    chunk's working set: a chunk of one component holds twice the rows.
-    The kernel runs once per chunk, on its X^1 rows, its X^2 rows and their
-    lengths L = |end|: only the first L + 1 entries of a row are
-    meaningful, and a drawn component's are bit for bit the path
-    ``sample_fbm_2d`` gives the seed alone on [min(0, end), max(0, end)],
-    read outward from index 0.  Each row is its own seed's stream and the
-    FFT runs row-wise, so leaving a component out moves no bit of the
-    other.  With v the cumulated increments, entry k is v[k], or
-    v[L - k] - v[L] for an end of -L, the same anchoring subtraction.
-    ``scales``, one per seed, multiplies a seed's increments before they
-    are cumulated."""
+    which by that rule moves no bit of its value, and leaving it out moves
+    no bit of the other: each row is its own seed's stream and the FFT runs
+    row-wise.  The increments are freed before the kernel runs, so its
+    temporaries reuse that memory."""
     out = np.empty(len(seeds) if width is None else (len(seeds), width))
     padded: dict[int, list[int]] = {}
-    for i in sorted(range(len(seeds)), key=lambda i: abs(ends[i])):
-        padded.setdefault(_padded_size(abs(ends[i])), []).append(i)
+    for i in sorted(range(len(seeds)), key=lambda i: ranges[i][1] - ranges[i][0]):
+        padded.setdefault(_padded_size(ranges[i][1] - ranges[i][0]), []).append(i)
     components = max(1, sum(reads))
     for size, idx in padded.items():
         step = max(1, BLOCK_VALUES // (2 * components * max(size, 1)))
         for block in (idx[lo : lo + step] for lo in range(0, len(idx), step)):
-            incs = _increment_rows(H, n, size, [seeds[i] for i in block],
-                                   None if scales is None else [scales[i] for i in block],
-                                   reads)
-            lengths = [abs(ends[i]) for i in block]
-            mirrored = [r for r, i in enumerate(block) if ends[i] < 0]
-            paths = []
-            for rows in incs:
-                v = np.zeros((len(block), lengths[-1] + 1))
-                if rows is not None:
-                    np.cumsum(rows[:, : lengths[-1]], axis=1, out=v[:, 1:])
-                    for r in mirrored:
-                        k = lengths[r]
-                        v[r, : k + 1] = v[r, k::-1] - v[r, k]
-                paths.append(v)
-            # Free the increments before the kernel allocates its
-            # temporaries, which then reuse that memory.
-            del incs, rows
-            out[block] = kernel(*paths, np.array(lengths))
+            chunk = [ranges[i] for i in block]
+            paths = _path_rows(H, n, chunk, [seeds[i] for i in block],
+                               None if scales is None else [scales[i] for i in block], reads)
+            out[block] = kernel(*paths, np.array(chunk))
     return out

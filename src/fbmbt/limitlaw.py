@@ -31,19 +31,19 @@ is one number c = sum_i kappa_i^2 g_i^2, X cannot reach the value, and
 on the same normal N, bit for bit the value drawn along X.  Such integrands
 read no component of X (``variations._components_read``), yet they keep
 this branch: ``_euler_sum`` would draw no fGn for them, but would still
-sum K zero-path weights per row: for 1000 seeds at mesh 2^-10 on a 2-core
-Xeon, 20.9 ms against 1.4 ms for the branch.
+sum K zero-path weights per row: for 1000 seeds at mesh 2^-10 (f = 1, best
+of 9 runs) on a 2-core Xeon, 40.6 ms against 1.4 ms for the branch.
 
 Euler grids use K = ``_euler_steps(|horizon|, mesh)`` uniform steps of exact
 size h = |horizon| / K, so the grid always lands exactly on the endpoint; the
 fBm marginals on the grid are exact (stationary-increment sampling), only the
 integrand's intra-step variation is approximated.  X on the grid is the first
 K increments of a unit-spacing fGn draw padded to the next power of two,
-scaled by h^H (self-similarity).  It is drawn by ``fgn._outward_draws``, the
-draw loop of every Monte Carlo estimator, so seeds whose grids pad to the
-same size (every seed of the fixed clock, and Brownian times of one
-power-of-two range of K) are rows of one fGn draw, with one weight pass per
-chunk of rows whatever their K.  A zero horizon has K = 0 and h = 0, and
+scaled by h^H (self-similarity), on the range [0, K].  It is drawn by
+``fgn._path_draws``, the draw loop of every Monte Carlo estimator, so seeds
+whose grids pad to the same size (every seed of the fixed clock, and
+Brownian times of one power-of-two range of K) are rows of one fGn draw,
+with one weight pass per chunk of rows whatever their K.  A zero horizon has K = 0 and h = 0, and
 takes the same path.
 """
 
@@ -59,7 +59,7 @@ from .calculus import TestFunction2D
 from .fgn import (
     H_SPECIAL,
     RhoSeriesResult,
-    _outward_draws,
+    _path_draws,
     check_special_hurst,
     sum_rho_cubed,
 )
@@ -139,10 +139,10 @@ def _euler_sum(
 
     A length L has K = ``_euler_steps(L, mesh)`` steps of size h = L / K,
     and h = 0 when L = 0.  X is the first K increments of a unit-spacing
-    draw of K padded to a power of two, each row scaled by h^H;
-    ``fgn._outward_draws`` draws the seeds whose K pad alike as rows of one
-    fGn draw, and its kernel gives, per seed, the fsum of its own first K
-    weights and X at step K.  Each seed's normal scales its own sum, so it
+    draw of K padded to a power of two, each row scaled by h^H, on the
+    range [0, K]; ``fgn._path_draws`` draws the seeds whose K pad alike as
+    rows of one fGn draw, and its kernel gives, per seed, the fsum of its
+    own first K weights and X at step K.  Each seed's normal scales its own sum, so it
     is the one its seed gives alone.  Only the components that the
     integrands and f at the end read are drawn (``_EULER_READS``); an
     unread one's end is 0.0, and f does not depend on it.  Returns
@@ -151,7 +151,8 @@ def _euler_sum(
     steps = [_euler_steps(length, mesh) for length in lengths]
     h = [length / k if k else 0.0 for length, k in zip(lengths, steps)]
 
-    def kernel(x1, x2, ks):
+    def kernel(x1, x2, ranges):
+        ks = ranges[:, 1]
         weight = sum(
             kappa**2 * np.asarray(g, dtype=np.float64) ** 2
             for kappa, g in zip(default_kappas().as_tuple,
@@ -161,9 +162,9 @@ def _euler_sum(
         total = _fsum_rows(np.broadcast_to(weight, x1[:, :-1].shape), ks)
         return np.stack([total, x1[end], x2[end]], axis=-1)
 
-    total, x1_end, x2_end = _outward_draws(H_SPECIAL, 0, steps, seeds, kernel, 3,
-                                           [hr**H_SPECIAL for hr in h],
-                                           _components_read(f, _EULER_READS)).T
+    total, x1_end, x2_end = _path_draws(H_SPECIAL, 0, [(0, k) for k in steps], seeds,
+                                        kernel, 3, [hr**H_SPECIAL for hr in h],
+                                        _components_read(f, _EULER_READS)).T
     corr = [_conditional_normal(hr, s, seed) for hr, s, seed in zip(h, total.tolist(), seeds)]
     return np.array(corr), x1_end, x2_end
 
@@ -201,9 +202,9 @@ def sample_change_of_variable_rhs(
     seeds: list[int],
 ) -> np.ndarray:
     """Draws of f(X_{Y_t}) - f(X_0) - correction for the Brownian-time
-    clock, one per seed.  X is sampled outward from 0 toward Y_t, so by the
-    reflection symmetry of fBm the draw has the law of the two-sided path
-    restricted to the traversed side."""
+    clock, one per seed.  X is sampled on [0, |Y_t|], so by the reflection
+    symmetry of fBm the draw has the law of the two-sided path restricted
+    to the traversed side."""
     _check_args(t, mesh)
     y = [math.sqrt(t) * float(keyed(s, STREAM_Y).standard_normal()) if t else 0.0
          for s in seeds]

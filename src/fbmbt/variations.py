@@ -12,7 +12,7 @@ decides which of X^1 and X^2 a table of terms reads (``_components_read``),
 and an estimator draws only those.  Every functional returns its value: a
 float for one path, summed by ``math.fsum``.  The Monte Carlo estimators
 (``experiments``) skip the path objects: they pass the kernel sums a block
-of outward fBm rows (one row per seed, paths along the last axis), and get
+of fBm rows (one row per seed, paths along the last axis), and get
 one value per row, each the row's own correctly rounded sum, bit for bit
 its ``math.fsum``, computed for the whole block at once by error-free
 extraction (Rump, Ogita and Oishi 2008; see ``_fsum_rows``).  A ragged
@@ -34,10 +34,14 @@ live here:
 
 ``kl_reduce`` rewrites a skeleton sum as a signed one-sided sum using the
 closed form for the net number of traversals of each edge, which only
-depends on the walk through its terminal position j*.  The one-sided forms
-at ``y = j* 2**(-n/2)`` are therefore the skeleton sums themselves, and need
-no walk: the Brownian-clock estimators evaluate ``_taylor_sum`` on a drawn
-j*, for a ragged block of seeds at once.  The walk-based gradient and
+depends on the walk through its terminal position j*: sign(j*) times the
+sum read forward along the fBm on [min(0, j*), max(0, j*)].  That is bit for
+bit the one-sided sum at ``y = j* 2**(-n/2)`` read along the mirrored path:
+reversing a path negates every increment and keeps every midpoint, so each
+term of an odd-order sum, and its correctly rounded sum, flips sign
+exactly.  The skeleton sums therefore need no walk: the Brownian-clock
+estimators take sign(j*) times ``_taylor_sum`` on a drawn j*, for a ragged
+block of seeds at once.  The walk-based gradient and
 third-order sums, their reductions and the one-sided gradient and
 third-order sums ``w_grad`` and ``w3`` are kept only as test oracles
 (``tests/test_variations.py``).

@@ -207,6 +207,42 @@ def test_ragged_rows_equal_one_path_sums_on_their_prefix(name, width, data, seed
         assert [_bits(s[r]) for s in taylor] == [_bits(_taylor_sum(f, p1, p2, o)) for o in (1, 3)]
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    name=st.sampled_from(function_names()),
+    j_stars=st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=12),
+    seed=SEED,
+    pq=st.sampled_from([(1, 0), (0, 1), (3, 0), (0, 3), (1, 2), (2, 1), (5, 0), (2, 3)]),
+)
+@example(name="x*y", j_stars=[3, -2], seed=3, pq=(2, 1))
+def test_sign_times_forward_sum_is_the_mirrored_sum(name, j_stars, seed, pq):
+    # Row r holds X on (min(0, j*), max(0, j*)) with X_0 = 0 in column
+    # -min(0, j*), NaN beyond.  Its odd sums read forward, times sign(j*),
+    # plus 0.0, are bit for bit the sums of the path read from 0 toward j*,
+    # a zero sum +0.0 on either side (x*y has no live third-order term).
+    f = get_test_function(name)
+    width = max(1, *map(abs, j_stars))
+    j_stars = np.array(j_stars + [-width, 0])
+    lo, hi = np.minimum(0, j_stars), np.maximum(0, j_stars)
+    steps = np.random.default_rng(seed).normal(0.0, 0.3, (2, len(j_stars), width))
+    v1, v2 = np.full((2, len(j_stars), width + 1), np.nan)
+    toward_end = []
+    for r in range(len(j_stars)):
+        k = hi[r] - lo[r]
+        for v, d in ((v1, steps[0, r]), (v2, steps[1, r])):
+            path = np.concatenate([[0.0], np.cumsum(d[:k])])
+            v[r, : k + 1] = path - path[-lo[r]]
+        rows = v1[r, : k + 1], v2[r, : k + 1]
+        toward_end.append([row[::-1] if j_stars[r] < 0 else row for row in rows])
+    sign, counts = np.sign(j_stars), hi - lo
+    forward = [_midpoint_sums(f, v1, v2, [(_VALUE, pq)], counts=counts)[0]]
+    forward += [_taylor_sum(f, v1, v2, order, counts) for order in (1, 3)]
+    for r, (m1, m2) in enumerate(toward_end):
+        mirrored = [_midpoint_sums(f, m1, m2, [(_VALUE, pq)])[0]]
+        mirrored += [_taylor_sum(f, m1, m2, order) for order in (1, 3)]
+        assert [_bits(sign[r] * s[r] + 0.0) for s in forward] == [_bits(s) for s in mirrored]
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     H=st.floats(min_value=0.05, max_value=0.95),
@@ -214,26 +250,27 @@ def test_ragged_rows_equal_one_path_sums_on_their_prefix(name, width, data, seed
     ends=st.lists(st.integers(min_value=-70, max_value=70), min_size=1, max_size=30),
     seed=SEED,
 )
-def test_outward_rows_are_the_one_seed_paths_read_from_zero(H, n, ends, seed):
+def test_path_rows_are_the_one_seed_paths_on_their_ranges(H, n, ends, seed):
     # The kernel hands back each chunk's rows padded to one width, then the
-    # row lengths, so the gather returns every seed's whole outward path.
+    # row ranges, so the gather returns every seed's whole path.  The ranges
+    # run from 0 to a signed end, or around 0 to both sides of it.
     seeds = [derive_seed(seed, i) for i in range(len(ends))]
-    width = max(abs(end) for end in ends) + 1
+    ranges = [(min(0, end), max(0, end)) if i % 3 else (-abs(end) // 2, abs(end))
+              for i, end in enumerate(ends)]
+    width = max(hi - lo for lo, hi in ranges) + 1
 
-    def padded(v1, v2, lengths):
-        rows = np.full((len(lengths), 2 * width + 1), np.nan)
+    def padded(v1, v2, chunk):
+        rows = np.full((len(chunk), 2 * width + 2), np.nan)
         rows[:, : v1.shape[1]], rows[:, width : width + v2.shape[1]] = v1, v2
-        rows[:, -1] = lengths
+        rows[:, -2:] = chunk
         return rows
 
-    rows = fgn._outward_draws(H, n, ends, seeds, padded, 2 * width + 1)
-    for row, end, s in zip(rows, ends, seeds):
-        k = abs(end)
-        assert row[-1] == k
-        one = sample_fbm_2d(H, n, min(0, end), max(0, end), s)
-        step = -1 if end < 0 else 1
-        assert _bits(row[: k + 1]) == _bits(one.values1[::step])
-        assert _bits(row[width : width + k + 1]) == _bits(one.values2[::step])
+    rows = fgn._path_draws(H, n, ranges, seeds, padded, 2 * width + 2)
+    for row, (lo, hi), s in zip(rows, ranges, seeds):
+        assert tuple(row[-2:]) == (lo, hi)
+        one = sample_fbm_2d(H, n, lo, hi, s)
+        assert _bits(row[: hi - lo + 1]) == _bits(one.values1)
+        assert _bits(row[width : width + hi - lo + 1]) == _bits(one.values2)
 
 
 def test_ragged_draws_make_one_kernel_pass_per_fgn_chunk(monkeypatch):
@@ -250,7 +287,7 @@ def test_ragged_draws_make_one_kernel_pass_per_fgn_chunk(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(fgn, "_increment_rows", counted(fgn._increment_rows, "chunks"))
+    monkeypatch.setattr(fgn, "_path_rows", counted(fgn._path_rows, "chunks"))
     monkeypatch.setattr(variations, "_midpoint_sums", counted(variations._midpoint_sums, "passes"))
     n, t = 10, 1.0
     lengths = {abs(sample_terminal(n, _step_count(n, t), s)) for s in seeds}

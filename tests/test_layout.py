@@ -153,8 +153,8 @@ def test_every_parameter_is_read_in_its_function():
 
 
 # How a block of seeds is padded and cut into fGn chunks is decided in
-# ``fgn._outward_draws`` alone.
-_CHUNK_HELPERS = ("_increment_rows", "_padded_size")
+# ``fgn._path_draws`` and ``fgn.sample_fbm_2d`` alone.
+_CHUNK_HELPERS = ("_path_rows", "_padded_size")
 
 
 def test_only_fgn_reads_its_chunk_helpers():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmbt import rng
-from fbmbt.fgn import sample_increments
+from fbmbt.fgn import _padded_size, _path_rows, grid_spacing, sample_increments
 from fbmbt.rng import StreamKey, generator, keyed
 
 SEED = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -75,9 +75,12 @@ def test_stream_key_rows_equal_fresh_generator_rows(seed, other):
 
 @settings(deadline=None, max_examples=20)
 @given(seeds=st.lists(SEED, min_size=1, max_size=6), size=st.integers(1, 70))
-def test_increment_rows_from_handles_equal_rows_from_generators(seeds, size):
-    # Each handle re-keys the shared generator just before its row is read.
-    handles = [StreamKey(s, stream) for stream in (rng.STREAM_X1, rng.STREAM_X2) for s in seeds]
+def test_path_rows_from_handles_equal_rows_from_generators(seeds, size):
+    # Each handle re-keys the shared generator just before its row is read:
+    # the rows equal the cumulated increments of fresh generators.
     fresh = [generator(s, stream) for stream in (rng.STREAM_X1, rng.STREAM_X2) for s in seeds]
-    assert _bits(sample_increments(0.3, 0.5, size, handles)) == _bits(
-        sample_increments(0.3, 0.5, size, fresh))
+    incs = sample_increments(0.3, grid_spacing(2), _padded_size(size), fresh)
+    want = np.zeros((len(fresh), size + 1))
+    np.cumsum(incs[:, :size], axis=1, out=want[:, 1:])
+    assert _bits(np.concatenate(_path_rows(0.3, 2, [(0, size)] * len(seeds), seeds))) == _bits(
+        want)

@@ -213,12 +213,13 @@ def test_skeleton_statistics_and_reductions():
         v3_red = v_tilde_3_reduced(f, fbm, walk, t)
         assert _rel(o_tilde_n(f, fbm, walk, t), o_red) < 1e-12
         assert _rel(v_tilde_3(f, fbm, walk, t), v3_red) < 1e-12
-        # The one-sided forms the Brownian-clock draws use, at y = j* 2^{-n/2}
-        # (equal up to the last bit: the j* < 0 side sums the mirrored path).
+        # The one-sided forms at y = j* 2^{-n/2} sum the mirrored path when
+        # j* < 0, and the reductions sign(j*) times the forward sum: equal to
+        # the last bit, as the Brownian-clock draws need.
         j_star = int(walk.positions[m])
         y = j_star * grid_spacing(n)
-        assert w_grad(f, fbm, y) == pytest.approx(o_red, rel=1e-12, abs=0.0)
-        assert w3(f, fbm, y) == pytest.approx(v3_red, rel=1e-12, abs=0.0)
+        assert w_grad(f, fbm, y) == o_red
+        assert w3(f, fbm, y) == v3_red
         signs.add((n, int(np.sign(j_star))))
     assert signs == {(n, sign) for n in (7, 8) for sign in (-1, 0, 1)}
 
