@@ -4,9 +4,8 @@ Probabilists' Hermite polynomials, the exact Hermite-basis expansion of
 monomials, the midpoint (second-order-centered) odd-order Taylor coefficient
 table, and a small catalog of smooth two-variable test functions carrying
 oracles for all partial derivatives up to total order three.  A monomial
-records, when it is built, which of its partials vanish identically, which
-are constant, with their values, and which of x and y each partial depends
-on.
+records, when it is built, which of its partials vanish identically and
+which of x and y each partial depends on.
 
 Integer powers of arrays are products: x^k is x * x * ... * x, multiplied
 left to right (``_power``), whose bits IEEE multiplication defines, where
@@ -150,15 +149,13 @@ def _zero_partial(x, y):
 @dataclass(frozen=True)
 class TestFunction2D:
     """Smooth f(x, y) together with all partials up to total order 3.
-    ``_constants`` maps each partial known to be a nonzero constant to its
-    value; ``_depends`` maps a partial to whether it depends on x and on y,
+    ``_depends`` maps a partial to whether it depends on x and on y,
     and a partial it leaves out depends on both; ``_shared``, when given,
     evaluates several partials at the same points, computing the factors
     they share once (``partials_at``)."""
 
     name: str
     _partials: dict[tuple[int, int], Callable]
-    _constants: dict[tuple[int, int], float] = field(default_factory=dict)
     _depends: dict[tuple[int, int], tuple[bool, bool]] = field(default_factory=dict)
     _shared: Callable | None = None
 
@@ -185,17 +182,10 @@ class TestFunction2D:
         """True when the (a1, a2) partial is identically zero."""
         return self.partial(a1, a2) is _zero_partial
 
-    def constant(self, a1: int, a2: int) -> float | None:
-        """The value of the (a1, a2) partial when it is known to be
-        constant (0.0 when it vanishes), else None."""
-        if self.vanishes(a1, a2):
-            return 0.0
-        return self._constants.get((a1, a2))
-
     def depends(self, a1: int, a2: int) -> tuple[bool, bool]:
         """Whether the (a1, a2) partial depends on x and whether it depends
-        on y: neither when it vanishes or is constant."""
-        if self.constant(a1, a2) is not None:
+        on y: neither when it vanishes."""
+        if self.vanishes(a1, a2):
             return False, False
         return self._depends.get((a1, a2), (True, True))
 
@@ -293,12 +283,9 @@ def _monomial_function(a: int, b: int) -> TestFunction2D:
         return deriv
 
     partials = {(a1, a2): make(a1, a2) for a1 in range(4) for a2 in range(4 - a1)}
-    # The (a, b) partial of x^a y^b is the constant a! b!, carried when a + b <= 3.
-    constants = {(a, b): float(math.factorial(a) * math.factorial(b))} if a + b <= 3 else {}
     # The (a1, a2) partial keeps a factor x^(a - a1) and y^(b - a2).
     depends = {key: (a > key[0], b > key[1]) for key in partials}
-    return TestFunction2D(name=name, _partials=partials, _constants=constants,
-                          _depends=depends)
+    return TestFunction2D(name=name, _partials=partials, _depends=depends)
 
 
 def _monomial_name(a: int, b: int) -> str:

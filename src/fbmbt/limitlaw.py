@@ -24,15 +24,12 @@ sum of independent centred normals, so it is exactly
 
 and it is drawn that way.  Being a centred normal given X and Y, the
 correction has the same joint law with either orientation, so the side of 0
-that Y_t falls on does not change its sign.  When every g_i is constant
-(a monomial of total degree at most three, such as x^3 or x y^2) the weight
-is one number c = sum_i kappa_i^2 g_i^2, X cannot reach the value, and
-``sample_correction_fbm`` draws no X: its value is sqrt(h fsum([c] * K)) * N
-on the same normal N, bit for bit the value drawn along X.  Such integrands
-read no component of X (``variations._components_read``), yet they keep
-this branch: ``_euler_sum`` would draw no fGn for them, but would still
-sum K zero-path weights per row: for 1000 seeds at mesh 2^-10 (f = 1, best
-of 9 runs) on a 2-core Xeon, 40.6 ms against 1.4 ms for the branch.
+that Y_t falls on does not change its sign.  A sampler draws only the
+components of X that it reads (``variations._components_read``): the
+correction reads the integrands, the right-hand side f at the end as well.
+When it reads none, every g_i is constant (f = x^3, say), the weight is one
+number c, and the fsum of K copies of it is K * c, rounded once: no fGn is
+drawn.
 
 Euler grids use K = ``_euler_steps(|horizon|, mesh)`` uniform steps of exact
 size h = |horizon| / K, so the grid always lands exactly on the endpoint; the
@@ -99,9 +96,11 @@ def default_kappas() -> KappaConstants:
 
 # Derivative multi-indices of the integrands g_i, in kappa order.
 _INTEGRAND_TERMS = ((3, 0), (0, 3), (2, 1), (1, 2))
-# What the Euler kernel reads of X, as midpoint-sum terms for the read rule:
-# the integrands along X, with no increment factor, and f at the end.
-_EULER_READS = tuple(((a,), (0, 0)) for a in _INTEGRAND_TERMS) + ((_VALUE, (0, 0)),)
+# What the Euler samplers read of X, as midpoint-sum terms for the read rule:
+# the integrands along X, with no increment factor, and for the right-hand
+# side f at the end as well.
+_INTEGRAND_READS = tuple(((a,), (0, 0)) for a in _INTEGRAND_TERMS)
+_RHS_READS = _INTEGRAND_READS + ((_VALUE, (0, 0)),)
 
 
 def _euler_steps(length: float, mesh: float) -> int:
@@ -118,20 +117,12 @@ def _conditional_normal(h: float, total: float, seed: int) -> float:
     return math.sqrt(h * total) * z + 0.0
 
 
-def _constant_weight(f: TestFunction2D) -> float | None:
-    """sum_i kappa_i^2 g_i^2 when every integrand g_i is constant, added in
-    the order and with the operations of ``_euler_sum``'s weight; else None."""
-    values = [f.constant(a1, a2) for a1, a2 in _INTEGRAND_TERMS]
-    if None in values:
-        return None
-    return sum(kappa**2 * g**2 for kappa, g in zip(default_kappas().as_tuple, values))
-
-
 def _euler_sum(
     f: TestFunction2D,
     lengths: list[float],
     mesh: float,
     seeds: list[int],
+    reads=_INTEGRAND_READS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left-point Euler value of the correction integral over [0, length]
     for each seed and its length, drawn as one normal given X, along with
@@ -142,38 +133,46 @@ def _euler_sum(
     draw of K padded to a power of two, each row scaled by h^H, on the
     range [0, K]; ``fgn._path_draws`` draws the seeds whose K pad alike as
     rows of one fGn draw, and its kernel gives, per seed, the fsum of its
-    own first K weights and X at step K.  Each seed's normal scales its own sum, so it
-    is the one its seed gives alone.  Only the components that the
-    integrands and f at the end read are drawn (``_EULER_READS``); an
-    unread one's end is 0.0, and f does not depend on it.  Returns
-    (integral, x1_end, x2_end), one entry per seed; a zero length gives
-    +0.0 for all three."""
+    own first K weights and X at step K.  Each seed's normal scales its own
+    sum, so it is the one its seed gives alone.  Only the components that
+    the midpoint-sum terms ``reads`` name are drawn; an unread one's end is
+    0.0.  When none is read the weight is the constant c it takes at the
+    origin, and a seed's sum is K * c, which is fsum([c] * K): the exact
+    product, rounded once.  Returns (integral, x1_end, x2_end), one entry
+    per seed; a zero length gives +0.0 for all three."""
     steps = [_euler_steps(length, mesh) for length in lengths]
     h = [length / k if k else 0.0 for length, k in zip(lengths, steps)]
 
-    def kernel(x1, x2, ranges):
-        ks = ranges[:, 1]
-        weight = sum(
+    def weight(x1, x2):
+        return sum(
             kappa**2 * np.asarray(g, dtype=np.float64) ** 2
             for kappa, g in zip(default_kappas().as_tuple,
-                                f.partials_at(_INTEGRAND_TERMS, x1[:, :-1], x2[:, :-1]))
+                                f.partials_at(_INTEGRAND_TERMS, x1, x2))
         )
+
+    def kernel(x1, x2, ranges):
+        ks = ranges[:, 1]
         end = np.arange(len(ks)), ks
-        total = _fsum_rows(np.broadcast_to(weight, x1[:, :-1].shape), ks)
+        total = _fsum_rows(np.broadcast_to(weight(x1[:, :-1], x2[:, :-1]), x1[:, :-1].shape), ks)
         return np.stack([total, x1[end], x2[end]], axis=-1)
 
-    total, x1_end, x2_end = _path_draws(H_SPECIAL, 0, [(0, k) for k in steps], seeds,
-                                        kernel, 3, [hr**H_SPECIAL for hr in h],
-                                        _components_read(f, _EULER_READS)).T
+    components = _components_read(f, reads)
+    if any(components):
+        total, x1_end, x2_end = _path_draws(H_SPECIAL, 0, [(0, k) for k in steps], seeds,
+                                            kernel, 3, [hr**H_SPECIAL for hr in h],
+                                            components).T
+    else:
+        c = float(weight(0.0, 0.0))
+        total, x1_end, x2_end = np.array([k * c for k in steps]), *np.zeros((2, len(seeds)))
     corr = [_conditional_normal(hr, s, seed) for hr, s, seed in zip(h, total.tolist(), seeds)]
     return np.array(corr), x1_end, x2_end
 
 
 def _check_args(t: float, mesh: float) -> None:
-    if t < 0:
-        raise ValueError(f"time horizon must be nonnegative, got {t}")
-    if mesh <= 0:
-        raise ValueError(f"mesh must be positive, got {mesh}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time horizon must be finite and nonnegative, got {t}")
+    if not (math.isfinite(mesh) and mesh > 0):
+        raise ValueError(f"mesh must be finite and positive, got {mesh}")
 
 
 def sample_correction_fbm(
@@ -183,16 +182,9 @@ def sample_correction_fbm(
     seeds: list[int],
 ) -> np.ndarray:
     """Draws of the limiting correction for the fBm clock run to time t, one
-    per seed.  When every integrand is constant no X is drawn: the value is
-    the same normal times the same square root, with the weight c on all K
-    steps."""
+    per seed."""
     _check_args(t, mesh)
-    c = _constant_weight(f)
-    if c is None:
-        return _euler_sum(f, [t] * len(seeds), mesh, seeds)[0]
-    k = _euler_steps(t, mesh)
-    h, total = t / k if k else 0.0, math.fsum([c] * k)
-    return np.array([_conditional_normal(h, total, s) for s in seeds])
+    return _euler_sum(f, [t] * len(seeds), mesh, seeds)[0]
 
 
 def sample_change_of_variable_rhs(
@@ -208,7 +200,7 @@ def sample_change_of_variable_rhs(
     _check_args(t, mesh)
     y = [math.sqrt(t) * float(keyed(s, STREAM_Y).standard_normal()) if t else 0.0
          for s in seeds]
-    corr, x1_end, x2_end = _euler_sum(f, [abs(v) for v in y], mesh, seeds)
+    corr, x1_end, x2_end = _euler_sum(f, [abs(v) for v in y], mesh, seeds, _RHS_READS)
     f0 = float(f(0.0, 0.0))
     return np.array([float(f(a, b)) - f0 - c
                      for a, b, c in zip(x1_end.tolist(), x2_end.tolist(), corr.tolist())])

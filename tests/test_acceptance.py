@@ -60,7 +60,7 @@ def test_criterion_4_identity_suite():
         for t in res.tests
         if t["name"] != "identity_crossings"
     )
-    _report("4 (exact identities, 1000 instances, rel tol 1e-10)", res.tests)
+    _report("4 (exact identities, 1000 instances, 3 exact, 2 at rel tol 1e-10)", res.tests)
 
 
 def test_criterion_5_decay_above_special_hurst():

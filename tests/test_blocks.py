@@ -1,8 +1,8 @@
 """Blocks of seeds: every row of a block draw equals, bit for bit, what its
 seed gives alone, for the fGn sampler, the midpoint kernel, the Euler
 samplers and every batched estimator, also when the Brownian-clock seeds of
-several j* share one padded fGn draw; the X-free correction of a constant
-integrand is the value drawn along X; the sampler is the full-FFT
+several j* share one padded fGn draw; the Euler sum that reads no
+component of X is the value drawn along X; the sampler is the full-FFT
 Davies-Harte map of the normals it reads; and the key-only Philox generator
 is the one ``Philox(key=...)`` builds."""
 
@@ -36,8 +36,8 @@ from fbmbt.fgn import (
     sample_increments,
 )
 from fbmbt.limitlaw import (
-    _EULER_READS,
-    _constant_weight,
+    _INTEGRAND_READS,
+    _RHS_READS,
     _euler_sum,
     sample_change_of_variable_rhs,
     sample_correction_fbm,
@@ -325,18 +325,23 @@ BOTH, X1, X2, NEITHER = (True, True), (True, False), (False, True), (False, Fals
     ("x*y", [(_VALUE, (1, 2))], BOTH),
     ("1", [(_VALUE, (1, 2))], BOTH),
     ("1", [(_VALUE, (3, 0))], X1),
-    # f at the path's end: the skeleton residual and the Euler kernel read
-    # what f depends on.
+    # f at the path's end: the skeleton residual and the Euler right-hand
+    # side read what f depends on; the correction alone reads the integrands.
     ("x^3", _taylor_terms(1) + [(_VALUE, (0, 0))], X1),
-    ("x^3", list(_EULER_READS), X1),
-    ("1", list(_EULER_READS), NEITHER),
+    ("x^3", list(_RHS_READS), X1),
+    ("1", list(_RHS_READS), NEITHER),
     ("y^3", _taylor_terms(1) + [(_VALUE, (0, 0))], X2),
     ("x*y^2", _taylor_terms(1) + [(_VALUE, (0, 0))], BOTH),
-    ("y^3", list(_EULER_READS), X2),
-    ("sin_x_cos_y", list(_EULER_READS), BOTH),
+    ("y^3", list(_RHS_READS), X2),
+    ("sin_x_cos_y", list(_RHS_READS), BOTH),
     # A partial that is not constant reads only the variables it depends on.
     ("x^4", _taylor_terms(3), X1),
     ("x^4", [(_VALUE, (0, 1))], BOTH),
+    ("x^4", list(_INTEGRAND_READS), X1),
+    ("sin_x_cos_y", list(_INTEGRAND_READS), BOTH),
+    # Constant integrands read nothing.
+    ("x^3", list(_INTEGRAND_READS), NEITHER),
+    ("x*y^2", list(_INTEGRAND_READS), NEITHER),
 ])
 def test_read_rule_over_the_catalog(fname, terms, reads):
     assert _components_read(get_test_function(fname), terms) == reads
@@ -511,45 +516,46 @@ def test_brownian_time_block_rows_equal_one_seed_values(fname):
 @pytest.mark.parametrize("fname", ["x^3", "sin_x_cos_y"])
 def test_euler_sum_mixes_zero_and_nonzero_lengths(fname):
     # Zero lengths take K = 0 and h = 0 through the same draw as the rest,
-    # in the padded size 0 of their own chunk.
+    # in the padded size 0 of their own chunk.  With f at the end read, x^3
+    # draws X^1.
     f, mesh = get_test_function(fname), 2.0**-8
     seeds = [derive_seed(15, i) for i in range(12)]
     lengths = [0.0 if i % 3 == 0 else 0.15 * i for i in range(12)]
-    block = _euler_sum(f, lengths, mesh, seeds)
+    block = _euler_sum(f, lengths, mesh, seeds, _RHS_READS)
     for r, (length, seed) in enumerate(zip(lengths, seeds)):
-        alone = _euler_sum(f, [length], mesh, [seed]) if length else np.zeros((3, 1))
+        alone = (_euler_sum(f, [length], mesh, [seed], _RHS_READS) if length
+                 else np.zeros((3, 1)))
         assert _bits([values[r] for values in block]) == _bits([values[0] for values in alone])
 
 
 @pytest.mark.parametrize("fname", ["x^3", "x*y^2"])
 @pytest.mark.parametrize("t", [0.0, 0.7, 1.0])
 def test_constant_integrand_correction_equals_the_euler_sum_along_x(fname, t):
-    # At t = 0.7 the grid has K = round(179.2) = 179 steps, padded to 256.
+    # The integrands of x^3 and x*y^2 are constant and read no component;
+    # with f at the end read too, the same sum is drawn along X.  At t = 0.7
+    # the grid has K = round(179.2) = 179 steps, padded to 256.
     f, mesh = get_test_function(fname), 2.0**-8
-    assert _constant_weight(f) is not None
+    assert _components_read(f, _INTEGRAND_READS) == NEITHER
+    assert _components_read(f, _RHS_READS) != NEITHER
     seeds = [derive_seed(12, i) for i in range(200)]
-    along_x, _, _ = _euler_sum(f, [t] * len(seeds), mesh, seeds)
+    along_x = _euler_sum(f, [t] * len(seeds), mesh, seeds, _RHS_READS)[0]
     assert _bits(sample_correction_fbm(f, t, mesh, seeds)) == _bits(along_x)
     for seed, value in zip(seeds[:3], along_x):
         assert _bits(sample_correction_fbm(f, t, mesh, [seed])[0]) == _bits(value)
-    assert _constant_weight(get_test_function("sin_x_cos_y")) is None
-    assert _constant_weight(get_test_function("x^4")) is None
+    # Ragged Brownian-time lengths: K = 0 and grids that pad to 1, 2, 4, ...
+    lengths = [0.0, 2.0**-9, mesh, 1.5 * mesh, 3 * mesh, 0.1, 0.37, 0.7, 1.3, 2.9] * 3
+    seeds = [derive_seed(13, i) for i in range(len(lengths))]
+    padded = {1 << (max(1, round(L / mesh)) - 1).bit_length() for L in lengths if L}
+    assert len(padded) >= 6
+    assert _bits(_euler_sum(f, lengths, mesh, seeds)[0]) == _bits(
+        _euler_sum(f, lengths, mesh, seeds, _RHS_READS)[0])
 
 
-def test_constant_partial_record_matches_the_partials():
-    x, y = np.random.default_rng(9).uniform(-1.5, 1.5, (2, 64))
-    for name in function_names():
-        f = get_test_function(name)
-        for a1 in range(4):
-            for a2 in range(4 - a1):
-                c = f.constant(a1, a2)
-                values = np.broadcast_to(f.partial(a1, a2)(x, y), x.shape)
-                if c is None:
-                    assert np.ptp(values) > 0, (name, a1, a2)
-                else:
-                    assert _bits(values) == _bits(np.full(x.shape, c)), (name, a1, a2)
-                if name in ("sin_x_cos_y", "bump"):
-                    assert c is None, (name, a1, a2)
+@settings(deadline=None)
+@given(k=st.integers(0, 5000),
+       c=st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True))
+def test_k_copies_of_a_weight_sum_to_one_rounded_product(k, c):
+    assert _bits(float(k) * c) == _bits(math.fsum([c] * k))
 
 
 @pytest.mark.parametrize("block_values", [fgn.BLOCK_VALUES, 64])

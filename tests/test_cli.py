@@ -330,6 +330,20 @@ def test_modulus_check_runs_through_mc_run(tmp_path, monkeypatch):
     assert estimators.count(experiments.draw_w3_horizons) == 2
 
 
+def test_identity_suite_judges_exact_identities_by_equality(monkeypatch):
+    # A deviation of 2^-60 fails the three identities that are exact in
+    # floating point and passes the two judged against identity_rel.
+    from fbmbt import experiments
+
+    tiny = 2.0**-60
+    monkeypatch.setattr(experiments, "_identity_instances",
+                        lambda seeds, fnames: [(0.0, tiny, tiny, tiny, tiny)] * len(seeds))
+    verdicts = {t["name"]: t["verdict"] for t in experiments.run_identity_suite(3, 1).tests}
+    assert verdicts == {"identity_crossings": True, "identity_kl_reduce": False,
+                        "identity_one_sided": False, "identity_chaos_split": True,
+                        "identity_hermite": True}
+
+
 def test_identity_suite_workers_do_not_change_results(tmp_path):
     cfg = {"experiment": "identity-suite", "replications": 30, "master_seed": 9}
     run_experiment(cfg, tmp_path / "w1", workers=1)

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbmbt import fgn
 from fbmbt.experiments import THRESHOLDS
 from fbmbt.fgn import (
+    H_SPECIAL,
     CapacityError,
     _embedding_sqrt_eig,
+    _padded_size,
+    _path_rows,
+    grid_spacing,
     rho,
     sample_fbm_2d,
     sample_increments,
@@ -21,6 +26,20 @@ def cov_fbm(t, s, H):
     """fBm covariance (|s|^{2H} + |t|^{2H} - |t-s|^{2H}) / 2, any real t, s."""
     h2 = 2.0 * H
     return 0.5 * (abs(s) ** h2 + abs(t) ** h2 - abs(t - s) ** h2)
+
+
+class _Unit:
+    """A stand-in generator whose one draw is the i-th unit vector."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def standard_normal(self, out):
+        out[...] = 0.0
+        out[self.i] = 1.0
+
+
+LAW_HURSTS = (0.05, 0.1, H_SPECIAL, 0.3, 0.5, 0.75, 0.95)
 
 
 def test_rho_basic_values():
@@ -204,3 +223,38 @@ def test_segment_bounds_checked():
     path = sample_fbm_2d(0.3, 8, -2, 4, 3)
     with pytest.raises(ValueError):
         path.segment(-3, 2)
+
+
+# A draw is linear in its normals: fed the unit vectors e_0 .. e_{2 size - 1}
+# as its rows' normals, it gives the rows of A with increments = A^T v, so
+# the law of a draw from N(0, I) normals is N(0, A^T A), checked here with
+# no Monte Carlo.
+@pytest.mark.parametrize("H,size", [(H, size) for H in LAW_HURSTS
+                                    for size in (1, 2, 3, 17, 64, 257)]
+                         + [(H, 2048) for H in (0.05, H_SPECIAL, 0.95)])
+def test_increment_law_is_the_fgn_covariance(H, size):
+    spacing = 0.5
+    a = sample_increments(H, spacing, size, [_Unit(i) for i in range(2 * size)])
+    lags = np.arange(size)
+    want = spacing ** (2 * H) * rho(np.abs(lags[:, None] - lags[None, :]), H)
+    assert np.max(np.abs(a.T @ a - want)) <= 1e-14 * spacing ** (2 * H)
+
+
+# Rows on a range with lo < 0 < hi hold the two-sided path, whose negative and
+# positive halves are correlated.  A range at level n has spacing 2^(-n/2);
+# at level 0 with scale h^H (the Euler grid's) it has spacing h.
+@pytest.mark.parametrize("H", LAW_HURSTS)
+@pytest.mark.parametrize("n,lo,hi,h", [
+    (4, -3, 5, None), (6, -13, 50, None), (3, -300, 211, None),
+    (0, -1, 1, 0.3), (0, -100, 27, 0.01),
+])
+def test_path_rows_law_is_the_two_sided_fbm_covariance(monkeypatch, H, n, lo, hi, h):
+    monkeypatch.setattr(fgn, "sample_increments", lambda H, spacing, size, rngs:
+                        sample_increments(H, spacing, size, [_Unit(g.seed) for g in rngs]))
+    rows = 2 * _padded_size(hi - lo)
+    paths = _path_rows(H, n, [(lo, hi)] * rows, list(range(rows)),
+                       None if h is None else [h**H] * rows)
+    times = np.arange(lo, hi + 1) * (grid_spacing(n) if h is None else h)
+    want = cov_fbm(times[:, None], times[None, :], H)
+    for x in paths:
+        assert np.max(np.abs(x.T @ x - want)) <= 1e-15 * (hi - lo + 1) * np.max(want)

@@ -163,6 +163,22 @@ def test_zero_time_horizon():
     assert s[0] == 0.0
 
 
+@pytest.mark.parametrize("t,mesh,message", [
+    (math.nan, 0.01, "time horizon must be finite and nonnegative, got nan"),
+    (math.inf, 0.01, "time horizon must be finite and nonnegative, got inf"),
+    (-1.0, 0.01, "time horizon must be finite and nonnegative, got -1.0"),
+    (1.0, math.nan, "mesh must be finite and positive, got nan"),
+    (1.0, math.inf, "mesh must be finite and positive, got inf"),
+    (1.0, 0.0, "mesh must be finite and positive, got 0.0"),
+])
+def test_bad_horizon_or_mesh_is_named(t, mesh, message):
+    f = get_test_function("sin_x_cos_y")
+    for sampler in (sample_correction_fbm, sample_change_of_variable_rhs):
+        with pytest.raises(ValueError) as err:
+            sampler(f, t, mesh, [1])
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("fname", ["x^3", "x*y^2", "sin_x_cos_y"])
 def test_euler_sum_is_one_conditional_normal(monkeypatch, fname):
     requested = []
