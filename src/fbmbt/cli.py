@@ -5,8 +5,9 @@ Usage:  fbmbt --config experiment.json [--out DIR] [--workers N] [--verbose]
 The JSON config selects one experiment and overrides its defaults; a key the
 experiment does not take, a value of the wrong type or range, or a worker
 count below 1 is a configuration error raised before any work starts.  Outputs
-are a CSV of raw replication values and a JSON summary; both land in the
-output directory.  Exit code 0 when every verdict passes, 1 when any fails,
+are a CSV of raw replication values and a JSON summary under two distinct
+plain file names (keys ``csv`` and ``json``); both land in the output
+directory.  Exit code 0 when every verdict passes, 1 when any fails,
 2 on a configuration error, 3 when a size drawn during the run exceeds a
 sampler's cap, 4 on any other error, which is a bug rather than a verdict
 (the traceback, then one ``internal error:`` line on stderr).  No output is
@@ -22,11 +23,11 @@ import math
 import sys
 import time
 import traceback
-from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .calculus import get_test_function, test_function_names
 from .experiments import RUNNERS, ExperimentResult
 from .fgn import MAX_INCREMENTS, CapacityError
@@ -61,7 +62,11 @@ _LEVEL_LIST = (
     lambda v: isinstance(v, list) and len(v) > 0 and all(_is_int(n) and n >= 0 for n in v),
     "a nonempty list of nonnegative integers",
 )
-_FILE_NAME = (lambda v: isinstance(v, str) and v != "", "a nonempty file name")
+# An output lands in the output directory itself, under its own name.
+_FILE_NAME = (
+    lambda v: isinstance(v, str) and v not in ("", ".", "..") and Path(v).name == v,
+    "a plain file name, without a directory",
+)
 
 # config key -> (check of its value, what the value must be)
 _VALUE_CHECKS = {
@@ -124,6 +129,9 @@ def _validate(config: dict, workers: int = 1) -> dict:
                 f"key 'levels' needs at least {MIN_FIT_LEVELS} levels for the "
                 f"rate fit, got {len(levels)}"
             )
+    csv, json_name = _output_names(config)
+    if csv == json_name:
+        raise ConfigurationError(f"keys 'csv' and 'json' name the same file {csv!r}")
     fn = config.get("function")
     if fn is not None and fn not in test_function_names():
         raise ConfigurationError(
@@ -185,11 +193,10 @@ def _check_capacity(exp: str, arg: dict) -> None:
                     lambda: _euler_steps(t, arg["mesh"]), MAX_INCREMENTS)
 
 
-def _toolkit_version() -> str:
-    try:
-        return version("fbmbt")
-    except PackageNotFoundError:
-        return "unknown"
+def _output_names(config: dict) -> tuple[str, str]:
+    """The CSV and JSON file names, by default the experiment's name."""
+    name = config["experiment"]
+    return config.get("csv", f"{name}.csv"), config.get("json", f"{name}.json")
 
 
 def write_csv(result: ExperimentResult, path: Path) -> None:
@@ -202,7 +209,7 @@ def write_csv(result: ExperimentResult, path: Path) -> None:
 def build_summary(config: dict, result: ExperimentResult, runtime: float) -> dict:
     return {
         "config": config,
-        "toolkit_version": _toolkit_version(),
+        "toolkit_version": __version__,
         "series_constants": result.series_constants,
         "per_level": result.per_level,
         "tests": result.tests,
@@ -231,9 +238,9 @@ def run_experiment(config: dict, out_dir: Path, workers: int = 1,
     # any output is written.
     summary = json.dumps(build_summary(config, result, runtime), indent=2, allow_nan=False)
     out_dir.mkdir(parents=True, exist_ok=True)
-    name = config["experiment"]
-    write_csv(result, out_dir / config.get("csv", f"{name}.csv"))
-    (out_dir / config.get("json", f"{name}.json")).write_text(
+    csv, json_name = _output_names(config)
+    write_csv(result, out_dir / csv)
+    (out_dir / json_name).write_text(
         summary + "\n", encoding="utf-8", newline="\n"
     )
     if verbose:

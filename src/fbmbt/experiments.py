@@ -225,21 +225,21 @@ def draw_terminal_y(seeds, *, n, t):
 
 def draw_w3_horizons(seeds, *, H, n, ys, fname):
     """The one-sided third-order sum out to each y in ``ys``, all on one
-    two-sided fBm path per seed, its row on [-m, m]: one row per seed.  The
-    sums read it from X_0 at column m, forward for y > 0 and backward for
-    y < 0, in one ``_taylor_sum`` per side whose counts cut it at each y of
-    that side; y = 0 is 0.0."""
+    two-sided fBm path per seed, its row on [-m, m]: one row per seed.  Each
+    y reads k = floor(2^{n/2} |y|) increments from X_0 at column m in one
+    ``_taylor_sum``: columns m..m+k for y > 0, and for y < 0 minus the
+    forward sum on columns m-k..m, as in ``_one_sided_draws``; y = 0 is 0.0."""
     m = _grid_count(n, max(abs(y) for y in ys))
     f = get_test_function(fname)
-    sides = [(cols, [i for i, y in enumerate(ys) if sign * y > 0])
-             for cols, sign in ((slice(m, None), 1), (slice(m, None, -1), -1))]
 
     def sums(v1, v2):
         out = np.zeros((len(v1), len(ys)))
-        for cols, side in sides:
-            if side:
-                counts = np.tile([_grid_count(n, abs(ys[i])) for i in side], (len(v1), 1))
-                out[:, side] = _taylor_sum(f, v1[:, cols], v2[:, cols], 3, counts)
+        for i, y in enumerate(ys):
+            k = _grid_count(n, abs(y))
+            if y > 0:
+                out[:, i] = _taylor_sum(f, v1[:, m : m + k + 1], v2[:, m : m + k + 1], 3)
+            elif y < 0:
+                out[:, i] = -_taylor_sum(f, v1[:, m - k : m + 1], v2[:, m - k : m + 1], 3) + 0.0
         return out
 
     return _path_draws(H, n, [(-m, m)] * len(seeds), seeds,

@@ -153,7 +153,7 @@ def _euler_sum(
     def kernel(x1, x2, ranges):
         ks = ranges[:, 1]
         end = np.arange(len(ks)), ks
-        total = _fsum_rows(np.broadcast_to(weight(x1[:, :-1], x2[:, :-1]), x1[:, :-1].shape), ks)
+        total = _fsum_rows(weight(x1[:, :-1], x2[:, :-1]), ks)
         return np.stack([total, x1[end], x2[end]], axis=-1)
 
     components = _components_read(f, reads)

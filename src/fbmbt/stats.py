@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,9 @@ def mc_run(estimator, replications: int, master_seed: int, workers: int = 1):
         from concurrent.futures import ProcessPoolExecutor  # not loaded by serial runs
         chunk = max(1, replications // (8 * workers))
         blocks = [seeds[i : i + chunk] for i in range(0, replications, chunk)]
+        # The fork start method launches every worker at once, so no more
+        # are asked for than there are CPUs or blocks.
+        workers = min(workers, os.cpu_count() or 1, len(blocks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = [v for block in pool.map(estimator, blocks) for v in block]
     if len(values) != replications:

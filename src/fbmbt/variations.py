@@ -17,8 +17,7 @@ one value per row, each the row's own correctly rounded sum, bit for bit
 its ``math.fsum``, computed for the whole block at once by error-free
 extraction (Rump, Ogita and Oishi 2008; see ``_fsum_rows``).  A ragged
 block, whose rows hold paths of different lengths, passes the kernel one
-term count per row, and a row read at several horizons passes one count
-per horizon.  Increment powers d^p are products d * d * ... * d,
+term count per row.  Increment powers d^p are products d * d * ... * d,
 multiplied left to right (``calculus._powers``), as are the monomials' own
 powers.  The gradient and third-order sums take their
 terms and coefficients from ``midpoint_taylor_table``.  Three families
@@ -49,7 +48,6 @@ third-order sums ``w_grad`` and ``w3`` are kept only as test oracles
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -111,40 +109,34 @@ def _step_count(level: int, t: float) -> int:
 
 def _fsum_rows(a: np.ndarray, counts=None):
     """The correctly rounded sum along the last axis, ``math.fsum``'s bits:
-    a float for one row, an array of one sum per row for a block of rows.
-    ``counts``, one per row, sums only the first counts[r] entries of row r;
-    with a trailing axis of several cuts per row, it gives one sum per cut,
-    each over the row's first ``cut`` entries.
+    a float for one row, an array of one sum per row for a 2-D block of
+    rows.  ``counts``, one per row, sums only the first counts[r] entries of
+    row r.
 
     One row is ``math.fsum`` itself.  A block is summed by error-free
     extraction (Rump, Ogita and Oishi, "Accurate floating-point summation,
     Part I", SIAM J. Sci. Comput. 31(1), 2008, ``ExtractVector``), with no
-    Python loop over its rows.  The entries past a row's last cut are set to
+    Python loop over its rows.  The entries past a row's count are set to
     0.0, which moves no exact sum.  With max|x| <= 2^e and L the number of
     columns summed, sigma = 2^(e + bit_length(L + 1)) splits each x into
     q = (sigma + x) - sigma and r = x - q, both exact; the q are multiples of
     sigma 2^-53 whose sum stays below sigma, so any order of summing them,
-    numpy's pairwise sum or a prefix ``cumsum`` read at the cuts, is exact.
-    A second round splits r with sigma * 2^(bit_length(L + 1) - 53).  A row's
-    sum is then exactly tau1 + tau2 + the remainders, and a correctly
-    rounded sum is unique: a cut with no nonzero remainder before it is the
-    one rounded addition tau1 + tau2, any other the ``math.fsum`` of its
-    two taus and its few remainders.  A row whose max|x| is not finite or
-    lies outside [2^-900, 2^900], an all-zero row included, is summed by
-    ``math.fsum`` itself."""
+    numpy's pairwise sum included, is exact.  A second round splits r with
+    sigma * 2^(bit_length(L + 1) - 53).  A row's sum is then exactly
+    tau1 + tau2 + the remainders, and a correctly rounded sum is unique: a
+    row with no nonzero remainder is the one rounded addition tau1 + tau2,
+    any other the ``math.fsum`` of its two taus and its few remainders.  A
+    row whose max|x| is not finite or lies outside [2^-900, 2^900], an
+    all-zero row included, is summed by ``math.fsum`` itself."""
     if a.ndim == 1:
         return math.fsum(a.tolist())
-    shape = a.shape[:-1] if counts is None else np.shape(counts)
-    a = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
-    cuts = (np.full((len(a), 1), a.shape[1]) if counts is None
-            else np.asarray(counts, dtype=np.intp).reshape(len(a), -1))
-    last = cuts.max(axis=1)
-    width = int(last.max(initial=0))
+    counts = np.full(len(a), a.shape[1]) if counts is None else np.asarray(counts, dtype=np.intp)
+    width = int(counts.max(initial=0))
     if not width:
-        return np.zeros(shape)
+        return np.zeros(len(a))
     x = a[:, :width]
-    if last.min() < width:
-        x = np.where(np.arange(width) < last[:, None], x, 0.0)
+    if counts.min() < width:
+        x = np.where(np.arange(width) < counts[:, None], x, 0.0)
     top = np.abs(x).max(axis=1)
     fallback = ~((top >= 2.0**-900) & (top <= 2.0**900))
     if fallback.any():
@@ -152,40 +144,27 @@ def _fsum_rows(a: np.ndarray, counts=None):
     mantissa, exponent = np.frexp(top)
     headroom = (width + 1).bit_length()
     sigma = np.ldexp(1.0, exponent - (mantissa == 0.5) + headroom)[:, None]
-    whole = cuts.shape[1] == 1 and (cuts[:, 0] == last).all()
-
-    def tau(q):
-        """The exact sum of q up to each cut."""
-        if whole:
-            return q.sum(axis=1)[:, None]
-        prefix = np.take_along_axis(np.cumsum(q, axis=1), cuts - 1, axis=1)
-        return np.where(cuts > 0, prefix, 0.0)
-
     q = x + sigma
     q -= sigma
     x = x - q
-    taus = [tau(q)]
+    tau1 = q.sum(axis=1)
     sigma *= 2.0 ** (headroom - 53)
     np.add(x, sigma, out=q)
     q -= sigma
     x -= q
-    taus.append(tau(q))
-    out = taus[0] + taus[1]
+    tau2 = q.sum(axis=1)
+    out = tau1 + tau2
     flat = np.flatnonzero(x != 0.0)
     if flat.size:
-        where, cols = np.divmod(flat, width)
+        where = flat // width
         starts = np.flatnonzero(np.diff(where, prepend=-1))
-        left, cols = x.ravel()[flat].tolist(), cols.tolist()
-        tau1, tau2, cut_rows = taus[0].tolist(), taus[1].tolist(), cuts.tolist()
+        left, tau1, tau2 = x.ravel()[flat].tolist(), tau1.tolist(), tau2.tolist()
         for r, lo, hi in zip(where[starts].tolist(), starts.tolist(),
                              starts[1:].tolist() + [flat.size]):
-            for c, k in enumerate(cut_rows[r]):
-                j = bisect.bisect_left(cols, k, lo, hi)
-                if j > lo:
-                    out[r, c] = math.fsum([tau1[r][c], tau2[r][c], *left[lo:j]])
+            out[r] = math.fsum([tau1[r], tau2[r], *left[lo:hi]])
     for r in np.flatnonzero(fallback).tolist():
-        out[r] = [math.fsum(a[r, :k].tolist()) for k in cuts[r].tolist()]
-    return out.reshape(shape)
+        out[r] = math.fsum(a[r, : counts[r]].tolist())
+    return out
 
 
 def _midpoint_sums(
@@ -198,15 +177,12 @@ def _midpoint_sums(
     Paths run along the last axis; a 2-D block of paths gives each term an
     array of one sum per row.  A ragged block gives ``counts``, one term
     count per row: row r is a path of counts[r] + 1 values and sums only its
-    first counts[r] terms, whatever its tail holds.  With a trailing axis of
-    several counts per row, each term gets one sum per count, the prefix
-    sums of one pass (``_fsum_rows``).  Midpoints, increments
+    first counts[r] terms, whatever its tail holds.  Midpoints, increments
     and each live partial (one ``partials_at`` call) are computed once for
     all terms.  A term whose partials all vanish identically is left at
     0.0, the exact value of its sum, without being evaluated.
     """
-    shape = v1.shape[:-1] if counts is None else np.shape(counts)
-    sums = [np.zeros(shape) if v1.ndim > 1 else 0.0] * len(terms)
+    sums = [np.zeros(v1.shape[:-1]) if v1.ndim > 1 else 0.0] * len(terms)
     if v1.shape[-1] < 2:
         return sums
     mid1 = 0.5 * (v1[..., :-1] + v1[..., 1:])
@@ -217,10 +193,7 @@ def _midpoint_sums(
     for i, (partials, (p, q)) in enumerate(terms):
         weights = [np.asarray(values[a], dtype=np.float64) for a in partials if a in values]
         if weights:
-            w = factor(sum(weights[1:], weights[0]), d1, d2, p, q)
-            if np.shape(w) != mid1.shape:
-                w = np.broadcast_to(w, mid1.shape)
-            sums[i] = _fsum_rows(w, counts)
+            sums[i] = _fsum_rows(factor(sum(weights[1:], weights[0]), d1, d2, p, q), counts)
     return sums
 
 
@@ -379,7 +352,7 @@ def kl_reduce(
     For odd p + q the up and down traversals of an edge contribute with
     opposite signs, so the skeleton sum collapses to the edges between 0 and
     the terminal walk position, counted once with the sign of the terminal
-    side.  Equals ``v_tilde_pq`` exactly (up to summation order).
+    side.  Equals ``v_tilde_pq`` exactly.
     """
     p, q = _check_exponents(p, q)
     v1, v2, sign = _reduced_segment(fbm, walk, t)

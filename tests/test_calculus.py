@@ -322,13 +322,18 @@ def test_bump_partials_are_products():
 
 def test_partials_at_equal_each_partial_alone():
     # Several partials at one set of points, in any order and with repeats,
-    # are bit for bit the partials evaluated one by one.
-    x, y = _signed_points(1.9)
+    # are bit for bit the partials evaluated one by one.  Each has the
+    # shape of its inputs, a (rows, width) block included: the midpoint
+    # kernels sum them as they come, without broadcasting.
     keys = [(a1, a2) for a1 in range(4) for a2 in range(4 - a1)]
     keys = keys[::-1] + keys[:3]
-    for name in function_names():
-        f = get_test_function(name)
-        got = f.partials_at(keys, x, y)
-        assert len(got) == len(keys)
-        for key, value in zip(keys, got):
-            assert np.asarray(value).tobytes() == np.asarray(f.partial(*key)(x, y)).tobytes(), (name, key)
+    for shape in ((4003,), (2, 4003), (4003, 1)):
+        x, y = (np.resize(v, shape) for v in _signed_points(1.9))
+        for name in function_names():
+            f = get_test_function(name)
+            got = f.partials_at(keys, x, y)
+            assert len(got) == len(keys)
+            for key, value in zip(keys, got):
+                want = f.partial(*key)(x, y)
+                assert np.shape(value) == shape, (name, key, shape)
+                assert np.asarray(value).tobytes() == np.asarray(want).tobytes(), (name, key)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import fbmbt
 from fbmbt.cli import ConfigurationError, main, run_experiment
 
 
@@ -25,6 +26,16 @@ def test_taylor_table_experiment(tmp_path):
     assert "seed_lineage" in summary
     csv = (tmp_path / "taylor-table.csv").read_text()
     assert csv.splitlines()[0] == "replication,seed,statistic,value"
+
+
+def test_summary_reports_the_package_version(tmp_path):
+    cfg = _write_config(tmp_path, {"experiment": "taylor-table"})
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "taylor-table.json").read_text())
+    assert summary["toolkit_version"] == fbmbt.__version__
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == fbmbt.__version__
 
 
 def test_constants_experiment_embeds_series(tmp_path):
@@ -157,6 +168,29 @@ def test_law_h_eq_mixture_replications(tmp_path):
 )
 def test_bad_config_exit_2(tmp_path, capsys, config):
     cfg = _write_config(tmp_path, config)
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        {"csv": "x.out", "json": "x.out"},  # only the JSON was left
+        {"csv": "taylor-table.json"},  # the default JSON name
+        {"csv": "sub/x.csv"},  # failed on writing, after the run
+        {"json": ".."},
+    ],
+)
+def test_output_names_are_checked_before_any_work(tmp_path, capsys, monkeypatch, names):
+    from fbmbt import cli
+
+    def runner():
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(cli.RUNNERS, "taylor-table", runner)
+    cfg = _write_config(tmp_path, {"experiment": "taylor-table", **names})
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1

@@ -97,6 +97,43 @@ def test_mc_run_parallel_matches_serial():
     assert np.array_equal(serial, parallel)
 
 
+class _SerialPool:
+    """A stand-in for ProcessPoolExecutor that records the worker count it
+    is asked for and maps in this process, so no worker is started."""
+
+    asked: list = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, blocks):
+        return map(fn, blocks)
+
+
+@pytest.mark.parametrize("cpus, replications, workers, want", [
+    (4, 400, 5000, 4),  # capped by the CPUs
+    (None, 400, 5000, 1),  # os.cpu_count() may not know
+    (64, 3, 5000, 3),  # capped by the blocks: one seed each
+    (4, 400, 3, 3),
+])
+def test_mc_run_pool_asks_for_no_more_workers_than_cpus_or_blocks(
+        monkeypatch, cpus, replications, workers, want):
+    import concurrent.futures
+
+    monkeypatch.setattr(_SerialPool, "asked", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    values, _ = mc_run(_estimator, replications, 9, workers=workers)
+    assert _SerialPool.asked == [want]
+    assert np.array_equal(values, mc_run(_estimator, replications, 9)[0])
+
+
 def test_mc_run_validation():
     with pytest.raises(ValueError):
         mc_run(_estimator, 0, 1)
