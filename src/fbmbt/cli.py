@@ -2,16 +2,17 @@
 
 Usage:  fbmbt --config experiment.json [--out DIR] [--workers N] [--verbose]
 
-The JSON config selects one experiment and overrides its defaults; a key the
-experiment does not take, a value of the wrong type or range, or a worker
-count below 1 is a configuration error raised before any work starts.  Outputs
-are a CSV of raw replication values and a JSON summary under two distinct
-plain file names (keys ``csv`` and ``json``); both land in the output
-directory.  Exit code 0 when every verdict passes, 1 when any fails,
-2 on a configuration error, 3 when a size drawn during the run exceeds a
-sampler's cap, 4 on any other error, which is a bug rather than a verdict
-(the traceback, then one ``internal error:`` line on stderr).  No output is
-written on codes 2-4.
+The JSON config selects one experiment and overrides its defaults; a config
+file that is not a readable JSON object, a key the experiment does not take, a
+value of the wrong type or range, a worker count below 1, or an output
+directory under a path that is not a directory is a configuration error
+raised before any work starts.  Outputs are a CSV of raw replication values
+and a JSON summary under two distinct plain file names (keys ``csv`` and
+``json``); both land in the output directory.  Exit code 0 when every
+verdict passes, 1 when any fails, 2 on a configuration error, 3 when a size
+drawn during the run exceeds a sampler's cap, 4 on any other error, which is
+a bug rather than a verdict (the traceback, then one ``internal error:``
+line on stderr).  No output is written on codes 2-4.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _validate(config: dict, workers: int = 1) -> dict:
     """Check the config before any work starts; returns the runner's
     keywords (``_arguments``)."""
     exp = config.get("experiment")
-    if exp not in RUNNERS:
+    if not isinstance(exp, str) or exp not in RUNNERS:
         raise ConfigurationError(
             f"key 'experiment' must be one of {sorted(RUNNERS)}, got {exp!r}"
         )
@@ -199,6 +200,18 @@ def _output_names(config: dict) -> tuple[str, str]:
     return config.get("csv", f"{name}.csv"), config.get("json", f"{name}.json")
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object in the file at ``path``.  Undecodable bytes, bad JSON and
+    too long an integer raise ``ValueError``, too deep a nesting ``RecursionError``."""
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigurationError("config must be a JSON object")
+    return config
+
+
 def write_csv(result: ExperimentResult, path: Path) -> None:
     lines = ["replication,seed,statistic,value"]
     for rep, seed, stat, value in result.raw:
@@ -231,6 +244,10 @@ def run_experiment(config: dict, out_dir: Path, workers: int = 1,
     if not _is_int(workers) or workers < 1:
         raise ConfigurationError(f"--workers must be a positive integer, got {workers!r}")
     kwargs = _validate(config, workers)
+    # The output directory is made after the run, under its nearest existing path.
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigurationError(f"--out {str(out_dir)!r}: {str(nearest)!r} is not a directory")
     start = time.perf_counter()
     result = RUNNERS[config["experiment"]](**kwargs)
     runtime = time.perf_counter() - start
@@ -262,13 +279,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(config, dict):
-            raise ConfigurationError("config must be a JSON object")
+        config = _read_config(args.config)
         result = run_experiment(
             config, Path(args.out), workers=args.workers, verbose=args.verbose
         )
-    except (ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

@@ -4,7 +4,9 @@ Each driver returns an ``ExperimentResult`` holding per-level estimates,
 named test verdicts, fitted rates, and the raw per-replication values.  The
 command-line runner serializes these; the acceptance test suite asserts on
 the verdicts directly.  All thresholds live in the ``THRESHOLDS`` table so
-they are pinned in exactly one place.
+they are pinned in exactly one place, and each kind of verdict is decided by
+one method: ``add_variance`` (a sample variance against its limit), ``add_ks``
+(a two-sample law match) and ``add_near`` (a number near a pinned constant).
 
 Estimator functions take a list of replication seeds plus keyword
 configuration, return one value per seed, and are defined at module top
@@ -114,6 +116,22 @@ class ExperimentResult:
                 "verdict": bool(verdict),
             }
         )
+
+    def add_variance(self, name: str, values, target: float, key: str):
+        """Sample variance of ``values`` against ``target``, within the
+        relative tolerance ``THRESHOLDS[key]``; the statistic is their ratio."""
+        var = float(np.var(values, ddof=1))
+        self.add_test(name, var / target, abs(var - target) <= THRESHOLDS[key] * target)
+
+    def add_ks(self, name: str, lhs, rhs):
+        """Two-sample KS law match, its distance below ``THRESHOLDS[name]``."""
+        ks = ks_two_sample(lhs, rhs)
+        self.add_test(name, ks.statistic, ks.statistic < THRESHOLDS[name], p_value=ks.p_value)
+
+    def add_near(self, name: str, statistic: float, key: str):
+        """``statistic`` within ``tol`` of ``center``; ``THRESHOLDS[key]`` is both."""
+        center, tol = THRESHOLDS[key]
+        self.add_test(name, statistic, abs(statistic - center) <= tol)
 
     def add_level(self, n: int, values: np.ndarray):
         mean = float(np.mean(values))
@@ -289,19 +307,14 @@ def run_constants() -> ExperimentResult:
         "kappa3": kap.kappa3,
         "kappa4": kap.kappa4,
     }
-    val, tol = THRESHOLDS["series_value"]
-    res.add_test("series_value", series.partial_sum, abs(series.partial_sum - val) <= tol)
+    res.add_near("series_value", series.partial_sum, "series_value")
     res.add_test(
         "series_tail_bound", series.tail_bound,
         series.tail_bound < THRESHOLDS["series_tail"],
     )
-    val, tol = THRESHOLDS["sqrt_6s"]
-    s6 = math.sqrt(6.0 * series.partial_sum)
-    res.add_test("sqrt_6S", s6, abs(s6 - val) <= tol)
-    val, tol = THRESHOLDS["kappa1"]
-    res.add_test("kappa1", kap.kappa1, abs(kap.kappa1 - val) <= tol)
-    val, tol = THRESHOLDS["kappa3"]
-    res.add_test("kappa3", kap.kappa3, abs(kap.kappa3 - val) <= tol)
+    res.add_near("sqrt_6S", math.sqrt(6.0 * series.partial_sum), "sqrt_6s")
+    res.add_near("kappa1", kap.kappa1, "kappa1")
+    res.add_near("kappa3", kap.kappa3, "kappa3")
     return res
 
 
@@ -479,22 +492,17 @@ def run_law_h_eq(
         "S": s, "tail_bound": kap.series.tail_bound,
         "kappa1": kap.kappa1, "kappa3": kap.kappa3,
     }
-    rel_fbm = THRESHOLDS["variance_rel_fbm"]
     draw = partial(_draw, res, master_seed=master_seed, workers=workers)
 
     # Variance of the third-order sum, f = x^3 -> 36 kappa1^2 t.
     v3_x3 = draw("v3_x3", partial(draw_v3, H=H_SPECIAL, n=n, t=t, fname="x^3"),
                  replications, tag=10)
-    target = 36.0 * kap.kappa1**2 * t
-    var = float(np.var(v3_x3, ddof=1))
-    res.add_test("var_v3_x3", var / target, abs(var - target) <= rel_fbm * target)
+    res.add_variance("var_v3_x3", v3_x3, 36.0 * kap.kappa1**2 * t, "variance_rel_fbm")
 
     # f = x y^2 -> 4 kappa3^2 t.
     v3_xy2 = draw("v3_xy2", partial(draw_v3, H=H_SPECIAL, n=n, t=t, fname="x*y^2"),
                   replications, tag=11)
-    target = 4.0 * kap.kappa3**2 * t
-    var = float(np.var(v3_xy2, ddof=1))
-    res.add_test("var_v3_xy2", var / target, abs(var - target) <= rel_fbm * target)
+    res.add_variance("var_v3_xy2", v3_xy2, 4.0 * kap.kappa3**2 * t, "variance_rel_fbm")
 
     # Brownian-time version, f = x^3 -> 36 kappa1^2 sqrt(2t/pi).  The random
     # Brownian time makes this a variance mixture with fatter tails, so it
@@ -502,22 +510,14 @@ def run_law_h_eq(
     vt3 = draw("v_tilde3_x3", partial(draw_v_tilde_3, H=H_SPECIAL, n=n, t=t, fname="x^3"),
                mixture_replications, tag=12)
     target = 36.0 * kap.kappa1**2 * math.sqrt(2.0 * t / math.pi)
-    var = float(np.var(vt3, ddof=1))
-    res.add_test(
-        "var_v_tilde3_x3", var / target,
-        abs(var - target) <= THRESHOLDS["variance_rel_fbmbt"] * target,
-    )
+    res.add_variance("var_v_tilde3_x3", vt3, target, "variance_rel_fbmbt")
 
     # Law match: V3 draws against the limiting correction integral.
     lhs = draw("ks_v3_x3", partial(draw_v3, H=H_SPECIAL, n=n, t=t, fname="x^3"),
                ks_replications, tag=13)
     rhs = draw("ks_correction_fbm", partial(draw_correction_fbm, fname="x^3", t=t, mesh=mesh),
                ks_replications, tag=14)
-    ks = ks_two_sample(lhs, rhs)
-    res.add_test(
-        "ks_v3_correction", ks.statistic,
-        ks.statistic < THRESHOLDS["ks_v3_correction"], p_value=ks.p_value,
-    )
+    res.add_ks("ks_v3_correction", lhs, rhs)
 
     # Law match on the Brownian clock: the gradient sum against
     # f(endpoint) - f(0) - correction.
@@ -526,36 +526,25 @@ def run_law_h_eq(
                ks_replications, tag=15)
     rhs = draw("ks_rhs_fbmbt", partial(draw_rhs_fbmbt, fname="sin_x_cos_y", t=t, mesh=mesh),
                ks_replications, tag=16)
-    ks = ks_two_sample(lhs, rhs)
-    res.add_test(
-        "ks_otilde_rhs", ks.statistic,
-        ks.statistic < THRESHOLDS["ks_otilde_rhs"], p_value=ks.p_value,
-    )
+    res.add_ks("ks_otilde_rhs", lhs, rhs)
 
     # Modulus bound: mean-square increment of the one-sided third-order sum
-    # over a signed-horizon grid, against max(|s|,|t|)^{1/3} (2^{-n/2}+|t-s|).
+    # over a signed-horizon grid, against max(|s|,|t|)^{1/3} (2^{-n/2}+|t-s|),
+    # on every pair s != t: off the diagonal, where the bound at s = t = 0 is 0.
     ts = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    y, off = np.array(ts), ~np.eye(len(ts), dtype=bool)
     worst = 0.0
     for lev in modulus_levels:
         rows, _ = mc_run(
             partial(draw_w3_horizons, H=H_SPECIAL, n=lev, ys=ts, fname="sin_x_cos_y"),
             modulus_replications, _level_master(master_seed, 17 * 100 + lev), workers,
         )
-        acc = np.zeros((len(ts), len(ts)))
-        for vals in rows:
-            acc += (vals[:, None] - vals[None, :]) ** 2
-        acc /= modulus_replications
-        for a in range(len(ts)):
-            for b in range(len(ts)):
-                if a == b or (ts[a] == 0.0 and ts[b] == 0.0):
-                    continue
-                bound = max(abs(ts[a]), abs(ts[b])) ** (1.0 / 3.0) * (
-                    2.0 ** (-lev / 2.0) + abs(ts[a] - ts[b])
-                )
-                worst = max(worst, acc[a, b] / bound)
-    res.add_test(
-        "modulus_ratio", worst, worst < THRESHOLDS["modulus_constant"]
-    )
+        acc = ((rows[:, :, None] - rows[:, None, :]) ** 2).sum(axis=0) / modulus_replications
+        bound = np.maximum.outer(abs(y), abs(y)) ** (1.0 / 3.0) * (
+            2.0 ** (-lev / 2.0) + abs(y[:, None] - y[None, :])
+        )
+        worst = max(worst, float((acc[off] / bound[off]).max()))
+    res.add_test("modulus_ratio", worst, worst < THRESHOLDS["modulus_constant"])
     return res
 
 
@@ -571,8 +560,7 @@ def run_diverge_h_lt(
         levels, replications, master_seed, 1, workers,
     )]
     slope = res.add_rate("v3_variance", levels, v_vars)
-    target, tol = THRESHOLDS["divergence_slope"]
-    res.add_test("v3_variance_slope", slope, abs(slope - target) <= tol)
+    res.add_near("v3_variance_slope", slope, "divergence_slope")
 
     norm_vars = [float(np.var(v, ddof=1)) for v in _level_draws(
         res, "v_tilde3_norm", partial(draw_v_tilde_3, H=H, t=t, fname=function),
@@ -595,12 +583,8 @@ def run_skeleton_suite(
     values = _draw(res, "terminal_y", partial(draw_terminal_y, n=n, t=t),
                    replications, master_seed, 1, workers)
     res.add_level(n, values)
-    var = float(np.var(values, ddof=1))
     target = _step_count(n, t) * 2.0**-n
-    res.add_test(
-        "terminal_variance", var / target,
-        abs(var - target) <= THRESHOLDS["terminal_var_rel"] * target,
-    )
+    res.add_variance("terminal_variance", values, target, "terminal_var_rel")
     return res
 
 

@@ -164,6 +164,8 @@ def test_law_h_eq_mixture_replications(tmp_path):
         {"experiment": "law-h-eq", "mesh": 1e-9},
         {"experiment": "law-h-eq", "modulus_levels": [50]},
         {"experiment": "converge-h-gt", "levels": [8, 10, 3000]},
+        {"experiment": ["law-h-eq"]},
+        {"experiment": {"a": 1}},
     ],
 )
 def test_bad_config_exit_2(tmp_path, capsys, config):
@@ -195,6 +197,41 @@ def test_output_names_are_checked_before_any_work(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b'{"experiment": "\xff"}'),
+        lambda path: path.write_text('{"experiment": "skeleton-suite", "n": 1' + "0" * 5000 + "}"),
+        lambda path: path.write_text("[" * 10**5 + "]" * 10**5),
+    ],
+    ids=["directory", "not-utf8", "integer-too-long", "nested-too-deep"],
+)
+def test_unreadable_config_exit_2(tmp_path, capsys, make):
+    make(tmp_path / "cfg.json")
+    assert main(["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_under_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch, out):
+    from fbmbt import cli
+
+    def runner():
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(cli.RUNNERS, "taylor-table", runner)
+    cfg = _write_config(tmp_path, {"experiment": "taylor-table"})
+    (tmp_path / "file").write_text("kept")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 _TINY = {"levels": [2, 4, 6], "replications": 4}
