@@ -78,67 +78,38 @@ class HermiteExpansion:
 
 @functools.lru_cache(maxsize=64)
 def hermite_expand(p: int) -> HermiteExpansion:
-    """x^p = sum_q coeff_q H_q(x), exact rationals, q of the same parity as p."""
+    """x^p = sum_j p! / (j! (p-2j)! 2^j) H_{p-2j}(x), exact rationals, highest
+    order first: the j-th coefficient counts the ways to pair 2j of p
+    factors."""
     if p < 1:
         raise ValueError(f"power must be >= 1, got {p}")
-    coeffs: dict[int, Fraction] = {0: Fraction(1)}
-    for _ in range(p):
-        nxt: dict[int, Fraction] = {}
-        for q, c in coeffs.items():
-            # x * H_q = H_{q+1} + q H_{q-1}
-            nxt[q + 1] = nxt.get(q + 1, Fraction(0)) + c
-            if q >= 1:
-                nxt[q - 1] = nxt.get(q - 1, Fraction(0)) + q * c
-        coeffs = nxt
-    return HermiteExpansion({q: c for q, c in coeffs.items() if c})
-
-
-def _monomial_partial(a1: int, a2: int, b1: int, b2: int, x: Fraction, y: Fraction) -> Fraction:
-    """d^{b1,b2} (x^a1 y^a2) evaluated at exact rational (x, y)."""
-    if b1 > a1 or b2 > a2:
-        return Fraction(0)
-    c = Fraction(math.factorial(a1), math.factorial(a1 - b1))
-    c *= Fraction(math.factorial(a2), math.factorial(a2 - b2))
-    return c * x ** (a1 - b1) * y ** (a2 - b2)
+    return HermiteExpansion({
+        p - 2 * j: Fraction(math.factorial(p),
+                            math.factorial(j) * math.factorial(p - 2 * j) * 2**j)
+        for j in range(p // 2 + 1)
+    })
 
 
 @functools.lru_cache(maxsize=4)
 def midpoint_taylor_table(max_order: int) -> dict[tuple[int, int], Fraction]:
     """The coefficients C(a1, a2) of the midpoint difference expansion,
-    keyed by (a1, a2), for every total order up to ``max_order``:
+    keyed by (a1, a2), for every total order up to ``max_order``, order by
+    order and a1 ascending within an order:
 
     f(b,d) - f(a,c) = sum C(a1,a2) d^{a1,a2}f(midpoint) (b-a)^{a1} (d-c)^{a2},
 
-    exact for polynomials up to ``max_order``; even-total coefficients
-    vanish.  They are solved in exact arithmetic, order by order: plugging
-    f = x^{a1} y^{a2} of total order k into the expansion leaves a single
-    unknown once all lower-order coefficients are known, because the only
-    order-k partial derivative surviving on a monomial is its own.
+    exact for polynomials up to ``max_order``.  About the midpoint m with
+    D = (b-a, d-c), f(m + D/2) - f(m - D/2) = sum_k (1 - (-1)^k)/k!
+    (D/2 . grad)^k f(m), so C(a1, a2) = 2^{1-(a1+a2)} / (a1! a2!) for an odd
+    total and 0 for an even one.
     """
     if not 1 <= max_order <= MAX_TABLE_ORDER:
         raise ValueError(f"max_order must be in [1, {MAX_TABLE_ORDER}], got {max_order}")
-    a, b = Fraction(0), Fraction(1)
-    c, d = Fraction(0), Fraction(3)
-    mx, my = (a + b) / 2, (c + d) / 2
-    entries: dict[tuple[int, int], Fraction] = {}
-    for k in range(1, max_order + 1):
-        for a1 in range(k + 1):
-            a2 = k - a1
-            lhs = b**a1 * d**a2 - a**a1 * c**a2
-            for (b1, b2), coeff in entries.items():
-                lhs -= (
-                    coeff
-                    * _monomial_partial(a1, a2, b1, b2, mx, my)
-                    * (b - a) ** b1
-                    * (d - c) ** b2
-                )
-            denom = (
-                Fraction(math.factorial(a1) * math.factorial(a2))
-                * (b - a) ** a1
-                * (d - c) ** a2
-            )
-            entries[(a1, a2)] = lhs / denom
-    return entries
+    return {
+        (a1, k - a1): Fraction(2 * (k % 2), 2**k * math.factorial(a1) * math.factorial(k - a1))
+        for k in range(1, max_order + 1)
+        for a1 in range(k + 1)
+    }
 
 
 def _zero_partial(x, y):

@@ -263,7 +263,8 @@ def run_experiment(config: dict, out_dir: Path, workers: int = 1,
     if verbose:
         for test in result.tests:
             status = "PASS" if test["verdict"] else "FAIL"
-            print(f"  [{status}] {test['name']}: {test['statistic']:.6g}")
+            stat = "null" if test["statistic"] is None else f"{test['statistic']:.6g}"
+            print(f"  [{status}] {test['name']}: {stat}")
     return result
 
 

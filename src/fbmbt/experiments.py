@@ -6,7 +6,9 @@ command-line runner serializes these; the acceptance test suite asserts on
 the verdicts directly.  All thresholds live in the ``THRESHOLDS`` table so
 they are pinned in exactly one place, and each kind of verdict is decided by
 one method: ``add_variance`` (a sample variance against its limit), ``add_ks``
-(a two-sample law match) and ``add_near`` (a number near a pinned constant).
+(a two-sample law match), ``add_near`` (a number near a pinned constant)
+and ``add_rate`` (a fitted log2-rate, whose verdict fails with a null
+statistic when a value <= 0 leaves no rate to fit).
 
 Estimator functions take a list of replication seeds plus keyword
 configuration, return one value per seed, and are defined at module top
@@ -37,11 +39,9 @@ from .fgn import (
     grid_spacing,
     rho,
     sample_fbm_2d,
-    sum_rho_cubed,
 )
 from .limitlaw import (
     default_kappas,
-    kappa_constants,
     sample_change_of_variable_rhs,
     sample_correction_fbm,
 )
@@ -107,11 +107,11 @@ class ExperimentResult:
     rates: list = field(default_factory=list)
     raw: list = field(default_factory=list)
 
-    def add_test(self, name: str, statistic: float, verdict: bool, p_value=None):
+    def add_test(self, name: str, statistic: float | None, verdict: bool, p_value=None):
         self.tests.append(
             {
                 "name": name,
-                "statistic": float(statistic),
+                "statistic": None if statistic is None else float(statistic),
                 "p_value": None if p_value is None else float(p_value),
                 "verdict": bool(verdict),
             }
@@ -129,9 +129,8 @@ class ExperimentResult:
         self.add_test(name, ks.statistic, ks.statistic < THRESHOLDS[name], p_value=ks.p_value)
 
     def add_near(self, name: str, statistic: float, key: str):
-        """``statistic`` within ``tol`` of ``center``; ``THRESHOLDS[key]`` is both."""
-        center, tol = THRESHOLDS[key]
-        self.add_test(name, statistic, abs(statistic - center) <= tol)
+        """``statistic`` near a pinned constant (``_near``)."""
+        self.add_test(name, statistic, _near(key)(statistic))
 
     def add_level(self, n: int, values: np.ndarray):
         mean = float(np.mean(values))
@@ -146,15 +145,27 @@ class ExperimentResult:
             }
         )
 
-    def add_rate(self, name: str, levels, values) -> float:
-        """Fit log2(values) on the levels, record the fit and return its slope."""
-        fit = fit_rate(levels, values)
-        self.rates.append({"name": name, "slope": fit.slope, "r_squared": fit.r_squared})
-        return fit.slope
+    def add_rate(self, name: str, levels, values, test: str, passes):
+        """Fit log2(values) on the levels and record the fit, then the verdict
+        ``test`` of ``passes(slope)``, whose statistic is the slope.  A value
+        <= 0 has no log: the fit is recorded with a null slope and r_squared,
+        and the verdict fails with a null statistic."""
+        fit = fit_rate(levels, values) if min(values) > 0 else None
+        slope = None if fit is None else fit.slope
+        self.rates.append({"name": name, "slope": slope,
+                           "r_squared": None if fit is None else fit.r_squared})
+        self.add_test(test, slope, fit is not None and passes(slope))
 
     def add_raw(self, statistic: str, values, seeds):
         for i, (v, s) in enumerate(zip(values, seeds)):
             self.raw.append((i, int(s), statistic, float(v)))
+
+
+def _near(key: str):
+    """Whether a number is within ``tol`` of ``center``; ``THRESHOLDS[key]``
+    is both."""
+    center, tol = THRESHOLDS[key]
+    return lambda s: abs(s - center) <= tol
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -296,8 +307,8 @@ def run_rho_table() -> ExperimentResult:
 def run_constants() -> ExperimentResult:
     """Certified series constant S and the kappa weights derived from it."""
     res = ExperimentResult()
-    series = sum_rho_cubed(H_SPECIAL, 10**6)
-    kap = kappa_constants(series)
+    kap = default_kappas()
+    series = kap.series
     res.series_constants = {
         "S": series.partial_sum,
         "tail_bound": series.tail_bound,
@@ -318,8 +329,19 @@ def run_constants() -> ExperimentResult:
     return res
 
 
+def _monomial_partial(a1: int, a2: int, b1: int, b2: int, x: Fraction, y: Fraction) -> Fraction:
+    """d^{b1,b2} (x^a1 y^a2) evaluated at exact rational (x, y)."""
+    if b1 > a1 or b2 > a2:
+        return Fraction(0)
+    c = Fraction(math.factorial(a1), math.factorial(a1 - b1))
+    c *= Fraction(math.factorial(a2), math.factorial(a2 - b2))
+    return c * x ** (a1 - b1) * y ** (a2 - b2)
+
+
 def run_taylor_table() -> ExperimentResult:
-    """Midpoint Taylor coefficients: documented rationals, even orders vanish."""
+    """Midpoint Taylor coefficients: documented rationals, even orders
+    vanish, and the order-12 expansion is exact on every monomial x^i y^j,
+    i + j <= 12, between a pair of rational points, in exact arithmetic."""
     res = ExperimentResult()
     table = midpoint_taylor_table(12)
     expected = {
@@ -333,13 +355,20 @@ def run_taylor_table() -> ExperimentResult:
     for key, want in expected.items():
         got = table[key]
         res.add_test(f"coeff_{key[0]}{key[1]}", float(got), got == want)
-    even_ok = all(
-        table[a1, a2] == 0
-        for k in range(2, 13, 2)
-        for a1 in range(k + 1)
-        for a2 in [k - a1]
-    )
+    even_ok = all(c == 0 for (a1, a2), c in table.items() if (a1 + a2) % 2 == 0)
     res.add_test("even_orders_vanish", 0.0 if even_ok else 1.0, even_ok)
+    # f(b, d) - f(a, c) against the expansion about the midpoint; the
+    # statistic is the largest absolute miss over the monomials.
+    a, c, b, d = Fraction(1, 3), Fraction(-1, 2), Fraction(2), Fraction(5, 7)
+    mx, my = (a + b) / 2, (c + d) / 2
+    miss = max(
+        abs(sum(coeff * _monomial_partial(i, j, b1, b2, mx, my) * (b - a) ** b1 * (d - c) ** b2
+                for (b1, b2), coeff in table.items())
+            - (b**i * d**j - a**i * c**j))
+        for i in range(13)
+        for j in range(13 - i)
+    )
+    res.add_test("expansion_exact", float(miss), miss == 0)
     return res
 
 
@@ -461,10 +490,11 @@ def run_converge_h_gt(
         partial(draw_v_pq, H=H, t=t, fname=function, p=p, q=q),
         levels, replications, master_seed, 1, workers,
     )]
-    slope = res.add_rate("v_pq_second_moment", levels, v_means)
-    res.add_test("v_pq_slope", slope, slope <= THRESHOLDS["decay_slope_max"])
+    res.add_rate("v_pq_second_moment", levels, v_means,
+                 "v_pq_slope", lambda s: s <= THRESHOLDS["decay_slope_max"])
+    # A first level whose moment is 0 leaves the drop undefined, and failed.
     res.add_test(
-        "v_pq_endpoint_drop", v_means[-1] / v_means[0],
+        "v_pq_endpoint_drop", v_means[-1] / v_means[0] if v_means[0] > 0 else None,
         v_means[-1] < 0.25 * v_means[0],
     )
     r_means = [float(np.mean(v**2)) for v in _level_draws(
@@ -472,10 +502,9 @@ def run_converge_h_gt(
         partial(draw_skeleton_residual, H=H, t=t, fname=function),
         levels, replications, master_seed, 2, workers,
     )]
-    slope = res.add_rate("residual_second_moment", levels, r_means)
     decreasing = all(b < a for a, b in zip(r_means, r_means[1:]))
     res.add_test("residual_decreasing", float(decreasing), decreasing)
-    res.add_test("residual_slope", slope, slope < 0.0)
+    res.add_rate("residual_second_moment", levels, r_means, "residual_slope", lambda s: s < 0.0)
     return res
 
 
@@ -559,19 +588,16 @@ def run_diverge_h_lt(
         res, "v3", partial(draw_v3, H=H, t=t, fname=function),
         levels, replications, master_seed, 1, workers,
     )]
-    slope = res.add_rate("v3_variance", levels, v_vars)
-    res.add_near("v3_variance_slope", slope, "divergence_slope")
+    res.add_rate("v3_variance", levels, v_vars, "v3_variance_slope", _near("divergence_slope"))
 
     norm_vars = [float(np.var(v, ddof=1)) for v in _level_draws(
         res, "v_tilde3_norm", partial(draw_v_tilde_3, H=H, t=t, fname=function),
         levels, fbmbt_replications, master_seed, 2, workers,
         scale=lambda n: 2.0 ** (-n * (1.0 - 6.0 * H) / 4.0),
     )]
-    slope = res.add_rate("v_tilde3_normalized_variance", levels, norm_vars)
-    res.add_test(
-        "v_tilde3_normalized_slope", slope,
-        abs(slope) <= THRESHOLDS["normalized_slope_abs"],
-    )
+    res.add_rate("v_tilde3_normalized_variance", levels, norm_vars,
+                 "v_tilde3_normalized_slope",
+                 lambda s: abs(s) <= THRESHOLDS["normalized_slope_abs"])
     return res
 
 

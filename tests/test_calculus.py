@@ -14,6 +14,7 @@ from fbmbt.calculus import (
     midpoint_taylor_table,
 )
 from fbmbt.calculus import test_function_names as function_names
+from fbmbt.experiments import _monomial_partial
 
 
 def test_hermite_low_orders():
@@ -39,6 +40,28 @@ def test_hermite_expand_cube():
 def test_hermite_expand_fifth_power():
     exp = hermite_expand(5)
     assert exp.coefficients == {5: Fraction(1), 3: Fraction(10), 1: Fraction(15)}
+
+
+def _hermite_by_recurrence(p):
+    """The coefficients of x^p in the Hermite basis, built up one factor x
+    at a time by x H_q = H_{q+1} + q H_{q-1}, zeros dropped."""
+    coeffs = {0: Fraction(1)}
+    for _ in range(p):
+        nxt = {}
+        for q, c in coeffs.items():
+            nxt[q + 1] = nxt.get(q + 1, Fraction(0)) + c
+            if q >= 1:
+                nxt[q - 1] = nxt.get(q - 1, Fraction(0)) + q * c
+        coeffs = nxt
+    return {q: c for q, c in coeffs.items() if c}
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_hermite_expand_matches_the_recurrence(p):
+    # Same coefficients in the same order, highest first.
+    want = _hermite_by_recurrence(p)
+    assert list(hermite_expand(p).coefficients.items()) == list(want.items())
+    assert list(want) == list(range(p, -1, -2))
 
 
 def test_hermite_expand_reconstructs_powers():
@@ -67,16 +90,34 @@ def test_taylor_table_even_orders_vanish():
             assert coeff == 0, (a1, a2)
 
 
+def _taylor_by_solving(max_order):
+    """The midpoint coefficients solved order by order in exact arithmetic
+    between the points (0, 0) and (1, 3): plugging f = x^a1 y^a2 of total
+    order k into the expansion leaves one unknown, C(a1, a2), once every
+    lower order is known, since the only order-k partial that survives on a
+    monomial is its own."""
+    a, b, c, d = Fraction(0), Fraction(1), Fraction(0), Fraction(3)
+    mx, my = (a + b) / 2, (c + d) / 2
+    entries = {}
+    for k in range(1, max_order + 1):
+        for a1 in range(k + 1):
+            a2 = k - a1
+            lhs = b**a1 * d**a2 - a**a1 * c**a2
+            for (b1, b2), coeff in entries.items():
+                lhs -= (coeff * _monomial_partial(a1, a2, b1, b2, mx, my)
+                        * (b - a) ** b1 * (d - c) ** b2)
+            entries[a1, a2] = lhs / (math.factorial(a1) * math.factorial(a2)
+                                     * (b - a) ** a1 * (d - c) ** a2)
+    return entries
+
+
 def test_taylor_table_closed_form():
-    # C(a1, a2) = 2^{1-(a1+a2)} / (a1! a2!) for odd totals
-    table = midpoint_taylor_table(9)
-    for (a1, a2), coeff in table.items():
-        k = a1 + a2
-        if k % 2 == 1:
-            want = Fraction(2) ** (1 - k) / (
-                math.factorial(a1) * math.factorial(a2)
-            )
-            assert coeff == want, (a1, a2)
+    # The closed form 2^{1-(a1+a2)} / (a1! a2!), 0 on even totals, gives
+    # what solving order by order gives, key for key and in the same order.
+    for k in range(1, 14):
+        got, want = midpoint_taylor_table(k), _taylor_by_solving(k)
+        assert list(got.items()) == list(want.items()), k
+        assert all(type(v) is Fraction for v in got.values())
 
 
 def test_taylor_table_reproduces_polynomial_difference():

@@ -2,12 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import fbmbt
-from fbmbt.cli import ConfigurationError, main, run_experiment
+from fbmbt.calculus import get_test_function
+from fbmbt.calculus import test_function_names as function_names
+from fbmbt.cli import ConfigurationError, _validate, main, run_experiment
 
 
 def _write_config(tmp_path, config, name="cfg.json"):
@@ -436,3 +441,82 @@ def test_runtime_needs_numpy_only():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _strict_json(path):
+    """The JSON in the file at ``path``, refusing NaN and infinities."""
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "config, unfitted",
+    [
+        ({"experiment": "converge-h-gt", "levels": [0, 1, 2], "t": 1, "replications": 2,
+          "master_seed": 1}, {"residual_second_moment": "residual_slope"}),
+        ({"experiment": "diverge-h-lt", "levels": [0, 1, 2], "t": 1, "replications": 2,
+          "fbmbt_replications": 2, "master_seed": 1},
+         {"v_tilde3_normalized_variance": "v_tilde3_normalized_slope"}),
+    ],
+)
+def test_a_rate_that_cannot_be_fitted_is_a_failed_verdict(tmp_path, capsys, config, unfitted):
+    # Both Brownian-clock draws end at j* = 0 at some level, so that level's
+    # moment is 0 and has no log: the rate's verdict fails, with a null
+    # statistic and a null fit, and both outputs are written.
+    cfg = _write_config(tmp_path, config)
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "--verbose"]) == 1
+    out = capsys.readouterr().out
+    exp = config["experiment"]
+    summary = _strict_json(tmp_path / f"{exp}.json")
+    assert (tmp_path / f"{exp}.csv").read_text().startswith("replication,seed,statistic,value\n")
+    assert {r["name"]: r for r in summary["rates"] if r["slope"] is None} == {
+        name: {"name": name, "slope": None, "r_squared": None} for name in unfitted}
+    assert {t["name"]: t["verdict"] for t in summary["tests"] if t["statistic"] is None} == {
+        name: False for name in unfitted.values()}
+    for name in unfitted.values():
+        assert f"  [FAIL] {name}: null\n" in out
+
+
+_COUNTS = st.integers(2, 4)
+_SMALL_LEVELS = st.lists(st.integers(0, 6), min_size=3, max_size=4, unique=True).map(sorted)
+# Functions whose third-order sums are not identically 0, as the rate fits need.
+_THIRD_ORDER_FUNCTIONS = [name for name in function_names()
+                          if not all(get_test_function(name).vanishes(a, 3 - a) for a in range(4))]
+
+
+@st.composite
+def _small_configs(draw):
+    """A small config of an experiment that draws, counts 2-4 and levels <= 6."""
+    exp = draw(st.sampled_from(["converge-h-gt", "diverge-h-lt", "skeleton-suite",
+                                "law-h-eq", "identity-suite"]))
+    config = {"experiment": exp, "master_seed": draw(st.integers(0, 2**64 - 1)),
+              "replications": draw(_COUNTS)}
+    if exp != "identity-suite":
+        config["t"] = draw(st.floats(0.5, 2.0))
+    if exp in ("converge-h-gt", "diverge-h-lt"):
+        config.update(levels=draw(_SMALL_LEVELS), H=draw(st.floats(0.01, 0.99)),
+                      function=draw(st.sampled_from(_THIRD_ORDER_FUNCTIONS)))
+    if exp == "diverge-h-lt":
+        config["fbmbt_replications"] = draw(_COUNTS)
+    if exp in ("skeleton-suite", "law-h-eq"):
+        config["n"] = draw(st.integers(0, 6))
+    if exp == "law-h-eq":
+        config.update(ks_replications=draw(_COUNTS), mixture_replications=draw(_COUNTS),
+                      modulus_replications=draw(_COUNTS), mesh=draw(st.floats(2.0**-6, 1.0)),
+                      modulus_levels=draw(st.lists(st.integers(0, 6), min_size=1, max_size=2)))
+    return config
+
+
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.filter_too_much])
+@given(config=_small_configs())
+def test_no_valid_config_is_an_internal_error(config):
+    # A valid config ends in a verdict, passed or failed: never exit 4.
+    try:
+        _validate(config)
+    except ConfigurationError:
+        assume(False)
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", out]) in (0, 1)

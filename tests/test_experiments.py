@@ -1,9 +1,13 @@
 """The verdict helpers of ``ExperimentResult``: each judges its statistic
 against its ``THRESHOLDS`` entry with the comparison it documents, checked
-one ``math.nextafter`` either side of the edge; and ``law-h-eq``'s modulus
-ratio equals the double loop over replication rows and horizon pairs."""
+one ``math.nextafter`` either side of the edge, and a rate that cannot be
+fitted fails its verdict with a null statistic; ``taylor-table``'s
+exactness check fails on one wrong coefficient of any order; and
+``law-h-eq``'s modulus ratio equals the double loop over replication rows
+and horizon pairs."""
 
 import math
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -14,9 +18,10 @@ from fbmbt.experiments import (
     _level_master,
     draw_w3_horizons,
     run_law_h_eq,
+    run_taylor_table,
 )
 from fbmbt.fgn import H_SPECIAL
-from fbmbt.stats import ks_two_sample, mc_run
+from fbmbt.stats import fit_rate, ks_two_sample, mc_run
 
 
 def _verdict(res):
@@ -54,6 +59,45 @@ def test_add_ks_needs_a_distance_below_the_threshold(monkeypatch):
     monkeypatch.setitem(experiments.THRESHOLDS, "ks_v3_correction", math.nextafter(0.5, 1.0))
     res.add_ks("ks_v3_correction", lhs, rhs)
     assert _verdict(res)
+
+
+def test_add_rate_records_the_fit_and_judges_its_slope():
+    levels, values = (1, 2, 3), (2.0, 4.0, 8.0)
+    fit = fit_rate(levels, values)
+    res = ExperimentResult()
+    res.add_rate("r", levels, values, "r_slope", lambda s: s <= fit.slope)
+    res.add_rate("r", levels, values, "r_slope", lambda s: s < fit.slope)
+    assert res.rates == [{"name": "r", "slope": fit.slope, "r_squared": fit.r_squared}] * 2
+    assert [t["verdict"] for t in res.tests] == [True, False]
+    assert [t["statistic"] for t in res.tests] == [fit.slope] * 2
+
+
+@pytest.mark.parametrize("values", [(2.0, 0.0, 8.0), (0.0, 0.0, 0.0), (1.0, -1.0, 2.0)])
+def test_a_rate_that_cannot_be_fitted_fails_its_verdict(values):
+    # Nothing is asked of the slope: the verdict fails whatever it would say.
+    with pytest.raises(ValueError):
+        fit_rate((1, 2, 3), values)
+    res = ExperimentResult()
+    res.add_rate("r", (1, 2, 3), values, "r_slope", lambda s: True)
+    assert res.rates == [{"name": "r", "slope": None, "r_squared": None}]
+    assert res.tests == [{"name": "r_slope", "statistic": None, "p_value": None,
+                          "verdict": False}]
+
+
+def test_taylor_table_expansion_is_exact():
+    (test,) = [t for t in run_taylor_table().tests if t["name"] == "expansion_exact"]
+    assert test == {"name": "expansion_exact", "statistic": 0.0, "p_value": None,
+                    "verdict": True}
+
+
+@pytest.mark.parametrize("key", [(2, 1), (2, 2), (7, 4), (6, 6), (0, 11)])
+def test_one_wrong_coefficient_fails_the_exactness_check(monkeypatch, key):
+    # Odd and even orders alike, and orders that no other verdict reads.
+    table = experiments.midpoint_taylor_table
+    monkeypatch.setattr(experiments, "midpoint_taylor_table",
+                        lambda k: {**table(k), key: Fraction(1, 7)})
+    (test,) = [t for t in run_taylor_table().tests if t["name"] == "expansion_exact"]
+    assert not test["verdict"] and test["statistic"] > 0.0
 
 
 def _modulus_ratio_loop(master_seed, levels, replications):
