@@ -2,10 +2,10 @@
 
 Probabilists' Hermite polynomials, the exact Hermite-basis expansion of
 monomials, the midpoint (second-order-centered) odd-order Taylor coefficient
-table, and a small catalog of smooth two-variable test functions carrying
-oracles for all partial derivatives up to total order three.  A monomial
-records, when it is built, which of its partials vanish identically and
-which of x and y each partial depends on.
+table, and a small catalog of smooth two-variable test functions, each one
+evaluator of its partials up to total order three, which computes once what
+the partials a caller asks for share, and two records of plain data: the
+partials that vanish identically and the variables each partial depends on.
 
 Integer powers of arrays are products: x^k is x * x * ... * x, multiplied
 left to right (``_power``), whose bits IEEE multiplication defines, where
@@ -112,46 +112,45 @@ def midpoint_taylor_table(max_order: int) -> dict[tuple[int, int], Fraction]:
     }
 
 
-def _zero_partial(x, y):
-    """The one partial that vanishes identically, shared by every function."""
-    return np.zeros(np.broadcast(x, y).shape)
+# The partials a test function carries: every (a1, a2) of total order <= 3.
+_KEYS = frozenset((a1, a2) for a1 in range(4) for a2 in range(4 - a1))
 
 
 @dataclass(frozen=True)
 class TestFunction2D:
-    """Smooth f(x, y) together with all partials up to total order 3.
-    ``_depends`` maps a partial to whether it depends on x and on y,
-    and a partial it leaves out depends on both; ``_shared``, when given,
-    evaluates several partials at the same points, computing the factors
-    they share once (``partials_at``)."""
+    """Smooth f(x, y) with all partials up to total order 3, evaluated by
+    one call: ``_evaluate(keys, x, y)`` returns the (a1, a2) partials in
+    ``keys`` at (x, y), in that order, computing the factors they share
+    once.  The rest is data: ``_vanishing`` holds the partials that are
+    identically zero, and ``_depends`` maps a partial to whether it depends
+    on x and on y; a partial it leaves out depends on both."""
 
     name: str
-    _partials: dict[tuple[int, int], Callable]
+    _evaluate: Callable
+    _vanishing: frozenset = frozenset()
     _depends: dict[tuple[int, int], tuple[bool, bool]] = field(default_factory=dict)
-    _shared: Callable | None = None
 
     def __call__(self, x, y):
-        return self._partials[(0, 0)](x, y)
+        return self._evaluate(((0, 0),), x, y)[0]
 
-    def partial(self, a1: int, a2: int) -> Callable:
-        try:
-            return self._partials[(a1, a2)]
-        except KeyError:
-            raise ValueError(
-                f"test function {self.name!r} carries partials up to total order 3, "
-                f"requested ({a1},{a2})"
-            ) from None
+    def _check(self, keys) -> None:
+        for a1, a2 in keys:
+            if (a1, a2) not in _KEYS:
+                raise ValueError(
+                    f"test function {self.name!r} carries partials up to total order 3, "
+                    f"requested ({a1},{a2})"
+                )
 
     def partials_at(self, keys, x, y) -> list:
         """The (a1, a2) partials in ``keys`` evaluated at (x, y), in that
-        order, each bit for bit what ``partial(a1, a2)(x, y)`` gives."""
-        if self._shared is not None:
-            return self._shared(keys, x, y)
-        return [self.partial(*a)(x, y) for a in keys]
+        order, each bit for bit what it is when evaluated alone."""
+        self._check(keys)
+        return self._evaluate(keys, x, y)
 
     def vanishes(self, a1: int, a2: int) -> bool:
         """True when the (a1, a2) partial is identically zero."""
-        return self.partial(a1, a2) is _zero_partial
+        self._check([(a1, a2)])
+        return (a1, a2) in self._vanishing
 
     def depends(self, a1: int, a2: int) -> tuple[bool, bool]:
         """Whether the (a1, a2) partial depends on x and whether it depends
@@ -175,9 +174,9 @@ def _sin_x_cos_y_function() -> TestFunction2D:
         fy = np.cos if a2 % 2 == 0 else np.sin
         return fx, fy, -1.0 if (a1 >= 2) != (a2 in (1, 2)) else 1.0
 
-    rules = {(a1, a2): rule(a1, a2) for a1 in range(4) for a2 in range(4 - a1)}
+    rules = {key: rule(*key) for key in _KEYS}
 
-    def shared(keys, x, y) -> list:
+    def evaluate(keys, x, y) -> list:
         xs, ys, out = {}, {}, []
         for key in keys:
             fx, fy, sign = rules[key]
@@ -188,8 +187,7 @@ def _sin_x_cos_y_function() -> TestFunction2D:
             out.append(sign * (xs[fx] * ys[fy]))
         return out
 
-    partials = {key: lambda x, y, key=key: shared((key,), x, y)[0] for key in rules}
-    return TestFunction2D(name="sin_x_cos_y", _partials=partials, _shared=shared)
+    return TestFunction2D("sin_x_cos_y", evaluate)
 
 
 def _bump_function() -> TestFunction2D:
@@ -206,57 +204,53 @@ def _bump_function() -> TestFunction2D:
              lambda w: -(w**6) + 6.0 * w**5 - 6.0 * w**4)
     c = {(a, i): math.factorial(a) / (math.factorial(i) * math.factorial(a - 2 * i) * 2**a)
          for a in range(4) for i in range(a // 2 + 1)}
+    terms = {(a1, a2): [(c[a1, i] * c[a2, j], a1 - 2 * i, a2 - 2 * j, a1 + a2 - i - j)
+                        for i in range(a1 // 2 + 1) for j in range(a2 // 2 + 1)]
+             for a1, a2 in _KEYS}
 
-    def make(a1: int, a2: int) -> Callable:
-        terms = [(c[a1, i] * c[a2, j], a1 - 2 * i, a2 - 2 * j, chain[a1 + a2 - i - j])
-                 for i in range(a1 // 2 + 1) for j in range(a2 // 2 + 1)]
-
-        def deriv(xv, yv):
-            xb, yb = np.broadcast_arrays(
-                np.asarray(xv, dtype=np.float64), np.asarray(yv, dtype=np.float64)
-            )
-            out = np.zeros(xb.shape)
-            mask = xb**2 + yb**2 < 4.0 - 1e-12
-            if mask.any():
-                x, y = xb[mask], yb[mask]
-                w = 4.0 / (4.0 - (x**2 + y**2))
-                out[mask] = np.exp(-w) * sum(
-                    _powers(coef, x, y, px, py) * h(w) for coef, px, py, h in terms
+    def evaluate(keys, xv, yv) -> list:
+        xb, yb = np.broadcast_arrays(
+            np.asarray(xv, dtype=np.float64), np.asarray(yv, dtype=np.float64)
+        )
+        out = [np.zeros(xb.shape) for _ in keys]
+        mask = xb**2 + yb**2 < 4.0 - 1e-12
+        if mask.any():
+            x, y = xb[mask], yb[mask]
+            w = 4.0 / (4.0 - (x**2 + y**2))
+            e = np.exp(-w)
+            h = functools.cache(lambda k: chain[k](w))
+            for key, deriv in zip(keys, out):
+                deriv[mask] = e * sum(
+                    _powers(coef, x, y, px, py) * h(k) for coef, px, py, k in terms[key]
                 )
-            return out if out.ndim else float(out)
+        return [deriv if deriv.ndim else float(deriv) for deriv in out]
 
-        return deriv
-
-    partials = {(a1, a2): make(a1, a2) for a1 in range(4) for a2 in range(4 - a1)}
-    return TestFunction2D(name="bump", _partials=partials)
+    return TestFunction2D("bump", evaluate)
 
 
 def _monomial_function(a: int, b: int) -> TestFunction2D:
-    name = _monomial_name(a, b)
+    """x^a y^b: the (a1, a2) partial is a!/(a-a1)! b!/(b-a2)! times the
+    ``_powers`` product x^(a-a1) y^(b-a2), zero when a1 > a or a2 > b."""
+    live = {(a1, a2): (np.float64(math.perm(a, a1) * math.perm(b, a2)), a - a1, b - a2)
+            for a1, a2 in _KEYS if a1 <= a and a2 <= b}
 
-    def make(a1: int, a2: int) -> Callable:
-        if a1 > a or a2 > b:
-            return _zero_partial
-        coef = np.float64(
-            math.factorial(a) // math.factorial(a - a1)
-            * (math.factorial(b) // math.factorial(b - a2))
-        )
-        pa, pb = a - a1, b - a2
+    def evaluate(keys, x, y) -> list:
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        out = []
+        for key in keys:
+            if key not in live:
+                out.append(np.zeros(shape))
+                continue
+            coef, p, q = live[key]
+            w = _powers(coef, x, y, p, q)
+            # A skipped factor x^0 or y^0 would have broadcast w: a constant
+            # partial is its one value, broadcast without a copy.
+            out.append(w if np.shape(w) == shape else np.broadcast_to(w, shape))
+        return out
 
-        def deriv(x, y, coef=coef, pa=pa, pb=pb):
-            x = np.asarray(x, dtype=np.float64)
-            y = np.asarray(y, dtype=np.float64)
-            w = _powers(coef, x, y, pa, pb)
-            shape = np.broadcast_shapes(x.shape, y.shape)
-            # A skipped factor x^0 or y^0 (all ones) would have broadcast w.
-            return w if np.shape(w) == shape else w * np.ones(shape)
-
-        return deriv
-
-    partials = {(a1, a2): make(a1, a2) for a1 in range(4) for a2 in range(4 - a1)}
-    # The (a1, a2) partial keeps a factor x^(a - a1) and y^(b - a2).
-    depends = {key: (a > key[0], b > key[1]) for key in partials}
-    return TestFunction2D(name=name, _partials=partials, _depends=depends)
+    depends = {key: (a > key[0], b > key[1]) for key in _KEYS}
+    return TestFunction2D(_monomial_name(a, b), evaluate, _KEYS - live.keys(), depends)
 
 
 def _monomial_name(a: int, b: int) -> str:

@@ -14,7 +14,8 @@ independent of X.  Both samplers take a list of seeds and return one value
 per seed.  ``sample_correction_fbm`` draws a left-point Euler realization
 of that integral.  ``sample_change_of_variable_rhs`` first draws the
 Brownian time Y_t ~ N(0, t), integrates out to |Y_t|, and returns
-f(X_{Y_t}) - f(X_0) minus that correction.
+f(X_{Y_t}) - f(X_0) minus that correction, f read at the ends of all seeds
+in one array call.
 
 Given X, the Euler sum sum_i kappa_i sum_k g_i(X_k) (B^i_{k+1} - B^i_k) is a
 sum of independent centred normals, so it is exactly
@@ -201,6 +202,4 @@ def sample_change_of_variable_rhs(
     y = [math.sqrt(t) * float(keyed(s, STREAM_Y).standard_normal()) if t else 0.0
          for s in seeds]
     corr, x1_end, x2_end = _euler_sum(f, [abs(v) for v in y], mesh, seeds, _RHS_READS)
-    f0 = float(f(0.0, 0.0))
-    return np.array([float(f(a, b)) - f0 - c
-                     for a, b, c in zip(x1_end.tolist(), x2_end.tolist(), corr.tolist())])
+    return f(x1_end, x2_end) - float(f(0.0, 0.0)) - corr

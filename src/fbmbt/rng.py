@@ -1,12 +1,16 @@
 """Deterministic seed derivation for parallel Monte Carlo.
 
-Every random object in the toolkit draws from a numpy Philox (counter-based)
-generator whose key is derived from a user-supplied 64-bit master seed through
-the SplitMix64 mixing function.  Replication i of an experiment uses
-``derive_seed(master_seed, i)``; within one replication, each stochastic
-component (fBm component 1/2, the skeleton walk or its terminal position, the
-normal of the H = 1/6 correction, the Brownian time draw) gets its own stream
-via a fixed offset.
+Every fBm path, walk and normal in the toolkit draws from a numpy Philox
+(counter-based) generator whose key is derived from a user-supplied 64-bit
+master seed through the SplitMix64 mixing function.  Replication i of an
+experiment uses ``derive_seed(master_seed, i)``; within one replication, each
+stochastic component (fBm component 1/2, the skeleton walk or its terminal
+position, the normal of the H = 1/6 correction, the Brownian time draw) gets
+its own stream via a fixed offset.  The one exception,
+``experiments._identity_instance``, draws an identity instance's parameters
+(horizon, H, n, t, f, (p, q)) from a PCG64 ``np.random.default_rng(seed)``
+on the replication seed; keying them would change every instance and the
+identity-suite CSV.
 The scheme is stateless, so results are independent of execution order.
 
 A Philox stream is a function of its key and counter alone (Salmon et al.,

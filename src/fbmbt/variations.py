@@ -5,11 +5,12 @@ the smooth weight evaluated at the coordinate-wise midpoint of the
 increment, times factors of the increment, accumulated with one correctly
 rounded sum (``_fsum_rows``).  One kernel, ``_midpoint_sums``, computes the
 midpoints and increments of a path once and evaluates a table of
-(partials, increment exponents) terms on them; a term whose partials vanish
-identically (known for monomials when they are built) is 0.0 without being
-evaluated.  That record, with which variables each partial depends on,
-decides which of X^1 and X^2 a table of terms reads (``_components_read``),
-and an estimator draws only those.  Every functional returns its value: a
+(partials, increment exponents) terms on them, the live partials from one
+evaluator call; a term whose partials vanish identically (recorded as data
+with each catalog function) is 0.0 without being evaluated.  That record,
+with which variables each partial depends on, decides which of X^1 and X^2
+a table of terms reads (``_components_read``), and an estimator draws only
+those.  Every functional returns its value: a
 float for one path, summed by ``math.fsum``.  The Monte Carlo estimators
 (``experiments``) skip the path objects: they pass the kernel sums a block
 of fBm rows (one row per seed, paths along the last axis), and get
@@ -191,7 +192,7 @@ def _midpoint_sums(
     live = list(dict.fromkeys(a for partials, _ in terms for a in partials if not f.vanishes(*a)))
     values = dict(zip(live, f.partials_at(live, mid1, mid2)))
     for i, (partials, (p, q)) in enumerate(terms):
-        weights = [np.asarray(values[a], dtype=np.float64) for a in partials if a in values]
+        weights = [values[a] for a in partials if a in values]
         if weights:
             sums[i] = _fsum_rows(factor(sum(weights[1:], weights[0]), d1, d2, p, q), counts)
     return sums

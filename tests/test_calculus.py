@@ -175,21 +175,21 @@ def test_partials_match_finite_differences(name):
     for x, y in pts:
         fd_x = (f(x + h, y) - f(x - h, y)) / (2 * h)
         fd_y = (f(x, y + h) - f(x, y - h)) / (2 * h)
-        assert float(f.partial(1, 0)(x, y)) == pytest.approx(fd_x, abs=1e-7)
-        assert float(f.partial(0, 1)(x, y)) == pytest.approx(fd_y, abs=1e-7)
+        assert float(f.partials_at([(1, 0)], x, y)[0]) == pytest.approx(fd_x, abs=1e-7)
+        assert float(f.partials_at([(0, 1)], x, y)[0]) == pytest.approx(fd_y, abs=1e-7)
         h3 = 1e-3  # larger step: third differences amplify roundoff as h^-3
         fd_xxx = (
             f(x + 2 * h3, y) - 2 * f(x + h3, y) + 2 * f(x - h3, y) - f(x - 2 * h3, y)
         ) / (2 * h3**3)
-        assert float(f.partial(3, 0)(x, y)) == pytest.approx(fd_xxx, abs=1e-4)
+        assert float(f.partials_at([(3, 0)], x, y)[0]) == pytest.approx(fd_xxx, abs=1e-4)
 
 
 def test_bump_vanishes_outside_support():
     f = get_test_function("bump")
     for a1 in range(4):
         for a2 in range(4 - a1):
-            assert float(f.partial(a1, a2)(3.0, 0.0)) == 0.0
-            assert float(f.partial(a1, a2)(1.5, 1.5)) == 0.0
+            assert float(f.partials_at([(a1, a2)], 3.0, 0.0)[0]) == 0.0
+            assert float(f.partials_at([(a1, a2)], 1.5, 1.5)[0]) == 0.0
 
 
 def test_bump_positive_inside():
@@ -200,16 +200,17 @@ def test_bump_positive_inside():
 
 def test_partials_beyond_order_three_rejected():
     f = get_test_function("sin_x_cos_y")
-    with pytest.raises(ValueError):
-        f.partial(4, 0)
+    for keys in ([(4, 0)], [(0, -1)], [(1, 0), (2, 2)]):
+        with pytest.raises(ValueError):
+            f.partials_at(keys, 0.3, -1.2)
 
 
 def test_monomial_partials_exact():
     f = get_test_function("x^3")
     x = np.array([0.5, -1.5, 2.0])
-    np.testing.assert_allclose(f.partial(3, 0)(x, x), 6.0 * np.ones_like(x))
-    np.testing.assert_allclose(f.partial(2, 0)(x, x), 6.0 * x)
-    np.testing.assert_allclose(f.partial(0, 1)(x, x), np.zeros_like(x))
+    np.testing.assert_allclose(f.partials_at([(3, 0)], x, x)[0], 6.0 * np.ones_like(x))
+    np.testing.assert_allclose(f.partials_at([(2, 0)], x, x)[0], 6.0 * x)
+    np.testing.assert_allclose(f.partials_at([(0, 1)], x, x)[0], np.zeros_like(x))
 
 
 def test_vanishes_exactly_when_partial_is_identically_zero():
@@ -220,7 +221,7 @@ def test_vanishes_exactly_when_partial_is_identically_zero():
         f = get_test_function(name)
         for a1 in range(4):
             for a2 in range(4 - a1):
-                zero = not np.any(np.asarray(f.partial(a1, a2)(x, y)))
+                zero = not np.any(np.asarray(f.partials_at([(a1, a2)], x, y)[0]))
                 assert f.vanishes(a1, a2) == zero, (name, a1, a2)
                 if name in ("sin_x_cos_y", "bump"):
                     assert not f.vanishes(a1, a2)
@@ -237,7 +238,9 @@ def test_depends_matches_a_perturbation_of_each_variable(name):
     f = get_test_function(name)
     for a1 in range(4):
         for a2 in range(4 - a1):
-            g = f.partial(a1, a2)
+            def g(x, y, key=(a1, a2)):
+                return f.partials_at([key], x, y)[0]
+
             base = np.asarray(g(x, y))
             moved = (np.asarray(g(x + 0.37, y)), np.asarray(g(x, y + 0.37)))
             for depends, value in zip(f.depends(a1, a2), moved):
@@ -266,8 +269,8 @@ def test_sin_x_cos_y_partials_equal_sympy_bitwise():
     f = get_test_function("sin_x_cos_y")
     x, y = np.random.default_rng(1).uniform(-7.0, 7.0, (2, 10**4))
     for (a1, a2), ref in oracle.items():
-        assert np.array_equal(f.partial(a1, a2)(x, y), ref(x, y)), (a1, a2)
-        assert f.partial(a1, a2)(0.3, -1.2) == ref(0.3, -1.2), (a1, a2)
+        assert np.array_equal(f.partials_at([(a1, a2)], x, y)[0], ref(x, y)), (a1, a2)
+        assert f.partials_at([(a1, a2)], 0.3, -1.2)[0] == ref(0.3, -1.2), (a1, a2)
 
 
 def test_bump_partials_match_sympy():
@@ -282,9 +285,9 @@ def test_bump_partials_match_sympy():
     assert inside.sum() >= 10**4
     for (a1, a2), ref in oracle.items():
         want = ref(x[inside], y[inside])
-        got = f.partial(a1, a2)(x[inside], y[inside])
+        got = f.partials_at([(a1, a2)], x[inside], y[inside])[0]
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (a1, a2)
-        assert isinstance(f.partial(a1, a2)(0.3, 0.2), float)
+        assert isinstance(f.partials_at([(a1, a2)], 0.3, 0.2)[0], float)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +338,9 @@ def test_monomial_partials_are_products():
                     coef = float(math.factorial(a) // math.factorial(a - a1)
                                  * (math.factorial(b) // math.factorial(b - a2)))
                     want = np.broadcast_to(_product_term(coef, x, y, a - a1, b - a2), x.shape)
-                    got = f.partial(a1, a2)(x, y)
+                    got = f.partials_at([(a1, a2)], x, y)[0]
                     assert got.tobytes() == want.tobytes(), (f.name, a1, a2)
-                    assert f.partial(a1, a2)(-0.7, 0.9) == want[-2], (f.name, a1, a2)
+                    assert f.partials_at([(a1, a2)], -0.7, 0.9)[0] == want[-2], (f.name, a1, a2)
 
 
 def test_bump_partials_are_products():
@@ -358,14 +361,16 @@ def test_bump_partials_are_products():
                 _product_term(c(a1, i) * c(a2, j), x, y, a1 - 2 * i, a2 - 2 * j)
                 * chain[a1 + a2 - i - j](w)
                 for i in range(a1 // 2 + 1) for j in range(a2 // 2 + 1))
-            assert f.partial(a1, a2)(x, y).tobytes() == want.tobytes(), (a1, a2)
+            assert f.partials_at([(a1, a2)], x, y)[0].tobytes() == want.tobytes(), (a1, a2)
 
 
 def test_partials_at_equal_each_partial_alone():
-    # Several partials at one set of points, in any order and with repeats,
-    # are bit for bit the partials evaluated one by one.  Each has the
-    # shape of its inputs, a (rows, width) block included: the midpoint
-    # kernels sum them as they come, without broadcasting.
+    # Several partials from one call, in any order and with repeats, are
+    # bit for bit the partials each asked for alone: the factors one call
+    # shares (sin x and cos y, the bump's support, w and exp(-w)) move no
+    # bit.  Each has the shape of its inputs, a (rows, width) block
+    # included: the midpoint kernels sum them as they come, without
+    # broadcasting.
     keys = [(a1, a2) for a1 in range(4) for a2 in range(4 - a1)]
     keys = keys[::-1] + keys[:3]
     for shape in ((4003,), (2, 4003), (4003, 1)):
@@ -375,6 +380,17 @@ def test_partials_at_equal_each_partial_alone():
             got = f.partials_at(keys, x, y)
             assert len(got) == len(keys)
             for key, value in zip(keys, got):
-                want = f.partial(*key)(x, y)
+                want = f.partials_at([key], x, y)[0]
                 assert np.shape(value) == shape, (name, key, shape)
                 assert np.asarray(value).tobytes() == np.asarray(want).tobytes(), (name, key)
+
+
+def test_constant_partials_allocate_no_block():
+    # x^3's third partial is the constant 6: on a block it is that one
+    # value broadcast, with no memory of its own; on scalars a float64.
+    f = get_test_function("x^3")
+    x, y = np.random.default_rng(5).uniform(-1.0, 1.0, (2, 400, 1024))
+    six = f.partials_at([(3, 0)], x, y)[0]
+    assert six.shape == (400, 1024) and six.strides == (0, 0)
+    assert np.all(six == 6.0)
+    assert type(f.partials_at([(3, 0)], 0.3, -1.2)[0]) is np.float64

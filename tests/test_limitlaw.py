@@ -5,6 +5,7 @@ import pytest
 
 from fbmbt import limitlaw, rng
 from fbmbt.calculus import get_test_function
+from fbmbt.calculus import test_function_names as function_names
 from fbmbt.fgn import H_SPECIAL, sample_increments, sum_rho_cubed
 from fbmbt.limitlaw import (
     default_kappas,
@@ -50,7 +51,7 @@ def _reference_euler_sum(f, length, mesh, seed):
         default_kappas().as_tuple, ((3, 0), (0, 3), (2, 1), (1, 2)), _REFERENCE_B_STREAMS
     ):
         db = generator(seed, stream).standard_normal(steps) * math.sqrt(h)
-        weight = np.asarray(f.partial(a1, a2)(x1[:-1], x2[:-1]), dtype=np.float64)
+        weight = np.asarray(f.partials_at([(a1, a2)], x1[:-1], x2[:-1])[0], dtype=np.float64)
         total += kappa * math.fsum(np.broadcast_to(weight * db, db.shape))
     return total, float(x1[-1]), float(x2[-1])
 
@@ -157,6 +158,30 @@ def test_rhs_shares_draws_with_correction():
     assert abs(recon - (-float(f(0.0, 0.0)))) <= 2.0 + 1e-9
 
 
+def _rhs_one_seed_at_a_time(f, t, mesh, seeds):
+    """The right-hand side read one seed at a time, one scalar f per seed on
+    ``_euler_sum``'s outputs: the oracle for reading f at the ends of all
+    seeds in one array call."""
+    corr, x1_end, x2_end = limitlaw._euler_sum(
+        f, np.abs(_brownian_times(t, seeds)).tolist(), mesh, seeds, limitlaw._RHS_READS)
+    f0 = float(f(0.0, 0.0))
+    return [float(f(a, b)) - f0 - c
+            for a, b, c in zip(x1_end.tolist(), x2_end.tolist(), corr.tolist())]
+
+
+@pytest.mark.parametrize("name", function_names())
+def test_rhs_equals_its_one_seed_at_a_time_form(name):
+    f = get_test_function(name)
+    seeds = [derive_seed(17, i) for i in range(6)]
+    for t in (0.0, 1.0, 3.0):
+        for mesh in (2.0**-4, 2.0**-7):
+            got = sample_change_of_variable_rhs(f, t, mesh, seeds)
+            want = np.array(_rhs_one_seed_at_a_time(f, t, mesh, seeds))
+            assert got.tobytes() == want.tobytes(), (t, mesh)
+            if t == 0.0:  # +0.0, not -0.0
+                assert not np.signbit(got).any() and not got.any()
+
+
 def test_zero_time_horizon():
     f = get_test_function("x^3")
     s = sample_correction_fbm(f, 0.0, 0.01, [1])
@@ -206,7 +231,7 @@ def test_euler_sum_is_one_conditional_normal(monkeypatch, fname):
         for stream in (rng.STREAM_X1, rng.STREAM_X2)
     )
     weight = sum(
-        kappa**2 * np.broadcast_to(f.partial(a1, a2)(x1, x2), (64,)) ** 2
+        kappa**2 * np.broadcast_to(f.partials_at([(a1, a2)], x1, x2)[0], (64,)) ** 2
         for kappa, (a1, a2) in zip(default_kappas().as_tuple,
                                    ((3, 0), (0, 3), (2, 1), (1, 2)))
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fbmbt import calculus
 from fbmbt.calculus import get_test_function, hermite_eval, hermite_expand
 from fbmbt.calculus import test_function_names as function_names
 from fbmbt.experiments import THRESHOLDS
@@ -318,13 +318,19 @@ def _ref_series(weight, v1, v2, p, q):
     return math.fsum(np.broadcast_to(terms, mid1.shape))
 
 
+def _partial(f, key):
+    """The ``key`` partial of f alone, as a function of (x, y)."""
+    return lambda x, y: f.partials_at([key], x, y)[0]
+
+
 def _ref_gradient(f, v1, v2):
-    return _ref_series(f.partial(1, 0), v1, v2, 1, 0) + _ref_series(f.partial(0, 1), v1, v2, 0, 1)
+    return (_ref_series(_partial(f, (1, 0)), v1, v2, 1, 0)
+            + _ref_series(_partial(f, (0, 1)), v1, v2, 0, 1))
 
 
 def _ref_third_order(f, v1, v2):
     coefs = {(3, 0): 1.0 / 24.0, (0, 3): 1.0 / 24.0, (1, 2): 1.0 / 8.0, (2, 1): 1.0 / 8.0}
-    return math.fsum(c * _ref_series(f.partial(*a), v1, v2, *a) for a, c in coefs.items())
+    return math.fsum(c * _ref_series(_partial(f, a), v1, v2, *a) for a, c in coefs.items())
 
 
 def _ref_hermite(f, path, v1, v2, p, q):
@@ -349,7 +355,7 @@ def _ref_k_components(f, path, v1, v2):
         return hermite_eval(order, np.diff(v) * inv_sd) * inv_sd**-order
 
     def weighted(a1, a2, factor):
-        w = np.asarray(f.partial(a1, a2)(mid1, mid2), dtype=np.float64)
+        w = np.asarray(_partial(f, (a1, a2))(mid1, mid2), dtype=np.float64)
         return math.fsum(np.broadcast_to(w * factor, mid1.shape))
 
     return [
@@ -362,8 +368,8 @@ def _ref_k_components(f, path, v1, v2):
 
 def _ref_p_n(f, path, v1, v2):
     def combined(a, b):
-        return lambda x, y: np.asarray(f.partial(*a)(x, y), dtype=np.float64) + np.asarray(
-            f.partial(*b)(x, y), dtype=np.float64
+        return lambda x, y: np.asarray(_partial(f, a)(x, y), dtype=np.float64) + np.asarray(
+            _partial(f, b)(x, y), dtype=np.float64
         )
 
     return 0.125 * 2.0 ** (-path.level * path.H) * (
@@ -439,25 +445,24 @@ def test_skeleton_statistics_bitwise_equal_reference(name):
     assert signs == {-1, 0, 1}
 
 
-def test_v3_of_cube_evaluates_only_its_live_partial(monkeypatch):
-    evaluated = []
+def test_v3_of_cube_evaluates_only_its_live_partial():
+    # The kernels ask x^3's evaluator for its one live third partial; the
+    # vanishing ones are known from the record and never evaluated.
+    cube = get_test_function("x^3")
+    asked = []
 
-    def counted_zero(x, y):
-        evaluated.append("zero")
-        return np.zeros(np.broadcast(x, y).shape)
+    def recorded(keys, x, y):
+        asked.extend(keys)
+        return cube._evaluate(keys, x, y)
 
-    monkeypatch.setattr(calculus, "_zero_partial", counted_zero)
-    f = calculus._monomial_function(3, 0)
-    for key, fn in list(f._partials.items()):
-        if fn is not counted_zero:
-            f._partials[key] = lambda x, y, key=key, fn=fn: (evaluated.append(key), fn(x, y))[1]
+    f = dataclasses.replace(cube, _evaluate=recorded)
     path = sample_fbm_2d(H6, 8, 0, 16, 1)
-    assert v3(f, path, 1.0) == v3(get_test_function("x^3"), path, 1.0)
-    assert evaluated == [(3, 0)]
-    evaluated.clear()
+    assert v3(f, path, 1.0) == v3(cube, path, 1.0)
+    assert asked == [(3, 0)]
+    asked.clear()
     k_components(f, path, 1.0)
     p_n(f, path, 1.0)
-    assert evaluated == [(3, 0), (3, 0)]
+    assert asked == [(3, 0), (3, 0)]
 
 
 # ---------------------------------------------------------------------------
