@@ -5,12 +5,12 @@ that turns the asymptotic statements into reproducible pass/fail experiments.
 """
 
 from .calculus import (
-    TestFunction2D,
+    Function2D,
+    function_names,
     get_test_function,
     hermite_eval,
     hermite_expand,
     midpoint_taylor_table,
-    test_function_names,
 )
 from .fgn import (
     CapacityError,

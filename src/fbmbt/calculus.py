@@ -117,7 +117,7 @@ _KEYS = frozenset((a1, a2) for a1 in range(4) for a2 in range(4 - a1))
 
 
 @dataclass(frozen=True)
-class TestFunction2D:
+class Function2D:
     """Smooth f(x, y) with all partials up to total order 3, evaluated by
     one call: ``_evaluate(keys, x, y)`` returns the (a1, a2) partials in
     ``keys`` at (x, y), in that order, computing the factors they share
@@ -160,7 +160,7 @@ class TestFunction2D:
         return self._depends.get((a1, a2), (True, True))
 
 
-def _sin_x_cos_y_function() -> TestFunction2D:
+def _sin_x_cos_y_function() -> Function2D:
     """sin(x) cos(y): each partial is +-(sin or cos of x) * (sin or cos of y).
 
     d/dx cycles sin -> cos -> -sin -> -cos and d/dy cycles cos -> -sin ->
@@ -187,10 +187,10 @@ def _sin_x_cos_y_function() -> TestFunction2D:
             out.append(sign * (xs[fx] * ys[fy]))
         return out
 
-    return TestFunction2D("sin_x_cos_y", evaluate)
+    return Function2D("sin_x_cos_y", evaluate)
 
 
-def _bump_function() -> TestFunction2D:
+def _bump_function() -> Function2D:
     """Compactly supported bump h(s) = exp(-1/(1 - s)), s = (x^2 + y^2)/4, on
     r < 2, zero outside.
 
@@ -225,10 +225,10 @@ def _bump_function() -> TestFunction2D:
                 )
         return [deriv if deriv.ndim else float(deriv) for deriv in out]
 
-    return TestFunction2D("bump", evaluate)
+    return Function2D("bump", evaluate)
 
 
-def _monomial_function(a: int, b: int) -> TestFunction2D:
+def _monomial_function(a: int, b: int) -> Function2D:
     """x^a y^b: the (a1, a2) partial is a!/(a-a1)! b!/(b-a2)! times the
     ``_powers`` product x^(a-a1) y^(b-a2), zero when a1 > a or a2 > b."""
     live = {(a1, a2): (np.float64(math.perm(a, a1) * math.perm(b, a2)), a - a1, b - a2)
@@ -250,7 +250,7 @@ def _monomial_function(a: int, b: int) -> TestFunction2D:
         return out
 
     depends = {key: (a > key[0], b > key[1]) for key in _KEYS}
-    return TestFunction2D(_monomial_name(a, b), evaluate, _KEYS - live.keys(), depends)
+    return Function2D(_monomial_name(a, b), evaluate, _KEYS - live.keys(), depends)
 
 
 def _monomial_name(a: int, b: int) -> str:
@@ -265,8 +265,8 @@ def _monomial_name(a: int, b: int) -> str:
 
 
 @functools.lru_cache(maxsize=1)
-def _catalog() -> dict[str, TestFunction2D]:
-    cat: dict[str, TestFunction2D] = {}
+def _catalog() -> dict[str, Function2D]:
+    cat: dict[str, Function2D] = {}
     for a in range(6):
         for b in range(6 - a):
             fn = _monomial_function(a, b)
@@ -276,14 +276,14 @@ def _catalog() -> dict[str, TestFunction2D]:
     return cat
 
 
-def test_function_names() -> list[str]:
+def function_names() -> list[str]:
     return sorted(_catalog())
 
 
-def get_test_function(name: str) -> TestFunction2D:
+def get_test_function(name: str) -> Function2D:
     try:
         return _catalog()[name]
     except KeyError:
         raise ValueError(
-            f"unknown test function {name!r}; available: {', '.join(test_function_names())}"
+            f"unknown test function {name!r}; available: {', '.join(function_names())}"
         ) from None

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calculus import get_test_function, test_function_names
+from .calculus import function_names, get_test_function
 from .experiments import RUNNERS, ExperimentResult
 from .fgn import MAX_INCREMENTS, CapacityError
 from .limitlaw import _euler_steps
@@ -134,10 +134,10 @@ def _validate(config: dict, workers: int = 1) -> dict:
     if csv == json_name:
         raise ConfigurationError(f"keys 'csv' and 'json' name the same file {csv!r}")
     fn = config.get("function")
-    if fn is not None and fn not in test_function_names():
+    if fn is not None and fn not in function_names():
         raise ConfigurationError(
             f"key 'function' does not resolve: {fn!r}; "
-            f"available: {', '.join(test_function_names())}"
+            f"available: {', '.join(function_names())}"
         )
     arg = _arguments(exp, config, workers)
     if "p" in arg and (arg["p"] + arg["q"]) % 2 == 0:

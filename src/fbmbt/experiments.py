@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .calculus import get_test_function, midpoint_taylor_table, test_function_names
+from .calculus import function_names, get_test_function, midpoint_taylor_table
 from .fgn import (
     H_SPECIAL,
     _path_draws,
@@ -45,7 +45,7 @@ from .limitlaw import (
     sample_change_of_variable_rhs,
     sample_correction_fbm,
 )
-from .rng import derive_seed
+from .rng import STREAM_INSTANCE, derive_seed, keyed
 from .skeleton import (
     crossings_bruteforce,
     sample_skeleton,
@@ -386,10 +386,11 @@ def _identity_instances(seeds: list[int], fnames: list[str]) -> list[tuple[float
     return [_identity_instance(seed, fnames) for seed in seeds]
 
 
-def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
-    """Max relative deviation of each exact identity on one random instance,
-    in ``_IDENTITIES`` order."""
-    rng = np.random.default_rng(seed)
+def _identity_parameters(seed: int, fnames: list[str]) -> tuple:
+    """The horizon, H, n, t, f and (p, q) of the identity instance on
+    ``seed``, drawn from its ``STREAM_INSTANCE`` stream: the horizon
+    uniformly from 0..2^k steps, k uniform in 4..20."""
+    rng = keyed(seed, STREAM_INSTANCE)
     steps = 1 << int(rng.integers(4, 21))
     horizon = int(rng.integers(0, steps + 1))
     H = float(rng.uniform(0.05, 0.48))
@@ -399,6 +400,15 @@ def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
     p, q = [(1, 0), (0, 1), (3, 0), (0, 3), (1, 2), (2, 1), (5, 0), (2, 3)][
         int(rng.integers(0, 8))
     ]
+    return horizon, H, n, t, f, (p, q)
+
+
+def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
+    """Max relative deviation of each exact identity on one random instance,
+    in ``_IDENTITIES`` order."""
+    # The parameters are drawn in full before the walk or a path re-keys
+    # the shared generator.
+    horizon, H, n, t, f, (p, q) = _identity_parameters(seed, fnames)
     # (a) reads the first ``horizon`` steps of the walk and (b), (c) the
     # first m.  A shorter walk is a prefix of a longer one on the same
     # stream, so one walk of the longer length serves both.
@@ -411,9 +421,11 @@ def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
     closed = signed_crossings_closed_form(walk, horizon)
     crossings = 0.0 if brute == closed else 1.0
 
-    # (b), (c): skeleton sum vs crossing reduction vs one-sided form.
+    # (b), (c): skeleton sum vs crossing reduction vs one-sided form, on a
+    # path that covers the walk's range and the fixed clock's [0, t].
     visited = walk.positions[: m + 1]
-    fbm = sample_fbm_2d(H, n, int(visited.min()), int(visited.max()), seed)
+    fbm = sample_fbm_2d(H, n, int(visited.min()),
+                        max(int(visited.max()), _grid_count(n, t)), seed)
     vt = v_tilde_pq(f, fbm, walk, t, p, q)
     red = kl_reduce(f, fbm, walk, t, p, q)
     wv = w_pq(f, fbm, terminal_y(walk, m), p, q)
@@ -423,10 +435,10 @@ def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
     lhs = v3(f, path6, t)
     rhs = math.fsum(k_components(f, path6, t)) + p_n(f, path6, t)
 
-    # (e): direct powers vs Hermite-rebuilt powers.
-    path = sample_fbm_2d(H, n, 0, _grid_count(n, t), seed)
-    direct = v_pq(f, path, t, p, q)
-    herm = v_pq_hermite(f, path, t, p, q)
+    # (e): direct powers vs Hermite-rebuilt powers, read off the fixed-clock
+    # segment [0, floor(2^{n/2} t)] of the (b), (c) path.
+    direct = v_pq(f, fbm, t, p, q)
+    herm = v_pq_hermite(f, fbm, t, p, q)
     return (crossings, _rel_err(vt, red), _rel_err(vt, wv), _rel_err(lhs, rhs),
             _rel_err(direct, herm))
 
@@ -434,7 +446,7 @@ def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
 def run_identity_suite(replications=1000, master_seed=0, workers=1) -> ExperimentResult:
     res = ExperimentResult()
     devs, seeds = mc_run(
-        partial(_identity_instances, fnames=test_function_names()),
+        partial(_identity_instances, fnames=function_names()),
         replications, master_seed, workers,
     )
     for i, seed in enumerate(seeds):

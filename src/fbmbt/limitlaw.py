@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import TestFunction2D
+from .calculus import Function2D
 from .fgn import (
     H_SPECIAL,
     RhoSeriesResult,
@@ -119,7 +119,7 @@ def _conditional_normal(h: float, total: float, seed: int) -> float:
 
 
 def _euler_sum(
-    f: TestFunction2D,
+    f: Function2D,
     lengths: list[float],
     mesh: float,
     seeds: list[int],
@@ -177,7 +177,7 @@ def _check_args(t: float, mesh: float) -> None:
 
 
 def sample_correction_fbm(
-    f: TestFunction2D,
+    f: Function2D,
     t: float,
     mesh: float,
     seeds: list[int],
@@ -189,7 +189,7 @@ def sample_correction_fbm(
 
 
 def sample_change_of_variable_rhs(
-    f: TestFunction2D,
+    f: Function2D,
     t: float,
     mesh: float,
     seeds: list[int],

@@ -4,13 +4,14 @@ Every fBm path, walk and normal in the toolkit draws from a numpy Philox
 (counter-based) generator whose key is derived from a user-supplied 64-bit
 master seed through the SplitMix64 mixing function.  Replication i of an
 experiment uses ``derive_seed(master_seed, i)``; within one replication, each
-stochastic component (fBm component 1/2, the skeleton walk or its terminal
-position, the normal of the H = 1/6 correction, the Brownian time draw) gets
-its own stream via a fixed offset.  The one exception,
-``experiments._identity_instance``, draws an identity instance's parameters
-(horizon, H, n, t, f, (p, q)) from a PCG64 ``np.random.default_rng(seed)``
-on the replication seed; keying them would change every instance and the
-identity-suite CSV.
+stochastic component gets its own stream via a fixed offset: fBm components
+1 and 2 (``STREAM_X1``, ``STREAM_X2``), the skeleton walk or its terminal
+position (``STREAM_WALK``), the normal of the H = 1/6 correction
+(``STREAM_B``), the parameters of a random identity instance (horizon, H,
+n, t, f, (p, q); ``STREAM_INSTANCE``) and the Brownian time draw
+(``STREAM_Y``).  Offsets 0x5 and 0x7 are unused.  The walk reads its
+steps from raw 64-bit words: step i is up when bit i mod 64 of word i // 64
+is set, least significant bit first.
 The scheme is stateless, so results are independent of execution order.
 
 A Philox stream is a function of its key and counter alone (Salmon et al.,
@@ -38,6 +39,7 @@ STREAM_X1 = 0x1
 STREAM_X2 = 0x2
 STREAM_WALK = 0x3
 STREAM_B = 0x4
+STREAM_INSTANCE = 0x6
 STREAM_Y = 0x8
 
 

@@ -17,6 +17,10 @@ import numpy as np
 from .fgn import check_level, grid_spacing
 from .rng import STREAM_WALK, keyed
 
+# Steps per block of the walk and of the crossing count: a block's int64
+# jumps or keys take 256 KB, which stays in cache.
+_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class SkeletonPath:
@@ -51,21 +55,25 @@ def sample_skeleton(level: int, steps: int, seed: int) -> SkeletonPath:
     level = check_level(level)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    # The top bit of each 32-bit word is exactly what integers(0, 2) draws
-    # from the same word, so the stream is unchanged and shorter walks are
-    # prefixes of longer ones.  The words are those integers(0, 2**32,
-    # dtype=uint32) hands out: the low then the high half of each raw 64-bit
-    # output, which a little-endian view of the outputs lists in that order
-    # on any host.
-    raw = keyed(seed, STREAM_WALK).bit_generator.random_raw((steps + 1) // 2)
-    words = raw.astype("<u8", copy=False).view("<u4")
+    # Step i is up when bit i mod 64 of raw 64-bit word i // 64 of the
+    # walk's stream is set, least significant bit first: the little-endian
+    # bytes of the words, unpacked little-endian.  So shorter walks are
+    # prefixes of longer ones.  A block of _BLOCK steps (whole words) is
+    # drawn, turned into jumps and cumulated at a time, the first jump
+    # carrying the position the block starts from.
+    bits = keyed(seed, STREAM_WALK).bit_generator
     positions = np.empty(steps + 1, dtype=np.int64)
     positions[0] = 0
-    jumps = positions[1:]
-    np.right_shift(words[:steps], 31, out=jumps)
-    jumps *= 2
-    jumps -= 1
-    np.cumsum(positions, out=positions)
+    jumps = np.empty(min(steps, _BLOCK), dtype=np.int64)
+    for lo in range(0, steps, _BLOCK):
+        k = min(_BLOCK, steps - lo)
+        raw = bits.random_raw((k + 63) // 64).astype("<u8", copy=False)
+        up = np.unpackbits(raw.view(np.uint8), count=k, bitorder="little")
+        block = jumps[:k]
+        np.multiply(up, 2, out=block, dtype=np.int64)
+        block -= 1
+        block[0] += positions[lo]
+        np.cumsum(block, out=positions[lo + 1 : lo + k + 1])
     return SkeletonPath(level=level, steps=int(steps), positions=positions)
 
 
@@ -94,13 +102,23 @@ def crossings_bruteforce(path: SkeletonPath, horizon: int) -> CrossingTable:
     if horizon == 0:
         return CrossingTable(j_lo=0, up=np.zeros(0, np.int64), down=np.zeros(0, np.int64))
     # A step from a to b = a +- 1 keys as 3a + b: 4j + 1 for an up-step over
-    # the edge [j, j+1], 4j + 3 for a down-step over it.
-    key = path.positions[:horizon] * 3
-    key += path.positions[1 : horizon + 1]
-    j_lo = (int(key.min()) - 1) // 4
-    width = (int(key.max()) - 1) // 4 - j_lo + 1
-    key -= 4 * j_lo + 1
-    counts = np.bincount(key, minlength=4 * width)
+    # the edge [j, j+1], 4j + 3 for a down-step over it.  The edges run from
+    # the walk's minimum to one below its maximum; each block of _BLOCK
+    # steps is counted from its own lowest key into its slice of the counts.
+    visited = path.positions[: horizon + 1]
+    j_lo = int(visited.min())
+    counts = np.zeros(4 * (int(visited.max()) - j_lo), np.int64)
+    keys = np.empty(min(horizon, _BLOCK), np.int64)
+    for lo in range(0, horizon, _BLOCK):
+        hi = min(lo + _BLOCK, horizon)
+        key = keys[: hi - lo]
+        np.multiply(visited[lo:hi], 3, out=key)
+        key += visited[lo + 1 : hi + 1]
+        base = int(key.min())
+        key -= base
+        block = np.bincount(key)
+        start = base - (4 * j_lo + 1)
+        counts[start : start + len(block)] += block
     return CrossingTable(j_lo=j_lo, up=counts[::4], down=counts[2::4])
 
 

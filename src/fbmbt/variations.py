@@ -54,7 +54,7 @@ import math
 import numpy as np
 
 from .calculus import (
-    TestFunction2D,
+    Function2D,
     _powers,
     hermite_eval,
     hermite_expand,
@@ -75,12 +75,12 @@ def _taylor_terms(order: int) -> list:
     return [((a,), a) for a in _TAYLOR if sum(a) == order]
 
 
-def _components_read(f: TestFunction2D, terms) -> tuple[bool, bool]:
+def _components_read(f: Function2D, terms) -> tuple[bool, bool]:
     """Whether a midpoint sum of ``terms`` reads X^1 and whether it reads
     X^2.  A term is live when its partials do not all vanish identically;
     a component is read when some live term has a nonzero increment
     exponent on it, or when some live partial depends on its variable
-    (``TestFunction2D.depends``).  An unread component may be any path,
+    (``Function2D.depends``).  An unread component may be any path,
     zeros say, without moving a bit of the sum: its increments enter only
     as skipped factors d^0, its midpoints only through partials that do not
     read them."""
@@ -169,7 +169,7 @@ def _fsum_rows(a: np.ndarray, counts=None):
 
 
 def _midpoint_sums(
-    f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, terms, factor=_powers, counts=None
+    f: Function2D, v1: np.ndarray, v2: np.ndarray, terms, factor=_powers, counts=None
 ) -> list:
     """One fsum per (partials, (p, q)) term along paired value arrays: the
     term's partials of f summed at the increment midpoints, times
@@ -198,7 +198,7 @@ def _midpoint_sums(
     return sums
 
 
-def _taylor_sum(f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, order: int,
+def _taylor_sum(f: Function2D, v1: np.ndarray, v2: np.ndarray, order: int,
                 counts=None) -> float:
     """Order-``order`` part of the midpoint expansion of f along the path:
     fsum of C(a) * d^a f(midpoint) * d1^a1 * d2^a2 over |a| = order.
@@ -208,7 +208,7 @@ def _taylor_sum(f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, order: int,
     return _fsum_rows(np.stack([float(_TAYLOR[a]) * s for (_, a), s in zip(terms, sums)], axis=-1))
 
 
-def _power_sum(f: TestFunction2D, v1: np.ndarray, v2: np.ndarray, p: int, q: int) -> float:
+def _power_sum(f: Function2D, v1: np.ndarray, v2: np.ndarray, p: int, q: int) -> float:
     """fsum of f(midpoint) * d1^p * d2^q along the path."""
     return _midpoint_sums(f, v1, v2, [(_VALUE, (p, q))])[0]
 
@@ -217,13 +217,13 @@ def _grid_values(path: FbmGridPath2D, t: float) -> tuple[np.ndarray, np.ndarray]
     return path.segment(0, _grid_count(path.level, t))
 
 
-def v_pq(f: TestFunction2D, path: FbmGridPath2D, t: float, p: int, q: int) -> float:
+def v_pq(f: Function2D, path: FbmGridPath2D, t: float, p: int, q: int) -> float:
     """Weighted (p,q)-power variation, p + q odd."""
     p, q = _check_exponents(p, q)
     return _power_sum(f, *_grid_values(path, t), p, q)
 
 
-def v_pq_hermite(f: TestFunction2D, path: FbmGridPath2D, t: float, p: int, q: int) -> float:
+def v_pq_hermite(f: Function2D, path: FbmGridPath2D, t: float, p: int, q: int) -> float:
     """Same statistic as ``v_pq`` with each increment power rebuilt from its
     exact Hermite-basis expansion; equal up to roundoff by construction."""
     p, q = _check_exponents(p, q)
@@ -238,13 +238,13 @@ def v_pq_hermite(f: TestFunction2D, path: FbmGridPath2D, t: float, p: int, q: in
     return _midpoint_sums(f, *_grid_values(path, t), [(_VALUE, (p, q))], rebuilt)[0]
 
 
-def v3(f: TestFunction2D, path: FbmGridPath2D, t: float) -> float:
+def v3(f: Function2D, path: FbmGridPath2D, t: float) -> float:
     """Third-order midpoint correction sum: the order-3 part of the midpoint
     expansion of f(path end) - f(path start) along the grid."""
     return _taylor_sum(f, *_grid_values(path, t), 3)
 
 
-def k_components(f: TestFunction2D, path: FbmGridPath2D, t: float) -> tuple[float, ...]:
+def k_components(f: Function2D, path: FbmGridPath2D, t: float) -> tuple[float, ...]:
     """Chaos-projected pieces K1..K4 of the third-order sum at H = 1/6.
 
     Each increment power is replaced by its top Wiener-chaos part,
@@ -267,7 +267,7 @@ def k_components(f: TestFunction2D, path: FbmGridPath2D, t: float) -> tuple[floa
     return tuple(s / float(1 / _TAYLOR[a]) for a, s in zip(index, sums))
 
 
-def p_n(f: TestFunction2D, path: FbmGridPath2D, t: float) -> float:
+def p_n(f: Function2D, path: FbmGridPath2D, t: float) -> float:
     """Trace remainder of the chaos projection at H = 1/6: the lower-chaos
     part left over when the increment cubes and squares in the third-order
     sum are projected onto their top chaos."""
@@ -307,7 +307,7 @@ def _skeleton_values(
 
 
 def v_tilde_pq(
-    f: TestFunction2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float, p: int, q: int
+    f: Function2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float, p: int, q: int
 ) -> float:
     """Weighted (p,q)-variation along the time-changed path, p + q odd: one
     term per walk step, weighted at the midpoint of the fBm increment it
@@ -329,7 +329,7 @@ def _one_sided_values(fbm: FbmGridPath2D, y: float) -> tuple[np.ndarray, np.ndar
     return v1[::-1], v2[::-1]
 
 
-def w_pq(f: TestFunction2D, fbm: FbmGridPath2D, y: float, p: int, q: int) -> float:
+def w_pq(f: Function2D, fbm: FbmGridPath2D, y: float, p: int, q: int) -> float:
     """One-sided weighted (p,q)-variation out to signed spatial horizon y."""
     p, q = _check_exponents(p, q)
     return _power_sum(f, *_one_sided_values(fbm, y), p, q)
@@ -346,7 +346,7 @@ def _reduced_segment(
 
 
 def kl_reduce(
-    f: TestFunction2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float, p: int, q: int
+    f: Function2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float, p: int, q: int
 ) -> float:
     """Skeleton (p,q)-variation via the net-crossing closed form.
 

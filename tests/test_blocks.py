@@ -14,8 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbmbt import fgn, rng, variations
-from fbmbt.calculus import get_test_function
-from fbmbt.calculus import test_function_names as function_names
+from fbmbt.calculus import function_names, get_test_function
 from fbmbt.experiments import (
     draw_correction_fbm,
     draw_o_tilde,
@@ -111,7 +110,7 @@ def _same_state(a, b) -> bool:
 @settings(deadline=None)
 @given(seed=SEED)
 def test_generator_is_philox_with_the_stream_key(seed):
-    assert len(STREAMS) == 5
+    assert len(STREAMS) == 6
     for stream in STREAMS:
         got = generator(seed, stream).bit_generator.state
         want = np.random.Philox(key=stream_seed(seed, stream)).state

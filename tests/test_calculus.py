@@ -8,12 +8,12 @@ from fbmbt import calculus
 from fbmbt.calculus import (
     _power,
     _powers,
+    function_names,
     get_test_function,
     hermite_eval,
     hermite_expand,
     midpoint_taylor_table,
 )
-from fbmbt.calculus import test_function_names as function_names
 from fbmbt.experiments import _monomial_partial
 
 

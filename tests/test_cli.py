@@ -10,8 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import fbmbt
-from fbmbt.calculus import get_test_function
-from fbmbt.calculus import test_function_names as function_names
+from fbmbt.calculus import function_names, get_test_function
 from fbmbt.cli import ConfigurationError, _validate, main, run_experiment
 
 

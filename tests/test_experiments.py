@@ -4,7 +4,8 @@ one ``math.nextafter`` either side of the edge, and a rate that cannot be
 fitted fails its verdict with a null statistic; ``taylor-table``'s
 exactness check fails on one wrong coefficient of any order; and
 ``law-h-eq``'s modulus ratio equals the double loop over replication rows
-and horizon pairs."""
+and horizon pairs; and an identity instance's parameters are pinned on
+their keyed stream."""
 
 import math
 from fractions import Fraction
@@ -13,8 +14,10 @@ from functools import partial
 import pytest
 
 from fbmbt import experiments
+from fbmbt.calculus import function_names
 from fbmbt.experiments import (
     ExperimentResult,
+    _identity_parameters,
     _level_master,
     draw_w3_horizons,
     run_law_h_eq,
@@ -135,3 +138,13 @@ def test_modulus_ratio_equals_the_loop_over_rows_and_pairs(master_seed):
     )
     (ratio,) = [t["statistic"] for t in res.tests if t["name"] == "modulus_ratio"]
     assert ratio == _modulus_ratio_loop(master_seed, levels, replications)
+
+
+# The parameters of the identity instance on seed 20260823, recorded from
+# its STREAM_INSTANCE stream: horizon, H, n, t, f and (p, q).
+_GOLDEN_INSTANCE = (182, 0.31952032611343667, 6, 1.3388413076332164, "x^3*y", (2, 1))
+
+
+def test_identity_parameters_golden_stream():
+    horizon, H, n, t, f, pq = _identity_parameters(20260823, function_names())
+    assert (horizon, H, n, t, f.name, pq) == _GOLDEN_INSTANCE

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fbmbt import limitlaw, rng
-from fbmbt.calculus import get_test_function
-from fbmbt.calculus import test_function_names as function_names
+from fbmbt.calculus import function_names, get_test_function
 from fbmbt.fgn import H_SPECIAL, sample_increments, sum_rho_cubed
 from fbmbt.limitlaw import (
     default_kappas,

@@ -32,14 +32,17 @@ def _normal_row(g):
 
 
 # The draws the samplers make: fGn normal rows, the single STREAM_B and
-# STREAM_Y normals, the terminal binomial and the walk's raw words; and
-# 32-bit words, which read the buffered half-word.
+# STREAM_Y normals, the terminal binomial, the walk's raw words and an
+# identity instance's bounded integers and uniforms; and 32-bit words,
+# which read the buffered half-word.
 DRAWS = {
     "normal row": _normal_row,
     "one normal": lambda g: np.float64(g.standard_normal()),
     "binomial": lambda g: g.binomial(257, 0.5),
     "raw words": lambda g: g.bit_generator.random_raw(5),
     "uint32 words": lambda g: g.integers(0, 1 << 32, size=3, dtype=np.uint32),
+    "bounded integers": lambda g: np.array([g.integers(4, 21), g.integers(0, 1 << 20)]),
+    "uniforms": lambda g: np.array([g.uniform(0.05, 0.48), g.uniform(0.2, 1.5)]),
 }
 
 
@@ -54,7 +57,7 @@ def test_keyed_is_one_generator_per_process():
 @settings(deadline=None, max_examples=30)
 @given(seed=SEED, other=SEED)
 def test_rekeyed_draws_equal_fresh_generator_draws(seed, other):
-    assert len(STREAMS) == 5
+    assert len(STREAMS) == 6
     for stream in STREAMS:
         for draw in DRAWS.values():
             want = _bits(draw(generator(seed, stream)))

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbmbt.rng import STREAM_WALK, keyed
 from fbmbt.skeleton import (
+    _BLOCK,
     SkeletonPath,
     crossings_bruteforce,
     sample_skeleton,
@@ -36,8 +38,9 @@ def test_sample_skeleton_reproducible():
 
 
 # Steps of sample_skeleton(8, 64, 20260823), recorded from the sampler that
-# drew integers(0, 2, dtype=int64) per step: the walk's random stream.
-_GOLDEN_STEPS = "+-++-++-+++--+++-+-+-+++----+-+++-+-----+----+------++-+-++--++-"
+# reads step i from bit i mod 64 of raw word i // 64, least significant bit
+# first: these are the 64 bits of the first raw word of the walk's stream.
+_GOLDEN_STEPS = "+-+++++++-----++-+-+-+++-+--++-+++++++-+-++---+++--+++-+-+---+--"
 
 
 def test_sample_skeleton_golden_stream():
@@ -46,6 +49,15 @@ def test_sample_skeleton_golden_stream():
     walk = sample_skeleton(8, 64, 20260823)
     assert walk.positions.dtype == np.int64
     assert np.array_equal(walk.positions, expected)
+
+
+@pytest.mark.parametrize("seed", [0, 20260823, (1 << 64) - 1])
+def test_walk_steps_are_the_bits_of_the_raw_words(seed):
+    # Step i is bit i mod 64 of raw word i // 64, least significant first.
+    words = keyed(seed, STREAM_WALK).bit_generator.random_raw(2)
+    bits = [(int(w) >> b) & 1 for w in words for b in range(64)]
+    ups = (np.diff(sample_skeleton(5, 128, seed).positions) + 1) // 2
+    assert ups.tolist() == bits
 
 
 @given(
@@ -93,23 +105,50 @@ def test_crossing_counts_match_the_closed_form(steps, data, seed):
     assert int(table.up.sum() + table.down.sum()) == horizon
 
 
+def _assert_matches_loop_counter(walk, horizon):
+    table = crossings_bruteforce(walk, horizon)
+    up, down = _loop_crossings(walk.positions, horizon)
+    assert int(table.up.sum()) == sum(up.values())
+    assert int(table.down.sum()) == sum(down.values())
+    lo = int(walk.positions.min()) - 1
+    hi = int(walk.positions.max()) + 1
+    for j in range(lo, hi + 1):
+        assert _edge_count(table.up, table.j_lo, j) == up[j]
+        assert _edge_count(table.down, table.j_lo, j) == down[j]
+    net = {j: up[j] - down[j] for j in up.keys() | down.keys()}
+    assert table.signed() == {j: d for j, d in net.items() if d != 0}
+
+
 def test_crossings_bruteforce_matches_loop_counter():
     walks = [sample_skeleton(6, 400, seed) for seed in range(20)]
     walks += [_below_zero_walk(seed, 300) for seed in range(5)]
     for walk in walks:
         for horizon in {0, 1, walk.steps // 3, walk.steps - 1, walk.steps}:
-            table = crossings_bruteforce(walk, horizon)
-            up, down = _loop_crossings(walk.positions, horizon)
-            assert int(table.up.sum()) == sum(up.values())
-            assert int(table.down.sum()) == sum(down.values())
-            lo = int(walk.positions.min()) - 1
-            hi = int(walk.positions.max()) + 1
-            for j in range(lo, hi + 1):
-                assert _edge_count(table.up, table.j_lo, j) == up[j]
-                assert _edge_count(table.down, table.j_lo, j) == down[j]
-            net = {j: up[j] - down[j] for j in up.keys() | down.keys()}
-            assert table.signed() == {j: d for j, d in net.items() if d != 0}
+            _assert_matches_loop_counter(walk, horizon)
     assert all(_below_zero_walk(0, 300).positions[1:] < 0)
+
+
+# Walk lengths on and beside the edges of the blocks that the sampler and
+# the crossing count run in, and horizons on and beside those edges.
+_EDGE_STEPS = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 37]
+
+
+@pytest.mark.parametrize("steps", _EDGE_STEPS)
+def test_walks_across_block_edges_are_prefixes(steps):
+    long = sample_skeleton(7, 3 * _BLOCK, 11).positions
+    walk = sample_skeleton(7, steps, 11)
+    assert np.array_equal(walk.positions, long[: steps + 1])
+    assert set(np.unique(np.diff(walk.positions)).tolist()) == {-1, 1}
+
+
+@pytest.mark.parametrize("steps", _EDGE_STEPS)
+def test_crossings_across_block_edges_match_loop_counter(steps):
+    edges = {0, 1, steps - 1, steps} | {
+        k * _BLOCK + d for k in (1, 2) for d in (-1, 0, 1)}
+    horizons = sorted(h for h in edges if 0 <= h <= steps)
+    for walk in (sample_skeleton(6, steps, 3), _below_zero_walk(4, steps)):
+        for horizon in horizons:
+            _assert_matches_loop_counter(walk, horizon)
 
 
 def test_signed_omits_zero_edges():

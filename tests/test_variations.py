@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fbmbt.calculus import get_test_function, hermite_eval, hermite_expand
-from fbmbt.calculus import test_function_names as function_names
+from fbmbt.calculus import function_names, get_test_function, hermite_eval, hermite_expand
 from fbmbt.experiments import THRESHOLDS
 from fbmbt.fgn import grid_spacing, sample_fbm_2d
 from fbmbt.skeleton import sample_skeleton, terminal_y
