@@ -35,7 +35,9 @@ from .skeleton import (
     sample_skeleton,
     sample_terminal,
     signed_crossings_closed_form,
+    terminal_position,
     terminal_y,
+    walk_bits,
 )
 from .stats import RateFit, TwoSampleResult, fit_rate, ks_two_sample, mc_run
 from .variations import (

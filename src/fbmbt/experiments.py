@@ -18,7 +18,9 @@ a grid range that contains 0, which runs the estimator's kernel once per
 fGn chunk of rows and draws only the components that
 ``variations._components_read`` finds the kernel's terms read.  An odd
 one-sided sum on the negative side is the sign of j* times the sum read
-forward along the row, with no mirrored copy of the row.
+forward along the row, with no mirrored copy of the row.  The identity
+suite alone reads whole walks: its crossings check reads a walk's packed
+step bits, and its skeleton sums the positions of a prefix of them.
 Runner keywords are the config keys, so a runner's ``function`` is passed
 on to the draws as their ``fname``.
 """
@@ -51,7 +53,9 @@ from .skeleton import (
     sample_skeleton,
     sample_terminal,
     signed_crossings_closed_form,
+    terminal_position,
     terminal_y,
+    walk_bits,
 )
 from .stats import fit_rate, ks_two_sample, mc_run
 from .variations import (
@@ -409,23 +413,22 @@ def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
     # The parameters are drawn in full before the walk or a path re-keys
     # the shared generator.
     horizon, H, n, t, f, (p, q) = _identity_parameters(seed, fnames)
-    # (a) reads the first ``horizon`` steps of the walk and (b), (c) the
-    # first m.  A shorter walk is a prefix of a longer one on the same
-    # stream, so one walk of the longer length serves both.
-    m = _step_count(n, t)
-    walk = sample_skeleton(n, max(horizon, m), seed)
-
-    # (a) crossing counts: brute force vs closed form, integer exact.  The
-    # count reads the positions only, never the level.
-    brute = crossings_bruteforce(walk, horizon).signed()
-    closed = signed_crossings_closed_form(walk, horizon)
+    # (a) crossing counts: brute force vs closed form, integer exact.  Both
+    # read the packed steps of the first ``horizon``; the closed form needs
+    # only where they end, j* = 2·(up-steps) - horizon.
+    bits = walk_bits(seed, horizon)
+    brute = crossings_bruteforce(bits, horizon).signed()
+    closed = signed_crossings_closed_form(terminal_position(bits, horizon))
     crossings = 0.0 if brute == closed else 1.0
 
-    # (b), (c): skeleton sum vs crossing reduction vs one-sided form, on a
-    # path that covers the walk's range and the fixed clock's [0, t].
-    visited = walk.positions[: m + 1]
-    fbm = sample_fbm_2d(H, n, int(visited.min()),
-                        max(int(visited.max()), _grid_count(n, t)), seed)
+    # (b), (c): skeleton sum vs crossing reduction vs one-sided form, on the
+    # first m steps, drawn as a walk of their own (the same stream, so the
+    # same steps as (a)'s up to the shorter horizon), and on a path that
+    # covers the walk's range and the fixed clock's [0, t].
+    m = _step_count(n, t)
+    walk = sample_skeleton(n, m, seed)
+    fbm = sample_fbm_2d(H, n, int(walk.positions.min()),
+                        max(int(walk.positions.max()), _grid_count(n, t)), seed)
     vt = v_tilde_pq(f, fbm, walk, t, p, q)
     red = kl_reduce(f, fbm, walk, t, p, q)
     wv = w_pq(f, fbm, terminal_y(walk, m), p, q)

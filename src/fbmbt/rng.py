@@ -11,7 +11,9 @@ position (``STREAM_WALK``), the normal of the H = 1/6 correction
 n, t, f, (p, q); ``STREAM_INSTANCE``) and the Brownian time draw
 (``STREAM_Y``).  Offsets 0x5 and 0x7 are unused.  The walk reads its
 steps from raw 64-bit words: step i is up when bit i mod 64 of word i // 64
-is set, least significant bit first.
+is set, least significant bit first, which is bit i mod 8 of byte i // 8 of
+the words' little-endian bytes, the packed view ``skeleton.walk_bits``
+returns.
 The scheme is stateless, so results are independent of execution order.
 
 A Philox stream is a function of its key and counter alone (Salmon et al.,

@@ -6,6 +6,12 @@ symmetric random walk.  Everything downstream (crossing counts, the signed
 closed form, the terminal value of Y) is a deterministic function of that
 walk, so hitting-time durations are never simulated.  Consumers that read
 only the terminal position draw it directly with ``sample_terminal``.
+
+A walk's steps are drawn packed (``walk_bits``): step i is up when bit
+i mod 8 of byte i // 8 is set, the little-endian bytes of its stream's raw
+64-bit words.  The crossing count and the terminal position read those bits
+as they are, four and eight steps at a time; ``sample_skeleton`` unpacks
+them into positions for the consumers that walk the path.
 """
 
 from __future__ import annotations
@@ -17,9 +23,49 @@ import numpy as np
 from .fgn import check_level, grid_spacing
 from .rng import STREAM_WALK, keyed
 
-# Steps per block of the walk and of the crossing count: a block's int64
-# jumps or keys take 256 KB, which stays in cache.
+# Steps per block of the walk: a block's int64 jumps take 256 KB, which
+# stays in cache.
 _BLOCK = 2**15
+
+
+def _check_count(value, name: str) -> int:
+    """``value`` as an int: a step count or a horizon must be a nonnegative
+    integer, or a ValueError names it."""
+    if not (value >= 0 and float(value).is_integer()):
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
+def _nibble_tables() -> np.ndarray:
+    """``tables[r, u*8 + e + 4, v]``: how many of the first r steps of nibble
+    v (step k up when bit k of v is set), taken from position 0, cross the
+    edge [e, e+1] upward (u = 0) or downward (u = 1), for e in -4..3."""
+    k = np.arange(4)[:, None]
+    v = np.arange(16)[None, :]
+    up = (v >> k) & 1
+    jump = 2 * up - 1
+    edge = np.cumsum(jump, axis=0) - jump - 1 + up  # from p up over p, down over p - 1
+    steps = np.zeros((4, 16, 16), np.int64)
+    steps[k, (1 - up) * 8 + edge + 4, v] = 1
+    return np.concatenate([np.zeros((1, 16, 16), np.int64), np.cumsum(steps, axis=0)])
+
+
+def _byte_table() -> np.ndarray:
+    """Three rows over the byte values b: 16 times the displacement of b's
+    eight steps, and the count keys 16·start + nibble of b's low and high
+    nibble, each less 16 times the position the byte starts from."""
+    b = np.arange(256)
+    disp = 2 * np.bitwise_count(b).astype(np.int64) - 8
+    low = disp[b & 15] + 4  # a byte below 16 moves as its low nibble, less 4
+    return np.stack([16 * disp, b & 15, 16 * low + (b >> 4)])
+
+
+_NIBBLE = _nibble_tables()
+_BYTE = _byte_table()
+# Positions a nibble starts from lie within 4 of its byte's start and the
+# edges it crosses within 4 of that; 3 more rows leave room for the shifted
+# sum of the eight edge offsets.
+_MARGIN = 11
 
 
 @dataclass(frozen=True)
@@ -50,31 +96,39 @@ class CrossingTable:
         return dict(zip((nonzero + self.j_lo).tolist(), diff[nonzero].tolist()))
 
 
+def walk_bits(seed: int, steps: int) -> np.ndarray:
+    """The first ``steps`` steps of the walk on ``seed``, packed: step i is
+    up when bit i mod 8 of byte i // 8 is set.  The bytes are the
+    little-endian bytes of the raw 64-bit words of the walk's stream, so
+    step i is bit i mod 64 of word i // 64, and a shorter walk's bytes are a
+    prefix of a longer one's.  Bits past ``steps`` in the last byte are the
+    walk's next steps."""
+    steps = _check_count(steps, "steps")
+    words = keyed(seed, STREAM_WALK).bit_generator.random_raw((steps + 63) // 64)
+    return words.astype("<u8", copy=False).view(np.uint8)[: (steps + 7) // 8]
+
+
 def sample_skeleton(level: int, steps: int, seed: int) -> SkeletonPath:
-    """Draw a simple symmetric random walk of ``steps`` unit steps."""
+    """Draw a simple symmetric random walk of ``steps`` unit steps: the
+    positions of the steps ``walk_bits(seed, steps)`` packs."""
     level = check_level(level)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    # Step i is up when bit i mod 64 of raw 64-bit word i // 64 of the
-    # walk's stream is set, least significant bit first: the little-endian
-    # bytes of the words, unpacked little-endian.  So shorter walks are
-    # prefixes of longer ones.  A block of _BLOCK steps (whole words) is
-    # drawn, turned into jumps and cumulated at a time, the first jump
-    # carrying the position the block starts from.
-    bits = keyed(seed, STREAM_WALK).bit_generator
+    steps = _check_count(steps, "steps")
+    # A block of _BLOCK steps (whole bytes) is unpacked, turned into jumps
+    # and cumulated at a time, the first jump carrying the position the
+    # block starts from.
+    bits = walk_bits(seed, steps)
     positions = np.empty(steps + 1, dtype=np.int64)
     positions[0] = 0
     jumps = np.empty(min(steps, _BLOCK), dtype=np.int64)
     for lo in range(0, steps, _BLOCK):
         k = min(_BLOCK, steps - lo)
-        raw = bits.random_raw((k + 63) // 64).astype("<u8", copy=False)
-        up = np.unpackbits(raw.view(np.uint8), count=k, bitorder="little")
+        up = np.unpackbits(bits[lo // 8 : (lo + k + 7) // 8], count=k, bitorder="little")
         block = jumps[:k]
         np.multiply(up, 2, out=block, dtype=np.int64)
         block -= 1
         block[0] += positions[lo]
         np.cumsum(block, out=positions[lo + 1 : lo + k + 1])
-    return SkeletonPath(level=level, steps=int(steps), positions=positions)
+    return SkeletonPath(level=level, steps=steps, positions=positions)
 
 
 def sample_terminal(level: int, steps: int, seed: int) -> int:
@@ -85,47 +139,77 @@ def sample_terminal(level: int, steps: int, seed: int) -> int:
     position, without drawing the steps.
     """
     check_level(level)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    return 2 * int(keyed(seed, STREAM_WALK).binomial(steps, 0.5)) - int(steps)
+    steps = _check_count(steps, "steps")
+    return 2 * int(keyed(seed, STREAM_WALK).binomial(steps, 0.5)) - steps
 
 
-def _check_horizon(path: SkeletonPath, horizon: int) -> int:
-    if not 0 <= horizon <= path.steps:
-        raise ValueError(f"horizon {horizon} outside [0, {path.steps}]")
-    return int(horizon)
+def _check_horizon(horizon, steps: int) -> int:
+    horizon = _check_count(horizon, "horizon")
+    if horizon > steps:
+        raise ValueError(f"horizon {horizon} outside [0, {steps}]")
+    return horizon
 
 
-def crossings_bruteforce(path: SkeletonPath, horizon: int) -> CrossingTable:
-    """Count every up/downcrossing among the first ``horizon`` steps."""
-    horizon = _check_horizon(path, horizon)
+def terminal_position(walk: np.ndarray, horizon: int) -> int:
+    """s_horizon of the walk whose steps ``walk`` packs as ``walk_bits``
+    does: twice the up-steps among the first ``horizon``, less ``horizon``."""
+    horizon = _check_horizon(horizon, 8 * len(walk))
+    whole, rest = divmod(horizon, 8)
+    ups = int(np.bitwise_count(walk[:whole]).sum())
+    if rest:
+        ups += (int(walk[whole]) & ((1 << rest) - 1)).bit_count()
+    return 2 * ups - horizon
+
+
+def crossings_bruteforce(walk: np.ndarray, horizon: int) -> CrossingTable:
+    """Count every up/downcrossing among the first ``horizon`` steps of the
+    walk whose steps ``walk`` packs as ``walk_bits`` does."""
+    horizon = _check_horizon(horizon, 8 * len(walk))
     if horizon == 0:
         return CrossingTable(j_lo=0, up=np.zeros(0, np.int64), down=np.zeros(0, np.int64))
-    # A step from a to b = a +- 1 keys as 3a + b: 4j + 1 for an up-step over
-    # the edge [j, j+1], 4j + 3 for a down-step over it.  The edges run from
-    # the walk's minimum to one below its maximum; each block of _BLOCK
-    # steps is counted from its own lowest key into its slice of the counts.
-    visited = path.positions[: horizon + 1]
-    j_lo = int(visited.min())
-    counts = np.zeros(4 * (int(visited.max()) - j_lo), np.int64)
-    keys = np.empty(min(horizon, _BLOCK), np.int64)
-    for lo in range(0, horizon, _BLOCK):
-        hi = min(lo + _BLOCK, horizon)
-        key = keys[: hi - lo]
-        np.multiply(visited[lo:hi], 3, out=key)
-        key += visited[lo + 1 : hi + 1]
-        base = int(key.min())
-        key -= base
-        block = np.bincount(key)
-        start = base - (4 * j_lo + 1)
-        counts[start : start + len(block)] += block
-    return CrossingTable(j_lo=j_lo, up=counts[::4], down=counts[2::4])
+    # Four steps at a time: counts[w, v] is how many nibbles v start from
+    # position lo + w, and _NIBBLE turns them into crossings at the eight
+    # edge offsets of that start.  The positions come from one cumsum over
+    # the whole bytes' starts, each byte's two nibble keys from _BYTE.
+    whole, rest = divmod(horizon, 8)
+    table = _BYTE.take(walk[:whole].astype(np.intp), axis=1)
+    start = np.empty(whole + 1, np.int64)
+    start[0] = 0
+    np.cumsum(table[0], out=start[1:])
+    lo = (int(start.min()) >> 4) - _MARGIN
+    rows = (int(start.max()) >> 4) - lo + _MARGIN + 1
+    end = (int(start[-1]) >> 4) - lo
+    start -= lo << 4
+    keys = table[1:]
+    keys += start[:-1]
+    counts = np.bincount(keys.ravel(), minlength=16 * rows).reshape(rows, 16)
+    # edges[u*8 + e + 4, w]: crossings of edge lo + w + e by the nibbles
+    # that start from lo + w.  An integer product on purpose: a float one
+    # goes to BLAS, whose worker threads, woken by the larger products,
+    # slowed the rest of the identity suite by ~30 % on two cores.
+    edges = _NIBBLE[4] @ counts.T
+    if rest:  # the steps of the last, partial byte
+        byte = int(walk[whole])
+        edges[:, end] += _NIBBLE[min(rest, 4), :, byte & 15]
+        if rest > 4:
+            low = 2 * (byte & 15).bit_count() - 4
+            edges[:, end + low] += _NIBBLE[rest - 4, :, byte >> 4]
+    # per[u, k] = sum over e of edges[u*8 + e + 4, k + 3 - e]: the crossings
+    # of edge lo + 3 + k.  The crossed edges are those between the lowest
+    # and highest position visited.
+    size = edges.itemsize
+    per = np.ndarray((2, 8, rows - 7), edges.dtype, edges, 7 * size,
+                     (8 * rows * size, (rows - 1) * size, size)).sum(axis=1)
+    crossed = np.flatnonzero(per[0] + per[1])
+    first, last = int(crossed[0]), int(crossed[-1]) + 1
+    per = per[:, first:last]
+    return CrossingTable(j_lo=lo + 3 + first, up=per[0], down=per[1])
 
 
-def signed_crossings_closed_form(path: SkeletonPath, horizon: int) -> dict[int, int]:
-    """U_j - D_j without counting: +1 on [0, j*), -1 on [j*, 0), j* = s_horizon."""
-    horizon = _check_horizon(path, horizon)
-    j_star = int(path.positions[horizon])
+def signed_crossings_closed_form(j_star: int) -> dict[int, int]:
+    """U_j - D_j without counting, for a walk that ends at j* = s_horizon:
+    +1 on [0, j*), -1 on [j*, 0)."""
+    j_star = int(j_star)
     if j_star > 0:
         return {j: 1 for j in range(0, j_star)}
     if j_star < 0:
@@ -135,5 +219,5 @@ def signed_crossings_closed_form(path: SkeletonPath, horizon: int) -> dict[int, 
 
 def terminal_y(path: SkeletonPath, horizon: int) -> float:
     """Value of Y at the horizon-th stopping time: s_horizon * 2**(-n/2)."""
-    horizon = _check_horizon(path, horizon)
+    horizon = _check_horizon(horizon, path.steps)
     return float(path.positions[horizon]) * grid_spacing(path.level)

@@ -4,9 +4,10 @@ one ``math.nextafter`` either side of the edge, and a rate that cannot be
 fitted fails its verdict with a null statistic; ``taylor-table``'s
 exactness check fails on one wrong coefficient of any order; and
 ``law-h-eq``'s modulus ratio equals the double loop over replication rows
-and horizon pairs; and an identity instance's parameters are pinned on
-their keyed stream."""
+and horizon pairs; an identity instance's parameters are pinned on
+their keyed stream; and so is the identity suite's CSV."""
 
+import hashlib
 import math
 from fractions import Fraction
 from functools import partial
@@ -15,6 +16,7 @@ import pytest
 
 from fbmbt import experiments
 from fbmbt.calculus import function_names
+from fbmbt.cli import run_experiment
 from fbmbt.experiments import (
     ExperimentResult,
     _identity_parameters,
@@ -24,6 +26,7 @@ from fbmbt.experiments import (
     run_taylor_table,
 )
 from fbmbt.fgn import H_SPECIAL
+from fbmbt.rng import derive_seed
 from fbmbt.stats import fit_rate, ks_two_sample, mc_run
 
 
@@ -148,3 +151,20 @@ _GOLDEN_INSTANCE = (182, 0.31952032611343667, 6, 1.3388413076332164, "x^3*y", (2
 def test_identity_parameters_golden_stream():
     horizon, H, n, t, f, pq = _identity_parameters(20260823, function_names())
     assert (horizon, H, n, t, f.name, pq) == _GOLDEN_INSTANCE
+
+
+# sha256 of the identity suite's CSV on 40 instances at master seed 1.  Their
+# crossings checks read walks of up to 488 695 steps and their skeleton sums
+# at most 5317, so the hash pins the walk stream far past the (b)/(c)
+# prefix.  A change that moves the walk or instance streams re-records it.
+_IDENTITY_CSV_SHA256 = "5ee289ad13f2d3985199087e21e8897fa1a92c0a8f330e232f30de6c62ee6bc4"
+
+
+def test_identity_suite_csv_is_pinned(tmp_path):
+    fnames = function_names()
+    horizons = [_identity_parameters(derive_seed(1, i), fnames)[0] for i in range(40)]
+    assert max(horizons) == 488695
+    run_experiment({"experiment": "identity-suite", "replications": 40, "master_seed": 1},
+                   tmp_path)
+    csv = (tmp_path / "identity-suite.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == _IDENTITY_CSV_SHA256

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,9 @@ from fbmbt.skeleton import (
     sample_skeleton,
     sample_terminal,
     signed_crossings_closed_form,
+    terminal_position,
     terminal_y,
+    walk_bits,
 )
 from fbmbt.stats import ks_two_sample
 
@@ -21,6 +24,11 @@ from fbmbt.stats import ks_two_sample
 def _manual_path(level, positions):
     positions = np.asarray(positions, dtype=np.int64)
     return SkeletonPath(level=level, steps=len(positions) - 1, positions=positions)
+
+
+def _packed(positions):
+    """The steps of a simple walk, packed as ``walk_bits`` packs them."""
+    return np.packbits(np.diff(positions) > 0, bitorder="little")
 
 
 def test_sample_skeleton_is_simple_walk():
@@ -58,6 +66,20 @@ def test_walk_steps_are_the_bits_of_the_raw_words(seed):
     bits = [(int(w) >> b) & 1 for w in words for b in range(64)]
     ups = (np.diff(sample_skeleton(5, 128, seed).positions) + 1) // 2
     assert ups.tolist() == bits
+    packed = walk_bits(seed, 128)
+    assert packed.dtype == np.uint8
+    assert np.unpackbits(packed, bitorder="little").tolist() == bits
+
+
+@given(
+    k=st.integers(min_value=0, max_value=3000),
+    extra=st.integers(min_value=0, max_value=3000),
+    seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+)
+def test_walk_bits_of_a_shorter_walk_are_a_prefix(k, extra, seed):
+    short = walk_bits(seed, k)
+    assert len(short) == (k + 7) // 8
+    assert np.array_equal(short, walk_bits(seed, k + extra)[: len(short)])
 
 
 @given(
@@ -88,10 +110,29 @@ def _edge_count(counts, j_lo, j):
     return int(counts[j - j_lo]) if 0 <= j - j_lo < len(counts) else 0
 
 
+def _oracle_table(positions, horizon):
+    """``_loop_crossings`` as a ``CrossingTable``'s fields: the edges run
+    from the lowest position visited to one below the highest."""
+    if horizon == 0:
+        return 0, [], []
+    up, down = _loop_crossings(positions, horizon)
+    visited = positions[: horizon + 1]
+    edges = range(int(visited.min()), int(visited.max()))
+    return edges.start, [up[j] for j in edges], [down[j] for j in edges]
+
+
 def _below_zero_walk(seed, steps):
-    """0, then -1 - |s_k|: a simple walk that stays below 0."""
+    """0, then -1 - |s_k|: the positions of a simple walk that stays below 0."""
     s = sample_skeleton(6, steps - 1, seed).positions
-    return _manual_path(6, np.concatenate([[0], -1 - np.abs(s)]))
+    return np.concatenate([[0], -1 - np.abs(s)])
+
+
+def _walks(steps, seed):
+    """(packed steps, positions) of the walk on ``seed`` and of one kept
+    below 0."""
+    below = _below_zero_walk(seed + 1, steps)
+    return [(walk_bits(seed, steps), sample_skeleton(6, steps, seed).positions),
+            (_packed(below), below)]
 
 
 @settings(deadline=None, max_examples=60)
@@ -100,18 +141,33 @@ def _below_zero_walk(seed, steps):
 def test_crossing_counts_match_the_closed_form(steps, data, seed):
     horizon = data.draw(st.integers(min_value=0, max_value=steps))
     walk = sample_skeleton(6, steps, seed)
-    table = crossings_bruteforce(walk, horizon)
-    assert table.signed() == signed_crossings_closed_form(walk, horizon)
+    table = crossings_bruteforce(walk_bits(seed, steps), horizon)
+    assert table.signed() == signed_crossings_closed_form(walk.positions[horizon])
     assert int(table.up.sum() + table.down.sum()) == horizon
 
 
-def _assert_matches_loop_counter(walk, horizon):
-    table = crossings_bruteforce(walk, horizon)
-    up, down = _loop_crossings(walk.positions, horizon)
+@settings(deadline=None, max_examples=80)
+@given(steps=st.integers(min_value=0, max_value=3000), data=st.data(),
+       seed=st.integers(min_value=0, max_value=(1 << 64) - 1))
+def test_crossing_counts_match_the_per_step_oracle(steps, data, seed):
+    horizon = data.draw(st.integers(min_value=0, max_value=steps))
+    table = crossings_bruteforce(walk_bits(seed, steps), horizon)
+    j_lo, up, down = _oracle_table(sample_skeleton(6, steps, seed).positions, horizon)
+    assert table.j_lo == j_lo
+    assert table.up.tolist() == up
+    assert table.down.tolist() == down
+    assert int(table.up.sum() + table.down.sum()) == horizon
+
+
+def _assert_matches_loop_counter(bits, positions, horizon):
+    table = crossings_bruteforce(bits, horizon)
+    up, down = _loop_crossings(positions, horizon)
+    assert (table.j_lo, table.up.tolist(), table.down.tolist()) == _oracle_table(
+        positions, horizon)
     assert int(table.up.sum()) == sum(up.values())
     assert int(table.down.sum()) == sum(down.values())
-    lo = int(walk.positions.min()) - 1
-    hi = int(walk.positions.max()) + 1
+    lo = int(positions.min()) - 1
+    hi = int(positions.max()) + 1
     for j in range(lo, hi + 1):
         assert _edge_count(table.up, table.j_lo, j) == up[j]
         assert _edge_count(table.down, table.j_lo, j) == down[j]
@@ -120,12 +176,25 @@ def _assert_matches_loop_counter(walk, horizon):
 
 
 def test_crossings_bruteforce_matches_loop_counter():
-    walks = [sample_skeleton(6, 400, seed) for seed in range(20)]
-    walks += [_below_zero_walk(seed, 300) for seed in range(5)]
-    for walk in walks:
-        for horizon in {0, 1, walk.steps // 3, walk.steps - 1, walk.steps}:
-            _assert_matches_loop_counter(walk, horizon)
-    assert all(_below_zero_walk(0, 300).positions[1:] < 0)
+    walks = [(walk_bits(seed, 400), sample_skeleton(6, 400, seed).positions)
+             for seed in range(20)]
+    walks += [(_packed(w), w) for w in (_below_zero_walk(seed, 300) for seed in range(5))]
+    for bits, positions in walks:
+        steps = len(positions) - 1
+        for horizon in {0, 1, steps // 3, steps - 1, steps}:
+            _assert_matches_loop_counter(bits, positions, horizon)
+    assert all(_below_zero_walk(0, 300)[1:] < 0)
+
+
+def test_crossings_at_nibble_byte_and_word_edges():
+    # Every residue mod 4 (the steps a table row covers), and one step
+    # either side of the byte (8) and raw word (64) edges.
+    horizons = set(range(0, 24)) | {
+        k * e + d for e in (8, 64) for k in (1, 2, 3) for d in (-1, 0, 1)}
+    for seed in range(6):
+        for bits, positions in _walks(200, seed):
+            for horizon in sorted(horizons):
+                _assert_matches_loop_counter(bits, positions, horizon)
 
 
 # Walk lengths on and beside the edges of the blocks that the sampler and
@@ -146,14 +215,14 @@ def test_crossings_across_block_edges_match_loop_counter(steps):
     edges = {0, 1, steps - 1, steps} | {
         k * _BLOCK + d for k in (1, 2) for d in (-1, 0, 1)}
     horizons = sorted(h for h in edges if 0 <= h <= steps)
-    for walk in (sample_skeleton(6, steps, 3), _below_zero_walk(4, steps)):
+    for bits, positions in _walks(steps, 3):
         for horizon in horizons:
-            _assert_matches_loop_counter(walk, horizon)
+            _assert_matches_loop_counter(bits, positions, horizon)
 
 
 def test_signed_omits_zero_edges():
     # Edge -1 is crossed down and back up; edges 0 and 1 have net +1.
-    table = crossings_bruteforce(_manual_path(4, [0, 1, 0, -1, 0, 1, 2]), 6)
+    table = crossings_bruteforce(_packed([0, 1, 0, -1, 0, 1, 2]), 6)
     assert table.up[-1 - table.j_lo] == table.down[-1 - table.j_lo] == 1
     signed = table.signed()
     assert signed == {0: 1, 1: 1}
@@ -162,8 +231,8 @@ def test_signed_omits_zero_edges():
 
 def test_crossings_on_known_path():
     # 0 1 2 1 2 1 0 -1 0
-    path = _manual_path(4, [0, 1, 2, 1, 2, 1, 0, -1, 0])
-    table = crossings_bruteforce(path, 8)
+    path = [0, 1, 2, 1, 2, 1, 0, -1, 0]
+    table = crossings_bruteforce(_packed(path), 8)
     assert table.up[0 - table.j_lo] == 1
     assert table.down[0 - table.j_lo] == 1
     assert table.up[1 - table.j_lo] == 2
@@ -171,19 +240,19 @@ def test_crossings_on_known_path():
     assert table.up[-1 - table.j_lo] == 1
     assert table.down[-1 - table.j_lo] == 1
     assert table.signed() == {}
-    assert signed_crossings_closed_form(path, 8) == {}
+    assert signed_crossings_closed_form(path[8]) == {}
 
 
 def test_signed_closed_form_positive_terminal():
-    path = _manual_path(4, [0, 1, 0, 1, 2, 3])
-    assert signed_crossings_closed_form(path, 5) == {0: 1, 1: 1, 2: 1}
-    assert crossings_bruteforce(path, 5).signed() == {0: 1, 1: 1, 2: 1}
+    path = [0, 1, 0, 1, 2, 3]
+    assert signed_crossings_closed_form(path[5]) == {0: 1, 1: 1, 2: 1}
+    assert crossings_bruteforce(_packed(path), 5).signed() == {0: 1, 1: 1, 2: 1}
 
 
 def test_signed_closed_form_negative_terminal():
-    path = _manual_path(4, [0, -1, 0, -1, -2])
-    assert signed_crossings_closed_form(path, 4) == {-1: -1, -2: -1}
-    assert crossings_bruteforce(path, 4).signed() == {-1: -1, -2: -1}
+    path = [0, -1, 0, -1, -2]
+    assert signed_crossings_closed_form(path[4]) == {-1: -1, -2: -1}
+    assert crossings_bruteforce(_packed(path), 4).signed() == {-1: -1, -2: -1}
 
 
 def test_signed_closed_form_random_walks():
@@ -191,9 +260,18 @@ def test_signed_closed_form_random_walks():
         walk = sample_skeleton(6, 300, seed)
         horizon = (seed * 37) % 301
         assert (
-            crossings_bruteforce(walk, horizon).signed()
-            == signed_crossings_closed_form(walk, horizon)
+            crossings_bruteforce(walk_bits(seed, 300), horizon).signed()
+            == signed_crossings_closed_form(walk.positions[horizon])
         )
+
+
+@given(steps=st.integers(min_value=0, max_value=3000), data=st.data(),
+       seed=st.integers(min_value=0, max_value=(1 << 64) - 1))
+def test_terminal_position_is_the_walks_position(steps, data, seed):
+    horizon = data.draw(st.integers(min_value=0, max_value=steps))
+    j_star = terminal_position(walk_bits(seed, steps), horizon)
+    assert type(j_star) is int
+    assert j_star == sample_skeleton(6, steps, seed).positions[horizon]
 
 
 def test_terminal_y_scaling():
@@ -204,10 +282,40 @@ def test_terminal_y_scaling():
 
 def test_horizon_validation():
     walk = sample_skeleton(6, 10, 0)
+    bits = walk_bits(0, 10)  # two bytes: room for 16 steps
     with pytest.raises(ValueError):
-        crossings_bruteforce(walk, 11)
+        crossings_bruteforce(bits, 17)
+    with pytest.raises(ValueError):
+        terminal_position(bits, 17)
     with pytest.raises(ValueError):
         terminal_y(walk, -1)
+    with pytest.raises(ValueError):
+        terminal_y(walk, 11)
+
+
+@pytest.mark.parametrize("bad", [2.5, -1, -0.5, float("nan"), float("inf")])
+def test_step_counts_and_horizons_must_be_nonnegative_integers(bad):
+    # numpy would truncate 2.5 steps to 2 in the binomial and in a slice.
+    got = f"got {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=f"steps .*{got}"):
+        walk_bits(3, bad)
+    with pytest.raises(ValueError, match=f"steps .*{got}"):
+        sample_skeleton(4, bad, 3)
+    with pytest.raises(ValueError, match=f"steps .*{got}"):
+        sample_terminal(4, bad, 3)
+    bits = walk_bits(3, 64)
+    with pytest.raises(ValueError, match=f"horizon .*{got}"):
+        crossings_bruteforce(bits, bad)
+    with pytest.raises(ValueError, match=f"horizon .*{got}"):
+        terminal_position(bits, bad)
+    with pytest.raises(ValueError, match=f"horizon .*{got}"):
+        terminal_y(sample_skeleton(4, 8, 3), bad)
+
+
+def test_integral_float_step_counts_read_as_ints():
+    assert sample_terminal(4, 6.0, 3) == sample_terminal(4, 6, 3)
+    assert sample_skeleton(4, 6.0, 3).steps == 6
+    assert np.array_equal(walk_bits(3, 6.0), walk_bits(3, 6))
 
 
 def test_terminal_variance_matches_step_count():
