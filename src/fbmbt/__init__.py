@@ -31,6 +31,7 @@ from .rng import derive_seed, generator, splitmix64
 from .skeleton import (
     CrossingTable,
     SkeletonPath,
+    WalkBits,
     crossings_bruteforce,
     sample_skeleton,
     sample_terminal,

@@ -416,9 +416,9 @@ def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
     # (a) crossing counts: brute force vs closed form, integer exact.  Both
     # read the packed steps of the first ``horizon``; the closed form needs
     # only where they end, j* = 2·(up-steps) - horizon.
-    bits = walk_bits(seed, horizon)
-    brute = crossings_bruteforce(bits, horizon).signed()
-    closed = signed_crossings_closed_form(terminal_position(bits, horizon))
+    packed = walk_bits(seed, horizon)
+    brute = crossings_bruteforce(packed, horizon).signed()
+    closed = signed_crossings_closed_form(terminal_position(packed, horizon))
     crossings = 0.0 if brute == closed else 1.0
 
     # (b), (c): skeleton sum vs crossing reduction vs one-sided form, on the

@@ -7,11 +7,12 @@ closed form, the terminal value of Y) is a deterministic function of that
 walk, so hitting-time durations are never simulated.  Consumers that read
 only the terminal position draw it directly with ``sample_terminal``.
 
-A walk's steps are drawn packed (``walk_bits``): step i is up when bit
-i mod 8 of byte i // 8 is set, the little-endian bytes of its stream's raw
-64-bit words.  The crossing count and the terminal position read those bits
-as they are, four and eight steps at a time; ``sample_skeleton`` unpacks
-them into positions for the consumers that walk the path.
+A walk's steps are drawn packed (``walk_bits``, a ``WalkBits``): step i is
+up when bit i mod 8 of byte i // 8 is set, the little-endian bytes of its
+stream's raw 64-bit words.  The crossing count and the terminal position
+read those bits as they are, four and eight steps at a time;
+``sample_skeleton`` unpacks them into positions for the consumers that walk
+the path.
 """
 
 from __future__ import annotations
@@ -22,11 +23,6 @@ import numpy as np
 
 from .fgn import check_level, grid_spacing
 from .rng import STREAM_WALK, keyed
-
-# Steps per block of the walk: a block's int64 jumps take 256 KB, which
-# stays in cache.
-_BLOCK = 2**15
-
 
 def _check_count(value, name: str) -> int:
     """``value`` as an int: a step count or a horizon must be a nonnegative
@@ -78,6 +74,20 @@ class SkeletonPath:
 
 
 @dataclass(frozen=True)
+class WalkBits:
+    """The first ``steps`` steps of a simple walk, packed: step i is up when
+    bit i mod 8 of ``bits[i // 8]`` is set.  Bits past ``steps`` in the last
+    byte are not steps of this walk."""
+
+    steps: int
+    bits: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if len(self.bits) != (self.steps + 7) // 8:
+            raise ValueError(f"{len(self.bits)} bytes do not pack {self.steps} steps")
+
+
+@dataclass(frozen=True)
 class CrossingTable:
     """Up/downcrossing counts per spatial edge ``[j, j+1]``.
 
@@ -96,39 +106,26 @@ class CrossingTable:
         return dict(zip((nonzero + self.j_lo).tolist(), diff[nonzero].tolist()))
 
 
-def walk_bits(seed: int, steps: int) -> np.ndarray:
-    """The first ``steps`` steps of the walk on ``seed``, packed: step i is
-    up when bit i mod 8 of byte i // 8 is set.  The bytes are the
-    little-endian bytes of the raw 64-bit words of the walk's stream, so
-    step i is bit i mod 64 of word i // 64, and a shorter walk's bytes are a
-    prefix of a longer one's.  Bits past ``steps`` in the last byte are the
-    walk's next steps."""
+def walk_bits(seed: int, steps: int) -> WalkBits:
+    """The first ``steps`` steps of the walk on ``seed``, packed.  The bytes
+    are the little-endian bytes of the raw 64-bit words of the walk's
+    stream, so step i is bit i mod 64 of word i // 64, and a shorter walk's
+    bytes are a prefix of a longer one's."""
     steps = _check_count(steps, "steps")
     words = keyed(seed, STREAM_WALK).bit_generator.random_raw((steps + 63) // 64)
-    return words.astype("<u8", copy=False).view(np.uint8)[: (steps + 7) // 8]
+    return WalkBits(steps, words.astype("<u8", copy=False).view(np.uint8)[: (steps + 7) // 8])
 
 
 def sample_skeleton(level: int, steps: int, seed: int) -> SkeletonPath:
     """Draw a simple symmetric random walk of ``steps`` unit steps: the
     positions of the steps ``walk_bits(seed, steps)`` packs."""
     level = check_level(level)
-    steps = _check_count(steps, "steps")
-    # A block of _BLOCK steps (whole bytes) is unpacked, turned into jumps
-    # and cumulated at a time, the first jump carrying the position the
-    # block starts from.
-    bits = walk_bits(seed, steps)
-    positions = np.empty(steps + 1, dtype=np.int64)
+    walk = walk_bits(seed, steps)
+    up = np.unpackbits(walk.bits, count=walk.steps, bitorder="little")
+    positions = np.empty(walk.steps + 1, dtype=np.int64)
     positions[0] = 0
-    jumps = np.empty(min(steps, _BLOCK), dtype=np.int64)
-    for lo in range(0, steps, _BLOCK):
-        k = min(_BLOCK, steps - lo)
-        up = np.unpackbits(bits[lo // 8 : (lo + k + 7) // 8], count=k, bitorder="little")
-        block = jumps[:k]
-        np.multiply(up, 2, out=block, dtype=np.int64)
-        block -= 1
-        block[0] += positions[lo]
-        np.cumsum(block, out=positions[lo + 1 : lo + k + 1])
-    return SkeletonPath(level=level, steps=steps, positions=positions)
+    np.cumsum(2 * up.astype(np.int64) - 1, out=positions[1:])
+    return SkeletonPath(level=level, steps=walk.steps, positions=positions)
 
 
 def sample_terminal(level: int, steps: int, seed: int) -> int:
@@ -150,21 +147,21 @@ def _check_horizon(horizon, steps: int) -> int:
     return horizon
 
 
-def terminal_position(walk: np.ndarray, horizon: int) -> int:
-    """s_horizon of the walk whose steps ``walk`` packs as ``walk_bits``
-    does: twice the up-steps among the first ``horizon``, less ``horizon``."""
-    horizon = _check_horizon(horizon, 8 * len(walk))
+def terminal_position(walk: WalkBits, horizon: int) -> int:
+    """s_horizon of the packed walk: twice the up-steps among the first
+    ``horizon``, less ``horizon``."""
+    horizon = _check_horizon(horizon, walk.steps)
     whole, rest = divmod(horizon, 8)
-    ups = int(np.bitwise_count(walk[:whole]).sum())
+    ups = int(np.bitwise_count(walk.bits[:whole]).sum())
     if rest:
-        ups += (int(walk[whole]) & ((1 << rest) - 1)).bit_count()
+        ups += (int(walk.bits[whole]) & ((1 << rest) - 1)).bit_count()
     return 2 * ups - horizon
 
 
-def crossings_bruteforce(walk: np.ndarray, horizon: int) -> CrossingTable:
+def crossings_bruteforce(walk: WalkBits, horizon: int) -> CrossingTable:
     """Count every up/downcrossing among the first ``horizon`` steps of the
-    walk whose steps ``walk`` packs as ``walk_bits`` does."""
-    horizon = _check_horizon(horizon, 8 * len(walk))
+    packed walk."""
+    horizon = _check_horizon(horizon, walk.steps)
     if horizon == 0:
         return CrossingTable(j_lo=0, up=np.zeros(0, np.int64), down=np.zeros(0, np.int64))
     # Four steps at a time: counts[w, v] is how many nibbles v start from
@@ -172,7 +169,7 @@ def crossings_bruteforce(walk: np.ndarray, horizon: int) -> CrossingTable:
     # edge offsets of that start.  The positions come from one cumsum over
     # the whole bytes' starts, each byte's two nibble keys from _BYTE.
     whole, rest = divmod(horizon, 8)
-    table = _BYTE.take(walk[:whole].astype(np.intp), axis=1)
+    table = _BYTE.take(walk.bits[:whole].astype(np.intp), axis=1)
     start = np.empty(whole + 1, np.int64)
     start[0] = 0
     np.cumsum(table[0], out=start[1:])
@@ -189,17 +186,19 @@ def crossings_bruteforce(walk: np.ndarray, horizon: int) -> CrossingTable:
     # slowed the rest of the identity suite by ~30 % on two cores.
     edges = _NIBBLE[4] @ counts.T
     if rest:  # the steps of the last, partial byte
-        byte = int(walk[whole])
+        byte = int(walk.bits[whole])
         edges[:, end] += _NIBBLE[min(rest, 4), :, byte & 15]
         if rest > 4:
             low = 2 * (byte & 15).bit_count() - 4
             edges[:, end + low] += _NIBBLE[rest - 4, :, byte >> 4]
-    # per[u, k] = sum over e of edges[u*8 + e + 4, k + 3 - e]: the crossings
-    # of edge lo + 3 + k.  The crossed edges are those between the lowest
-    # and highest position visited.
-    size = edges.itemsize
-    per = np.ndarray((2, 8, rows - 7), edges.dtype, edges, 7 * size,
-                     (8 * rows * size, (rows - 1) * size, size)).sum(axis=1)
+    # per[u, k] = sum over i of edges[u*8 + i, k + 7 - i]: the crossings
+    # of edge lo + 3 + k.  Row i is shifted left by i by reading each u's
+    # 8 x rows block, from its 8th entry on, in rows of rows - 1; the
+    # columns past rows - 8 wrap into the next row and are dropped.  The
+    # crossed edges are those between the lowest and highest position
+    # visited.
+    skew = edges.reshape(2, 8 * rows)[:, 7 : 7 + 8 * (rows - 1)].reshape(2, 8, rows - 1)
+    per = skew.sum(axis=1)[:, : rows - 7]
     crossed = np.flatnonzero(per[0] + per[1])
     first, last = int(crossed[0]), int(crossed[-1]) + 1
     per = per[:, first:last]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from fbmbt.rng import STREAM_WALK, keyed
 from fbmbt.skeleton import (
-    _BLOCK,
     SkeletonPath,
+    WalkBits,
     crossings_bruteforce,
     sample_skeleton,
     sample_terminal,
@@ -28,7 +28,8 @@ def _manual_path(level, positions):
 
 def _packed(positions):
     """The steps of a simple walk, packed as ``walk_bits`` packs them."""
-    return np.packbits(np.diff(positions) > 0, bitorder="little")
+    steps = np.diff(positions)
+    return WalkBits(len(steps), np.packbits(steps > 0, bitorder="little"))
 
 
 def test_sample_skeleton_is_simple_walk():
@@ -67,8 +68,9 @@ def test_walk_steps_are_the_bits_of_the_raw_words(seed):
     ups = (np.diff(sample_skeleton(5, 128, seed).positions) + 1) // 2
     assert ups.tolist() == bits
     packed = walk_bits(seed, 128)
-    assert packed.dtype == np.uint8
-    assert np.unpackbits(packed, bitorder="little").tolist() == bits
+    assert packed.steps == 128
+    assert packed.bits.dtype == np.uint8
+    assert np.unpackbits(packed.bits, bitorder="little").tolist() == bits
 
 
 @given(
@@ -78,8 +80,9 @@ def test_walk_steps_are_the_bits_of_the_raw_words(seed):
 )
 def test_walk_bits_of_a_shorter_walk_are_a_prefix(k, extra, seed):
     short = walk_bits(seed, k)
-    assert len(short) == (k + 7) // 8
-    assert np.array_equal(short, walk_bits(seed, k + extra)[: len(short)])
+    assert short.steps == k
+    assert len(short.bits) == (k + 7) // 8
+    assert np.array_equal(short.bits, walk_bits(seed, k + extra).bits[: len(short.bits)])
 
 
 @given(
@@ -197,14 +200,14 @@ def test_crossings_at_nibble_byte_and_word_edges():
                 _assert_matches_loop_counter(bits, positions, horizon)
 
 
-# Walk lengths on and beside the edges of the blocks that the sampler and
-# the crossing count run in, and horizons on and beside those edges.
-_EDGE_STEPS = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 37]
+# Long walks, 2^15 steps and beside, and horizons at multiples of 2^15
+# and beside them.
+_EDGE_STEPS = [32767, 32768, 32769, 65573]
 
 
 @pytest.mark.parametrize("steps", _EDGE_STEPS)
 def test_walks_across_block_edges_are_prefixes(steps):
-    long = sample_skeleton(7, 3 * _BLOCK, 11).positions
+    long = sample_skeleton(7, 98304, 11).positions
     walk = sample_skeleton(7, steps, 11)
     assert np.array_equal(walk.positions, long[: steps + 1])
     assert set(np.unique(np.diff(walk.positions)).tolist()) == {-1, 1}
@@ -213,7 +216,7 @@ def test_walks_across_block_edges_are_prefixes(steps):
 @pytest.mark.parametrize("steps", _EDGE_STEPS)
 def test_crossings_across_block_edges_match_loop_counter(steps):
     edges = {0, 1, steps - 1, steps} | {
-        k * _BLOCK + d for k in (1, 2) for d in (-1, 0, 1)}
+        k * 32768 + d for k in (1, 2) for d in (-1, 0, 1)}
     horizons = sorted(h for h in edges if 0 <= h <= steps)
     for bits, positions in _walks(steps, 3):
         for horizon in horizons:
@@ -274,6 +277,14 @@ def test_terminal_position_is_the_walks_position(steps, data, seed):
     assert j_star == sample_skeleton(6, steps, seed).positions[horizon]
 
 
+def test_walk_bits_must_pack_their_step_count():
+    bits = np.zeros(2, np.uint8)
+    assert WalkBits(9, bits).steps == 9
+    for steps in (8, 17):
+        with pytest.raises(ValueError, match="2 bytes do not pack"):
+            WalkBits(steps, bits)
+
+
 def test_terminal_y_scaling():
     path = _manual_path(4, [0, 1, 2, 3])
     assert terminal_y(path, 3) == pytest.approx(3 * 2.0**-2)
@@ -282,11 +293,13 @@ def test_terminal_y_scaling():
 
 def test_horizon_validation():
     walk = sample_skeleton(6, 10, 0)
-    bits = walk_bits(0, 10)  # two bytes: room for 16 steps
+    bits = walk_bits(0, 10)  # two bytes, of which 10 bits are steps
     with pytest.raises(ValueError):
-        crossings_bruteforce(bits, 17)
+        crossings_bruteforce(bits, 11)
     with pytest.raises(ValueError):
-        terminal_position(bits, 17)
+        terminal_position(bits, 11)
+    with pytest.raises(ValueError):
+        crossings_bruteforce(_packed([0, 1, 0]), 3)
     with pytest.raises(ValueError):
         terminal_y(walk, -1)
     with pytest.raises(ValueError):
@@ -315,7 +328,9 @@ def test_step_counts_and_horizons_must_be_nonnegative_integers(bad):
 def test_integral_float_step_counts_read_as_ints():
     assert sample_terminal(4, 6.0, 3) == sample_terminal(4, 6, 3)
     assert sample_skeleton(4, 6.0, 3).steps == 6
-    assert np.array_equal(walk_bits(3, 6.0), walk_bits(3, 6))
+    packed = walk_bits(3, 6.0)
+    assert packed.steps == 6 and type(packed.steps) is int
+    assert np.array_equal(packed.bits, walk_bits(3, 6).bits)
 
 
 def test_terminal_variance_matches_step_count():
