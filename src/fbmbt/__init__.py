@@ -41,15 +41,5 @@ from .skeleton import (
     walk_bits,
 )
 from .stats import RateFit, TwoSampleResult, fit_rate, ks_two_sample, mc_run
-from .variations import (
-    k_components,
-    kl_reduce,
-    p_n,
-    v3,
-    v_pq,
-    v_pq_hermite,
-    v_tilde_pq,
-    w_pq,
-)
 
 __version__ = "0.1.0"

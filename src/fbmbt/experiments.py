@@ -20,7 +20,11 @@ fGn chunk of rows and draws only the components that
 one-sided sum on the negative side is the sign of j* times the sum read
 forward along the row, with no mirrored copy of the row.  The identity
 suite alone reads whole walks: its crossings check reads a walk's packed
-step bits, and its skeleton sums the positions of a prefix of them.
+step bits, and its skeleton sums the positions of a prefix of them.  It
+too runs a block of seeds at a time (``_identity_instances``): each side
+of an identity is one midpoint pass over the ragged rows of the instances
+that share f and (p, q), and the H = 1/6 chaos split draws its paths a
+level at a time through ``fgn._path_draws`` and runs once per f.
 Runner keywords are the config keys, so a runner's ``function`` is passed
 on to the draws as their ``fname``.
 """
@@ -60,22 +64,17 @@ from .skeleton import (
 from .stats import fit_rate, ks_two_sample, mc_run
 from .variations import (
     _VALUE,
+    _chaos_components,
     _check_exponents,
     _components_read,
     _fsum_rows,
     _grid_count,
+    _hermite_sum,
     _power_sum,
     _step_count,
     _taylor_sum,
     _taylor_terms,
-    k_components,
-    kl_reduce,
-    p_n,
-    v3,
-    v_pq,
-    v_pq_hermite,
-    v_tilde_pq,
-    w_pq,
+    _trace_remainder,
 )
 
 # Every numeric pass/fail threshold used by the experiments.
@@ -376,18 +375,13 @@ def run_taylor_table() -> ExperimentResult:
     return res
 
 
-# The exact identities, in the order ``_identity_instance`` returns them.
+# The exact identities, in the order ``_identity_instances`` returns them.
 _IDENTITIES = ("crossings", "kl_reduce", "one_sided", "chaos_split", "hermite")
 # Judged by equality with 0.0.  Crossing counts are integers.  Walking an
 # edge backward negates its increment exactly and keeps its midpoint, so the
 # terms of an odd-order skeleton sum cancel or flip sign exactly, and its
 # one-sided forms are the same correctly rounded float.
 _EXACT_IDENTITIES = {"crossings", "kl_reduce", "one_sided"}
-
-
-def _identity_instances(seeds: list[int], fnames: list[str]) -> list[tuple[float, ...]]:
-    """``_identity_instance`` on each seed."""
-    return [_identity_instance(seed, fnames) for seed in seeds]
 
 
 def _identity_parameters(seed: int, fnames: list[str]) -> tuple:
@@ -407,43 +401,148 @@ def _identity_parameters(seed: int, fnames: list[str]) -> tuple:
     return horizon, H, n, t, f, (p, q)
 
 
-def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
-    """Max relative deviation of each exact identity on one random instance,
-    in ``_IDENTITIES`` order."""
-    # The parameters are drawn in full before the walk or a path re-keys
-    # the shared generator.
-    horizon, H, n, t, f, (p, q) = _identity_parameters(seed, fnames)
-    # (a) crossing counts: brute force vs closed form, integer exact.  Both
-    # read the packed steps of the first ``horizon``; the closed form needs
-    # only where they end, j* = 2·(up-steps) - horizon.
+def _identity_instances(seeds: list[int], fnames: list[str]) -> np.ndarray:
+    """Max relative deviation of each exact identity, in ``_IDENTITIES``
+    order, on the random instance of each seed: one row per seed, bit for
+    bit the row its seed gives alone, whatever seeds share the call.
+
+    Every instance's parameters are drawn first.  (a) is counted per
+    instance, (b), (c) and (e) a block of instances that share f and
+    (p, q) at a time (``_walk_blocks``, ``_walk_identities``), and (d) once
+    per f over the H = 1/6 paths of every level (``_chaos_split``)."""
+    params = [_identity_parameters(seed, fnames) for seed in seeds]
+    devs = np.empty((len(seeds), len(_IDENTITIES)))
+    devs[:, 0] = [_crossings_deviation(seed, horizon)
+                  for seed, (horizon, *_) in zip(seeds, params)]
+    for rows in _walk_blocks(params):  # kl_reduce, one_sided and hermite
+        devs[np.ix_(rows, [1, 2, 4])] = _walk_identities(
+            [seeds[i] for i in rows], [params[i] for i in rows])
+    devs[:, 3] = _chaos_split(seeds, params)
+    return devs
+
+
+def _groups(keys) -> list[list[int]]:
+    """The indices of ``keys`` grouped by equal key, each group in index
+    order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+# A block of walk identities holds at most this many skeleton values per
+# component (0.25 MiB an array), which bounds its working set below that
+# of a long crossings count; a longer walk is a block of its own.
+_WALK_BLOCK_VALUES = 1 << 15
+
+
+def _walk_blocks(params: list[tuple]) -> list[list[int]]:
+    """The instances that share f and (p, q), longest walk first, cut into
+    blocks whose rows, padded to the block's longest walk, hold at most
+    ``_WALK_BLOCK_VALUES`` skeleton values."""
+    values = [_step_count(n, t) + 1 for _, _, n, t, *_ in params]
+    blocks = []
+    for rows in _groups((f.name, pq) for *_, f, pq in params):
+        block: list[int] = []
+        for i in sorted(rows, key=lambda i: -values[i]):
+            if block and (len(block) + 1) * values[block[0]] > _WALK_BLOCK_VALUES:
+                blocks.append(block)
+                block = []
+            block.append(i)
+        blocks.append(block)
+    return blocks
+
+
+def _crossings_deviation(seed: int, horizon: int) -> float:
+    """(a) crossing counts: brute force vs closed form, integer exact.  Both
+    read the packed steps of the first ``horizon``; the closed form needs
+    only where they end, j* = 2·(up-steps) - horizon."""
     packed = walk_bits(seed, horizon)
     brute = crossings_bruteforce(packed, horizon).signed()
     closed = signed_crossings_closed_form(terminal_position(packed, horizon))
-    crossings = 0.0 if brute == closed else 1.0
+    return 0.0 if brute == closed else 1.0
 
-    # (b), (c): skeleton sum vs crossing reduction vs one-sided form, on the
-    # first m steps, drawn as a walk of their own (the same stream, so the
-    # same steps as (a)'s up to the shorter horizon), and on a path that
-    # covers the walk's range and the fixed clock's [0, t].
-    m = _step_count(n, t)
-    walk = sample_skeleton(n, m, seed)
-    fbm = sample_fbm_2d(H, n, int(walk.positions.min()),
-                        max(int(walk.positions.max()), _grid_count(n, t)), seed)
-    vt = v_tilde_pq(f, fbm, walk, t, p, q)
-    red = kl_reduce(f, fbm, walk, t, p, q)
-    wv = w_pq(f, fbm, terminal_y(walk, m), p, q)
 
-    # (d): third-order sum = chaos components + trace remainder at H = 1/6.
-    path6 = sample_fbm_2d(H_SPECIAL, n, 0, _grid_count(n, t), seed)
-    lhs = v3(f, path6, t)
-    rhs = math.fsum(k_components(f, path6, t)) + p_n(f, path6, t)
+def _ragged(rows: list[tuple[np.ndarray, np.ndarray]]) -> tuple:
+    """Paired X^1, X^2 value arrays as one ragged block: the two
+    ``(len(rows), width)`` arrays, zero past each row's values, and each
+    row's term count (one less than its values)."""
+    counts = [len(v1) - 1 for v1, _ in rows]
+    block = np.zeros((2, len(rows), max(counts) + 1))
+    for r, (v1, v2) in enumerate(rows):
+        block[0, r, : len(v1)] = v1
+        block[1, r, : len(v2)] = v2
+    return block[0], block[1], counts
 
-    # (e): direct powers vs Hermite-rebuilt powers, read off the fixed-clock
-    # segment [0, floor(2^{n/2} t)] of the (b), (c) path.
-    direct = v_pq(f, fbm, t, p, q)
-    herm = v_pq_hermite(f, fbm, t, p, q)
-    return (crossings, _rel_err(vt, red), _rel_err(vt, wv), _rel_err(lhs, rhs),
-            _rel_err(direct, herm))
+
+def _walk_identities(seeds: list[int], params: list[tuple]) -> np.ndarray:
+    """(b), (c) and (e) on instances that share f and (p, q), one column
+    each.  Each instance draws its walk of the first m steps (the same
+    stream, so the same steps as (a)'s up to the shorter horizon) and its
+    path, which covers the walk's range and the fixed clock's [0, t].  Its
+    rows: the path at the walk positions (the skeleton sum); on
+    [min(0, j*), max(0, j*)] (the crossing reduction, sign(j*) times its
+    sum); from 0 out to y = j* 2^(-n/2), reversed when y < 0 (the
+    one-sided form); and on the fixed clock's [0, floor(2^(n/2) t)] (the
+    direct and the Hermite-rebuilt power sums).  Each side is one midpoint
+    pass over the group's rows."""
+    *_, f, (p, q) = params[0]
+    rows, signs = [], []
+    for seed, (_, H, n, t, *_) in zip(seeds, params):
+        m = _step_count(n, t)
+        walk = sample_skeleton(n, m, seed)
+        pos = walk.positions
+        fbm = sample_fbm_2d(H, n, int(pos.min()), max(int(pos.max()), _grid_count(n, t)), seed)
+        j_star = int(pos[m])
+        y = terminal_y(walk, m)
+        k = _grid_count(n, abs(y))
+        rows.append(((fbm.values1[pos - fbm.j_min], fbm.values2[pos - fbm.j_min]),
+                     fbm.segment(min(0, j_star), max(0, j_star)),
+                     fbm.segment(0, k) if y >= 0 else [v[::-1] for v in fbm.segment(-k, 0)],
+                     fbm.segment(0, _grid_count(n, t))))
+        signs.append((j_star > 0) - (j_star < 0))
+    blocks = [_ragged(side) for side in zip(*rows)]
+    vt, red, wv, direct = (_power_sum(f, v1, v2, p, q, counts) for v1, v2, counts in blocks)
+    red = np.array(signs) * red
+    v1, v2, counts = blocks[3]
+    herm = _hermite_sum(f, v1, v2, p, q, [2.0 ** (n * H / 2.0) for _, H, n, *_ in params],
+                        counts)
+    return np.array([[_rel_err(a, b) for a, b in zip(lhs.tolist(), rhs.tolist())]
+                     for lhs, rhs in ((vt, red), (vt, wv), (direct, herm))]).T
+
+
+def _chaos_split(seeds: list[int], params: list[tuple]) -> list[float]:
+    """(d): the third-order sum against its chaos components plus the trace
+    remainder at H = 1/6, on each instance's path on the fixed clock's
+    [0, floor(2^(n/2) t)].  The paths of one level are rows of one
+    ``_path_draws`` call, each the path ``sample_fbm_2d`` gives its seed
+    alone, stored zero-padded to the widest; each side is then one pass per
+    f over its rows of every level."""
+    counts = [_grid_count(n, t) for _, _, n, t, *_ in params]
+    width = max(counts) + 1
+    paths = np.empty((len(seeds), 2, width))
+
+    def stored(v1, v2, ranges):
+        out = np.zeros((len(ranges), 2, width))
+        out[:, 0, : v1.shape[1]] = v1
+        out[:, 1, : v2.shape[1]] = v2
+        return out.reshape(len(ranges), 2 * width)
+
+    for rows in _groups(n for _, _, n, *_ in params):
+        n = params[rows[0]][2]
+        paths[rows] = _path_draws(H_SPECIAL, n, [(0, counts[i]) for i in rows],
+                                  [seeds[i] for i in rows], stored, 2 * width
+                                  ).reshape(len(rows), 2, width)
+    devs = [0.0] * len(seeds)
+    for rows in _groups(f.name for *_, f, _ in params):
+        f, ns, c = params[rows[0]][4], [params[i][2] for i in rows], [counts[i] for i in rows]
+        v1, v2 = paths[rows, 0], paths[rows, 1]
+        lhs = _taylor_sum(f, v1, v2, 3, c)
+        rhs = (_fsum_rows(np.stack(_chaos_components(f, v1, v2, ns, c), axis=-1))
+               + _trace_remainder(f, v1, v2, ns, c))
+        for i, a, b in zip(rows, lhs.tolist(), rhs.tolist()):
+            devs[i] = _rel_err(a, b)
+    return devs
 
 
 def run_identity_suite(replications=1000, master_seed=0, workers=1) -> ExperimentResult:

@@ -93,8 +93,9 @@ def mc_run(estimator, replications: int, master_seed: int, workers: int = 1):
 
     An estimator takes a list of seeds and returns one value per seed, in
     order, each equal to the value its seed gives alone.  Serially it gets
-    every seed in one call; a pool hands each task a chunk of consecutive
-    seeds.  Returns (values, seeds) with values in replication order
+    every seed in one call; a pool hands each worker one task, a chunk of
+    consecutive seeds, so a block estimator sees blocks as large as it
+    can.  Returns (values, seeds) with values in replication order
     regardless of ``workers``, so parallel and serial runs are bit-identical.
     """
     if replications < 1:
@@ -104,11 +105,11 @@ def mc_run(estimator, replications: int, master_seed: int, workers: int = 1):
         values = list(estimator(seeds))
     else:
         from concurrent.futures import ProcessPoolExecutor  # not loaded by serial runs
-        chunk = max(1, replications // (8 * workers))
-        blocks = [seeds[i : i + chunk] for i in range(0, replications, chunk)]
         # The fork start method launches every worker at once, so no more
-        # are asked for than there are CPUs or blocks.
-        workers = min(workers, os.cpu_count() or 1, len(blocks))
+        # are asked for than there are CPUs or seeds.
+        workers = min(workers, os.cpu_count() or 1, replications)
+        chunk = -(-replications // workers)
+        blocks = [seeds[i : i + chunk] for i in range(0, replications, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = [v for block in pool.map(estimator, blocks) for v in block]
     if len(values) != replications:

@@ -1,52 +1,51 @@
-"""Discrete variation functionals along the fBm grid and the walk skeleton.
+"""Discrete variation functionals along the fBm grid and the walk skeleton,
+evaluated on blocks of rows.
 
 Every functional here is one midpoint sum: a term per increment, partials of
 the smooth weight evaluated at the coordinate-wise midpoint of the
 increment, times factors of the increment, accumulated with one correctly
 rounded sum (``_fsum_rows``).  One kernel, ``_midpoint_sums``, computes the
-midpoints and increments of a path once and evaluates a table of
+midpoints and increments of a block of paths once and evaluates a table of
 (partials, increment exponents) terms on them, the live partials from one
 evaluator call; a term whose partials vanish identically (recorded as data
 with each catalog function) is 0.0 without being evaluated.  That record,
 with which variables each partial depends on, decides which of X^1 and X^2
 a table of terms reads (``_components_read``), and an estimator draws only
-those.  Every functional returns its value: a
-float for one path, summed by ``math.fsum``.  The Monte Carlo estimators
-(``experiments``) skip the path objects: they pass the kernel sums a block
-of fBm rows (one row per seed, paths along the last axis), and get
-one value per row, each the row's own correctly rounded sum, bit for bit
-its ``math.fsum``, computed for the whole block at once by error-free
-extraction (Rump, Ogita and Oishi 2008; see ``_fsum_rows``).  A ragged
+those.  A block holds one path per row, along the last axis; a ragged
 block, whose rows hold paths of different lengths, passes the kernel one
-term count per row.  Increment powers d^p are products d * d * ... * d,
-multiplied left to right (``calculus._powers``), as are the monomials' own
-powers.  The gradient and third-order sums take their
-terms and coefficients from ``midpoint_taylor_table``.  Three families
-live here:
+term count per row.  Each row's sum is its own correctly rounded sum, bit
+for bit its ``math.fsum``, computed for the whole block at once by
+error-free extraction (Rump, Ogita and Oishi 2008; see ``_fsum_rows``), so
+a row's value does not depend on the rows it shares a block with.
+Increment powers d^p are products d * d * ... * d, multiplied left to
+right (``calculus._powers``), as are the monomials' own powers.  The
+gradient and third-order sums take their terms and coefficients from
+``midpoint_taylor_table``.  What a row holds decides the statistic:
 
-* grid statistics over consecutive dyadic indices ``j = 0 .. m-1`` with
+* the fixed clock: the grid values at ``j = 0 .. m`` with
   ``m = floor(2**(n/2) * t)``;
-* skeleton statistics over the first ``floor(2**n * t)`` walk steps, each
-  step contributing the fBm increment over the spatial edge it traverses;
-* the one-sided edge statistic ``w_pq`` indexed by a signed spatial
-  horizon ``y``, the negative side read through the mirrored path
-  ``t -> X_{-t}``.
+* the skeleton: the values at the first ``floor(2**n * t)`` walk
+  positions, each step contributing the fBm increment over the spatial
+  edge it traverses;
+* one-sided: the values from index 0 out to a signed spatial horizon
+  ``y``, the negative side read through the mirrored path ``t -> X_{-t}``.
 
-``kl_reduce`` rewrites a skeleton sum as a signed one-sided sum using the
-closed form for the net number of traversals of each edge, which only
-depends on the walk through its terminal position j*: sign(j*) times the
-sum read forward along the fBm on [min(0, j*), max(0, j*)].  That is bit for
+For odd p + q the up and down traversals of an edge cancel, so a skeleton
+sum equals, by the closed form for the net number of traversals of each
+edge, sign(j*) times the sum read forward along the fBm on
+[min(0, j*), max(0, j*)], j* the walk's terminal position.  That is bit for
 bit the one-sided sum at ``y = j* 2**(-n/2)`` read along the mirrored path:
 reversing a path negates every increment and keeps every midpoint, so each
 term of an odd-order sum, and its correctly rounded sum, flips sign
-exactly.  The skeleton sums therefore need no walk: the Brownian-clock
-estimators take sign(j*) times ``_taylor_sum`` on a drawn j*, for a ragged
-block of seeds at once.  The walk-based gradient and
-third-order sums, their reductions and the one-sided gradient and
-third-order sums ``w_grad`` and ``w3`` are kept only as test oracles
-(``tests/test_variations.py``).
+exactly.  The Brownian-clock estimators therefore take sign(j*) times
+``_taylor_sum`` on a drawn j*, and need no walk.  At H = 1/6 the
+third-order sum splits exactly into its Wiener-chaos components K1..K4
+(``_chaos_components``) and a trace remainder (``_trace_remainder``), and
+a power sum rebuilt from Hermite expansions (``_hermite_sum``) equals the
+direct one up to roundoff; the identity suite (``experiments``) checks
+these, one pass per block.  The per-path forms, on one ``FbmGridPath2D``
+and one walk, are kept as test oracles (``tests/test_variations.py``).
 """
-
 from __future__ import annotations
 
 import math
@@ -60,8 +59,7 @@ from .calculus import (
     hermite_expand,
     midpoint_taylor_table,
 )
-from .fgn import FbmGridPath2D, check_special_hurst
-from .skeleton import SkeletonPath
+from .fgn import H_SPECIAL
 
 # Midpoint Taylor coefficients C(a1, a2) up to order three.
 _TAYLOR = midpoint_taylor_table(3)
@@ -208,153 +206,80 @@ def _taylor_sum(f: Function2D, v1: np.ndarray, v2: np.ndarray, order: int,
     return _fsum_rows(np.stack([float(_TAYLOR[a]) * s for (_, a), s in zip(terms, sums)], axis=-1))
 
 
-def _power_sum(f: Function2D, v1: np.ndarray, v2: np.ndarray, p: int, q: int) -> float:
-    """fsum of f(midpoint) * d1^p * d2^q along the path."""
-    return _midpoint_sums(f, v1, v2, [(_VALUE, (p, q))])[0]
+def _power_sum(f: Function2D, v1: np.ndarray, v2: np.ndarray, p: int, q: int,
+               counts=None) -> float:
+    """fsum of f(midpoint) * d1^p * d2^q along the path.  ``counts`` is
+    ``_midpoint_sums``' per-row term count."""
+    return _midpoint_sums(f, v1, v2, [(_VALUE, (p, q))], counts=counts)[0]
 
 
-def _grid_values(path: FbmGridPath2D, t: float) -> tuple[np.ndarray, np.ndarray]:
-    return path.segment(0, _grid_count(path.level, t))
+# ---------------------------------------------------------------------------
+# Hermite and Wiener-chaos forms, on blocks of rows whose increments have
+# their own standard deviation per row.  A per-row power s**-k is a Python
+# float power, computed before it is stacked into a column, so each row has
+# the bits its path gives alone.
 
 
-def v_pq(f: Function2D, path: FbmGridPath2D, t: float, p: int, q: int) -> float:
-    """Weighted (p,q)-power variation, p + q odd."""
-    p, q = _check_exponents(p, q)
-    return _power_sum(f, *_grid_values(path, t), p, q)
+def _row_scales(scales, orders) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """``scales`` as a column, one row each, and for each k in ``orders``
+    the column of their Python-float powers s**-k."""
+    def column(values):
+        return np.array(values, dtype=np.float64)[:, None]
+
+    return column(scales), {k: column([s**-k for s in scales]) for k in orders}
 
 
-def v_pq_hermite(f: Function2D, path: FbmGridPath2D, t: float, p: int, q: int) -> float:
-    """Same statistic as ``v_pq`` with each increment power rebuilt from its
-    exact Hermite-basis expansion; equal up to roundoff by construction."""
-    p, q = _check_exponents(p, q)
-    scale = 2.0 ** (path.level * path.H / 2.0)
+def _hermite_sum(f: Function2D, v1: np.ndarray, v2: np.ndarray, p: int, q: int,
+                 scales, counts=None) -> np.ndarray:
+    """``_power_sum`` with each increment power d^k rebuilt from its exact
+    Hermite-basis expansion as s^-k sum_j c_j H_j(d s), row r at
+    s = ``scales[r]``, the inverse standard deviation 2^(nH/2) of its
+    increments: equal to the direct sum up to roundoff by construction."""
+    scale, inverse = _row_scales(scales, (p, q))
 
     def rebuilt(w, d1, d2, p, q):
         for d, power in ((d1, p), (d2, q)):
             if power:
-                w = w * hermite_expand(power).evaluate(d * scale) * scale**-power
+                w = w * hermite_expand(power).evaluate(d * scale) * inverse[power]
         return w
 
-    return _midpoint_sums(f, *_grid_values(path, t), [(_VALUE, (p, q))], rebuilt)[0]
+    return _midpoint_sums(f, v1, v2, [(_VALUE, (p, q))], rebuilt, counts)[0]
 
 
-def v3(f: Function2D, path: FbmGridPath2D, t: float) -> float:
-    """Third-order midpoint correction sum: the order-3 part of the midpoint
-    expansion of f(path end) - f(path start) along the grid."""
-    return _taylor_sum(f, *_grid_values(path, t), 3)
+# The third-order terms, in the order of the chaos components K1..K4.
+_CHAOS = ((3, 0), (0, 3), (1, 2), (2, 1))
 
 
-def k_components(f: Function2D, path: FbmGridPath2D, t: float) -> tuple[float, ...]:
-    """Chaos-projected pieces K1..K4 of the third-order sum at H = 1/6.
+def _chaos_components(f: Function2D, v1: np.ndarray, v2: np.ndarray, levels,
+                      counts=None) -> list[np.ndarray]:
+    """Chaos-projected pieces K1..K4 of the third-order sum at H = 1/6, row
+    r on a level-``levels[r]`` path.
 
     Each increment power is replaced by its top Wiener-chaos part,
     ``I_q(delta^{tensor q}) = sd^q * H_q(increment / sd)`` with
     ``sd = 2**(-n H / 2)`` the increment standard deviation.
     """
-    check_special_hurst(path.H, "k_components")
-    inv_sd = 2.0 ** (path.level * path.H / 2.0)
+    inv_sd, sd_powers = _row_scales([2.0 ** (n * H_SPECIAL / 2.0) for n in levels], (2, 3))
 
     def top_chaos(d: np.ndarray, order: int):
         if order < 2:
             return d if order else 1.0
-        return hermite_eval(order, d * inv_sd) * inv_sd**-order
+        return hermite_eval(order, d * inv_sd) * sd_powers[order]
 
-    index = ((3, 0), (0, 3), (1, 2), (2, 1))
     sums = _midpoint_sums(
-        f, *_grid_values(path, t), [((a,), a) for a in index],
-        lambda w, d1, d2, p, q: w * (top_chaos(d1, p) * top_chaos(d2, q)),
+        f, v1, v2, [((a,), a) for a in _CHAOS],
+        lambda w, d1, d2, p, q: w * (top_chaos(d1, p) * top_chaos(d2, q)), counts,
     )
-    return tuple(s / float(1 / _TAYLOR[a]) for a, s in zip(index, sums))
+    return [s / float(1 / _TAYLOR[a]) for a, s in zip(_CHAOS, sums)]
 
 
-def p_n(f: Function2D, path: FbmGridPath2D, t: float) -> float:
-    """Trace remainder of the chaos projection at H = 1/6: the lower-chaos
-    part left over when the increment cubes and squares in the third-order
-    sum are projected onto their top chaos."""
-    check_special_hurst(path.H, "p_n")
+def _trace_remainder(f: Function2D, v1: np.ndarray, v2: np.ndarray, levels,
+                     counts=None) -> np.ndarray:
+    """Trace remainder of the chaos projection at H = 1/6, row r on a
+    level-``levels[r]`` path: the lower-chaos part left over when the
+    increment cubes and squares in the third-order sum are projected onto
+    their top chaos."""
     s1, s2 = _midpoint_sums(
-        f, *_grid_values(path, t), ((((3, 0), (1, 2)), (1, 0)), (((0, 3), (2, 1)), (0, 1)))
+        f, v1, v2, ((((3, 0), (1, 2)), (1, 0)), (((0, 3), (2, 1)), (0, 1))), counts=counts
     )
-    return 0.125 * 2.0 ** (-path.level * path.H) * (s1 + s2)
-
-
-# ---------------------------------------------------------------------------
-# Skeleton statistics
-
-
-def _walk_horizon(fbm: FbmGridPath2D, walk: SkeletonPath, t: float) -> int:
-    """Walk steps up to time t, checked against the walk and the grid level."""
-    if fbm.level != walk.level:
-        raise ValueError(f"fBm grid level {fbm.level} != walk level {walk.level}")
-    m = _step_count(walk.level, t)
-    if m > walk.steps:
-        raise ValueError(f"horizon needs {m} walk steps, walk has {walk.steps}")
-    return m
-
-
-def _skeleton_values(
-    fbm: FbmGridPath2D, walk: SkeletonPath, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    idx = walk.positions[: _walk_horizon(fbm, walk, t) + 1]
-    lo, hi = int(idx.min()), int(idx.max())
-    if lo < fbm.j_min or hi > fbm.j_max:
-        raise ValueError(
-            f"walk visits grid range [{lo}, {hi}] but the fBm grid covers "
-            f"[{fbm.j_min}, {fbm.j_max}]"
-        )
-    pos = idx - fbm.j_min
-    return fbm.values1[pos], fbm.values2[pos]
-
-
-def v_tilde_pq(
-    f: Function2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float, p: int, q: int
-) -> float:
-    """Weighted (p,q)-variation along the time-changed path, p + q odd: one
-    term per walk step, weighted at the midpoint of the fBm increment it
-    traverses."""
-    p, q = _check_exponents(p, q)
-    return _power_sum(f, *_skeleton_values(fbm, walk, t), p, q)
-
-
-# ---------------------------------------------------------------------------
-# One-sided edge statistics and the crossing reduction
-
-
-def _one_sided_values(fbm: FbmGridPath2D, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """Path values from index 0 outward toward ``y`` (mirrored when y < 0)."""
-    m = _grid_count(fbm.level, abs(y))
-    if y >= 0:
-        return fbm.segment(0, m)
-    v1, v2 = fbm.segment(-m, 0)
-    return v1[::-1], v2[::-1]
-
-
-def w_pq(f: Function2D, fbm: FbmGridPath2D, y: float, p: int, q: int) -> float:
-    """One-sided weighted (p,q)-variation out to signed spatial horizon y."""
-    p, q = _check_exponents(p, q)
-    return _power_sum(f, *_one_sided_values(fbm, y), p, q)
-
-
-def _reduced_segment(
-    fbm: FbmGridPath2D, walk: SkeletonPath, t: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Grid values spanning [min(0, j*), max(0, j*)] and the sign of j*,
-    where j* is the walk position at the horizon."""
-    j_star = int(walk.positions[_walk_horizon(fbm, walk, t)])
-    lo, hi = min(0, j_star), max(0, j_star)
-    return *fbm.segment(lo, hi), (j_star > 0) - (j_star < 0)
-
-
-def kl_reduce(
-    f: Function2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float, p: int, q: int
-) -> float:
-    """Skeleton (p,q)-variation via the net-crossing closed form.
-
-    For odd p + q the up and down traversals of an edge contribute with
-    opposite signs, so the skeleton sum collapses to the edges between 0 and
-    the terminal walk position, counted once with the sign of the terminal
-    side.  Equals ``v_tilde_pq`` exactly.
-    """
-    p, q = _check_exponents(p, q)
-    v1, v2, sign = _reduced_segment(fbm, walk, t)
-    return sign * _power_sum(f, v1, v2, p, q) if sign else 0.0
+    return np.array([0.125 * 2.0 ** (-n * H_SPECIAL) for n in levels]) * (s1 + s2)

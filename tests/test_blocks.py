@@ -52,10 +52,8 @@ from fbmbt.variations import (
     _step_count,
     _taylor_sum,
     _taylor_terms,
-    v3,
-    v_pq,
 )
-from test_variations import w3, w_grad
+from test_variations import v3, v_pq, w3, w_grad
 
 SEED = st.integers(min_value=0, max_value=(1 << 64) - 1)
 SEEDS = st.lists(SEED, min_size=1, max_size=40)

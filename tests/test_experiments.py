@@ -5,13 +5,16 @@ fitted fails its verdict with a null statistic; ``taylor-table``'s
 exactness check fails on one wrong coefficient of any order; and
 ``law-h-eq``'s modulus ratio equals the double loop over replication rows
 and horizon pairs; an identity instance's parameters are pinned on
-their keyed stream; and so is the identity suite's CSV."""
+their keyed stream, and so is the identity suite's CSV; and the suite's
+block evaluation gives every instance the deviations it has alone, bit for
+bit, in any block of seeds."""
 
 import hashlib
 import math
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 
 from fbmbt import experiments
@@ -19,15 +22,27 @@ from fbmbt.calculus import function_names
 from fbmbt.cli import run_experiment
 from fbmbt.experiments import (
     ExperimentResult,
+    _identity_instances,
     _identity_parameters,
     _level_master,
+    _rel_err,
     draw_w3_horizons,
     run_law_h_eq,
     run_taylor_table,
 )
-from fbmbt.fgn import H_SPECIAL
+from fbmbt.fgn import H_SPECIAL, sample_fbm_2d
 from fbmbt.rng import derive_seed
-from fbmbt.stats import fit_rate, ks_two_sample, mc_run
+from fbmbt.skeleton import (
+    crossings_bruteforce,
+    sample_skeleton,
+    signed_crossings_closed_form,
+    terminal_position,
+    terminal_y,
+    walk_bits,
+)
+from fbmbt.stats import fit_rate, ks_two_sample, mc_run, replication_seeds
+from fbmbt.variations import _grid_count, _step_count
+from test_variations import k_components, kl_reduce, p_n, v3, v_pq, v_pq_hermite, v_tilde_pq, w_pq
 
 
 def _verdict(res):
@@ -168,3 +183,102 @@ def test_identity_suite_csv_is_pinned(tmp_path):
                    tmp_path)
     csv = (tmp_path / "identity-suite.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == _IDENTITY_CSV_SHA256
+
+
+# ---------------------------------------------------------------------------
+# The identity suite's block evaluation against the per-seed instance it
+# replaced, kept here verbatim as the oracle: one walk, two paths and one
+# per-path statistic call per identity side, for one seed.
+
+
+def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
+    """Max relative deviation of each exact identity on one random instance,
+    in ``_IDENTITIES`` order."""
+    # The parameters are drawn in full before the walk or a path re-keys
+    # the shared generator.
+    horizon, H, n, t, f, (p, q) = _identity_parameters(seed, fnames)
+    # (a) crossing counts: brute force vs closed form, integer exact.  Both
+    # read the packed steps of the first ``horizon``; the closed form needs
+    # only where they end, j* = 2·(up-steps) - horizon.
+    packed = walk_bits(seed, horizon)
+    brute = crossings_bruteforce(packed, horizon).signed()
+    closed = signed_crossings_closed_form(terminal_position(packed, horizon))
+    crossings = 0.0 if brute == closed else 1.0
+
+    # (b), (c): skeleton sum vs crossing reduction vs one-sided form, on the
+    # first m steps, drawn as a walk of their own (the same stream, so the
+    # same steps as (a)'s up to the shorter horizon), and on a path that
+    # covers the walk's range and the fixed clock's [0, t].
+    m = _step_count(n, t)
+    walk = sample_skeleton(n, m, seed)
+    fbm = sample_fbm_2d(H, n, int(walk.positions.min()),
+                        max(int(walk.positions.max()), _grid_count(n, t)), seed)
+    vt = v_tilde_pq(f, fbm, walk, t, p, q)
+    red = kl_reduce(f, fbm, walk, t, p, q)
+    wv = w_pq(f, fbm, terminal_y(walk, m), p, q)
+
+    # (d): third-order sum = chaos components + trace remainder at H = 1/6.
+    path6 = sample_fbm_2d(H_SPECIAL, n, 0, _grid_count(n, t), seed)
+    lhs = v3(f, path6, t)
+    rhs = math.fsum(k_components(f, path6, t)) + p_n(f, path6, t)
+
+    # (e): direct powers vs Hermite-rebuilt powers, read off the fixed-clock
+    # segment [0, floor(2^{n/2} t)] of the (b), (c) path.
+    direct = v_pq(f, fbm, t, p, q)
+    herm = v_pq_hermite(f, fbm, t, p, q)
+    return (crossings, _rel_err(vt, red), _rel_err(vt, wv), _rel_err(lhs, rhs),
+            _rel_err(direct, herm))
+
+
+def _oracle_bits(seeds) -> bytes:
+    fnames = function_names()
+    return np.array([_identity_instance(seed, fnames) for seed in seeds]).tobytes()
+
+
+def _block_bits(seeds, size) -> bytes:
+    """``_identity_instances`` on ``seeds`` in consecutive blocks of ``size``."""
+    fnames = function_names()
+    return np.concatenate([_identity_instances(seeds[i : i + size], fnames)
+                           for i in range(0, len(seeds), size)]).tobytes()
+
+
+# 320 instances reach every test function and every (p, q).
+_ORACLE_SEEDS = replication_seeds(320, 20261020)
+
+
+def test_oracle_seeds_reach_every_function_and_exponent_pair():
+    fnames = function_names()
+    params = [_identity_parameters(seed, fnames) for seed in _ORACLE_SEEDS]
+    assert {f.name for *_, f, _ in params} == set(fnames)
+    assert len({pq for *_, pq in params}) == 8
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_identity_blocks_equal_the_instance_oracle(order):
+    seeds = _ORACLE_SEEDS if order == "forward" else _ORACLE_SEEDS[::-1]
+    want = _oracle_bits(seeds)
+    for size in (1, 7, len(seeds)):
+        assert _block_bits(seeds, size) == want, size
+
+
+# Edge rows, each seed checked for what it is chosen for below: the walk of
+# seed 3 ends at j* = 0 (its reduction is 0.0 and its one-sided horizon
+# y = 0), the crossings horizon of seed 45 is 0, seeds 1550, 3217 and 5673
+# share sin_x_cos_y and (2, 3) and have one fixed-clock increment each, and
+# seeds 11106 and 68396 share bump and (2, 3) and have none.
+_EDGE_SEEDS = [3, 45, 1550, 3217, 5673, 11106, 68396]
+
+
+def test_identity_edge_rows_equal_the_instance_oracle():
+    fnames = function_names()
+    params = {seed: _identity_parameters(seed, fnames) for seed in _EDGE_SEEDS}
+    _, _, n, t, _, _ = params[3]
+    m = _step_count(n, t)
+    assert sample_skeleton(n, m, 3).positions[m] == 0
+    assert params[45][0] == 0
+    for group, width in (([1550, 3217, 5673], 1), ([11106, 68396], 0)):
+        assert len({(params[s][4].name, params[s][5]) for s in group}) == 1
+        assert {_grid_count(params[s][2], params[s][3]) for s in group} == {width}
+    groups = [(f.name, pq) for *_, f, pq in params.values()]
+    assert min(groups.count(g) for g in groups) == 1  # a one-row group
+    assert _block_bits(_EDGE_SEEDS, len(_EDGE_SEEDS)) == _oracle_bits(_EDGE_SEEDS)

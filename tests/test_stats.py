@@ -102,6 +102,7 @@ class _SerialPool:
     is asked for and maps in this process, so no worker is started."""
 
     asked: list = []
+    blocks: list = []
 
     def __init__(self, max_workers):
         self.asked.append(max_workers)
@@ -113,6 +114,7 @@ class _SerialPool:
         return False
 
     def map(self, fn, blocks):
+        self.blocks.append([len(block) for block in blocks])
         return map(fn, blocks)
 
 
@@ -131,6 +133,27 @@ def test_mc_run_pool_asks_for_no_more_workers_than_cpus_or_blocks(
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     values, _ = mc_run(_estimator, replications, 9, workers=workers)
     assert _SerialPool.asked == [want]
+    assert np.array_equal(values, mc_run(_estimator, replications, 9)[0])
+
+
+@pytest.mark.parametrize("replications, workers, sizes", [
+    (2000, 2, [1000, 1000]),
+    (401, 2, [201, 200]),
+    (10, 4, [3, 3, 3, 1]),
+    (3, 8, [1, 1, 1]),
+])
+def test_mc_run_pool_hands_each_worker_one_block(monkeypatch, replications, workers, sizes):
+    # One task of consecutive seeds per worker: a block estimator sees the
+    # largest blocks the pool allows.
+    import concurrent.futures
+
+    monkeypatch.setattr(_SerialPool, "asked", [])
+    monkeypatch.setattr(_SerialPool, "blocks", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    values, _ = mc_run(_estimator, replications, 9, workers=workers)
+    assert _SerialPool.blocks == [sizes]
+    assert _SerialPool.asked == [len(sizes)]
     assert np.array_equal(values, mc_run(_estimator, replications, 9)[0])
 
 

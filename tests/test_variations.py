@@ -7,29 +7,184 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fbmbt.calculus import function_names, get_test_function, hermite_eval, hermite_expand
+from fbmbt.calculus import (
+    Function2D,
+    function_names,
+    get_test_function,
+    hermite_eval,
+    hermite_expand,
+)
 from fbmbt.experiments import THRESHOLDS
-from fbmbt.fgn import grid_spacing, sample_fbm_2d
-from fbmbt.skeleton import sample_skeleton, terminal_y
+from fbmbt.fgn import FbmGridPath2D, check_special_hurst, grid_spacing, sample_fbm_2d
+from fbmbt.skeleton import SkeletonPath, sample_skeleton, terminal_y
 from fbmbt.variations import (
+    _TAYLOR,
+    _VALUE,
+    _check_exponents,
     _fsum_rows,
     _grid_count,
-    _grid_values,
-    _one_sided_values,
-    _reduced_segment,
-    _skeleton_values,
+    _midpoint_sums,
+    _power_sum,
+    _step_count,
     _taylor_sum,
-    k_components,
-    kl_reduce,
-    p_n,
-    v3,
-    v_pq,
-    v_pq_hermite,
-    v_tilde_pq,
-    w_pq,
 )
 
 H6 = 1.0 / 6.0
+
+
+# ---------------------------------------------------------------------------
+# Per-path forms: each statistic on one ``FbmGridPath2D`` (and one walk),
+# a float summed by ``math.fsum``.  The package evaluates them a block of
+# rows at a time (``experiments._identity_instances``); these are the
+# oracles its rows must equal bit for bit (``tests/test_experiments.py``),
+# and the fixed-clock estimators' (``tests/test_blocks.py``).
+
+
+def _grid_values(path: FbmGridPath2D, t: float) -> tuple[np.ndarray, np.ndarray]:
+    return path.segment(0, _grid_count(path.level, t))
+
+
+def v_pq(f: Function2D, path: FbmGridPath2D, t: float, p: int, q: int) -> float:
+    """Weighted (p,q)-power variation, p + q odd."""
+    p, q = _check_exponents(p, q)
+    return _power_sum(f, *_grid_values(path, t), p, q)
+
+
+def v_pq_hermite(f: Function2D, path: FbmGridPath2D, t: float, p: int, q: int) -> float:
+    """Same statistic as ``v_pq`` with each increment power rebuilt from its
+    exact Hermite-basis expansion; equal up to roundoff by construction."""
+    p, q = _check_exponents(p, q)
+    scale = 2.0 ** (path.level * path.H / 2.0)
+
+    def rebuilt(w, d1, d2, p, q):
+        for d, power in ((d1, p), (d2, q)):
+            if power:
+                w = w * hermite_expand(power).evaluate(d * scale) * scale**-power
+        return w
+
+    return _midpoint_sums(f, *_grid_values(path, t), [(_VALUE, (p, q))], rebuilt)[0]
+
+
+def v3(f: Function2D, path: FbmGridPath2D, t: float) -> float:
+    """Third-order midpoint correction sum: the order-3 part of the midpoint
+    expansion of f(path end) - f(path start) along the grid."""
+    return _taylor_sum(f, *_grid_values(path, t), 3)
+
+
+def k_components(f: Function2D, path: FbmGridPath2D, t: float) -> tuple[float, ...]:
+    """Chaos-projected pieces K1..K4 of the third-order sum at H = 1/6.
+
+    Each increment power is replaced by its top Wiener-chaos part,
+    ``I_q(delta^{tensor q}) = sd^q * H_q(increment / sd)`` with
+    ``sd = 2**(-n H / 2)`` the increment standard deviation.
+    """
+    check_special_hurst(path.H, "k_components")
+    inv_sd = 2.0 ** (path.level * path.H / 2.0)
+
+    def top_chaos(d: np.ndarray, order: int):
+        if order < 2:
+            return d if order else 1.0
+        return hermite_eval(order, d * inv_sd) * inv_sd**-order
+
+    index = ((3, 0), (0, 3), (1, 2), (2, 1))
+    sums = _midpoint_sums(
+        f, *_grid_values(path, t), [((a,), a) for a in index],
+        lambda w, d1, d2, p, q: w * (top_chaos(d1, p) * top_chaos(d2, q)),
+    )
+    return tuple(s / float(1 / _TAYLOR[a]) for a, s in zip(index, sums))
+
+
+def p_n(f: Function2D, path: FbmGridPath2D, t: float) -> float:
+    """Trace remainder of the chaos projection at H = 1/6: the lower-chaos
+    part left over when the increment cubes and squares in the third-order
+    sum are projected onto their top chaos."""
+    check_special_hurst(path.H, "p_n")
+    s1, s2 = _midpoint_sums(
+        f, *_grid_values(path, t), ((((3, 0), (1, 2)), (1, 0)), (((0, 3), (2, 1)), (0, 1)))
+    )
+    return 0.125 * 2.0 ** (-path.level * path.H) * (s1 + s2)
+
+
+# ---------------------------------------------------------------------------
+# Skeleton statistics
+
+
+def _walk_horizon(fbm: FbmGridPath2D, walk: SkeletonPath, t: float) -> int:
+    """Walk steps up to time t, checked against the walk and the grid level."""
+    if fbm.level != walk.level:
+        raise ValueError(f"fBm grid level {fbm.level} != walk level {walk.level}")
+    m = _step_count(walk.level, t)
+    if m > walk.steps:
+        raise ValueError(f"horizon needs {m} walk steps, walk has {walk.steps}")
+    return m
+
+
+def _skeleton_values(
+    fbm: FbmGridPath2D, walk: SkeletonPath, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    idx = walk.positions[: _walk_horizon(fbm, walk, t) + 1]
+    lo, hi = int(idx.min()), int(idx.max())
+    if lo < fbm.j_min or hi > fbm.j_max:
+        raise ValueError(
+            f"walk visits grid range [{lo}, {hi}] but the fBm grid covers "
+            f"[{fbm.j_min}, {fbm.j_max}]"
+        )
+    pos = idx - fbm.j_min
+    return fbm.values1[pos], fbm.values2[pos]
+
+
+def v_tilde_pq(
+    f: Function2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float, p: int, q: int
+) -> float:
+    """Weighted (p,q)-variation along the time-changed path, p + q odd: one
+    term per walk step, weighted at the midpoint of the fBm increment it
+    traverses."""
+    p, q = _check_exponents(p, q)
+    return _power_sum(f, *_skeleton_values(fbm, walk, t), p, q)
+
+
+# ---------------------------------------------------------------------------
+# One-sided edge statistics and the crossing reduction
+
+
+def _one_sided_values(fbm: FbmGridPath2D, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """Path values from index 0 outward toward ``y`` (mirrored when y < 0)."""
+    m = _grid_count(fbm.level, abs(y))
+    if y >= 0:
+        return fbm.segment(0, m)
+    v1, v2 = fbm.segment(-m, 0)
+    return v1[::-1], v2[::-1]
+
+
+def w_pq(f: Function2D, fbm: FbmGridPath2D, y: float, p: int, q: int) -> float:
+    """One-sided weighted (p,q)-variation out to signed spatial horizon y."""
+    p, q = _check_exponents(p, q)
+    return _power_sum(f, *_one_sided_values(fbm, y), p, q)
+
+
+def _reduced_segment(
+    fbm: FbmGridPath2D, walk: SkeletonPath, t: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Grid values spanning [min(0, j*), max(0, j*)] and the sign of j*,
+    where j* is the walk position at the horizon."""
+    j_star = int(walk.positions[_walk_horizon(fbm, walk, t)])
+    lo, hi = min(0, j_star), max(0, j_star)
+    return *fbm.segment(lo, hi), (j_star > 0) - (j_star < 0)
+
+
+def kl_reduce(
+    f: Function2D, fbm: FbmGridPath2D, walk: SkeletonPath, t: float, p: int, q: int
+) -> float:
+    """Skeleton (p,q)-variation via the net-crossing closed form.
+
+    For odd p + q the up and down traversals of an edge contribute with
+    opposite signs, so the skeleton sum collapses to the edges between 0 and
+    the terminal walk position, counted once with the sign of the terminal
+    side.  Equals ``v_tilde_pq`` exactly.
+    """
+    p, q = _check_exponents(p, q)
+    v1, v2, sign = _reduced_segment(fbm, walk, t)
+    return sign * _power_sum(f, v1, v2, p, q) if sign else 0.0
 
 
 # Reference-only forms: the gradient and third-order sums on the grid, one
