@@ -29,7 +29,6 @@ from .limitlaw import (
 )
 from .rng import derive_seed, generator, splitmix64
 from .skeleton import (
-    CrossingTable,
     SkeletonPath,
     WalkBits,
     crossings_bruteforce,

@@ -19,8 +19,10 @@ fGn chunk of rows and draws only the components that
 ``variations._components_read`` finds the kernel's terms read.  An odd
 one-sided sum on the negative side is the sign of j* times the sum read
 forward along the row, with no mirrored copy of the row.  The identity
-suite alone reads whole walks: its crossings check reads a walk's packed
-step bits, and its skeleton sums the positions of a prefix of them.  It
+suite alone reads whole walks, each drawn to the steps it reads: its
+crossings check counts the net crossings U_j - D_j of the packed step bits
+of a walk drawn to the instance's horizon, and its skeleton sums read the
+positions of a walk of floor(2^n t) steps on the same bits.  It
 too runs a block of seeds at a time (``_identity_instances``): each side
 of an identity is one midpoint pass over the ragged rows of the instances
 that share f and (p, q), and the H = 1/6 chaos split draws its paths a
@@ -454,13 +456,12 @@ def _walk_blocks(params: list[tuple]) -> list[list[int]]:
 
 
 def _crossings_deviation(seed: int, horizon: int) -> float:
-    """(a) crossing counts: brute force vs closed form, integer exact.  Both
-    read the packed steps of the first ``horizon``; the closed form needs
-    only where they end, j* = 2·(up-steps) - horizon."""
+    """(a) net crossing counts: brute force vs closed form, integer exact.
+    Both read the packed steps of the walk drawn to ``horizon`` steps; the
+    closed form needs only where they end, j* = 2·(up-steps) - horizon."""
     packed = walk_bits(seed, horizon)
-    brute = crossings_bruteforce(packed, horizon).signed()
-    closed = signed_crossings_closed_form(terminal_position(packed, horizon))
-    return 0.0 if brute == closed else 1.0
+    closed = signed_crossings_closed_form(terminal_position(packed))
+    return 0.0 if crossings_bruteforce(packed) == closed else 1.0
 
 
 def _ragged(rows: list[tuple[np.ndarray, np.ndarray]]) -> tuple:
@@ -494,7 +495,7 @@ def _walk_identities(seeds: list[int], params: list[tuple]) -> np.ndarray:
         pos = walk.positions
         fbm = sample_fbm_2d(H, n, int(pos.min()), max(int(pos.max()), _grid_count(n, t)), seed)
         j_star = int(pos[m])
-        y = terminal_y(walk, m)
+        y = terminal_y(walk)
         k = _grid_count(n, abs(y))
         rows.append(((fbm.values1[pos - fbm.j_min], fbm.values2[pos - fbm.j_min]),
                      fbm.segment(min(0, j_star), max(0, j_star)),

@@ -77,6 +77,13 @@ def check_level(n: int) -> int:
     return int(n)
 
 
+def check_index(j, name: str) -> int:
+    """``j`` as an int, or a ValueError that names it (numpy truncates 2.5 to 2)."""
+    if not float(j).is_integer():
+        raise ValueError(f"{name} must be an integer, got {j!r}")
+    return int(j)
+
+
 def grid_spacing(n: int) -> float:
     """Grid step 2**(-n/2) on the fBm clock."""
     return 2.0 ** (-check_level(n) / 2.0)
@@ -284,10 +291,11 @@ def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed: int) -> FbmGri
     """
     H = check_hurst(H)
     n = check_level(n)
+    j_min, j_max = check_index(j_min, "j_min"), check_index(j_max, "j_max")
     if not j_min <= 0 <= j_max:
         raise ValueError(f"grid must contain index 0, got [{j_min}, {j_max}]")
-    v1, v2 = _path_rows(H, n, [(int(j_min), int(j_max))], [int(seed)])
-    return FbmGridPath2D(float(H), n, int(j_min), int(j_max), v1[0], v2[0])
+    v1, v2 = _path_rows(H, n, [(j_min, j_max)], [int(seed)])
+    return FbmGridPath2D(float(H), n, j_min, j_max, v1[0], v2[0])
 
 
 def _path_draws(H: float, n: int, ranges: list[tuple[int, int]], seeds: list[int], kernel,

@@ -12,7 +12,10 @@ up when bit i mod 8 of byte i // 8 is set, the little-endian bytes of its
 stream's raw 64-bit words.  The crossing count and the terminal position
 read those bits as they are, four and eight steps at a time;
 ``sample_skeleton`` unpacks them into positions for the consumers that walk
-the path.
+the path.  Every reader reads the whole walk it is given: a shorter horizon
+is a walk drawn to fewer steps, whose bits are a prefix of the longer
+one's.  The crossing count gives each edge's net crossings U_j - D_j, the
+one count the skeleton reduction needs.
 """
 
 from __future__ import annotations
@@ -21,29 +24,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fgn import check_level, grid_spacing
+from .fgn import check_index, check_level, grid_spacing
 from .rng import STREAM_WALK, keyed
 
 def _check_count(value, name: str) -> int:
-    """``value`` as an int: a step count or a horizon must be a nonnegative
-    integer, or a ValueError names it."""
-    if not (value >= 0 and float(value).is_integer()):
+    """``value`` as an int: a step count must be a nonnegative integer, or a
+    ValueError names it."""
+    if not value >= 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    return int(value)
+    return check_index(value, name)
 
 
 def _nibble_tables() -> np.ndarray:
-    """``tables[r, u*8 + e + 4, v]``: how many of the first r steps of nibble
-    v (step k up when bit k of v is set), taken from position 0, cross the
-    edge [e, e+1] upward (u = 0) or downward (u = 1), for e in -4..3."""
+    """``tables[r, e + 4, v]``: the net crossings, up less down, of the edge
+    [e, e+1] by the first r steps of nibble v (step k up when bit k of v is
+    set) taken from position 0, for e in -4..3."""
     k = np.arange(4)[:, None]
     v = np.arange(16)[None, :]
     up = (v >> k) & 1
     jump = 2 * up - 1
     edge = np.cumsum(jump, axis=0) - jump - 1 + up  # from p up over p, down over p - 1
-    steps = np.zeros((4, 16, 16), np.int64)
-    steps[k, (1 - up) * 8 + edge + 4, v] = 1
-    return np.concatenate([np.zeros((1, 16, 16), np.int64), np.cumsum(steps, axis=0)])
+    steps = np.zeros((4, 8, 16), np.int64)
+    steps[k, edge + 4, v] = jump
+    return np.concatenate([np.zeros((1, 8, 16), np.int64), np.cumsum(steps, axis=0)])
 
 
 def _byte_table() -> np.ndarray:
@@ -87,25 +90,6 @@ class WalkBits:
             raise ValueError(f"{len(self.bits)} bytes do not pack {self.steps} steps")
 
 
-@dataclass(frozen=True)
-class CrossingTable:
-    """Up/downcrossing counts per spatial edge ``[j, j+1]``.
-
-    ``up[j - j_lo]`` counts steps from j to j+1 within the horizon,
-    ``down[j - j_lo]`` steps from j+1 to j.
-    """
-
-    j_lo: int
-    up: np.ndarray = field(repr=False)
-    down: np.ndarray = field(repr=False)
-
-    def signed(self) -> dict[int, int]:
-        """Map j -> U_j - D_j, zeros omitted."""
-        diff = self.up - self.down
-        nonzero = np.flatnonzero(diff)
-        return dict(zip((nonzero + self.j_lo).tolist(), diff[nonzero].tolist()))
-
-
 def walk_bits(seed: int, steps: int) -> WalkBits:
     """The first ``steps`` steps of the walk on ``seed``, packed.  The bytes
     are the little-endian bytes of the raw 64-bit words of the walk's
@@ -140,35 +124,24 @@ def sample_terminal(level: int, steps: int, seed: int) -> int:
     return 2 * int(keyed(seed, STREAM_WALK).binomial(steps, 0.5)) - steps
 
 
-def _check_horizon(horizon, steps: int) -> int:
-    horizon = _check_count(horizon, "horizon")
-    if horizon > steps:
-        raise ValueError(f"horizon {horizon} outside [0, {steps}]")
-    return horizon
-
-
-def terminal_position(walk: WalkBits, horizon: int) -> int:
-    """s_horizon of the packed walk: twice the up-steps among the first
-    ``horizon``, less ``horizon``."""
-    horizon = _check_horizon(horizon, walk.steps)
-    whole, rest = divmod(horizon, 8)
+def terminal_position(walk: WalkBits) -> int:
+    """The last position of the packed walk: twice its up-steps, less its
+    step count."""
+    whole, rest = divmod(walk.steps, 8)
     ups = int(np.bitwise_count(walk.bits[:whole]).sum())
     if rest:
         ups += (int(walk.bits[whole]) & ((1 << rest) - 1)).bit_count()
-    return 2 * ups - horizon
+    return 2 * ups - walk.steps
 
 
-def crossings_bruteforce(walk: WalkBits, horizon: int) -> CrossingTable:
-    """Count every up/downcrossing among the first ``horizon`` steps of the
-    packed walk."""
-    horizon = _check_horizon(horizon, walk.steps)
-    if horizon == 0:
-        return CrossingTable(j_lo=0, up=np.zeros(0, np.int64), down=np.zeros(0, np.int64))
+def crossings_bruteforce(walk: WalkBits) -> dict[int, int]:
+    """Count, step by step, the net crossings U_j - D_j of each edge
+    [j, j+1] by the packed walk: a map j -> U_j - D_j, zeros omitted."""
     # Four steps at a time: counts[w, v] is how many nibbles v start from
-    # position lo + w, and _NIBBLE turns them into crossings at the eight
-    # edge offsets of that start.  The positions come from one cumsum over
-    # the whole bytes' starts, each byte's two nibble keys from _BYTE.
-    whole, rest = divmod(horizon, 8)
+    # position lo + w, and _NIBBLE turns them into net crossings at the
+    # eight edge offsets of that start.  The positions come from one cumsum
+    # over the whole bytes' starts, each byte's two nibble keys from _BYTE.
+    whole, rest = divmod(walk.steps, 8)
     table = _BYTE.take(walk.bits[:whole].astype(np.intp), axis=1)
     start = np.empty(whole + 1, np.int64)
     start[0] = 0
@@ -180,10 +153,10 @@ def crossings_bruteforce(walk: WalkBits, horizon: int) -> CrossingTable:
     keys = table[1:]
     keys += start[:-1]
     counts = np.bincount(keys.ravel(), minlength=16 * rows).reshape(rows, 16)
-    # edges[u*8 + e + 4, w]: crossings of edge lo + w + e by the nibbles
-    # that start from lo + w.  An integer product on purpose: a float one
-    # goes to BLAS, whose worker threads, woken by the larger products,
-    # slowed the rest of the identity suite by ~30 % on two cores.
+    # edges[e + 4, w]: net crossings of edge lo + w + e by the nibbles that
+    # start from lo + w.  An integer product on purpose: a float one goes
+    # to BLAS, whose worker threads, woken by the larger products, slowed
+    # the rest of the identity suite by ~30 % on two cores.
     edges = _NIBBLE[4] @ counts.T
     if rest:  # the steps of the last, partial byte
         byte = int(walk.bits[whole])
@@ -191,24 +164,19 @@ def crossings_bruteforce(walk: WalkBits, horizon: int) -> CrossingTable:
         if rest > 4:
             low = 2 * (byte & 15).bit_count() - 4
             edges[:, end + low] += _NIBBLE[rest - 4, :, byte >> 4]
-    # per[u, k] = sum over i of edges[u*8 + i, k + 7 - i]: the crossings
-    # of edge lo + 3 + k.  Row i is shifted left by i by reading each u's
-    # 8 x rows block, from its 8th entry on, in rows of rows - 1; the
-    # columns past rows - 8 wrap into the next row and are dropped.  The
-    # crossed edges are those between the lowest and highest position
-    # visited.
-    skew = edges.reshape(2, 8 * rows)[:, 7 : 7 + 8 * (rows - 1)].reshape(2, 8, rows - 1)
-    per = skew.sum(axis=1)[:, : rows - 7]
-    crossed = np.flatnonzero(per[0] + per[1])
-    first, last = int(crossed[0]), int(crossed[-1]) + 1
-    per = per[:, first:last]
-    return CrossingTable(j_lo=lo + 3 + first, up=per[0], down=per[1])
+    # net[k] = sum over i of edges[i, k + 7 - i]: the net crossings of edge
+    # lo + 3 + k.  Row i is shifted left by i by reading the 8 x rows table,
+    # from its 8th entry on, in rows of rows - 1; the columns past rows - 8
+    # wrap into the next row and are dropped.
+    net = edges.ravel()[7 : 7 + 8 * (rows - 1)].reshape(8, rows - 1).sum(axis=0)[: rows - 7]
+    crossed = np.flatnonzero(net)
+    return dict(zip((crossed + lo + 3).tolist(), net[crossed].tolist()))
 
 
 def signed_crossings_closed_form(j_star: int) -> dict[int, int]:
-    """U_j - D_j without counting, for a walk that ends at j* = s_horizon:
-    +1 on [0, j*), -1 on [j*, 0)."""
-    j_star = int(j_star)
+    """U_j - D_j without counting, for a walk that ends at j*: +1 on
+    [0, j*), -1 on [j*, 0)."""
+    j_star = check_index(j_star, "j*")
     if j_star > 0:
         return {j: 1 for j in range(0, j_star)}
     if j_star < 0:
@@ -216,7 +184,6 @@ def signed_crossings_closed_form(j_star: int) -> dict[int, int]:
     return {}
 
 
-def terminal_y(path: SkeletonPath, horizon: int) -> float:
-    """Value of Y at the horizon-th stopping time: s_horizon * 2**(-n/2)."""
-    horizon = _check_horizon(horizon, path.steps)
-    return float(path.positions[horizon]) * grid_spacing(path.level)
+def terminal_y(path: SkeletonPath) -> float:
+    """Value of Y at the path's last stopping time: s_m * 2**(-n/2)."""
+    return float(path.positions[-1]) * grid_spacing(path.level)

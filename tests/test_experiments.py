@@ -197,12 +197,12 @@ def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
     # The parameters are drawn in full before the walk or a path re-keys
     # the shared generator.
     horizon, H, n, t, f, (p, q) = _identity_parameters(seed, fnames)
-    # (a) crossing counts: brute force vs closed form, integer exact.  Both
-    # read the packed steps of the first ``horizon``; the closed form needs
-    # only where they end, j* = 2·(up-steps) - horizon.
+    # (a) net crossing counts: brute force vs closed form, integer exact.
+    # Both read the packed steps of the walk drawn to ``horizon`` steps; the
+    # closed form needs only where they end, j* = 2·(up-steps) - horizon.
     packed = walk_bits(seed, horizon)
-    brute = crossings_bruteforce(packed, horizon).signed()
-    closed = signed_crossings_closed_form(terminal_position(packed, horizon))
+    brute = crossings_bruteforce(packed)
+    closed = signed_crossings_closed_form(terminal_position(packed))
     crossings = 0.0 if brute == closed else 1.0
 
     # (b), (c): skeleton sum vs crossing reduction vs one-sided form, on the
@@ -215,7 +215,7 @@ def _identity_instance(seed: int, fnames: list[str]) -> tuple[float, ...]:
                         max(int(walk.positions.max()), _grid_count(n, t)), seed)
     vt = v_tilde_pq(f, fbm, walk, t, p, q)
     red = kl_reduce(f, fbm, walk, t, p, q)
-    wv = w_pq(f, fbm, terminal_y(walk, m), p, q)
+    wv = w_pq(f, fbm, terminal_y(walk), p, q)
 
     # (d): third-order sum = chaos components + trace remainder at H = 1/6.
     path6 = sample_fbm_2d(H_SPECIAL, n, 0, _grid_count(n, t), seed)

@@ -214,6 +214,18 @@ def test_grid_must_contain_origin():
         sample_fbm_2d(0.3, 8, 1, 5, 1)
 
 
+@pytest.mark.parametrize("j_min, j_max, bad", [(-2.5, 3.7, "j_min must be an integer, got -2.5"),
+                                               (-2, 3.7, "j_max must be an integer, got 3.7"),
+                                               (float("nan"), 3, "j_min must be an integer, got nan")])
+def test_grid_indices_must_be_integers(j_min, j_max, bad):
+    # numpy would truncate [-2.5, 3.7] to [-2, 3] and draw there.
+    with pytest.raises(ValueError, match=bad):
+        sample_fbm_2d(0.3, 4, j_min, j_max, 1)
+    whole = sample_fbm_2d(0.3, 4, -2.0, 3.0, 1)
+    assert (whole.j_min, whole.j_max) == (-2, 3) and type(whole.j_min) is int
+    assert np.array_equal(whole.values1, sample_fbm_2d(0.3, 4, -2, 3, 1).values1)
+
+
 def test_capacity_limit():
     with pytest.raises(CapacityError):
         sample_fbm_2d(0.3, 60, 0, 1 << 23, 1)

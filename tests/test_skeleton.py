@@ -96,32 +96,13 @@ def test_sample_skeleton_shorter_walk_is_prefix(k, extra, seed):
     assert np.array_equal(short, long[: k + 1])
 
 
-def _loop_crossings(positions, horizon):
-    """Reference counter: one Python step at a time."""
-    up, down = Counter(), Counter()
-    for a, b in zip(positions[:horizon].tolist(), positions[1 : horizon + 1].tolist()):
-        if b > a:
-            up[a] += 1
-        else:
-            down[b] += 1
-    return up, down
-
-
-def _edge_count(counts, j_lo, j):
-    """The count of edge [j, j+1] in a per-edge array starting at edge
-    j_lo; 0 for an edge outside it."""
-    return int(counts[j - j_lo]) if 0 <= j - j_lo < len(counts) else 0
-
-
-def _oracle_table(positions, horizon):
-    """``_loop_crossings`` as a ``CrossingTable``'s fields: the edges run
-    from the lowest position visited to one below the highest."""
-    if horizon == 0:
-        return 0, [], []
-    up, down = _loop_crossings(positions, horizon)
-    visited = positions[: horizon + 1]
-    edges = range(int(visited.min()), int(visited.max()))
-    return edges.start, [up[j] for j in edges], [down[j] for j in edges]
+def _loop_crossings(positions):
+    """Reference counter, one Python step at a time: the net crossings
+    U_j - D_j of each edge [j, j+1], zeros omitted."""
+    net = Counter()
+    for a, b in zip(positions[:-1].tolist(), positions[1:].tolist()):
+        net[min(a, b)] += b - a
+    return {j: d for j, d in net.items() if d}
 
 
 def _below_zero_walk(seed, steps):
@@ -130,62 +111,47 @@ def _below_zero_walk(seed, steps):
     return np.concatenate([[0], -1 - np.abs(s)])
 
 
-def _walks(steps, seed):
-    """(packed steps, positions) of the walk on ``seed`` and of one kept
-    below 0."""
+def _walks(steps, seed, horizons):
+    """(packed steps, positions) of the walk on ``seed`` drawn to each
+    horizon, and of the first horizon steps of one kept below 0."""
     below = _below_zero_walk(seed + 1, steps)
-    return [(walk_bits(seed, steps), sample_skeleton(6, steps, seed).positions),
-            (_packed(below), below)]
+    positions = sample_skeleton(6, steps, seed).positions
+    for horizon in horizons:
+        yield walk_bits(seed, horizon), positions[: horizon + 1]
+        yield _packed(below[: horizon + 1]), below[: horizon + 1]
 
 
 @settings(deadline=None, max_examples=60)
-@given(steps=st.integers(min_value=0, max_value=3000), data=st.data(),
+@given(steps=st.integers(min_value=0, max_value=3000),
        seed=st.integers(min_value=0, max_value=(1 << 64) - 1))
-def test_crossing_counts_match_the_closed_form(steps, data, seed):
-    horizon = data.draw(st.integers(min_value=0, max_value=steps))
+def test_crossing_counts_match_the_closed_form(steps, seed):
     walk = sample_skeleton(6, steps, seed)
-    table = crossings_bruteforce(walk_bits(seed, steps), horizon)
-    assert table.signed() == signed_crossings_closed_form(walk.positions[horizon])
-    assert int(table.up.sum() + table.down.sum()) == horizon
+    assert crossings_bruteforce(walk_bits(seed, steps)) == signed_crossings_closed_form(
+        walk.positions[-1])
 
 
 @settings(deadline=None, max_examples=80)
-@given(steps=st.integers(min_value=0, max_value=3000), data=st.data(),
+@given(steps=st.integers(min_value=0, max_value=3000),
        seed=st.integers(min_value=0, max_value=(1 << 64) - 1))
-def test_crossing_counts_match_the_per_step_oracle(steps, data, seed):
-    horizon = data.draw(st.integers(min_value=0, max_value=steps))
-    table = crossings_bruteforce(walk_bits(seed, steps), horizon)
-    j_lo, up, down = _oracle_table(sample_skeleton(6, steps, seed).positions, horizon)
-    assert table.j_lo == j_lo
-    assert table.up.tolist() == up
-    assert table.down.tolist() == down
-    assert int(table.up.sum() + table.down.sum()) == horizon
+def test_crossing_counts_match_the_per_step_oracle(steps, seed):
+    assert crossings_bruteforce(walk_bits(seed, steps)) == _loop_crossings(
+        sample_skeleton(6, steps, seed).positions)
 
 
-def _assert_matches_loop_counter(bits, positions, horizon):
-    table = crossings_bruteforce(bits, horizon)
-    up, down = _loop_crossings(positions, horizon)
-    assert (table.j_lo, table.up.tolist(), table.down.tolist()) == _oracle_table(
-        positions, horizon)
-    assert int(table.up.sum()) == sum(up.values())
-    assert int(table.down.sum()) == sum(down.values())
-    lo = int(positions.min()) - 1
-    hi = int(positions.max()) + 1
-    for j in range(lo, hi + 1):
-        assert _edge_count(table.up, table.j_lo, j) == up[j]
-        assert _edge_count(table.down, table.j_lo, j) == down[j]
-    net = {j: up[j] - down[j] for j in up.keys() | down.keys()}
-    assert table.signed() == {j: d for j, d in net.items() if d != 0}
+def _assert_matches_loop_counter(bits, positions):
+    net = crossings_bruteforce(bits)
+    assert net == _loop_crossings(positions)
+    assert all(type(j) is int and type(d) is int for j, d in net.items())
 
 
 def test_crossings_bruteforce_matches_loop_counter():
-    walks = [(walk_bits(seed, 400), sample_skeleton(6, 400, seed).positions)
-             for seed in range(20)]
-    walks += [(_packed(w), w) for w in (_below_zero_walk(seed, 300) for seed in range(5))]
+    walks = [(walk_bits(seed, h), sample_skeleton(6, h, seed).positions)
+             for seed in range(20) for h in (0, 1, 133, 399, 400)]
+    walks += [(_packed(w[: h + 1]), w[: h + 1])
+              for w in (_below_zero_walk(seed, 300) for seed in range(5))
+              for h in (0, 1, 100, 299, 300)]
     for bits, positions in walks:
-        steps = len(positions) - 1
-        for horizon in {0, 1, steps // 3, steps - 1, steps}:
-            _assert_matches_loop_counter(bits, positions, horizon)
+        _assert_matches_loop_counter(bits, positions)
     assert all(_below_zero_walk(0, 300)[1:] < 0)
 
 
@@ -195,9 +161,19 @@ def test_crossings_at_nibble_byte_and_word_edges():
     horizons = set(range(0, 24)) | {
         k * e + d for e in (8, 64) for k in (1, 2, 3) for d in (-1, 0, 1)}
     for seed in range(6):
-        for bits, positions in _walks(200, seed):
-            for horizon in sorted(horizons):
-                _assert_matches_loop_counter(bits, positions, horizon)
+        for bits, positions in _walks(200, seed, sorted(horizons)):
+            _assert_matches_loop_counter(bits, positions)
+
+
+def test_crossings_read_only_the_walks_steps():
+    # Ten steps in two bytes: the six padding bits of the last byte are
+    # set, and they are not steps.
+    ten = [0, 1, 2, 1, 0, -1, -2, -1, -2, -3, -4]
+    bits = _packed(ten).bits
+    assert bits[1] == 0
+    padded = WalkBits(10, np.array([bits[0], 0b11111100], np.uint8))
+    assert crossings_bruteforce(padded) == {-1: -1, -2: -1, -3: -1, -4: -1}
+    assert terminal_position(padded) == -4
 
 
 # Long walks, 2^15 steps and beside, and horizons at multiples of 2^15
@@ -218,44 +194,46 @@ def test_crossings_across_block_edges_match_loop_counter(steps):
     edges = {0, 1, steps - 1, steps} | {
         k * 32768 + d for k in (1, 2) for d in (-1, 0, 1)}
     horizons = sorted(h for h in edges if 0 <= h <= steps)
-    for bits, positions in _walks(steps, 3):
-        for horizon in horizons:
-            _assert_matches_loop_counter(bits, positions, horizon)
+    for bits, positions in _walks(steps, 3, horizons):
+        _assert_matches_loop_counter(bits, positions)
 
 
 def test_signed_omits_zero_edges():
     # Edge -1 is crossed down and back up; edges 0 and 1 have net +1.
-    table = crossings_bruteforce(_packed([0, 1, 0, -1, 0, 1, 2]), 6)
-    assert table.up[-1 - table.j_lo] == table.down[-1 - table.j_lo] == 1
-    signed = table.signed()
-    assert signed == {0: 1, 1: 1}
-    assert all(type(j) is int and type(d) is int for j, d in signed.items())
+    net = crossings_bruteforce(_packed([0, 1, 0, -1, 0, 1, 2]))
+    assert net == {0: 1, 1: 1}
+    assert all(type(j) is int and type(d) is int for j, d in net.items())
 
 
 def test_crossings_on_known_path():
-    # 0 1 2 1 2 1 0 -1 0
+    # 0 1 2 1 2 1 0 -1 0: every edge is crossed as often down as up.
     path = [0, 1, 2, 1, 2, 1, 0, -1, 0]
-    table = crossings_bruteforce(_packed(path), 8)
-    assert table.up[0 - table.j_lo] == 1
-    assert table.down[0 - table.j_lo] == 1
-    assert table.up[1 - table.j_lo] == 2
-    assert table.down[1 - table.j_lo] == 2
-    assert table.up[-1 - table.j_lo] == 1
-    assert table.down[-1 - table.j_lo] == 1
-    assert table.signed() == {}
+    assert crossings_bruteforce(_packed(path)) == {}
     assert signed_crossings_closed_form(path[8]) == {}
+    prefixes = [crossings_bruteforce(_packed(path[: k + 1])) for k in range(9)]
+    assert prefixes == [{}, {0: 1}, {0: 1, 1: 1}, {0: 1}, {0: 1, 1: 1}, {0: 1}, {}, {-1: -1}, {}]
+    assert prefixes == [signed_crossings_closed_form(j) for j in path]
 
 
 def test_signed_closed_form_positive_terminal():
     path = [0, 1, 0, 1, 2, 3]
     assert signed_crossings_closed_form(path[5]) == {0: 1, 1: 1, 2: 1}
-    assert crossings_bruteforce(_packed(path), 5).signed() == {0: 1, 1: 1, 2: 1}
+    assert crossings_bruteforce(_packed(path)) == {0: 1, 1: 1, 2: 1}
 
 
 def test_signed_closed_form_negative_terminal():
     path = [0, -1, 0, -1, -2]
     assert signed_crossings_closed_form(path[4]) == {-1: -1, -2: -1}
-    assert crossings_bruteforce(_packed(path), 4).signed() == {-1: -1, -2: -1}
+    assert crossings_bruteforce(_packed(path)) == {-1: -1, -2: -1}
+
+
+@pytest.mark.parametrize("bad", [2.5, -0.5, float("nan"), float("inf")])
+def test_closed_form_needs_an_integer_terminal_position(bad):
+    # int() would truncate j* = 2.5 to 2 and give {0: 1, 1: 1}.
+    with pytest.raises(ValueError, match=f"j\\* must be an integer, got {re.escape(repr(bad))}"):
+        signed_crossings_closed_form(bad)
+    assert signed_crossings_closed_form(np.int64(-2)) == {-2: -1, -1: -1}
+    assert signed_crossings_closed_form(3.0) == {0: 1, 1: 1, 2: 1}
 
 
 def test_signed_closed_form_random_walks():
@@ -263,18 +241,17 @@ def test_signed_closed_form_random_walks():
         walk = sample_skeleton(6, 300, seed)
         horizon = (seed * 37) % 301
         assert (
-            crossings_bruteforce(walk_bits(seed, 300), horizon).signed()
+            crossings_bruteforce(walk_bits(seed, horizon))
             == signed_crossings_closed_form(walk.positions[horizon])
         )
 
 
-@given(steps=st.integers(min_value=0, max_value=3000), data=st.data(),
+@given(steps=st.integers(min_value=0, max_value=3000),
        seed=st.integers(min_value=0, max_value=(1 << 64) - 1))
-def test_terminal_position_is_the_walks_position(steps, data, seed):
-    horizon = data.draw(st.integers(min_value=0, max_value=steps))
-    j_star = terminal_position(walk_bits(seed, steps), horizon)
+def test_terminal_position_is_the_walks_position(steps, seed):
+    j_star = terminal_position(walk_bits(seed, steps))
     assert type(j_star) is int
-    assert j_star == sample_skeleton(6, steps, seed).positions[horizon]
+    assert j_star == sample_skeleton(6, steps, seed).positions[-1]
 
 
 def test_walk_bits_must_pack_their_step_count():
@@ -286,29 +263,14 @@ def test_walk_bits_must_pack_their_step_count():
 
 
 def test_terminal_y_scaling():
-    path = _manual_path(4, [0, 1, 2, 3])
-    assert terminal_y(path, 3) == pytest.approx(3 * 2.0**-2)
-    assert terminal_y(path, 0) == 0.0
-
-
-def test_horizon_validation():
-    walk = sample_skeleton(6, 10, 0)
-    bits = walk_bits(0, 10)  # two bytes, of which 10 bits are steps
-    with pytest.raises(ValueError):
-        crossings_bruteforce(bits, 11)
-    with pytest.raises(ValueError):
-        terminal_position(bits, 11)
-    with pytest.raises(ValueError):
-        crossings_bruteforce(_packed([0, 1, 0]), 3)
-    with pytest.raises(ValueError):
-        terminal_y(walk, -1)
-    with pytest.raises(ValueError):
-        terminal_y(walk, 11)
+    assert terminal_y(_manual_path(4, [0, 1, 2, 3])) == pytest.approx(3 * 2.0**-2)
+    assert terminal_y(_manual_path(4, [0])) == 0.0
 
 
 @pytest.mark.parametrize("bad", [2.5, -1, -0.5, float("nan"), float("inf")])
 def test_step_counts_and_horizons_must_be_nonnegative_integers(bad):
     # numpy would truncate 2.5 steps to 2 in the binomial and in a slice.
+    # A horizon is the step count of the walk drawn to it.
     got = f"got {re.escape(repr(bad))}"
     with pytest.raises(ValueError, match=f"steps .*{got}"):
         walk_bits(3, bad)
@@ -316,13 +278,6 @@ def test_step_counts_and_horizons_must_be_nonnegative_integers(bad):
         sample_skeleton(4, bad, 3)
     with pytest.raises(ValueError, match=f"steps .*{got}"):
         sample_terminal(4, bad, 3)
-    bits = walk_bits(3, 64)
-    with pytest.raises(ValueError, match=f"horizon .*{got}"):
-        crossings_bruteforce(bits, bad)
-    with pytest.raises(ValueError, match=f"horizon .*{got}"):
-        terminal_position(bits, bad)
-    with pytest.raises(ValueError, match=f"horizon .*{got}"):
-        terminal_y(sample_skeleton(4, 8, 3), bad)
 
 
 def test_integral_float_step_counts_read_as_ints():
@@ -335,7 +290,7 @@ def test_integral_float_step_counts_read_as_ints():
 
 def test_terminal_variance_matches_step_count():
     n, steps = 8, 256  # horizon time 1: variance 256 * 2^-8 = 1
-    vals = [terminal_y(sample_skeleton(n, steps, s), steps) for s in range(3000)]
+    vals = [terminal_y(sample_skeleton(n, steps, s)) for s in range(3000)]
     assert np.var(vals, ddof=1) == pytest.approx(1.0, abs=0.1)
 
 

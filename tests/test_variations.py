@@ -361,7 +361,7 @@ def test_skeleton_statistics_and_reductions():
             vt = v_tilde_pq(f, fbm, walk, t, p, q)
             red = kl_reduce(f, fbm, walk, t, p, q)
             assert _rel(vt, red) < 1e-12
-            wv = w_pq(f, fbm, terminal_y(walk, m), p, q)
+            wv = w_pq(f, fbm, terminal_y(walk), p, q)
             assert _rel(vt, wv) < 1e-12
         o_red = o_tilde_reduced(f, fbm, walk, t)
         v3_red = v_tilde_3_reduced(f, fbm, walk, t)
@@ -396,7 +396,7 @@ def test_reductions_equal_skeleton_sum(H, n, t, seed, name, pq):
     vt = v_tilde_pq(f, fbm, walk, t, *pq)
     tol = THRESHOLDS["identity_rel"]
     assert _rel(vt, kl_reduce(f, fbm, walk, t, *pq)) <= tol
-    assert _rel(vt, w_pq(f, fbm, terminal_y(walk, m), *pq)) <= tol
+    assert _rel(vt, w_pq(f, fbm, terminal_y(walk), *pq)) <= tol
 
 
 def test_w3_at_zero_horizon():
