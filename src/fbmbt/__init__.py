@@ -4,6 +4,20 @@ variations, the H = 1/6 limiting-law samplers, and the statistical harness
 that turns the asymptotic statements into reproducible pass/fail experiments.
 """
 
+import os
+import sys
+
+# Every matrix product fbmbt runs is integer or a few elements long, so
+# OpenBLAS's worker threads would only spin idle: ~0.1 s of a core after
+# numpy loads, in each process and each forked pool worker.  When fbmbt is
+# what loads numpy, and the caller has not chosen a thread count, numpy loads
+# with one BLAS thread (OpenBLAS reads the count once, at load); the
+# environment is left as it was.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy
+    del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .calculus import (
     Function2D,
     function_names,

@@ -72,7 +72,7 @@ def check_special_hurst(H: float, what: str) -> None:
 
 
 def check_level(n: int) -> int:
-    if n < 0 or int(n) != n:
+    if not (n >= 0 and float(n).is_integer()):
         raise ValueError(f"dyadic level must be a nonnegative integer, got {n}")
     return int(n)
 
@@ -133,11 +133,15 @@ def sum_rho_cubed(H: float, m: int) -> RhoSeriesResult:
     remainder of the second difference), valid and summable-cubed for H < 5/6.
     The lags are cubed as products r * r * r in chunks of ``_RHO_CHUNK`` and
     fed to one exactly rounded ``math.fsum``, so the sum is that of the whole
-    array.
+    array.  For H < 1/2 every cube past lag 0 is negative, so once that sum's
+    rounding error plus the one-sided tail bound is under half an ulp of it,
+    every larger m gives the same bits: at H = 1/6 this holds from m = 2^13,
+    which is what lets ``limitlaw.DEFAULT_SERIES_TRUNCATION`` stop at 2^14.
     """
     H = check_hurst(H)
     if H >= 5.0 / 6.0:
         raise ValueError(f"series sum of rho^3 requires H < 5/6, got {H}")
+    m = check_index(m, "truncation")
     if m < 2:
         raise ValueError(f"truncation must satisfy m >= 2, got {m}")
     lags = (rho(np.arange(lo, min(lo + _RHO_CHUNK, m + 1)), H)
@@ -147,7 +151,7 @@ def sum_rho_cubed(H: float, m: int) -> RhoSeriesResult:
     c = H * abs(2.0 * H - 1.0)
     # sum_{r>m} (r-1)^{3(2H-2)} <= m^{6H-6} + integral_m^inf x^{6H-6} dx
     tail = 2.0 * c**3 * (float(m) ** (6 * H - 6) + float(m) ** (6 * H - 5) / (5 - 6 * H))
-    return RhoSeriesResult(H=H, m=int(m), partial_sum=partial, tail_bound=tail)
+    return RhoSeriesResult(H=H, m=m, partial_sum=partial, tail_bound=tail)
 
 
 @dataclass(frozen=True)
@@ -294,7 +298,7 @@ def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed: int) -> FbmGri
     j_min, j_max = check_index(j_min, "j_min"), check_index(j_max, "j_max")
     if not j_min <= 0 <= j_max:
         raise ValueError(f"grid must contain index 0, got [{j_min}, {j_max}]")
-    v1, v2 = _path_rows(H, n, [(j_min, j_max)], [int(seed)])
+    v1, v2 = _path_rows(H, n, [(j_min, j_max)], [check_index(seed, "seed")])
     return FbmGridPath2D(float(H), n, j_min, j_max, v1[0], v2[0])
 
 

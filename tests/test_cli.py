@@ -51,6 +51,10 @@ def test_constants_experiment_embeds_series(tmp_path):
     assert sc["S"] == pytest.approx(0.89853, abs=5e-4)
     assert sc["kappa1"] == pytest.approx(0.09675, abs=5e-4)
     assert sc["tail_bound"] < 1e-6
+    assert sc["S"] == float.fromhex("0x1.cc0bc85da1b1ap-1")
+    assert sc["kappa1"] == 0.09674533767321791
+    assert sc["truncation"] == 1 << 14
+    assert sc["tail_bound"] < 1e-19
 
 
 def test_identity_suite_small(tmp_path):
@@ -440,6 +444,21 @@ def test_runtime_needs_numpy_only():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+@pytest.mark.parametrize("chosen, threads", [(None, 1), ("2", min(2, os.cpu_count() or 1))])
+def test_numpy_loaded_by_fbmbt_starts_no_idle_blas_threads(chosen, threads):
+    # OpenBLAS starts its worker threads as numpy loads, and they spin ~0.1 s.
+    code = ("import os, fbmbt\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if chosen:
+        env["OPENBLAS_NUM_THREADS"] = chosen
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.split() == [str(threads), str(chosen)]
 
 
 def _strict_json(path):

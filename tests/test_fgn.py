@@ -13,6 +13,7 @@ from fbmbt.fgn import (
     _embedding_sqrt_eig,
     _padded_size,
     _path_rows,
+    check_level,
     grid_spacing,
     rho,
     sample_fbm_2d,
@@ -140,6 +141,19 @@ def test_sum_rho_cubed_domain_errors():
         sum_rho_cubed(0.3, 1)
 
 
+def test_sum_rho_cubed_truncation_must_be_an_integer():
+    assert sum_rho_cubed(1 / 6, 1e4) == sum_rho_cubed(1 / 6, 10000)
+    assert type(sum_rho_cubed(1 / 6, 1e4).m) is int
+    with pytest.raises(ValueError, match="truncation must be an integer, got 100.5"):
+        sum_rho_cubed(1 / 6, 100.5)
+
+
+@pytest.mark.parametrize("n", [float("inf"), float("-inf"), float("nan"), 2.5, -1])
+def test_check_level_names_a_bad_level(n):
+    with pytest.raises(ValueError, match=f"dyadic level must be a nonnegative integer, got {n}"):
+        check_level(n)
+
+
 def test_sample_fbm_marginal_variance():
     # X at time 1 (grid index 2^{n/2}) must have unit variance
     H, n = 1 / 6, 6
@@ -224,6 +238,14 @@ def test_grid_indices_must_be_integers(j_min, j_max, bad):
     whole = sample_fbm_2d(0.3, 4, -2.0, 3.0, 1)
     assert (whole.j_min, whole.j_max) == (-2, 3) and type(whole.j_min) is int
     assert np.array_equal(whole.values1, sample_fbm_2d(0.3, 4, -2, 3, 1).values1)
+
+
+def test_seed_must_be_an_integer():
+    # int() would truncate 1.5 and draw seed 1's path.
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        sample_fbm_2d(0.3, 4, -2, 3, 1.5)
+    assert np.array_equal(sample_fbm_2d(0.3, 4, -2, 3, 1.0).values1,
+                          sample_fbm_2d(0.3, 4, -2, 3, 1).values1)
 
 
 def test_capacity_limit():

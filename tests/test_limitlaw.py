@@ -5,8 +5,9 @@ import pytest
 
 from fbmbt import limitlaw, rng
 from fbmbt.calculus import function_names, get_test_function
-from fbmbt.fgn import H_SPECIAL, sample_increments, sum_rho_cubed
+from fbmbt.fgn import H_SPECIAL, rho, sample_increments, sum_rho_cubed
 from fbmbt.limitlaw import (
+    DEFAULT_SERIES_TRUNCATION,
     default_kappas,
     kappa_constants,
     sample_change_of_variable_rhs,
@@ -70,6 +71,21 @@ def test_kappa_values():
     assert kap.kappa3 == pytest.approx(math.sqrt(s / 32.0))
     assert kap.kappa4 == kap.kappa3
     assert kap.kappa3 == pytest.approx(math.sqrt(3.0) * kap.kappa1)
+
+
+def test_default_truncation_certifies_the_bits_of_every_longer_sum():
+    # S = 1 + 2 s, s the rounded sum of the m cubes.  Every cube past m is
+    # negative and their sum is within the one-sided tail bound, so if s's
+    # rounding error plus that bound stays under half an ulp of s, any longer
+    # sum rounds to the same s (the 1e-12 covers rho's own rounding).
+    m, H = DEFAULT_SERIES_TRUNCATION, H_SPECIAL
+    c = rho(np.arange(1, m + 1), H)
+    cubes = (c * c * c).tolist()
+    s = math.fsum(cubes)
+    tail_bound = sum_rho_cubed(H, m).tail_bound
+    assert abs(math.fsum(cubes + [-s])) + tail_bound / 2 * (1 + 1e-12) < math.ulp(s) / 2
+    assert (default_kappas().series.partial_sum == sum_rho_cubed(H, 10**6).partial_sum
+            == float.fromhex("0x1.cc0bc85da1b1ap-1"))
 
 
 def test_kappa_requires_special_hurst():
