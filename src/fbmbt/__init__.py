@@ -28,9 +28,7 @@ from .calculus import (
 )
 from .fgn import (
     CapacityError,
-    FbmGridPath2D,
     rho,
-    sample_fbm_2d,
     sample_increments,
     sum_rho_cubed,
 )
@@ -43,15 +41,13 @@ from .limitlaw import (
 )
 from .rng import derive_seed, generator, splitmix64
 from .skeleton import (
-    SkeletonPath,
     WalkBits,
     crossings_bruteforce,
-    sample_skeleton,
     sample_terminal,
     signed_crossings_closed_form,
     terminal_position,
-    terminal_y,
     walk_bits,
+    walk_positions,
 )
 from .stats import RateFit, TwoSampleResult, fit_rate, ks_two_sample, mc_run
 

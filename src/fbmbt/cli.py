@@ -239,12 +239,13 @@ def build_summary(config: dict, result: ExperimentResult, runtime: float) -> dic
     }
 
 
-def run_experiment(config: dict, out_dir: Path, workers: int = 1,
+def run_experiment(config: dict, out_dir: str | Path, workers: int = 1,
                    verbose: bool = False) -> ExperimentResult:
     if not _is_int(workers) or workers < 1:
         raise ConfigurationError(f"--workers must be a positive integer, got {workers!r}")
     kwargs = _validate(config, workers)
-    # The output directory is made after the run, under its nearest existing path.
+    # The output directory (any path-like) is made after the run, under its nearest existing path.
+    out_dir = Path(out_dir)
     nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not nearest.is_dir():
         raise ConfigurationError(f"--out {str(out_dir)!r}: {str(nearest)!r} is not a directory")

@@ -12,21 +12,22 @@ statistic when a value <= 0 leaves no rate to fit).
 
 Estimator functions take a list of replication seeds plus keyword
 configuration, return one value per seed, and are defined at module top
-level so they can be shipped to worker processes.  Every fBm estimator
-draws its paths as ragged rows of ``fgn._path_draws``, each a seed's fBm on
-a grid range that contains 0, which runs the estimator's kernel once per
-fGn chunk of rows and draws only the components that
-``variations._components_read`` finds the kernel's terms read.  An odd
-one-sided sum on the negative side is the sign of j* times the sum read
-forward along the row, with no mirrored copy of the row.  The identity
-suite alone reads whole walks, each drawn to the steps it reads: its
-crossings check counts the net crossings U_j - D_j of the packed step bits
-of a walk drawn to the instance's horizon, and its skeleton sums read the
-positions of a walk of floor(2^n t) steps on the same bits.  It
-too runs a block of seeds at a time (``_identity_instances``): each side
-of an identity is one midpoint pass over the ragged rows of the instances
-that share f and (p, q), and the H = 1/6 chaos split draws its paths a
-level at a time through ``fgn._path_draws`` and runs once per f.
+level so they can be shipped to worker processes.  Every fBm draw, the
+identity suite's included, draws its paths as ragged rows of
+``fgn._path_draws``, each a seed's fBm on a grid range that contains 0,
+which runs a kernel once per fGn chunk of rows and draws only the
+components that ``variations._components_read`` finds the kernel's terms
+read.  An odd one-sided sum on the negative side is the sign of j* times
+the sum read forward along the row, with no mirrored copy of the row.  The
+identity suite alone reads whole walks, each drawn once, to the longest
+horizon it reads: its crossings check counts the net crossings U_j - D_j
+of the packed step bits of the first horizon steps, and its skeleton sums
+read the positions of the first floor(2^n t).  It too runs a block of
+seeds at a time (``_identity_instances``): the random-H paths are drawn a
+level at a time with one H per row, each side of an identity is one
+midpoint pass over the ragged rows of the instances that share f and
+(p, q), and the H = 1/6 chaos split draws its paths a level at a time and
+runs once per f.
 Runner keywords are the config keys, so a runner's ``function`` is passed
 on to the draws as their ``fname``.
 """
@@ -46,7 +47,6 @@ from .fgn import (
     _path_draws,
     grid_spacing,
     rho,
-    sample_fbm_2d,
 )
 from .limitlaw import (
     default_kappas,
@@ -56,12 +56,11 @@ from .limitlaw import (
 from .rng import STREAM_INSTANCE, derive_seed, keyed
 from .skeleton import (
     crossings_bruteforce,
-    sample_skeleton,
     sample_terminal,
     signed_crossings_closed_form,
     terminal_position,
-    terminal_y,
     walk_bits,
+    walk_positions,
 )
 from .stats import fit_rate, ks_two_sample, mc_run
 from .variations import (
@@ -408,18 +407,34 @@ def _identity_instances(seeds: list[int], fnames: list[str]) -> np.ndarray:
     order, on the random instance of each seed: one row per seed, bit for
     bit the row its seed gives alone, whatever seeds share the call.
 
-    Every instance's parameters are drawn first.  (a) is counted per
-    instance, (b), (c) and (e) a block of instances that share f and
-    (p, q) at a time (``_walk_blocks``, ``_walk_identities``), and (d) once
-    per f over the H = 1/6 paths of every level (``_chaos_split``)."""
+    Every instance's parameters are drawn first, and (d) runs once per f
+    over the H = 1/6 paths of every level (``_chaos_split``).  Each walk is
+    then drawn once, to the longer of its horizon and m = floor(2^n t)
+    steps: (a) counts the crossings of its first horizon steps, and (b),
+    (c) read the positions of its first m.  The (b), (c), (e) paths are
+    drawn a level at a time, one H per row (``_walk_paths``).  The skeleton
+    sums and the other sides each run a block of instances that share f
+    and (p, q) at a time (``_walk_blocks``, ``_walk_identities``)."""
     params = [_identity_parameters(seed, fnames) for seed in seeds]
     devs = np.empty((len(seeds), len(_IDENTITIES)))
-    devs[:, 0] = [_crossings_deviation(seed, horizon)
-                  for seed, (horizon, *_) in zip(seeds, params)]
-    for rows in _walk_blocks(params):  # kl_reduce, one_sided and hermite
-        devs[np.ix_(rows, [1, 2, 4])] = _walk_identities(
-            [seeds[i] for i in rows], [params[i] for i in rows])
     devs[:, 3] = _chaos_split(seeds, params)
+    walks = []
+    for i, (seed, (horizon, _, n, t, *_)) in enumerate(zip(seeds, params)):
+        m = _step_count(n, t)
+        walk = walk_bits(seed, max(horizon, m))
+        devs[i, 0] = _crossings_deviation(walk.prefix(horizon))
+        walks.append(walk.prefix(m))
+    paths = _walk_paths(seeds, params, walks)
+    skeleton = np.empty(len(seeds))  # (b), (c): each path at its walk's positions
+    for rows in _walk_blocks(params, [walk.steps + 1 for walk in walks]):
+        v1, v2, counts = _ragged([paths[i][0][:, walk_positions(walks[i]) - paths[i][1]]
+                                  for i in rows])
+        *_, f, (p, q) = params[rows[0]]
+        skeleton[rows] = _power_sum(f, v1, v2, p, q, counts)
+    for rows in _walk_blocks(params, [x.shape[1] for x, _ in paths]):
+        devs[np.ix_(rows, [1, 2, 4])] = _walk_identities(
+            [params[i] for i in rows], [walks[i] for i in rows], [paths[i] for i in rows],
+            skeleton[rows])
     return devs
 
 
@@ -432,17 +447,18 @@ def _groups(keys) -> list[list[int]]:
     return list(groups.values())
 
 
-# A block of walk identities holds at most this many skeleton values per
-# component (0.25 MiB an array), which bounds its working set below that
-# of a long crossings count; a longer walk is a block of its own.
-_WALK_BLOCK_VALUES = 1 << 15
+# A block of walk identities holds at most this many values per component
+# (64 KiB an array), which bounds its working set below that of a long
+# crossings count; a longer row is a block of its own.  On two Xeon cores
+# the skeleton sums of 2000 instances ran in ~0.13 s at 2^12 or 2^13
+# values, ~0.14 s at 2^14 and ~0.24 s at 2^15, whose arrays fall out of cache.
+_WALK_BLOCK_VALUES = 1 << 13
 
 
-def _walk_blocks(params: list[tuple]) -> list[list[int]]:
-    """The instances that share f and (p, q), longest walk first, cut into
-    blocks whose rows, padded to the block's longest walk, hold at most
-    ``_WALK_BLOCK_VALUES`` skeleton values."""
-    values = [_step_count(n, t) + 1 for _, _, n, t, *_ in params]
+def _walk_blocks(params: list[tuple], values: list[int]) -> list[list[int]]:
+    """The instances that share f and (p, q), most ``values`` first, cut
+    into blocks whose rows, padded to the block's first, hold at most
+    ``_WALK_BLOCK_VALUES`` values."""
     blocks = []
     for rows in _groups((f.name, pq) for *_, f, pq in params):
         block: list[int] = []
@@ -455,13 +471,45 @@ def _walk_blocks(params: list[tuple]) -> list[list[int]]:
     return blocks
 
 
-def _crossings_deviation(seed: int, horizon: int) -> float:
+def _crossings_deviation(walk) -> float:
     """(a) net crossing counts: brute force vs closed form, integer exact.
-    Both read the packed steps of the walk drawn to ``horizon`` steps; the
-    closed form needs only where they end, j* = 2·(up-steps) - horizon."""
-    packed = walk_bits(seed, horizon)
-    closed = signed_crossings_closed_form(terminal_position(packed))
-    return 0.0 if crossings_bruteforce(packed) == closed else 1.0
+    Both read the packed steps of the walk; the closed form needs only
+    where they end, j* = 2·(up-steps) - steps."""
+    closed = signed_crossings_closed_form(terminal_position(walk))
+    return 0.0 if crossings_bruteforce(walk) == closed else 1.0
+
+
+def _stored_paths(H, n: int, ranges: list[tuple[int, int]], seeds: list[int]) -> np.ndarray:
+    """Each seed's level-n X^1 and X^2 on its range (lo, hi), at ``H`` (one
+    float or one per seed): the rows of one ``_path_draws`` call, as a
+    ``(len(seeds), 2, width)`` array, width the widest hi - lo plus one,
+    row i holding X at lo..hi in its first hi - lo + 1 entries, then zeros."""
+    width = max(hi - lo for lo, hi in ranges) + 1
+
+    def stored(v1, v2, chunk):
+        out = np.zeros((len(chunk), 2, width))
+        out[:, 0, : v1.shape[1]] = v1
+        out[:, 1, : v2.shape[1]] = v2
+        return out.reshape(len(chunk), 2 * width)
+
+    return _path_draws(H, n, ranges, seeds, stored, 2 * width).reshape(len(seeds), 2, width)
+
+
+def _walk_paths(seeds: list[int], params: list[tuple], walks: list) -> list[tuple]:
+    """Each instance's (b), (c), (e) path at its own H, which covers its
+    walk's range and the fixed clock's [0, floor(2^(n/2) t)]: the paths of
+    one level are stored by one ``_stored_paths`` call with one H per row,
+    and instance i gets its own X^1 and X^2 on its range as a
+    ``(2, hi - lo + 1)`` array, and lo."""
+    ranges = [(int(pos.min()), max(int(pos.max()), _grid_count(n, t)))
+              for pos, (_, _, n, t, *_) in zip(map(walk_positions, walks), params)]
+    paths: list = [None] * len(seeds)
+    for rows in _groups(n for _, _, n, *_ in params):
+        store = _stored_paths([params[i][1] for i in rows], params[rows[0]][2],
+                              [ranges[i] for i in rows], [seeds[i] for i in rows])
+        for i, x in zip(rows, store):  # a copy of its own values, not a view of the store
+            paths[i] = (x[:, : ranges[i][1] - ranges[i][0] + 1].copy(), ranges[i][0])
+    return paths
 
 
 def _ragged(rows: list[tuple[np.ndarray, np.ndarray]]) -> tuple:
@@ -476,12 +524,11 @@ def _ragged(rows: list[tuple[np.ndarray, np.ndarray]]) -> tuple:
     return block[0], block[1], counts
 
 
-def _walk_identities(seeds: list[int], params: list[tuple]) -> np.ndarray:
+def _walk_identities(params: list[tuple], walks: list, paths: list[tuple],
+                     skeleton: np.ndarray) -> np.ndarray:
     """(b), (c) and (e) on instances that share f and (p, q), one column
-    each.  Each instance draws its walk of the first m steps (the same
-    stream, so the same steps as (a)'s up to the shorter horizon) and its
-    path, which covers the walk's range and the fixed clock's [0, t].  Its
-    rows: the path at the walk positions (the skeleton sum); on
+    each, from each instance's ``skeleton`` sum, the j* of its walk of m
+    steps and its path (``_walk_paths``).  Its rows: the path on
     [min(0, j*), max(0, j*)] (the crossing reduction, sign(j*) times its
     sum); from 0 out to y = j* 2^(-n/2), reversed when y < 0 (the
     one-sided form); and on the fixed clock's [0, floor(2^(n/2) t)] (the
@@ -489,51 +536,35 @@ def _walk_identities(seeds: list[int], params: list[tuple]) -> np.ndarray:
     pass over the group's rows."""
     *_, f, (p, q) = params[0]
     rows, signs = [], []
-    for seed, (_, H, n, t, *_) in zip(seeds, params):
-        m = _step_count(n, t)
-        walk = sample_skeleton(n, m, seed)
-        pos = walk.positions
-        fbm = sample_fbm_2d(H, n, int(pos.min()), max(int(pos.max()), _grid_count(n, t)), seed)
-        j_star = int(pos[m])
-        y = terminal_y(walk)
-        k = _grid_count(n, abs(y))
-        rows.append(((fbm.values1[pos - fbm.j_min], fbm.values2[pos - fbm.j_min]),
-                     fbm.segment(min(0, j_star), max(0, j_star)),
-                     fbm.segment(0, k) if y >= 0 else [v[::-1] for v in fbm.segment(-k, 0)],
-                     fbm.segment(0, _grid_count(n, t))))
+    for (_, _, n, t, *_), walk, (x, lo) in zip(params, walks, paths):
+        j_star = terminal_position(walk)
+        k = _grid_count(n, abs(j_star * grid_spacing(n)))
+        rows.append((x[:, min(0, j_star) - lo : max(0, j_star) - lo + 1],
+                     x[:, -lo : k - lo + 1] if j_star >= 0 else x[:, -k - lo : 1 - lo][:, ::-1],
+                     x[:, -lo : _grid_count(n, t) - lo + 1]))
         signs.append((j_star > 0) - (j_star < 0))
     blocks = [_ragged(side) for side in zip(*rows)]
-    vt, red, wv, direct = (_power_sum(f, v1, v2, p, q, counts) for v1, v2, counts in blocks)
+    red, wv, direct = (_power_sum(f, v1, v2, p, q, counts) for v1, v2, counts in blocks)
     red = np.array(signs) * red
-    v1, v2, counts = blocks[3]
+    v1, v2, counts = blocks[2]
     herm = _hermite_sum(f, v1, v2, p, q, [2.0 ** (n * H / 2.0) for _, H, n, *_ in params],
                         counts)
     return np.array([[_rel_err(a, b) for a, b in zip(lhs.tolist(), rhs.tolist())]
-                     for lhs, rhs in ((vt, red), (vt, wv), (direct, herm))]).T
+                     for lhs, rhs in ((skeleton, red), (skeleton, wv), (direct, herm))]).T
 
 
 def _chaos_split(seeds: list[int], params: list[tuple]) -> list[float]:
     """(d): the third-order sum against its chaos components plus the trace
     remainder at H = 1/6, on each instance's path on the fixed clock's
-    [0, floor(2^(n/2) t)].  The paths of one level are rows of one
-    ``_path_draws`` call, each the path ``sample_fbm_2d`` gives its seed
-    alone, stored zero-padded to the widest; each side is then one pass per
-    f over its rows of every level."""
+    [0, floor(2^(n/2) t)].  The paths of one level are stored by one
+    ``_stored_paths`` call, zero-padded to the widest of every level; each
+    side is then one pass per f over its rows of every level."""
     counts = [_grid_count(n, t) for _, _, n, t, *_ in params]
-    width = max(counts) + 1
-    paths = np.empty((len(seeds), 2, width))
-
-    def stored(v1, v2, ranges):
-        out = np.zeros((len(ranges), 2, width))
-        out[:, 0, : v1.shape[1]] = v1
-        out[:, 1, : v2.shape[1]] = v2
-        return out.reshape(len(ranges), 2 * width)
-
+    paths = np.zeros((len(seeds), 2, max(counts) + 1))
     for rows in _groups(n for _, _, n, *_ in params):
-        n = params[rows[0]][2]
-        paths[rows] = _path_draws(H_SPECIAL, n, [(0, counts[i]) for i in rows],
-                                  [seeds[i] for i in rows], stored, 2 * width
-                                  ).reshape(len(rows), 2, width)
+        store = _stored_paths(H_SPECIAL, params[rows[0]][2], [(0, counts[i]) for i in rows],
+                              [seeds[i] for i in rows])
+        paths[rows, :, : store.shape[2]] = store
     devs = [0.0] * len(seeds)
     for rows in _groups(f.name for *_, f, _ in params):
         f, ns, c = params[rows[0]][4], [params[i][2] for i in rows], [counts[i] for i in rows]

@@ -12,16 +12,18 @@ stationary fractional Gaussian noise with autocovariance
 
 Every path is laid out one way (``_path_rows``): a row holds X on a grid
 range [lo, hi] that contains 0, drawn as one increment sequence, cumulated
-once and less its value at index 0, so that X_0 = 0.  ``sample_fbm_2d``
-draws the path of one seed.  Every Monte Carlo draw, the estimators'
-midpoint sums and the Euler sampler's correction alike, runs through
-``_path_draws``: it draws blocks of seeds as ragged rows, each a seed's
-path on its own range, whose normals come from that seed's own streams,
-and runs a kernel once per fGn chunk of rows.  The circulant-embedding FFT
-runs row-wise, so every row is bit for bit the path ``sample_fbm_2d``
-gives its seed alone on that range.  Only the components the kernel's
-statistic reads (``variations._components_read``) are drawn; for f = x^3
-that is X^1 alone, and the kernel gets zeros for X^2.
+once and less its value at index 0, so that X_0 = 0.  Every Monte Carlo
+draw, the estimators' midpoint sums, the Euler sampler's correction and
+the identity suite's paths alike, runs through ``_path_draws``: it draws
+blocks of seeds as ragged rows, each a seed's path on its own range, whose
+normals come from that seed's own streams, and runs a kernel once per fGn
+chunk of rows.  H is one float, whose circulant eigenvalues are cached, or
+one per seed (the identity suite's random H), whose eigenvalues a chunk
+computes as one block.  The circulant-embedding FFT runs row-wise, so
+every row is bit for bit the path its seed gives alone on that range.
+Only the components the kernel's statistic reads
+(``variations._components_read``) are drawn; for f = x^3 that is X^1
+alone, and the kernel gets zeros for X^2.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,31 +91,31 @@ def grid_spacing(n: int) -> float:
     return 2.0 ** (-check_level(n) / 2.0)
 
 
-def rho(k, H: float):
+def rho(k, H):
     """Autocovariance of unit-step fGn: (|k+1|^{2H} + |k-1|^{2H} - 2|k|^{2H}) / 2.
 
-    Vectorized over ``k``.  For large lags the naive second difference
-    cancels catastrophically, so the tail is evaluated as
-    ``a^{2H} * (expm1(2H*log1p(1/a)) + expm1(2H*log1p(-1/a))) / 2``.
+    Vectorized over ``k`` and ``H``, which broadcast (a column of H against a
+    row of lags gives one row per H).  For large lags the naive second
+    difference cancels catastrophically, so the tail is evaluated as
+    ``a^{2H} * (expm1(2H*log1p(1/a)) + expm1(2H*log1p(-1/a))) / 2``.  The
+    powers are ``np.power`` calls (``x ** 0.5`` would be a square root), so a
+    row has the same bits whether its H comes alone or in a column.
     """
-    H = check_hurst(H)
-    h2 = 2.0 * H
-    k_arr = np.asarray(k, dtype=np.float64)
-    a = np.abs(k_arr)
-    out = np.empty_like(a)
-
+    h2 = 2.0 * np.array([check_hurst(h) for h in np.ravel(H)]).reshape(np.shape(H))
+    a, h2 = np.broadcast_arrays(np.abs(np.asarray(k, dtype=np.float64)), h2)
+    out = np.empty(a.shape)
     near = a <= _RHO_DIRECT_CUTOFF
-    if h2 == 1.0:
-        # Brownian increments: exact zeros off the diagonal.
-        return np.where(a == 0, 1.0, 0.0) if k_arr.ndim else (1.0 if a == 0 else 0.0)
-    an = a[near]
-    out[near] = 0.5 * ((an + 1.0) ** h2 + np.abs(an - 1.0) ** h2 - 2.0 * an**h2)
-    af = a[~near]
+    an, hn = a[near], h2[near]
+    out[near] = 0.5 * (np.power(an + 1.0, hn) + np.power(np.abs(an - 1.0), hn)
+                       - 2.0 * np.power(an, hn))
+    af, hf = a[~near], h2[~near]
     if af.size:
-        u = np.expm1(h2 * np.log1p(1.0 / af))
-        v = np.expm1(h2 * np.log1p(-1.0 / af))
-        out[~near] = 0.5 * af**h2 * (u + v)
-    return out if k_arr.ndim else float(out)
+        u = np.expm1(hf * np.log1p(1.0 / af))
+        v = np.expm1(hf * np.log1p(-1.0 / af))
+        out[~near] = 0.5 * np.power(af, hf) * (u + v)
+    brownian = h2 == 1.0  # Brownian increments: exact zeros off the diagonal.
+    out[brownian] = a[brownian] == 0
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -154,60 +156,43 @@ def sum_rho_cubed(H: float, m: int) -> RhoSeriesResult:
     return RhoSeriesResult(H=H, m=m, partial_sum=partial, tail_bound=tail)
 
 
-@dataclass(frozen=True)
-class FbmGridPath2D:
-    """Two independent two-sided fBm components on a level-n dyadic grid.
-
-    ``values1[j - j_min]`` holds X^1 at time ``j * 2**(-n/2)``; both
-    components vanish at j = 0.
-    """
-
-    H: float
-    level: int
-    j_min: int
-    j_max: int
-    values1: np.ndarray = field(repr=False)
-    values2: np.ndarray = field(repr=False)
-
-    def segment(self, j_lo: int, j_hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """X^1 and X^2 at grid indices j_lo..j_hi inclusive."""
-        if j_lo < self.j_min or j_hi > self.j_max:
-            raise ValueError(
-                f"requested segment [{j_lo}, {j_hi}] outside grid "
-                f"[{self.j_min}, {self.j_max}]"
-            )
-        rows = slice(j_lo - self.j_min, j_hi - self.j_min + 1)
-        return self.values1[rows], self.values2[rows]
-
-
 def _padded_size(count: int) -> int:
     """The power of two a draw of ``count`` increments pads to; 0 for none."""
     return 1 << (count - 1).bit_length() if count else 0
 
 
-@functools.lru_cache(maxsize=16)
-def _embedding_sqrt_eig(H: float, size: int) -> np.ndarray:
-    """sqrt of the first size + 1 circulant-embedding eigenvalues for
-    ``size`` unit-spacing increments; the other size - 1 mirror them.
+def _sqrt_eigs(H, size: int) -> np.ndarray:
+    """sqrt of the first size + 1 circulant-embedding eigenvalues for ``size``
+    unit-spacing increments (the other size - 1 mirror them); a column of H
+    gives one row per H.
 
     The embedding's first row is rho(0), ..., rho(size), rho(size - 1), ...,
     rho(1), a Hermitian-symmetric sequence, so its eigenvalues are the real
-    ``hfft`` of rho(0..size).  The fGn embedding is nonnegative definite for
-    every H in (0, 1) (Dietrich-Newsam 1997), so only rounding-level
-    negatives are clipped; a larger one means the covariance is wrong, and
-    it is an error.  Another spacing scales the draw by spacing**H
-    (self-similarity), so one entry serves every spacing.
+    ``hfft`` of rho(0..size), run row-wise.  The fGn embedding is
+    nonnegative definite for every H in (0, 1) (Dietrich-Newsam 1997), so
+    only rounding-level negatives are clipped; a larger one means the
+    covariance is wrong, and it is an error that names the row's H.
+    Another spacing scales the draw by spacing**H (self-similarity).
     """
-    eig = np.fft.hfft(rho(np.arange(size + 1), H))[: size + 1]
-    if eig.min() < -1e-9 * max(eig.max(), 1.0):
+    eig = np.fft.hfft(rho(np.arange(size + 1), H))[..., : size + 1]
+    low = eig.min(axis=-1)
+    bad = np.flatnonzero(low < -1e-9 * np.maximum(eig.max(axis=-1), 1.0))
+    if bad.size:
         raise np.linalg.LinAlgError(
-            f"circulant embedding not nonnegative definite at H={H}, "
-            f"size={size}: eigenvalue {eig.min():.3g}"
+            f"circulant embedding not nonnegative definite at H={np.ravel(H)[bad[0]]}, "
+            f"size={size}: eigenvalue {np.ravel(low)[bad[0]]:.3g}"
         )
     return np.sqrt(np.clip(eig, 0.0, None))
 
 
-def sample_increments(H: float, spacing: float, size: int, rngs) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _embedding_sqrt_eig(H: float, size: int) -> np.ndarray:
+    """``_sqrt_eigs`` of one H, cached: a draw at one H reads its eigenvalues
+    here, and a draw with one H per row never does."""
+    return _sqrt_eigs(H, size)
+
+
+def sample_increments(H, spacing: float, size: int, rngs) -> np.ndarray:
     """Exact draw of ``size`` stationary fBm increments at the given spacing,
     by circulant embedding (Davies-Harte 1987).
 
@@ -223,6 +208,9 @@ def sample_increments(H: float, spacing: float, size: int, rngs) -> np.ndarray:
     generator, one row after another, so a handle that re-keys the
     process's one generator is read before the next re-keys it; the FFT
     runs row-wise, in chunks of at most ``BLOCK_VALUES`` complex values.
+    ``H`` is one float, whose eigenvalues are cached, or one per generator:
+    then each chunk computes its rows' eigenvalues as one block with H as a
+    column, and scales each row by its own spacing**H.
     """
     if size > MAX_INCREMENTS:
         raise CapacityError(
@@ -231,12 +219,16 @@ def sample_increments(H: float, spacing: float, size: int, rngs) -> np.ndarray:
     rngs = list(rngs)
     out = np.empty((len(rngs), size))
     if size:
-        sq = _embedding_sqrt_eig(H, size)
         m = 2 * size
-        scale = spacing**H / math.sqrt(2.0 * m)
         rows = max(1, BLOCK_VALUES // m)
+        if np.ndim(H) == 0:
+            sq, scale = _embedding_sqrt_eig(H, size), spacing**H / math.sqrt(2.0 * m)
         for lo in range(0, len(rngs), rows):
             chunk = rngs[lo : lo + rows]
+            if np.ndim(H):  # spacing**h in Python, as one H gets it, not np.power
+                hs = list(H[lo : lo + rows])
+                sq = _sqrt_eigs(np.array(hs)[:, None], size)
+                scale = np.array([spacing**h for h in hs])[:, None] / math.sqrt(2.0 * m)
             v = np.empty((len(chunk), m))
             for normals, g in zip(v, chunk):
                 g.standard_normal(out=normals)
@@ -253,7 +245,7 @@ def sample_increments(H: float, spacing: float, size: int, rngs) -> np.ndarray:
     return out
 
 
-def _path_rows(H: float, n: int, ranges: list[tuple[int, int]], seeds: list[int],
+def _path_rows(H, n: int, ranges: list[tuple[int, int]], seeds: list[int],
                scales: list[float] | None = None,
                reads: tuple[bool, bool] = (True, True)) -> list[np.ndarray]:
     """Each seed's level-n X^1 and X^2 on its grid range ``ranges[r] =
@@ -264,17 +256,18 @@ def _path_rows(H: float, n: int, ranges: list[tuple[int, int]], seeds: list[int]
     Every row is drawn from its seed's own streams as one fGn draw of the
     padded size of width (so nearby widths share one eigenvalue cache
     entry; it exceeds ``MAX_INCREMENTS`` exactly when width does),
-    cumulated once and less its value at entry -lo; ``scales``, one per
-    seed, multiplies a seed's increments before they are cumulated.  A
-    component that ``reads`` leaves out is zeros: no handle is keyed to its
-    stream.  The components read are rows of one draw; a width of 0 draws
-    nothing."""
+    cumulated once and less its value at entry -lo; ``H`` is one float or
+    one per seed, and ``scales``, one per seed, multiplies a seed's
+    increments before they are cumulated.  A component that ``reads``
+    leaves out is zeros: no handle is keyed to its stream.  The components
+    read are rows of one draw; a width of 0 draws nothing."""
     width = max(hi - lo for lo, hi in ranges)
     size = _padded_size(width)
     streams = [stream for stream, read in zip((STREAM_X1, STREAM_X2), reads) if read]
     v = np.zeros((len(streams) * len(seeds), width + 1))
     if size and streams:
-        incs = sample_increments(H, grid_spacing(n), size,
+        incs = sample_increments(H if np.ndim(H) == 0 else list(H) * len(streams),
+                                 grid_spacing(n), size,
                                  [StreamKey(s, stream) for stream in streams for s in seeds])
         if scales is not None:
             incs *= np.array(list(scales) * len(streams))[:, None]
@@ -286,28 +279,13 @@ def _path_rows(H: float, n: int, ranges: list[tuple[int, int]], seeds: list[int]
     return [next(drawn) if read else np.zeros((len(seeds), width + 1)) for read in reads]
 
 
-def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed: int) -> FbmGridPath2D:
-    """Exact 2-component fBm sample of one seed on grid indices ``j_min..j_max``.
-
-    Each component is drawn from its own RNG stream (so they are independent),
-    as the cumulative sum of one stationary increment sequence over the whole
-    two-sided range, anchored so that X_0 = 0 (``_path_rows``).
-    """
-    H = check_hurst(H)
-    n = check_level(n)
-    j_min, j_max = check_index(j_min, "j_min"), check_index(j_max, "j_max")
-    if not j_min <= 0 <= j_max:
-        raise ValueError(f"grid must contain index 0, got [{j_min}, {j_max}]")
-    v1, v2 = _path_rows(H, n, [(j_min, j_max)], [check_index(seed, "seed")])
-    return FbmGridPath2D(float(H), n, j_min, j_max, v1[0], v2[0])
-
-
-def _path_draws(H: float, n: int, ranges: list[tuple[int, int]], seeds: list[int], kernel,
+def _path_draws(H, n: int, ranges: list[tuple[int, int]], seeds: list[int], kernel,
                 width: int | None = None, scales: list[float] | None = None,
                 reads: tuple[bool, bool] = (True, True)) -> np.ndarray:
     """``kernel(v1, v2, ranges)`` on each seed's path on its grid range
-    ``ranges[i] = (lo, hi)``, lo <= 0 <= hi, gathered in seed order: one
-    value per seed, or one row of ``width`` values.
+    ``ranges[i] = (lo, hi)``, lo <= 0 <= hi, at Hurst index ``H``, one float
+    or one per seed, gathered in seed order: one value per seed, or one row
+    of ``width`` values.
 
     The seeds whose hi - lo pads to one power of two share one fGn draw of
     that size, sorted by hi - lo, in chunks whose drawn components pass at
@@ -316,7 +294,8 @@ def _path_draws(H: float, n: int, ranges: list[tuple[int, int]], seeds: list[int
     rows.  The kernel runs once per chunk, on its ``_path_rows``, X^1 and
     X^2, and their ranges as a ``(rows, 2)`` array: row r is X on
     lo..hi in its first hi - lo + 1 entries, X_0 at entry -lo, bit for bit
-    the path ``sample_fbm_2d`` gives the seed alone on that range.  Only
+    the path ``_path_rows`` gives the seed alone on that range, whatever H
+    the other rows have.  Only
     the components that ``reads`` names are drawn (the kernel's
     ``variations._components_read``); the kernel gets zeros for the other,
     which by that rule moves no bit of its value, and leaving it out moves
@@ -332,7 +311,8 @@ def _path_draws(H: float, n: int, ranges: list[tuple[int, int]], seeds: list[int
         step = max(1, BLOCK_VALUES // (2 * components * max(size, 1)))
         for block in (idx[lo : lo + step] for lo in range(0, len(idx), step)):
             chunk = [ranges[i] for i in block]
-            paths = _path_rows(H, n, chunk, [seeds[i] for i in block],
+            paths = _path_rows(H if np.ndim(H) == 0 else [H[i] for i in block], n, chunk,
+                               [seeds[i] for i in block],
                                None if scales is None else [scales[i] for i in block], reads)
             out[block] = kernel(*paths, np.array(chunk))
     return out

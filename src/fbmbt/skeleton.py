@@ -11,11 +11,12 @@ A walk's steps are drawn packed (``walk_bits``, a ``WalkBits``): step i is
 up when bit i mod 8 of byte i // 8 is set, the little-endian bytes of its
 stream's raw 64-bit words.  The crossing count and the terminal position
 read those bits as they are, four and eight steps at a time;
-``sample_skeleton`` unpacks them into positions for the consumers that walk
+``walk_positions`` unpacks them into positions for the consumer that walks
 the path.  Every reader reads the whole walk it is given: a shorter horizon
 is a walk drawn to fewer steps, whose bits are a prefix of the longer
-one's.  The crossing count gives each edge's net crossings U_j - D_j, the
-one count the skeleton reduction needs.
+one's (``WalkBits.prefix``), so one draw serves every horizon.  The
+crossing count gives each edge's net crossings U_j - D_j, the one count
+the skeleton reduction needs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fgn import check_index, check_level, grid_spacing
+from .fgn import check_index, check_level
 from .rng import STREAM_WALK, keyed
 
 def _check_count(value, name: str) -> int:
@@ -68,15 +69,6 @@ _MARGIN = 11
 
 
 @dataclass(frozen=True)
-class SkeletonPath:
-    """Simple random walk: integer positions s_0..s_m with s_0 = 0."""
-
-    level: int
-    steps: int
-    positions: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class WalkBits:
     """The first ``steps`` steps of a simple walk, packed: step i is up when
     bit i mod 8 of ``bits[i // 8]`` is set.  Bits past ``steps`` in the last
@@ -89,6 +81,13 @@ class WalkBits:
         if len(self.bits) != (self.steps + 7) // 8:
             raise ValueError(f"{len(self.bits)} bytes do not pack {self.steps} steps")
 
+    def prefix(self, steps: int) -> WalkBits:
+        """The walk of the first ``steps`` of these steps, the walk that
+        ``walk_bits`` draws to ``steps``: a copy of the bytes that pack them."""
+        if not 0 <= steps <= self.steps:
+            raise ValueError(f"a prefix of {self.steps} steps cannot have {steps}")
+        return WalkBits(steps, self.bits[: (steps + 7) // 8].copy())
+
 
 def walk_bits(seed: int, steps: int) -> WalkBits:
     """The first ``steps`` steps of the walk on ``seed``, packed.  The bytes
@@ -100,24 +99,21 @@ def walk_bits(seed: int, steps: int) -> WalkBits:
     return WalkBits(steps, words.astype("<u8", copy=False).view(np.uint8)[: (steps + 7) // 8])
 
 
-def sample_skeleton(level: int, steps: int, seed: int) -> SkeletonPath:
-    """Draw a simple symmetric random walk of ``steps`` unit steps: the
-    positions of the steps ``walk_bits(seed, steps)`` packs."""
-    level = check_level(level)
-    walk = walk_bits(seed, steps)
+def walk_positions(walk: WalkBits) -> np.ndarray:
+    """The positions s_0 = 0, s_1, ..., s_steps of the packed walk."""
     up = np.unpackbits(walk.bits, count=walk.steps, bitorder="little")
     positions = np.empty(walk.steps + 1, dtype=np.int64)
     positions[0] = 0
     np.cumsum(2 * up.astype(np.int64) - 1, out=positions[1:])
-    return SkeletonPath(level=level, steps=walk.steps, positions=positions)
+    return positions
 
 
 def sample_terminal(level: int, steps: int, seed: int) -> int:
     """Terminal position s_steps of a ``steps``-step simple symmetric walk.
 
     One binomial draw, 2 * Binomial(steps, 1/2) - steps, from the walk's
-    stream: the same law as ``sample_skeleton(level, steps, seed)``'s last
-    position, without drawing the steps.
+    stream: the same law as the last of ``walk_positions(walk_bits(seed,
+    steps))``, without drawing the steps.
     """
     check_level(level)
     steps = _check_count(steps, "steps")
@@ -182,8 +178,3 @@ def signed_crossings_closed_form(j_star: int) -> dict[int, int]:
     if j_star < 0:
         return {j: -1 for j in range(j_star, 0)}
     return {}
-
-
-def terminal_y(path: SkeletonPath) -> float:
-    """Value of Y at the path's last stopping time: s_m * 2**(-n/2)."""
-    return float(path.positions[-1]) * grid_spacing(path.level)

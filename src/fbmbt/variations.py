@@ -43,8 +43,8 @@ third-order sum splits exactly into its Wiener-chaos components K1..K4
 (``_chaos_components``) and a trace remainder (``_trace_remainder``), and
 a power sum rebuilt from Hermite expansions (``_hermite_sum``) equals the
 direct one up to roundoff; the identity suite (``experiments``) checks
-these, one pass per block.  The per-path forms, on one ``FbmGridPath2D``
-and one walk, are kept as test oracles (``tests/test_variations.py``).
+these, one pass per block.  The per-path forms, on one path and one walk,
+are kept as test oracles (``tests/test_variations.py``).
 """
 from __future__ import annotations
 

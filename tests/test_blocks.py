@@ -31,7 +31,6 @@ from fbmbt.fgn import (
     _embedding_sqrt_eig,
     grid_spacing,
     rho,
-    sample_fbm_2d,
     sample_increments,
 )
 from fbmbt.limitlaw import (
@@ -53,6 +52,7 @@ from fbmbt.variations import (
     _taylor_sum,
     _taylor_terms,
 )
+from test_fgn import sample_fbm_2d
 from test_variations import v3, v_pq, w3, w_grad
 
 SEED = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -268,6 +268,76 @@ def test_path_rows_are_the_one_seed_paths_on_their_ranges(H, n, ends, seed):
         one = sample_fbm_2d(H, n, lo, hi, s)
         assert _bits(row[: hi - lo + 1]) == _bits(one.values1)
         assert _bits(row[width : width + hi - lo + 1]) == _bits(one.values2)
+
+
+# One H per seed, as the identity suite draws them: a chunk computes its
+# rows' eigenvalues as one block.  The first example puts H = 1/2 (rho's
+# exact-zero branch), H = 1/4 (an exponent that ``x ** 0.5`` would turn
+# into a square root) and two other H in one chunk of padded size 64, and
+# a zero-width range beside them.
+@settings(deadline=None, max_examples=30)
+@example(rows=[(0.5, 40), (0.25, -50), (0.1, 60), (0.9, -64), (0.3, 0)], n=7, seed=5)
+@example(rows=[(0.5, 3), (0.5, -3)], n=0, seed=6)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from([0.25, 0.5]) | st.floats(min_value=0.05,
+                                                                      max_value=0.95),
+                            st.integers(min_value=-70, max_value=70)), min_size=1, max_size=30),
+    n=st.integers(min_value=0, max_value=12),
+    seed=SEED,
+)
+def test_per_seed_hurst_rows_are_the_one_seed_paths(rows, n, seed):
+    hs = [h for h, _ in rows]
+    ranges = [(min(0, end), max(0, end)) for _, end in rows]
+    seeds = [derive_seed(seed, i) for i in range(len(rows))]
+    width = max(hi - lo for lo, hi in ranges) + 1
+
+    def padded(v1, v2, chunk):
+        rows = np.full((len(chunk), 2 * width), np.nan)
+        rows[:, : v1.shape[1]], rows[:, width : width + v2.shape[1]] = v1, v2
+        return rows
+
+    before = _embedding_sqrt_eig.cache_info()
+    got = fgn._path_draws(hs, n, ranges, seeds, padded, 2 * width)
+    assert _embedding_sqrt_eig.cache_info() == before
+    for row, h, (lo, hi), s in zip(got, hs, ranges, seeds):
+        one = sample_fbm_2d(h, n, lo, hi, s)
+        assert _bits(row[: hi - lo + 1]) == _bits(one.values1)
+        assert _bits(row[width : width + hi - lo + 1]) == _bits(one.values2)
+
+
+def test_per_seed_hurst_draws_leave_the_eigenvalue_cache_alone():
+    # 2000 random H, the identity suite's count, neither read nor evict the
+    # single-H entries that the other workloads reuse.
+    _embedding_sqrt_eig.cache_clear()
+    for H in (H_SPECIAL, 0.1):
+        sample_increments(H, 0.5, 64, [generator(1, rng.STREAM_X1)])
+    before = _embedding_sqrt_eig.cache_info()
+    draw = np.random.default_rng(32)
+    hs = draw.uniform(0.05, 0.48, 2000).tolist()
+    ranges = [(0, int(w)) for w in draw.integers(0, 300, 2000)]
+    fgn._path_draws(hs, 8, ranges, list(range(2000)), lambda v1, v2, chunk: np.zeros(len(chunk)))
+    assert _embedding_sqrt_eig.cache_info() == before
+    for H in (H_SPECIAL, 0.1):
+        sample_increments(H, 0.5, 64, [generator(2, rng.STREAM_X1)])
+    after = _embedding_sqrt_eig.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
+
+def test_non_psd_embedding_names_the_rows_hurst(monkeypatch):
+    # rho(1) = 2 at H = 0.3 alone gives that row a negative eigenvalue; the
+    # other rows of the chunk are fine, and the error names the bad one.
+    def bad_rho(k, H):
+        out = np.array(rho(k, H))
+        out[np.ravel(H) == 0.3, 1] = 2.0
+        return out
+
+    monkeypatch.setattr("fbmbt.fgn.rho", bad_rho)
+    before = _embedding_sqrt_eig.cache_info()
+    with pytest.raises(np.linalg.LinAlgError, match=r"at H=0\.3, size=8: eigenvalue -"):
+        sample_increments([0.2, 0.45, 0.3, 0.1], 0.5, 8,
+                          [generator(s, rng.STREAM_X1) for s in range(4)])
+    sample_increments([0.2, 0.45, 0.1], 0.5, 8, [generator(s, rng.STREAM_X1) for s in range(3)])
+    assert _embedding_sqrt_eig.cache_info() == before
 
 
 def test_ragged_draws_make_one_kernel_pass_per_fgn_chunk(monkeypatch):

@@ -83,6 +83,30 @@ def test_reproducible_outputs(tmp_path):
     assert s1["tests"] == s2["tests"]
 
 
+class _PathLike:
+    """A path-like value that is neither a str nor a Path."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return self.path
+
+
+@pytest.mark.parametrize("kind", [str, _PathLike])
+def test_run_experiment_takes_any_path_like_out_dir(tmp_path, monkeypatch, kind):
+    # A relative or absolute directory given as a str or any os.PathLike
+    # writes what a Path does.
+    cfg = {"experiment": "constants"}
+    run_experiment(cfg, tmp_path / "want")
+    want = (tmp_path / "want" / "constants.csv").read_bytes()
+    monkeypatch.chdir(tmp_path)
+    for out in ("rel/out", str(tmp_path / "abs" / "out")):
+        run_experiment(cfg, kind(out))
+        assert (Path(out) / "constants.csv").read_bytes() == want
+        assert (Path(out) / "constants.json").is_file()
+
+
 def test_workers_do_not_change_results(tmp_path):
     cfg = {"experiment": "skeleton-suite", "replications": 40, "n": 8,
            "master_seed": 3}

@@ -30,18 +30,18 @@ from fbmbt.experiments import (
     run_law_h_eq,
     run_taylor_table,
 )
-from fbmbt.fgn import H_SPECIAL, sample_fbm_2d
+from fbmbt.fgn import H_SPECIAL
 from fbmbt.rng import derive_seed
 from fbmbt.skeleton import (
     crossings_bruteforce,
-    sample_skeleton,
     signed_crossings_closed_form,
     terminal_position,
-    terminal_y,
     walk_bits,
 )
 from fbmbt.stats import fit_rate, ks_two_sample, mc_run, replication_seeds
 from fbmbt.variations import _grid_count, _step_count
+from test_fgn import sample_fbm_2d
+from test_skeleton import sample_skeleton, terminal_y
 from test_variations import k_components, kl_reduce, p_n, v3, v_pq, v_pq_hermite, v_tilde_pq, w_pq
 
 

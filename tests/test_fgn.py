@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -13,14 +14,65 @@ from fbmbt.fgn import (
     _embedding_sqrt_eig,
     _padded_size,
     _path_rows,
+    check_hurst,
+    check_index,
     check_level,
     grid_spacing,
     rho,
-    sample_fbm_2d,
     sample_increments,
     sum_rho_cubed,
 )
 from fbmbt.rng import generator
+
+
+# ---------------------------------------------------------------------------
+# The path of one seed alone: the oracle that the package's blocks of rows
+# (``fgn._path_draws``) are checked against, here and in
+# ``tests/test_blocks.py``, ``tests/test_experiments.py`` and
+# ``tests/test_variations.py``.  It checks its arguments, so that a
+# comparison never runs on a truncated index or seed.
+
+
+@dataclass(frozen=True)
+class FbmGridPath2D:
+    """Two independent two-sided fBm components on a level-n dyadic grid.
+
+    ``values1[j - j_min]`` holds X^1 at time ``j * 2**(-n/2)``; both
+    components vanish at j = 0.
+    """
+
+    H: float
+    level: int
+    j_min: int
+    j_max: int
+    values1: np.ndarray = field(repr=False)
+    values2: np.ndarray = field(repr=False)
+
+    def segment(self, j_lo: int, j_hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """X^1 and X^2 at grid indices j_lo..j_hi inclusive."""
+        if j_lo < self.j_min or j_hi > self.j_max:
+            raise ValueError(
+                f"requested segment [{j_lo}, {j_hi}] outside grid "
+                f"[{self.j_min}, {self.j_max}]"
+            )
+        rows = slice(j_lo - self.j_min, j_hi - self.j_min + 1)
+        return self.values1[rows], self.values2[rows]
+
+
+def sample_fbm_2d(H: float, n: int, j_min: int, j_max: int, seed: int) -> FbmGridPath2D:
+    """Exact 2-component fBm sample of one seed on grid indices ``j_min..j_max``.
+
+    Each component is drawn from its own RNG stream (so they are independent),
+    as the cumulative sum of one stationary increment sequence over the whole
+    two-sided range, anchored so that X_0 = 0 (``_path_rows`` of one seed).
+    """
+    H = check_hurst(H)
+    n = check_level(n)
+    j_min, j_max = check_index(j_min, "j_min"), check_index(j_max, "j_max")
+    if not j_min <= 0 <= j_max:
+        raise ValueError(f"grid must contain index 0, got [{j_min}, {j_max}]")
+    v1, v2 = _path_rows(H, n, [(j_min, j_max)], [check_index(seed, "seed")])
+    return FbmGridPath2D(float(H), n, j_min, j_max, v1[0], v2[0])
 
 
 def cov_fbm(t, s, H):

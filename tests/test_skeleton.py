@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -7,18 +8,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmbt.rng import STREAM_WALK, keyed
+from fbmbt.fgn import check_level, grid_spacing
 from fbmbt.skeleton import (
-    SkeletonPath,
     WalkBits,
     crossings_bruteforce,
-    sample_skeleton,
     sample_terminal,
     signed_crossings_closed_form,
     terminal_position,
-    terminal_y,
     walk_bits,
+    walk_positions,
 )
 from fbmbt.stats import ks_two_sample
+
+
+# ---------------------------------------------------------------------------
+# The walk of one seed as positions: the oracle that the package's packed
+# walks and ``walk_positions`` are checked against, here and in
+# ``tests/test_experiments.py`` and ``tests/test_variations.py``.
+
+
+@dataclass(frozen=True)
+class SkeletonPath:
+    """Simple random walk: integer positions s_0..s_m with s_0 = 0."""
+
+    level: int
+    steps: int
+    positions: np.ndarray = field(repr=False)
+
+
+def sample_skeleton(level: int, steps: int, seed: int) -> SkeletonPath:
+    """Draw a simple symmetric random walk of ``steps`` unit steps: the
+    positions of the steps ``walk_bits(seed, steps)`` packs."""
+    level = check_level(level)
+    walk = walk_bits(seed, steps)
+    up = np.unpackbits(walk.bits, count=walk.steps, bitorder="little")
+    positions = np.empty(walk.steps + 1, dtype=np.int64)
+    positions[0] = 0
+    np.cumsum(2 * up.astype(np.int64) - 1, out=positions[1:])
+    return SkeletonPath(level=level, steps=walk.steps, positions=positions)
+
+
+def terminal_y(path: SkeletonPath) -> float:
+    """Value of Y at the path's last stopping time: s_m * 2**(-n/2)."""
+    return float(path.positions[-1]) * grid_spacing(path.level)
 
 
 def _manual_path(level, positions):
@@ -94,6 +126,30 @@ def test_sample_skeleton_shorter_walk_is_prefix(k, extra, seed):
     short = sample_skeleton(7, k, seed).positions
     long = sample_skeleton(7, k + extra, seed).positions
     assert np.array_equal(short, long[: k + 1])
+
+
+@given(
+    k=st.integers(min_value=0, max_value=3000),
+    extra=st.integers(min_value=0, max_value=3000),
+    seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+)
+def test_prefix_is_the_shorter_walk_and_its_positions_the_oracles(k, extra, seed):
+    # One draw serves every horizon: its prefix is the walk drawn to fewer
+    # steps, with its own copy of the bytes, and reads as the oracle's
+    # positions.
+    long = walk_bits(seed, k + extra)
+    short = long.prefix(k)
+    assert short.steps == k
+    assert np.array_equal(short.bits, walk_bits(seed, k).bits)
+    assert not np.shares_memory(short.bits, long.bits)
+    assert np.array_equal(walk_positions(short), sample_skeleton(7, k, seed).positions)
+    assert walk_positions(short).dtype == np.int64
+
+
+@pytest.mark.parametrize("steps", [-1, 11])
+def test_prefix_must_lie_within_the_walk(steps):
+    with pytest.raises(ValueError, match=f"a prefix of 10 steps cannot have {steps}"):
+        walk_bits(3, 10).prefix(steps)
 
 
 def _loop_crossings(positions):

@@ -15,8 +15,7 @@ from fbmbt.calculus import (
     hermite_expand,
 )
 from fbmbt.experiments import THRESHOLDS
-from fbmbt.fgn import FbmGridPath2D, check_special_hurst, grid_spacing, sample_fbm_2d
-from fbmbt.skeleton import SkeletonPath, sample_skeleton, terminal_y
+from fbmbt.fgn import check_special_hurst, grid_spacing
 from fbmbt.variations import (
     _TAYLOR,
     _VALUE,
@@ -28,6 +27,8 @@ from fbmbt.variations import (
     _step_count,
     _taylor_sum,
 )
+from test_fgn import FbmGridPath2D, sample_fbm_2d
+from test_skeleton import SkeletonPath, sample_skeleton, terminal_y
 
 H6 = 1.0 / 6.0
 
