@@ -23,11 +23,12 @@ identity suite alone reads whole walks, each drawn once, to the longest
 horizon it reads: its crossings check counts the net crossings U_j - D_j
 of the packed step bits of the first horizon steps, and its skeleton sums
 read the positions of the first floor(2^n t).  It too runs a block of
-seeds at a time (``_identity_instances``): the random-H paths are drawn a
-level at a time with one H per row, each side of an identity is one
-midpoint pass over the ragged rows of the instances that share f and
-(p, q), and the H = 1/6 chaos split draws its paths a level at a time and
-runs once per f.
+seeds at a time (``_identity_instances``).  Its paths have one form, each
+instance's X^1 and X^2 on its range as a ``(2, width)`` array, drawn a
+level at a time with one H per row (``_level_paths``): the random-H paths
+and the H = 1/6 paths of the chaos split alike.  Each side of an identity
+is one midpoint pass over the ragged rows of the instances that share f
+and (p, q), or f alone for the chaos split.
 Runner keywords are the config keys, so a runner's ``function`` is passed
 on to the draws as their ``fname``.
 """
@@ -45,6 +46,7 @@ from .calculus import function_names, get_test_function, midpoint_taylor_table
 from .fgn import (
     H_SPECIAL,
     _path_draws,
+    check_level,
     grid_spacing,
     rho,
 )
@@ -222,9 +224,9 @@ def _one_sided_draws(seeds, H, n, t, fname, order, residual=False) -> np.ndarray
     0 and each seed's terminal position j*; with ``residual``, f(X at j*) -
     f(0, 0) minus that sum, which also reads f at the end.  Every j* is
     drawn first, then the segments of all seeds as ragged rows."""
-    f, steps = get_test_function(fname), _step_count(n, t)
+    f, steps = get_test_function(fname), _step_count(check_level(n), t)
     terms = _taylor_terms(order) + ([(_VALUE, (0, 0))] if residual else [])
-    j_stars = [sample_terminal(n, steps, seed) for seed in seeds]
+    j_stars = [sample_terminal(steps, seed) for seed in seeds]
 
     def sums(v1, v2, ranges):
         lo, hi = ranges.T
@@ -253,7 +255,7 @@ def draw_skeleton_residual(seeds, *, H, n, t, fname):
 
 
 def draw_terminal_y(seeds, *, n, t):
-    return [sample_terminal(n, _step_count(n, t), seed) * grid_spacing(n) for seed in seeds]
+    return [sample_terminal(_step_count(n, t), seed) * grid_spacing(n) for seed in seeds]
 
 
 def draw_w3_horizons(seeds, *, H, n, ys, fname):
@@ -410,11 +412,13 @@ def _identity_instances(seeds: list[int], fnames: list[str]) -> np.ndarray:
     Every instance's parameters are drawn first, and (d) runs once per f
     over the H = 1/6 paths of every level (``_chaos_split``).  Each walk is
     then drawn once, to the longer of its horizon and m = floor(2^n t)
-    steps: (a) counts the crossings of its first horizon steps, and (b),
-    (c) read the positions of its first m.  The (b), (c), (e) paths are
-    drawn a level at a time, one H per row (``_walk_paths``).  The skeleton
-    sums and the other sides each run a block of instances that share f
-    and (p, q) at a time (``_walk_blocks``, ``_walk_identities``)."""
+    steps: (a) counts the net crossings of its first horizon steps, brute
+    force against the closed form, which needs only where they end, and
+    (b), (c) read the positions of its first m.  The (b), (c), (e) paths,
+    each at its own H, cover the walk's range and the fixed clock's
+    [0, floor(2^(n/2) t)] (``_level_paths``).  The skeleton sums and the
+    other sides each run a block of instances that share f and (p, q) at a
+    time (``_walk_blocks``, ``_walk_identities``)."""
     params = [_identity_parameters(seed, fnames) for seed in seeds]
     devs = np.empty((len(seeds), len(_IDENTITIES)))
     devs[:, 3] = _chaos_split(seeds, params)
@@ -422,19 +426,23 @@ def _identity_instances(seeds: list[int], fnames: list[str]) -> np.ndarray:
     for i, (seed, (horizon, _, n, t, *_)) in enumerate(zip(seeds, params)):
         m = _step_count(n, t)
         walk = walk_bits(seed, max(horizon, m))
-        devs[i, 0] = _crossings_deviation(walk.prefix(horizon))
+        crossed = walk.prefix(horizon)  # (a): its first horizon steps
+        closed = signed_crossings_closed_form(terminal_position(crossed))
+        devs[i, 0] = 0.0 if crossings_bruteforce(crossed) == closed else 1.0
         walks.append(walk.prefix(m))
-    paths = _walk_paths(seeds, params, walks)
+    ranges = [(int(pos.min()), max(int(pos.max()), _grid_count(n, t)))
+              for pos, (_, _, n, t, *_) in zip(map(walk_positions, walks), params)]
+    paths = _level_paths(seeds, params, [H for _, H, *_ in params], ranges)
     skeleton = np.empty(len(seeds))  # (b), (c): each path at its walk's positions
     for rows in _walk_blocks(params, [walk.steps + 1 for walk in walks]):
-        v1, v2, counts = _ragged([paths[i][0][:, walk_positions(walks[i]) - paths[i][1]]
+        v1, v2, counts = _ragged([paths[i][:, walk_positions(walks[i]) - ranges[i][0]]
                                   for i in rows])
         *_, f, (p, q) = params[rows[0]]
         skeleton[rows] = _power_sum(f, v1, v2, p, q, counts)
-    for rows in _walk_blocks(params, [x.shape[1] for x, _ in paths]):
+    for rows in _walk_blocks(params, [x.shape[1] for x in paths]):
         devs[np.ix_(rows, [1, 2, 4])] = _walk_identities(
             [params[i] for i in rows], [walks[i] for i in rows], [paths[i] for i in rows],
-            skeleton[rows])
+            [ranges[i][0] for i in rows], skeleton[rows])
     return devs
 
 
@@ -471,72 +479,53 @@ def _walk_blocks(params: list[tuple], values: list[int]) -> list[list[int]]:
     return blocks
 
 
-def _crossings_deviation(walk) -> float:
-    """(a) net crossing counts: brute force vs closed form, integer exact.
-    Both read the packed steps of the walk; the closed form needs only
-    where they end, j* = 2·(up-steps) - steps."""
-    closed = signed_crossings_closed_form(terminal_position(walk))
-    return 0.0 if crossings_bruteforce(walk) == closed else 1.0
-
-
-def _stored_paths(H, n: int, ranges: list[tuple[int, int]], seeds: list[int]) -> np.ndarray:
-    """Each seed's level-n X^1 and X^2 on its range (lo, hi), at ``H`` (one
-    float or one per seed): the rows of one ``_path_draws`` call, as a
-    ``(len(seeds), 2, width)`` array, width the widest hi - lo plus one,
-    row i holding X at lo..hi in its first hi - lo + 1 entries, then zeros."""
-    width = max(hi - lo for lo, hi in ranges) + 1
-
-    def stored(v1, v2, chunk):
-        out = np.zeros((len(chunk), 2, width))
-        out[:, 0, : v1.shape[1]] = v1
-        out[:, 1, : v2.shape[1]] = v2
-        return out.reshape(len(chunk), 2 * width)
-
-    return _path_draws(H, n, ranges, seeds, stored, 2 * width).reshape(len(seeds), 2, width)
-
-
-def _walk_paths(seeds: list[int], params: list[tuple], walks: list) -> list[tuple]:
-    """Each instance's (b), (c), (e) path at its own H, which covers its
-    walk's range and the fixed clock's [0, floor(2^(n/2) t)]: the paths of
-    one level are stored by one ``_stored_paths`` call with one H per row,
-    and instance i gets its own X^1 and X^2 on its range as a
-    ``(2, hi - lo + 1)`` array, and lo."""
-    ranges = [(int(pos.min()), max(int(pos.max()), _grid_count(n, t)))
-              for pos, (_, _, n, t, *_) in zip(map(walk_positions, walks), params)]
+def _level_paths(seeds: list[int], params: list[tuple], hs: float | list[float],
+                 ranges: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Each instance's X^1 and X^2 at its level n and Hurst index ``hs``
+    (one float, or one per instance), on its range (lo, hi), as a
+    ``(2, hi - lo + 1)`` array of its own: the paths of one level are the
+    rows of one ``_path_draws`` call, stored flat and zero-padded to the
+    level's widest range.  One float draws through the eigenvalue cache."""
     paths: list = [None] * len(seeds)
     for rows in _groups(n for _, _, n, *_ in params):
-        store = _stored_paths([params[i][1] for i in rows], params[rows[0]][2],
-                              [ranges[i] for i in rows], [seeds[i] for i in rows])
-        for i, x in zip(rows, store):  # a copy of its own values, not a view of the store
-            paths[i] = (x[:, : ranges[i][1] - ranges[i][0] + 1].copy(), ranges[i][0])
+        width = max(ranges[i][1] - ranges[i][0] for i in rows) + 1
+
+        def stored(v1, v2, chunk, width=width):
+            out = np.zeros((len(chunk), 2, width))
+            out[:, 0, : v1.shape[1]], out[:, 1, : v2.shape[1]] = v1, v2
+            return out.reshape(len(chunk), 2 * width)
+
+        store = _path_draws(hs if np.ndim(hs) == 0 else [hs[i] for i in rows], params[rows[0]][2],
+                            [ranges[i] for i in rows], [seeds[i] for i in rows], stored, 2 * width)
+        for i, x in zip(rows, store.reshape(len(rows), 2, width)):
+            paths[i] = x[:, : ranges[i][1] - ranges[i][0] + 1].copy()
     return paths
 
 
-def _ragged(rows: list[tuple[np.ndarray, np.ndarray]]) -> tuple:
-    """Paired X^1, X^2 value arrays as one ragged block: the two
+def _ragged(rows: list[np.ndarray]) -> tuple:
+    """``(2, w)`` X^1, X^2 arrays as one ragged block: the two
     ``(len(rows), width)`` arrays, zero past each row's values, and each
     row's term count (one less than its values)."""
-    counts = [len(v1) - 1 for v1, _ in rows]
+    counts = [x.shape[1] - 1 for x in rows]
     block = np.zeros((2, len(rows), max(counts) + 1))
-    for r, (v1, v2) in enumerate(rows):
-        block[0, r, : len(v1)] = v1
-        block[1, r, : len(v2)] = v2
+    for r, x in enumerate(rows):
+        block[:, r, : x.shape[1]] = x
     return block[0], block[1], counts
 
 
-def _walk_identities(params: list[tuple], walks: list, paths: list[tuple],
-                     skeleton: np.ndarray) -> np.ndarray:
+def _walk_identities(params: list[tuple], walks: list, paths: list[np.ndarray],
+                     los: list[int], skeleton: np.ndarray) -> np.ndarray:
     """(b), (c) and (e) on instances that share f and (p, q), one column
     each, from each instance's ``skeleton`` sum, the j* of its walk of m
-    steps and its path (``_walk_paths``).  Its rows: the path on
-    [min(0, j*), max(0, j*)] (the crossing reduction, sign(j*) times its
-    sum); from 0 out to y = j* 2^(-n/2), reversed when y < 0 (the
-    one-sided form); and on the fixed clock's [0, floor(2^(n/2) t)] (the
-    direct and the Hermite-rebuilt power sums).  Each side is one midpoint
-    pass over the group's rows."""
+    steps and its path (``_level_paths``), which starts at grid index lo.
+    Its rows: the path on [min(0, j*), max(0, j*)] (the crossing
+    reduction, sign(j*) times its sum); from 0 out to y = j* 2^(-n/2),
+    reversed when y < 0 (the one-sided form); and on the fixed clock's
+    [0, floor(2^(n/2) t)] (the direct and the Hermite-rebuilt power sums).
+    Each side is one midpoint pass over the group's rows."""
     *_, f, (p, q) = params[0]
     rows, signs = [], []
-    for (_, _, n, t, *_), walk, (x, lo) in zip(params, walks, paths):
+    for (_, _, n, t, *_), walk, x, lo in zip(params, walks, paths, los):
         j_star = terminal_position(walk)
         k = _grid_count(n, abs(j_star * grid_spacing(n)))
         rows.append((x[:, min(0, j_star) - lo : max(0, j_star) - lo + 1],
@@ -556,19 +545,14 @@ def _walk_identities(params: list[tuple], walks: list, paths: list[tuple],
 def _chaos_split(seeds: list[int], params: list[tuple]) -> list[float]:
     """(d): the third-order sum against its chaos components plus the trace
     remainder at H = 1/6, on each instance's path on the fixed clock's
-    [0, floor(2^(n/2) t)].  The paths of one level are stored by one
-    ``_stored_paths`` call, zero-padded to the widest of every level; each
-    side is then one pass per f over its rows of every level."""
+    [0, floor(2^(n/2) t)] (``_level_paths``).  The paths of every level
+    are one ragged block, and each side is one pass per f over its rows."""
     counts = [_grid_count(n, t) for _, _, n, t, *_ in params]
-    paths = np.zeros((len(seeds), 2, max(counts) + 1))
-    for rows in _groups(n for _, _, n, *_ in params):
-        store = _stored_paths(H_SPECIAL, params[rows[0]][2], [(0, counts[i]) for i in rows],
-                              [seeds[i] for i in rows])
-        paths[rows, :, : store.shape[2]] = store
+    x1, x2, _ = _ragged(_level_paths(seeds, params, H_SPECIAL, [(0, c) for c in counts]))
     devs = [0.0] * len(seeds)
     for rows in _groups(f.name for *_, f, _ in params):
         f, ns, c = params[rows[0]][4], [params[i][2] for i in rows], [counts[i] for i in rows]
-        v1, v2 = paths[rows, 0], paths[rows, 1]
+        v1, v2 = x1[rows], x2[rows]
         lhs = _taylor_sum(f, v1, v2, 3, c)
         rhs = (_fsum_rows(np.stack(_chaos_components(f, v1, v2, ns, c), axis=-1))
                + _trace_remainder(f, v1, v2, ns, c))

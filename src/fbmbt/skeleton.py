@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fgn import check_index, check_level
+from .fgn import check_index
 from .rng import STREAM_WALK, keyed
 
 def _check_count(value, name: str) -> int:
@@ -108,14 +108,13 @@ def walk_positions(walk: WalkBits) -> np.ndarray:
     return positions
 
 
-def sample_terminal(level: int, steps: int, seed: int) -> int:
+def sample_terminal(steps: int, seed: int) -> int:
     """Terminal position s_steps of a ``steps``-step simple symmetric walk.
 
     One binomial draw, 2 * Binomial(steps, 1/2) - steps, from the walk's
     stream: the same law as the last of ``walk_positions(walk_bits(seed,
     steps))``, without drawing the steps.
     """
-    check_level(level)
     steps = _check_count(steps, "steps")
     return 2 * int(keyed(seed, STREAM_WALK).binomial(steps, 0.5)) - steps
 

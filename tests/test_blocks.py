@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from fbmbt import fgn, rng, variations
 from fbmbt.calculus import function_names, get_test_function
 from fbmbt.experiments import (
+    _level_paths,
     draw_correction_fbm,
     draw_o_tilde,
     draw_rhs_fbmbt,
     draw_skeleton_residual,
+    draw_terminal_y,
     draw_v3,
     draw_v_pq,
     draw_v_tilde_3,
@@ -305,6 +307,36 @@ def test_per_seed_hurst_rows_are_the_one_seed_paths(rows, n, seed):
         assert _bits(row[width : width + hi - lo + 1]) == _bits(one.values2)
 
 
+# The identity suite's one path form: each instance's X^1 and X^2 on its
+# range (lo, hi) as a (2, hi - lo + 1) array, the instances of one level
+# drawn as rows of one fGn draw.  The first example mixes levels 4 and 7,
+# H = 1/6 and H = 1/2 beside other H in one level, ranges with lo < 0 and
+# the zero-width range (0, 0).
+@settings(deadline=None, max_examples=30)
+@example(rows=[(H_SPECIAL, 4, -20, 30), (0.5, 4, 0, 40), (0.3, 7, -64, 0), (0.1, 4, 0, 0),
+               (H_SPECIAL, 7, -3, 5), (0.5, 7, 0, 0)], seed=9)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from([H_SPECIAL, 0.5]) | st.floats(min_value=0.05,
+                                                                          max_value=0.95),
+                            st.integers(min_value=0, max_value=12),
+                            st.integers(min_value=-70, max_value=0),
+                            st.integers(min_value=0, max_value=70)), min_size=1, max_size=30),
+    seed=SEED,
+)
+def test_level_paths_are_the_one_seed_paths(rows, seed):
+    seeds = [derive_seed(seed, i) for i in range(len(rows))]
+    params = [(None, None, n) for _, n, _, _ in rows]
+    ranges = [(lo, hi) for *_, lo, hi in rows]
+    hs = [h for h, *_ in rows]
+    for h in (hs, hs[0]):  # one H per instance, and one float: the cached draw
+        paths = _level_paths(seeds, params, h, ranges)
+        for x, H, (_, n, lo, hi), s in zip(paths, np.broadcast_to(h, len(rows)).tolist(),
+                                           rows, seeds):
+            one = sample_fbm_2d(H, n, lo, hi, s)
+            assert x.shape == (2, hi - lo + 1)
+            assert _bits(x[0]) == _bits(one.values1) and _bits(x[1]) == _bits(one.values2)
+
+
 def test_per_seed_hurst_draws_leave_the_eigenvalue_cache_alone():
     # 2000 random H, the identity suite's count, neither read nor evict the
     # single-H entries that the other workloads reuse.
@@ -357,7 +389,7 @@ def test_ragged_draws_make_one_kernel_pass_per_fgn_chunk(monkeypatch):
     monkeypatch.setattr(fgn, "_path_rows", counted(fgn._path_rows, "chunks"))
     monkeypatch.setattr(variations, "_midpoint_sums", counted(variations._midpoint_sums, "passes"))
     n, t = 10, 1.0
-    lengths = {abs(sample_terminal(n, _step_count(n, t), s)) for s in seeds}
+    lengths = {abs(sample_terminal(_step_count(n, t), s)) for s in seeds}
     with monkeypatch.context() as small:
         small.setattr(fgn, "BLOCK_VALUES", 1 << 12)  # chunks of 32 rows of m = 32
         for draw, kwargs in ((draw_v3, {}), (draw_v_pq, dict(p=1, q=2))):
@@ -465,7 +497,7 @@ def test_one_component_chunks_hold_twice_the_rows(monkeypatch):
 def _terminal_segment(seed, H, n, t):
     """Terminal walk position j*, its height y, and the fBm between 0 and
     j*, drawn for one seed alone."""
-    j_star = sample_terminal(n, _step_count(n, t), seed)
+    j_star = sample_terminal(_step_count(n, t), seed)
     fbm = sample_fbm_2d(H, n, min(0, j_star), max(0, j_star), seed)
     return j_star, j_star * grid_spacing(n), fbm
 
@@ -549,7 +581,7 @@ def test_brownian_clock_block_with_each_sign_of_j_star(fname):
     # Four walk steps: j* is one of -4, -2, 0, 2, 4, and 0 in 3 draws of 8.
     n, t = 2, 1.0
     seeds = [derive_seed(5, i) for i in range(40)]
-    signs = [np.sign(sample_terminal(n, 4, s)) for s in seeds]
+    signs = [np.sign(sample_terminal(4, s)) for s in seeds]
     assert set(signs) == {-1, 0, 1}
     for draw, one in ((draw_v_tilde_3, _one_sided(w3, fname, H_SPECIAL, n, t)),
                       (draw_o_tilde, _one_sided(w_grad, fname, H_SPECIAL, n, t)),
@@ -559,6 +591,28 @@ def test_brownian_clock_block_with_each_sign_of_j_star(fname):
             assert _bits(value) == _bits(one(seed))
             if sign == 0:
                 assert _bits(value) == _bits(0.0)  # +0.0, not -0.0
+
+
+def test_brownian_clock_draws_reject_a_bad_level():
+    # The terminal draw reads no level.  At n = -1 every j* would be 0, so
+    # no path would reach ``grid_spacing`` and the sums would read 0.0.
+    with pytest.raises(ValueError, match="dyadic level .* got -1"):
+        draw_v_tilde_3([1, 2], H=0.3, n=-1, t=1.0, fname="x^3")
+    with pytest.raises(ValueError, match="dyadic level .* got -1"):
+        draw_terminal_y([1, 2], n=-1, t=1.0)
+
+
+# No seeds make no fGn chunk to show a row's width, so a draw of rows is
+# told it (``_path_draws``'s ``width``) and returns an empty result of its
+# estimator's shape.
+@pytest.mark.parametrize("fname", ["sin_x_cos_y", "x^3"])
+def test_empty_seed_lists_give_empty_results_of_their_shape(fname):
+    f, mesh, ys = get_test_function(fname), 2.0**-4, (-1.0, 0.0, 0.5)
+    for values in (sample_correction_fbm(f, 1.0, mesh, []),
+                   sample_change_of_variable_rhs(f, 1.0, mesh, []),
+                   draw_v3([], H=H_SPECIAL, n=4, t=1.0, fname=fname)):
+        assert np.shape(values) == (0,)
+    assert np.shape(draw_w3_horizons([], H=H_SPECIAL, n=4, ys=ys, fname=fname)) == (0, len(ys))
 
 
 @pytest.mark.parametrize("fname", ["x^3", "sin_x_cos_y"])
@@ -635,7 +689,7 @@ def test_brownian_clock_rows_shared_across_j_star(monkeypatch, block_values, n, 
     monkeypatch.setattr(fgn, "BLOCK_VALUES", block_values)
     seeds = [derive_seed(6, i) for i in range(200)]
     steps = _step_count(n, t)
-    j_stars = {sample_terminal(n, steps, s) for s in seeds}
+    j_stars = {sample_terminal(steps, s) for s in seeds}
     want = {0, 2, 4, 6, 8, -2, -4, -6, -8} if steps == 16 else {1, -1, 5, -5, 7, -7}
     assert want <= j_stars
     H, fname = 0.3, "sin_x_cos_y"

@@ -153,7 +153,7 @@ def test_every_parameter_is_read_in_its_function():
 
 
 # How a block of seeds is padded and cut into fGn chunks is decided in
-# ``fgn._path_draws`` and ``fgn.sample_fbm_2d`` alone.
+# ``fgn._path_draws`` alone.
 _CHUNK_HELPERS = ("_path_rows", "_padded_size")
 
 

@@ -333,11 +333,11 @@ def test_step_counts_and_horizons_must_be_nonnegative_integers(bad):
     with pytest.raises(ValueError, match=f"steps .*{got}"):
         sample_skeleton(4, bad, 3)
     with pytest.raises(ValueError, match=f"steps .*{got}"):
-        sample_terminal(4, bad, 3)
+        sample_terminal(bad, 3)
 
 
 def test_integral_float_step_counts_read_as_ints():
-    assert sample_terminal(4, 6.0, 3) == sample_terminal(4, 6, 3)
+    assert sample_terminal(6.0, 3) == sample_terminal(6, 3)
     assert sample_skeleton(4, 6.0, 3).steps == 6
     packed = walk_bits(3, 6.0)
     assert packed.steps == 6 and type(packed.steps) is int
@@ -351,17 +351,15 @@ def test_terminal_variance_matches_step_count():
 
 
 def test_sample_terminal_reproducible():
-    assert sample_terminal(8, 500, 7) == sample_terminal(8, 500, 7)
-    draws = {sample_terminal(8, 500, seed) for seed in range(20)}
+    assert sample_terminal(500, 7) == sample_terminal(500, 7)
+    draws = {sample_terminal(500, seed) for seed in range(20)}
     assert len(draws) > 1
 
 
 def test_sample_terminal_zero_and_negative_steps():
-    assert sample_terminal(8, 0, 3) == 0
+    assert sample_terminal(0, 3) == 0
     with pytest.raises(ValueError):
-        sample_terminal(8, -1, 3)
-    with pytest.raises(ValueError):
-        sample_terminal(-1, 10, 3)
+        sample_terminal(-1, 3)
 
 
 @given(
@@ -369,7 +367,7 @@ def test_sample_terminal_zero_and_negative_steps():
     seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
 )
 def test_sample_terminal_parity_and_range(steps, seed):
-    j_star = sample_terminal(6, steps, seed)
+    j_star = sample_terminal(steps, seed)
     assert isinstance(j_star, int)
     assert (j_star - steps) % 2 == 0
     assert abs(j_star) <= steps
@@ -379,7 +377,7 @@ def test_sample_terminal_law_matches_walk():
     # Two-sample KS at alpha = 1e-6 between the binomial draw and the last
     # position of whole walks, on disjoint seeds so the samples are independent.
     steps, draws = 256, 3000
-    binomial = [sample_terminal(8, steps, seed) for seed in range(draws)]
+    binomial = [sample_terminal(steps, seed) for seed in range(draws)]
     walks = [
         int(sample_skeleton(8, steps, seed).positions[-1])
         for seed in range(draws, 2 * draws)
